@@ -19,15 +19,12 @@ from .linmodel import LinearModel, diversity_scores, fit_wls, predict
 from .multtest import RejectionSet, closed_testing, fisher_combine, holm
 from .nuisance import (
     NuisanceModel,
-    SelectionModel,
     certainty,
-    estimate_noise_var,
     expected_beta_distance,
     fit_bar_learner,
     fit_mu,
     fit_rlearner_ols,
     fit_rlearner_weighted,
-    fit_selection_prob,
     marginalized_residual,
     one_minus_c2_series,
     posterior_e,
@@ -55,9 +52,8 @@ __all__ = [
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls", "predict",
     "RejectionSet", "closed_testing", "fisher_combine", "holm",
-    "NuisanceModel", "SelectionModel", "certainty", "estimate_noise_var",
-    "expected_beta_distance", "fit_bar_learner", "fit_mu",
-    "fit_rlearner_ols", "fit_rlearner_weighted", "fit_selection_prob",
+    "NuisanceModel", "certainty", "expected_beta_distance",
+    "fit_bar_learner", "fit_mu", "fit_rlearner_ols", "fit_rlearner_weighted",
     "marginalized_residual", "one_minus_c2_series", "posterior_e",
     "scaled_residual",
     "PValue", "TestStatisticSpec", "exact_pvalue", "gaussian_approx_pvalue",

@@ -229,9 +229,6 @@ class FoldState:
         g = self.partition.groups[k]
         return g[~self._mask[g]]
 
-    def inference_all(self):
-        return np.flatnonzero(~self._mask)
-
     @property
     def proportions(self):
         return np.array(
@@ -265,13 +262,6 @@ class FoldSnapshot:
 
 # Configuration ---------------------------------------------------------------
 
-_CONFIG_FIELDS = (
-    "p_init", "rho", "eps_l", "n0", "mc_draws", "alpha", "q",
-    "knn_k", "ridge_lambda", "lambda_imputed", "delta_clip", "seed",
-    "refit_every",
-)
-
-
 @dataclass(frozen=True)
 class AdaSplitConfig:
     """Tuning parameters for the adaptive splitting procedure."""
@@ -286,9 +276,7 @@ class AdaSplitConfig:
     knn_k: int = 10
     ridge_lambda: float = 1e-8
     lambda_imputed: float = 1.0
-    delta_clip: float = 1e-6
     seed: int = 0
-    refit_every: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.p_init < 1.0:
@@ -311,14 +299,10 @@ class AdaSplitConfig:
             raise ConfigError("ridge_lambda must be >= 0")
         if self.lambda_imputed < 0.0:
             raise ConfigError("lambda_imputed must be >= 0")
-        if not 0.0 < self.delta_clip < 0.5:
-            raise ConfigError("delta_clip must lie in (0, 0.5)")
-        if self.refit_every < 1:
-            raise ConfigError("refit_every must be >= 1")
 
     @classmethod
     def from_dict(cls, values):
-        unknown = set(values) - set(_CONFIG_FIELDS)
+        unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {}

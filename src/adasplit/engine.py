@@ -18,38 +18,22 @@ set of units read before inference is reported for auditing.
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .data import AnalysisReport, FoldState
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .linmodel import diversity_scores
-from .multtest import closed_testing, fisher_combine
 from .nuisance import (
     NeighborIndex,
     NuisanceModel,
     fit_bar_learner,
     fit_mu,
-    fit_rlearner_ols,
     fit_rlearner_weighted,
     noise_floor,
     posterior_e,
 )
-from .randtest import STAT_AIPW, TestStatisticSpec, mc_pvalue
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """One selection step: who moved, why, and the convergence state."""
-
-    t: int
-    unit: int
-    subgroup: int
-    criterion: float
-    l_value: float
-    proportions: tuple
+from .randtest import STAT_AIPW, TestStatisticSpec, test_folds
 
 
 class _AssignmentLog:
@@ -74,7 +58,11 @@ class _AssignmentLog:
 def split_init(dataset, partition, p_init, ridge=0.0):
     """Deterministic initial split: from each subgroup, the ceil(p_init * size)
     units with the largest diversity scores seed the nuisance fold (score
-    ties break toward the lower unit index)."""
+    ties break toward the lower unit index).
+
+    The seed fold must hold at least d + 1 units, the smallest fold the
+    residual regression can fit; a smaller one is a configuration error.
+    """
     if not 0.0 < p_init < 1.0:
         raise ValidationError("p_init must lie in (0, 1)")
     scores = diversity_scores(dataset.x, ridge=ridge)
@@ -86,6 +74,13 @@ def split_init(dataset, partition, p_init, ridge=0.0):
         order = g[np.lexsort((g, -scores[g]))]
         for j in order[:m]:
             state.move_to_nuisance(int(j))
+    seed_size = state.nuisance.size
+    if seed_size < dataset.d + 1:
+        raise ConfigError(
+            f"p_init={p_init} seeds a nuisance fold of {seed_size} units, fewer "
+            f"than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
+            "raise p_init or use a larger sample"
+        )
     return state
 
 
@@ -119,34 +114,42 @@ def convergence_metric(tau_new, tau_old, x_j):
     return float(np.sum((new - old) ** 2)) / denom
 
 
-def _posterior_refit(x, y, e, mask, zlog, mu_vals, neighbors, n, floor, ridge):
-    """One nuisance refit given the current fold membership.
+def _refit(x, y, e, mask, p_all, zlog, mu_vals, floor, ridge):
+    """One nuisance refit on the current nuisance fold, given every unit's
+    selection probability.
 
-    Selection probabilities come from the leave-one-out neighbor vote on the
-    membership indicator (self-inclusion would inflate the probability
-    exactly where the indicator is 1, biasing the inverse weights); the CATE
-    working model is the inverse-selection-weighted residual regression.
+    The CATE working model is the inverse-selection-weighted residual
+    regression; unit probabilities make it plain least squares.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
     ``tau(x)/2`` shift inflates the scale by about a quarter of the mean
     squared CATE, which tempers the posterior and keeps the imputation from
     locking onto an overconfident fixed point early in the loop.
+
+    Returns the nuisance-fold assignments, the weighted CATE fit, the
+    posterior for every unit and its scale.
     """
     nuis_idx = np.flatnonzero(mask)
     z_i = zlog.take(nuis_idx)
-    vote = neighbors.vote_loo if neighbors.loo_neighbors is not None else neighbors.vote
-    p_all = np.clip(vote(mask.astype(float)), 1.0 / (2.0 * neighbors.kappa), 1.0)
     p_i = p_all[nuis_idx]
     tau_w = fit_rlearner_weighted(
         x[nuis_idx], y[nuis_idx], z_i, e[nuis_idx], mu_vals[nuis_idx], p_i,
         ridge=ridge,
     )
-    tau_i = tau_w.predict(x[nuis_idx])
-    resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_i
-    nu2 = max(float(np.sum(resid**2 / p_i)) / n, floor)
+    resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_w.predict(x[nuis_idx])
+    nu2 = max(float(np.sum(resid**2 / p_i)) / x.shape[0], floor)
     e_hat = posterior_e(y, mu_vals, tau_w.predict(x), nu2)
-    return z_i, e_hat, nu2
+    return z_i, tau_w, e_hat, nu2
+
+
+def _selection_prob(neighbors, mask):
+    """Leave-one-out neighbor vote on the membership indicator (the plain
+    vote when kappa = n), clipped below at 1/(2 kappa). Self-inclusion would
+    inflate the probability exactly where the indicator is 1, biasing the
+    inverse weights."""
+    vote = neighbors.vote_loo if neighbors.loo_neighbors is not None else neighbors.vote
+    return np.clip(vote(mask.astype(float)), 1.0 / (2.0 * neighbors.kappa), 1.0)
 
 
 def run(dataset, partition, config, collect_trace=True):
@@ -168,7 +171,7 @@ def run(dataset, partition, config, collect_trace=True):
     floor = noise_floor(y)
 
     mu = fit_mu(x, y, ridge=ridge)
-    mu_vals = np.asarray(mu.predict(x), dtype=float).ravel()
+    mu_vals = mu.predict(x)
 
     state = split_init(dataset, partition, config.p_init, ridge=ridge)
     mask = state.nuisance_mask
@@ -176,25 +179,19 @@ def run(dataset, partition, config, collect_trace=True):
     s_sizes = np.array([g.size for g in groups])
     j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
 
-    # Initial posterior: unweighted residual regression on the seed fold
-    # (selection so far depends on covariates only, so no reweighting), with
-    # the same assignment-anchored scale convention as the loop refits.
-    nuis_idx = np.flatnonzero(mask)
-    z_seed = zlog.take(nuis_idx)
-    tau_prev = fit_rlearner_ols(
-        x[nuis_idx], y[nuis_idx], z_seed, e[nuis_idx], mu_vals[nuis_idx],
-        ridge=ridge,
+    # Seed refit: the seed fold depends on covariates only, so every unit
+    # has selection probability one.
+    _, tau_prev, e_hat, _ = _refit(
+        x, y, e, mask, np.ones(n), zlog, mu_vals, floor, ridge,
     )
-    resid0 = y[nuis_idx] - mu_vals[nuis_idx] - z_seed * tau_prev.predict(x[nuis_idx])
-    nu2 = max(float(np.sum(resid0**2)) / n, floor)
-    e_hat = posterior_e(y, mu_vals, tau_prev.predict(x), nu2)
+    tau_prev_vals = tau_prev.predict(x)
 
     neighbors = NeighborIndex(x, y, min(config.knn_k, n))
     labels = partition.labels()
-    tau_prev_vals = tau_prev.predict(x)
 
     l_hist = []
     trace = []
+    converged = False
     t = 0
     while True:
         eligible = (j_sizes - 1) >= config.rho * s_sizes
@@ -205,41 +202,36 @@ def run(dataset, partition, config, collect_trace=True):
         pick = np.lexsort((cand, crit))[0]
         j_star = int(cand[pick])
         k_star = int(labels[j_star])
-        crit_star = float(crit[pick])
         mask[j_star] = True
         j_sizes[k_star] -= 1
         t += 1
 
-        l_t = float("nan")
-        if t % config.refit_every == 0:
-            _, e_hat, nu2 = _posterior_refit(
-                x, y, e, mask, zlog, mu_vals, neighbors, n, floor, ridge,
-            )
-            nuis_idx = np.flatnonzero(mask)
-            tau_new = fit_bar_learner(
-                x, y, e, mask, zlog.take(nuis_idx), mu_vals, e_hat,
-                lam=lam, ridge=ridge,
-            )
-            x_j = x[~mask]
-            if x_j.shape[0] >= 2:
-                l_t = convergence_metric(tau_new, tau_prev, x_j)
-            else:
-                l_t = float("inf")
-            l_hist.append(l_t)
-            tau_prev = tau_new
-            tau_prev_vals = tau_prev.predict(x)
+        z_i, _, e_hat, _ = _refit(
+            x, y, e, mask, _selection_prob(neighbors, mask), zlog, mu_vals,
+            floor, ridge,
+        )
+        tau_new = fit_bar_learner(
+            x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
+        )
+        x_j = x[~mask]
+        if x_j.shape[0] >= 2:
+            l_t = convergence_metric(tau_new, tau_prev, x_j)
+        else:
+            l_t = float("inf")
+        l_hist.append(l_t)
+        tau_prev = tau_new
+        tau_prev_vals = tau_prev.predict(x)
         if collect_trace:
-            trace.append(IterationTrace(
-                t=t, unit=j_star, subgroup=k_star, criterion=crit_star,
-                l_value=l_t,
-                proportions=tuple(float(v) for v in j_sizes / s_sizes),
-            ))
-        if len(l_hist) > config.n0 and max(l_hist[-config.n0:]) <= config.eps_l:
+            trace.append({
+                "t": t, "unit": j_star, "subgroup": k_star,
+                "criterion": float(crit[pick]), "l": l_t,
+                "proportions": [float(v) for v in j_sizes / s_sizes],
+            })
+        converged = (
+            len(l_hist) > config.n0 and max(l_hist[-config.n0:]) <= config.eps_l
+        )
+        if converged:
             break
-
-    converged = bool(
-        len(l_hist) > config.n0 and max(l_hist[-config.n0:]) <= config.eps_l
-    )
 
     # Prune: evict negative-CATE units from each inference fold, most
     # negative first, stopping before the inference share would cross rho.
@@ -254,56 +246,35 @@ def run(dataset, partition, config, collect_trace=True):
             mask[j] = True
             j_sizes[k] -= 1
 
-    z_i, e_hat, nu2 = _posterior_refit(
-        x, y, e, mask, zlog, mu_vals, neighbors, n, floor, ridge,
+    z_i, _, e_hat, nu2 = _refit(
+        x, y, e, mask, _selection_prob(neighbors, mask), zlog, mu_vals,
+        floor, ridge,
     )
     tau_final = fit_bar_learner(
         x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
     )
-    nuisances = NuisanceModel(mu=mu, tau=tau_final, nu2=nu2)
 
     final_state = FoldState(partition, mask)
     reads_before = [int(i) for i in zlog.reads()]
-
-    stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=nuisances)
-    pvalues = []
-    flags = {}
-    for k in range(partition.k):
-        pv = mc_pvalue(
-            stat, dataset, final_state.inference(k), config.mc_draws,
-            rng.stream(config.seed, rng.PVALUE_DRAWS, k), subgroup_id=k,
-        )
-        pvalues.append(pv)
-        if pv.flag:
-            flags[str(k)] = pv.flag
-
-    rejected = closed_testing(
-        [pv.value for pv in pvalues], config.q, fisher_combine
-    ).rejected
+    stat = TestStatisticSpec(
+        kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau_final),
+    )
+    folds = [final_state.inference(k) for k in range(partition.k)]
+    pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
 
     diagnostics = {
-        "l": [float(v) for v in l_hist],
+        "l": l_hist,
         "converged": converged,
-        "nu2": float(nu2),
+        "nu2": nu2,
         "z_reads_before_pvalues": reads_before,
         "pvalue_flags": flags,
     }
     if collect_trace:
-        diagnostics["trace"] = [
-            {
-                "t": tr.t,
-                "unit": tr.unit,
-                "subgroup": tr.subgroup,
-                "criterion": tr.criterion,
-                "l": tr.l_value,
-                "proportions": list(tr.proportions),
-            }
-            for tr in trace
-        ]
+        diagnostics["trace"] = trace
 
     return AnalysisReport(
-        pvalues=tuple(pv.value for pv in pvalues),
-        rejected=tuple(int(k) for k in rejected),
+        pvalues=pvalues,
+        rejected=rejected,
         folds=final_state.snapshot(),
         iterations=t,
         cate_coefficients=tuple(float(c) for c in tau_final.coef),

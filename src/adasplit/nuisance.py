@@ -40,32 +40,9 @@ def sigmoid(t):
     return 1.0 / (1.0 + np.exp(-t))
 
 
-class AffineRegressor:
-    """Least-squares regressor satisfying the fit/predict contract.
-
-    Any object with the same two methods can be plugged in as the outcome
-    model; this affine implementation is the default.
-    """
-
-    def __init__(self, ridge=0.0):
-        self.ridge = ridge
-        self.model = None
-
-    def fit(self, x, y, w=None):
-        self.model = fit_wls(x, y, w=w, ridge=self.ridge)
-        return self
-
-    def predict(self, x):
-        if self.model is None:
-            raise ValidationError("regressor is not fitted")
-        return self.model.predict(x)
-
-
-def fit_mu(x, y, regressor=None, ridge=0.0):
+def fit_mu(x, y, ridge=0.0):
     """Fit the outcome model E[Y | X] on all units. Uses no assignments."""
-    if regressor is None:
-        regressor = AffineRegressor(ridge=ridge)
-    return regressor.fit(x, y)
+    return fit_wls(x, y, ridge=ridge)
 
 
 def scaled_residual(y, z, mu_vals, e):
@@ -134,10 +111,9 @@ class NeighborIndex:
         coords = np.hstack([x, y[:, None]])
         scale = coords.std(axis=0)
         scale[scale == 0.0] = 1.0
-        self.coords = coords / scale
-        self.scale = scale
-        sq = np.einsum("ij,ij->i", self.coords, self.coords)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (self.coords @ self.coords.T)
+        coords = coords / scale
+        sq = np.einsum("ij,ij->i", coords, coords)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T)
         # Stable sort so distance ties break toward the lower index.
         order = np.argsort(d2, axis=1, kind="stable")
         self.neighbors = order[:, : self.kappa]
@@ -161,68 +137,12 @@ class NeighborIndex:
         b = np.asarray(b, dtype=float)
         return b[self.loo_neighbors].mean(axis=1)
 
-    def vote_at(self, xq, yq, b):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        yq = np.asarray(yq, dtype=float).ravel()
-        q = np.hstack([xq, yq[:, None]]) / self.scale
-        d2 = (
-            np.einsum("ij,ij->i", q, q)[:, None]
-            + np.einsum("ij,ij->i", self.coords, self.coords)[None, :]
-            - 2.0 * (q @ self.coords.T)
-        )
-        nbr = np.argsort(d2, axis=1, kind="stable")[:, : self.kappa]
-        return np.asarray(b, dtype=float)[nbr].mean(axis=1)
-
-
-@dataclass(frozen=True)
-class SelectionModel:
-    """Nearest-neighbor estimate of P(unit selected | x, y), clipped below."""
-
-    index: NeighborIndex
-    b: np.ndarray
-
-    @property
-    def kappa(self):
-        return self.index.kappa
-
-    @property
-    def floor(self):
-        return 1.0 / (2.0 * self.kappa)
-
-    def predict_self(self):
-        """Probabilities at the training points themselves."""
-        return np.clip(self.index.vote(self.b), self.floor, 1.0)
-
-    def predict(self, xq, yq):
-        return np.clip(self.index.vote_at(xq, yq, self.b), self.floor, 1.0)
-
-
-def fit_selection_prob(x, y, b, kappa):
-    b = np.asarray(b, dtype=float).ravel()
-    if not np.all(np.isin(b, (0.0, 1.0))):
-        raise ValidationError("selection indicator must be binary")
-    index = NeighborIndex(x, y, kappa)
-    return SelectionModel(index=index, b=b)
-
 
 # Posterior assignment probability --------------------------------------------
 
 def noise_floor(y):
     """Variance floor keeping the posterior's scale parameter positive."""
     return max(1e-8 * float(np.var(np.asarray(y, dtype=float))), 1e-12)
-
-
-def estimate_noise_var(y, z, e, mu_vals, tau_vals, p_vals, n_total, floor):
-    """Inverse-selection-weighted residual variance of the outcome model.
-
-    The residual is the partially linear one, ``y - mu(x) - (z - e(x)) tau(x)``,
-    and the sum is normalized by the total sample size so that dividing by
-    the true selection probability makes the estimate consistent for the
-    noise variance.
-    """
-    resid = np.asarray(y, dtype=float) - mu_vals - (np.asarray(z, dtype=float) - e) * tau_vals
-    p_vals = np.asarray(p_vals, dtype=float)
-    return max(float(np.sum(resid**2 / p_vals)) / n_total, floor)
 
 
 def posterior_e(y, mu_vals, tau_vals, nu2):
@@ -243,27 +163,16 @@ def certainty(e_val):
 
 @dataclass(frozen=True)
 class NuisanceModel:
-    """Bundle of fitted nuisances: outcome model, CATE model, noise variance."""
+    """Bundle of fitted nuisances: outcome model and CATE model."""
 
-    mu: object
+    mu: LinearModel
     tau: LinearModel
-    nu2: float
-
-    def __post_init__(self):
-        if not self.nu2 > 0.0:
-            raise ValidationError("nu2 must be positive")
 
     def mu_vals(self, x):
-        return np.asarray(self.mu.predict(x), dtype=float).ravel()
+        return self.mu.predict(x)
 
     def tau_vals(self, x):
         return self.tau.predict(x)
-
-    def e_vals(self, x, y):
-        return posterior_e(y, self.mu_vals(x), self.tau_vals(x), self.nu2)
-
-    def certainty_vals(self, x, y):
-        return certainty(self.e_vals(x, y))
 
 
 # Imputation-based CATE estimator ----------------------------------------------

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from . import rng
 from .errors import ValidationError
+from .multtest import closed_testing, fisher_combine
 from .nuisance import NuisanceModel, certainty, posterior_e
 
 STAT_DM = "difference-in-means"
@@ -119,6 +121,26 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     t_ref, t_obs = t_all[:-1], float(t_all[-1])
     count = int(np.sum(t_ref >= t_obs))
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
+
+
+def test_folds(stat, dataset, folds, config):
+    """The testing stage every method shares.
+
+    Computes one Monte-Carlo p-value per subgroup inference fold (``folds[k]``
+    for subgroup k, each from its own draw stream) and runs closed testing
+    with Fisher's combination at level ``config.q``. Returns the p-values,
+    the rejected subgroups and the flags of degenerate folds, keyed by the
+    subgroup index as a string.
+    """
+    pvalues = [
+        mc_pvalue(stat, dataset, fold, config.mc_draws,
+                  rng.stream(config.seed, rng.PVALUE_DRAWS, k), subgroup_id=k)
+        for k, fold in enumerate(folds)
+    ]
+    values = tuple(pv.value for pv in pvalues)
+    rejected = closed_testing(values, config.q, fisher_combine).rejected
+    flags = {str(pv.subgroup): pv.flag for pv in pvalues if pv.flag}
+    return values, tuple(int(k) for k in rejected), flags
 
 
 def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):

@@ -35,15 +35,8 @@ from .data import (
 )
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel
-from .multtest import closed_testing, fisher_combine
-from .nuisance import (
-    NuisanceModel,
-    estimate_noise_var,
-    fit_mu,
-    fit_rlearner_ols,
-    noise_floor,
-)
-from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec, mc_pvalue
+from .nuisance import NuisanceModel, fit_mu, fit_rlearner_ols
+from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec, test_folds
 
 METHOD_RT = "rt"
 METHOD_RANDOM_SPLIT = "random_split"
@@ -169,22 +162,20 @@ def generate(scenario_name, seed):
 def run_method(method, dataset, partition, config, collect_trace=False):
     """Run one of the three procedures and return its report.
 
-    ``rt`` tests each full subgroup with the difference-in-means statistic;
-    ``random_split`` fits nuisances on a seeded per-subgroup random half and
-    tests the other half with the AIPW statistic; ``adasplit`` delegates to
-    the adaptive engine.
+    The methods differ only in how they choose the inference folds and fit
+    the nuisances; all three test the folds with :func:`test_folds`. ``rt``
+    tests each full subgroup with the difference-in-means statistic;
+    ``random_split`` fits nuisances on a seeded per-subgroup random share
+    ``rho`` and tests the rest with the AIPW statistic; ``adasplit``
+    delegates to the adaptive engine.
     """
     method = canonical_method(method)
     if method == METHOD_ADASPLIT:
         return engine.run(dataset, partition, config, collect_trace=collect_trace)
     if method == METHOD_RT:
         stat = TestStatisticSpec(kind=STAT_DM)
-        pvalues = [
-            mc_pvalue(stat, dataset, g, config.mc_draws,
-                      rng.stream(config.seed, rng.PVALUE_DRAWS, k), subgroup_id=k)
-            for k, g in enumerate(partition.groups)
-        ]
-        folds = None
+        folds = partition.groups
+        snapshot = None
         coef = None
     else:
         mask = np.zeros(dataset.n, dtype=bool)
@@ -194,35 +185,22 @@ def run_method(method, dataset, partition, config, collect_trace=False):
             mask[gen.permutation(g)[:m_k]] = True
         nuis_idx = np.flatnonzero(mask)
         x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
-        z_i, e_i = dataset.z[nuis_idx], dataset.e[nuis_idx]
         mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
-        mu_i = np.asarray(mu.predict(x_i), dtype=float).ravel()
-        tau = fit_rlearner_ols(x_i, y_i, z_i, e_i, mu_i, ridge=config.ridge_lambda)
-        nu2 = estimate_noise_var(
-            y_i, z_i, e_i, mu_i, tau.predict(x_i), np.ones(nuis_idx.size),
-            dataset.n, noise_floor(dataset.y),
-        )
-        nuis = NuisanceModel(mu=mu, tau=tau, nu2=nu2)
-        stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=nuis)
+        tau = fit_rlearner_ols(x_i, y_i, dataset.z[nuis_idx], dataset.e[nuis_idx],
+                               mu.predict(x_i), ridge=config.ridge_lambda)
+        stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
         state = FoldState(partition, mask)
-        pvalues = [
-            mc_pvalue(stat, dataset, state.inference(k), config.mc_draws,
-                      rng.stream(config.seed, rng.PVALUE_DRAWS, k), subgroup_id=k)
-            for k in range(partition.k)
-        ]
-        folds = state.snapshot()
+        folds = [state.inference(k) for k in range(partition.k)]
+        snapshot = state.snapshot()
         coef = tuple(float(c) for c in tau.coef)
-    rejected = closed_testing(
-        [pv.value for pv in pvalues], config.q, fisher_combine
-    ).rejected
+    pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
     return AnalysisReport(
-        pvalues=tuple(pv.value for pv in pvalues),
-        rejected=tuple(int(k) for k in rejected),
-        folds=folds,
+        pvalues=pvalues,
+        rejected=rejected,
+        folds=snapshot,
         iterations=0,
         cate_coefficients=coef,
-        diagnostics={"pvalue_flags": {str(pv.subgroup): pv.flag
-                                      for pv in pvalues if pv.flag}},
+        diagnostics={"pvalue_flags": flags},
         method=method,
         config=config,
     )
@@ -305,10 +283,10 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
         # but regresses residuals over the nuisance fold alone.
         nuis_idx = np.asarray(report.folds.nuisance, dtype=int)
         mu = fit_mu(dataset.x, dataset.y, ridge=config.ridge_lambda)
-        mu_i = np.asarray(mu.predict(dataset.x[nuis_idx]), dtype=float).ravel()
         rl = fit_rlearner_ols(
             dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
-            dataset.e[nuis_idx], mu_i, ridge=config.ridge_lambda,
+            dataset.e[nuis_idx], mu.predict(dataset.x[nuis_idx]),
+            ridge=config.ridge_lambda,
         )
         gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
         x_new = draw_covariates(scenario, holdout, gen)

@@ -25,7 +25,7 @@ from adasplit import (
     one_minus_c2_series,
     run,
 )
-from adasplit.nuisance import AffineRegressor, certainty, posterior_e, scaled_residual
+from adasplit.nuisance import certainty, fit_mu, posterior_e, scaled_residual
 from adasplit.randtest import STAT_AIPW, STAT_DM
 from adasplit.simlab import (
     cate_quality_experiment,
@@ -137,8 +137,8 @@ def test_criterion_5_monte_carlo_vs_enumeration():
             spec = TestStatisticSpec(STAT_DM)
             oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z, ds.e)
         else:
-            mu = AffineRegressor(ridge=1e-8).fit(x, y)
-            nuis = NuisanceModel(mu=mu, tau=LinearModel(gen.normal(size=3)), nu2=1.0)
+            mu = fit_mu(x, y, ridge=1e-8)
+            nuis = NuisanceModel(mu=mu, tau=LinearModel(gen.normal(size=3)))
             spec = TestStatisticSpec(STAT_AIPW, nuis)
             mu_vals = nuis.mu_vals(x)
             tau_vals = nuis.tau_vals(x)

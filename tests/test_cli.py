@@ -8,7 +8,7 @@ import pytest
 
 from adasplit import read_dataset_csv, write_dataset_csv
 from adasplit.cli import main
-from adasplit.simlab import generate
+from adasplit.simlab import generate, scenario_with_size
 
 
 @pytest.fixture()
@@ -80,6 +80,22 @@ class TestAnalyze:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rho": 2.0}))
         assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+
+    def test_removed_config_keys_exit_3(self, trial_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        for key, value in (("delta_clip", 1e-6), ("refit_every", 1)):
+            config.write_text(json.dumps({key: value}))
+            assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+            assert "unknown config keys" in capsys.readouterr().err
+
+    def test_seed_fold_too_small_exit_3(self, tmp_path, capsys):
+        ds, part, _ = generate(scenario_with_size("default", 60), 0)
+        path = tmp_path / "small.csv"
+        write_dataset_csv(path, ds, subgroup_labels=part.labels())
+        assert run_cli("analyze", "--data", path) == 3
+        err = capsys.readouterr().err
+        assert "p_init=0.05" in err and "5 units" in err
+        assert "n=60" in err and "d=5" in err
 
     def test_no_subgroups_exit_2(self, tmp_path):
         ds, _, _ = generate("default", 9)

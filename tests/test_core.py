@@ -181,8 +181,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("p_init", 0.0), ("p_init", 1.0), ("rho", 0.0), ("eps_l", 0.0),
         ("n0", 0), ("mc_draws", 0), ("alpha", 1.0), ("q", 0.0),
-        ("knn_k", 0), ("ridge_lambda", -1.0), ("delta_clip", 0.5),
-        ("refit_every", 0),
+        ("knn_k", 0), ("ridge_lambda", -1.0),
     ])
     def test_bounds(self, field, value):
         with pytest.raises(ConfigError):
@@ -191,6 +190,14 @@ class TestConfig:
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             AdaSplitConfig.from_dict({"nope": 1})
+
+    def test_from_dict_key_set_is_the_fields(self):
+        fields = AdaSplitConfig().to_dict()
+        assert len(fields) == 11
+        assert AdaSplitConfig.from_dict(fields) == AdaSplitConfig()
+        for key in ("delta_clip", "refit_every"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                AdaSplitConfig.from_dict({key: 1})
 
     def test_from_dict_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):

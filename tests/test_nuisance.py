@@ -7,20 +7,18 @@ import pytest
 from adasplit import (
     ValidationError,
     certainty,
-    estimate_noise_var,
     expected_beta_distance,
     fit_bar_learner,
     fit_mu,
     fit_rlearner_ols,
     fit_rlearner_weighted,
-    fit_selection_prob,
     fit_wls,
     marginalized_residual,
     one_minus_c2_series,
     posterior_e,
     scaled_residual,
 )
-from adasplit.nuisance import NeighborIndex, noise_floor
+from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import draw_covariates, generate, get_scenario
 from adasplit import rng
 from oracles import minimize_bar_loss, wls_solve
@@ -37,7 +35,7 @@ class TestOutcomeModel:
         gamma = np.array([0.5, 1.0, -2.0, 0.25])
         y = gamma[0] + x @ gamma[1:]
         mu = fit_mu(x, y)
-        assert np.allclose(mu.model.coef, gamma, atol=1e-9)
+        assert np.allclose(mu.coef, gamma, atol=1e-9)
 
     def test_out_of_sample_residual_variance(self):
         # fresh-data residual variance of the outcome fit approaches
@@ -133,19 +131,26 @@ class TestResidualRegressions:
         assert np.allclose(ours, ref, atol=1e-10)
 
 
+def clipped(vote, kappa):
+    """A neighbor vote clipped to the selection-probability range
+    [1/(2 kappa), 1], as the engine's inverse weights use it."""
+    return np.clip(vote, 1.0 / (2.0 * kappa), 1.0)
+
+
 class TestSelectionProbability:
     def test_all_selected(self):
         gen = np.random.default_rng(7)
-        model = fit_selection_prob(gen.normal(size=(12, 2)), gen.normal(size=12),
-                                   np.ones(12), 3)
-        assert np.allclose(model.predict_self(), 1.0)
+        index = NeighborIndex(gen.normal(size=(12, 2)), gen.normal(size=12), 3)
+        b = np.ones(12)
+        assert np.allclose(clipped(index.vote(b), 3), 1.0)
+        assert np.allclose(clipped(index.vote_loo(b), 3), 1.0)
 
     def test_kappa_equals_n_global_average(self):
         gen = np.random.default_rng(8)
         b = (gen.random(15) < 0.4).astype(float)
-        model = fit_selection_prob(gen.normal(size=(15, 1)), gen.normal(size=15), b, 15)
+        index = NeighborIndex(gen.normal(size=(15, 1)), gen.normal(size=15), 15)
         expected = np.clip(b.mean(), 1.0 / 30.0, 1.0)
-        assert np.allclose(model.predict_self(), expected)
+        assert np.allclose(clipped(index.vote(b), 15), expected)
 
     def test_matches_brute_force_vote(self):
         gen = np.random.default_rng(9)
@@ -153,21 +158,29 @@ class TestSelectionProbability:
         y = gen.normal(size=20)
         b = (gen.random(20) < 0.5).astype(float)
         kappa = 5
-        model = fit_selection_prob(x, y, b, kappa)
+        index = NeighborIndex(x, y, kappa)
+        vote = clipped(index.vote(b), kappa)
+        vote_loo = clipped(index.vote_loo(b), kappa)
         coords = np.hstack([x, y[:, None]])
         coords = coords / coords.std(axis=0)
         for i in range(20):
             dist = np.sqrt(np.sum((coords - coords[i]) ** 2, axis=1))
             nbrs = np.argsort(dist, kind="stable")[:kappa]
             expected = np.clip(b[nbrs].mean(), 1.0 / (2 * kappa), 1.0)
-            assert model.predict_self()[i] == pytest.approx(expected, abs=1e-12)
+            assert vote[i] == pytest.approx(expected, abs=1e-12)
+            others = np.argsort(np.where(np.arange(20) == i, np.inf, dist),
+                                kind="stable")[:kappa]
+            expected_loo = np.clip(b[others].mean(), 1.0 / (2 * kappa), 1.0)
+            assert vote_loo[i] == pytest.approx(expected_loo, abs=1e-12)
 
-    def test_kappa_bounds_and_binary_b(self):
+    def test_kappa_bounds(self):
         x, y = np.ones((4, 1)), np.ones(4)
-        with pytest.raises(ValidationError):
-            fit_selection_prob(x, y, np.ones(4), 5)
-        with pytest.raises(ValidationError, match="binary"):
-            fit_selection_prob(x, y, np.full(4, 0.5), 2)
+        with pytest.raises(ValidationError, match="kappa"):
+            NeighborIndex(x, y, 5)
+        with pytest.raises(ValidationError, match="kappa"):
+            NeighborIndex(x, y, 0)
+        with pytest.raises(ValidationError, match="leave-one-out"):
+            NeighborIndex(x, y, 4).vote_loo(np.ones(4))
 
     def test_loo_vote_excludes_self(self):
         x = np.arange(6.0)[:, None]
@@ -178,45 +191,6 @@ class TestSelectionProbability:
         loo_vote = index.vote_loo(b)
         assert self_vote[0] == 0.5      # itself plus one unselected neighbor
         assert loo_vote[0] == 0.0       # both true neighbors unselected
-
-
-class TestNoiseVariance:
-    def test_noiseless_hits_floor(self):
-        gen = np.random.default_rng(10)
-        x = gen.normal(size=(20, 2))
-        beta = np.array([0.5, 1.0, 2.0])
-        tau = beta[0] + x @ beta[1:]
-        z = (gen.random(20) < 0.5).astype(float)
-        mu_vals = 1.0 + x[:, 0]
-        y = mu_vals + (z - 0.5) * tau
-        floor = noise_floor(y)
-        nu2 = estimate_noise_var(y, z, np.full(20, 0.5), mu_vals, tau,
-                                 np.ones(20), 20, floor)
-        assert nu2 == floor
-
-    def test_half_weights_double(self):
-        gen = np.random.default_rng(11)
-        y = gen.normal(size=10)
-        z = (gen.random(10) < 0.5).astype(float)
-        mu_vals = np.zeros(10)
-        tau = np.zeros(10)
-        args = (y, z, np.full(10, 0.5), mu_vals, tau)
-        one = estimate_noise_var(*args, np.ones(10), 10, 0.0)
-        half = estimate_noise_var(*args, np.full(10, 0.5), 10, 0.0)
-        assert half == pytest.approx(2.0 * one)
-
-    def test_default_scenario_near_one(self):
-        vals = []
-        for rep in range(100):
-            seed = rng.child_seed(12, 2, rep)
-            ds, _, _ = generate("default", seed)
-            mu = fit_mu(ds.x, ds.y, ridge=1e-8)
-            mu_vals = mu.predict(ds.x)
-            tau = fit_rlearner_ols(ds.x, ds.y, ds.z, ds.e, mu_vals, ridge=1e-8)
-            vals.append(estimate_noise_var(
-                ds.y, ds.z, ds.e, mu_vals, tau.predict(ds.x),
-                np.ones(ds.n), ds.n, noise_floor(ds.y)))
-        assert abs(np.mean(vals) - 1.0) < 0.15
 
 
 class TestPosterior:

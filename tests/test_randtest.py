@@ -17,7 +17,7 @@ from adasplit import (
     phi_aipw,
     t_dm,
 )
-from adasplit.nuisance import AffineRegressor, posterior_e
+from adasplit.nuisance import fit_mu, posterior_e
 from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
 from adasplit import rng
 from oracles import aipw_statistic, dm_statistic, enumerate_pvalue, knapsack_grid
@@ -29,9 +29,9 @@ def dm_spec():
 
 def aipw_spec(x, y, tau_coef=None, seed=0):
     gen = np.random.default_rng(seed)
-    mu = AffineRegressor(ridge=1e-8).fit(x, y)
+    mu = fit_mu(x, y, ridge=1e-8)
     coef = gen.normal(size=x.shape[1] + 1) if tau_coef is None else np.asarray(tau_coef)
-    return TestStatisticSpec(STAT_AIPW, NuisanceModel(mu=mu, tau=LinearModel(coef), nu2=1.0))
+    return TestStatisticSpec(STAT_AIPW, NuisanceModel(mu=mu, tau=LinearModel(coef)))
 
 
 class TestStatistics:
