@@ -1,6 +1,7 @@
 """Randomization tests: statistics, Monte-Carlo and exact reference
-distributions, a Gaussian approximation of the marginalized p-value, and the
-threshold solution of the soft inclusion problem.
+distributions, the testing stage all three methods share, a Gaussian
+approximation of the marginalized p-value, and the threshold solution of the
+soft inclusion problem.
 
 Both test statistics are linear in the assignment vector, so a draw of the
 reference distribution is a single dot product. The Monte-Carlo p-value uses
