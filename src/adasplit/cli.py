@@ -8,12 +8,14 @@ Three subcommands:
 * ``reproduce``: regenerate one of the four synthetic-study tables.
 
 Exit codes are a stable contract: 0 success, 2 malformed input, 3 invalid
-configuration, 1 internal error.
+configuration, 1 internal error. An internal error prints one line to stderr;
+with ``ADASPLIT_DEBUG=1`` in the environment its traceback follows.
 """
 
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .data import AdaSplitConfig, SubgroupPartition, partition_by_quantiles, read_dataset_csv
@@ -189,8 +191,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if os.environ.get("ADASPLIT_DEBUG") == "1":
+            traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -61,16 +61,20 @@ def split_init(dataset, partition, p_init, ridge=0.0):
     ties break toward the lower unit index).
 
     The seed fold must hold at least d + 1 units, the smallest fold the
-    residual regression can fit; a smaller one is a configuration error.
+    residual regression can fit, and must leave every subgroup at least one
+    unit to test; either failure is a configuration error.
     """
     if not 0.0 < p_init < 1.0:
         raise ValidationError("p_init must lie in (0, 1)")
     scores = diversity_scores(dataset.x, ridge=ridge)
     state = FoldState(partition)
-    for g in partition.groups:
+    for k, g in enumerate(partition.groups):
         m = math.ceil(p_init * g.size)
         if m >= g.size:
-            raise ValidationError("initial proportion too large: inference fold empty")
+            raise ConfigError(
+                f"p_init={p_init} seeds all {g.size} units of subgroup {k} into "
+                "the nuisance fold, leaving none to test; lower p_init"
+            )
         order = g[np.lexsort((g, -scores[g]))]
         for j in order[:m]:
             state.move_to_nuisance(int(j))

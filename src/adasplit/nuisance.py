@@ -93,12 +93,26 @@ def fit_rlearner_weighted(x, y, z, e, mu_vals, p_vals, ridge=0.0):
 
 # Selection probability -------------------------------------------------------
 
+# The neighbor-index build computes distances for as many rows at once as fit
+# in about this many doubles, which bounds its working memory whatever n is.
+# At 2^16 (512 KB) the two block buffers stay in cache: at n = 4000 the build
+# ran in 0.17 s, against 0.24 s with 2^20.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 class NeighborIndex:
     """Precomputed k-nearest-neighbor lists over standardized (x, y) space.
 
     Distances depend only on the covariates and outcomes, which never change
     during the selection loop, so the neighbor lists are built once and each
     refit of the selection probability is a cheap masked vote.
+
+    The build computes squared distances one block of rows at a time, about
+    ``_BLOCK_ELEMENTS`` doubles per block, and keeps only each row's
+    ``kappa + 1`` nearest units, so its memory is O(n * block + n * kappa)
+    rather than O(n^2). Distance ties go to the lower index: ``neighbors``
+    and ``loo_neighbors`` are the leading entries of each row's order by
+    (distance, index), with the row's own unit dropped for the latter.
     """
 
     def __init__(self, x, y, kappa):
@@ -107,19 +121,44 @@ class NeighborIndex:
         n = x.shape[0]
         if not 1 <= kappa <= n:
             raise ValidationError("kappa must lie in [1, n]")
-        self.kappa = int(kappa)
+        self.kappa = kappa = int(kappa)
         coords = np.hstack([x, y[:, None]])
         scale = coords.std(axis=0)
         scale[scale == 0.0] = 1.0
         coords = coords / scale
-        sq = np.einsum("ij,ij->i", coords, coords)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T)
-        # Stable sort so distance ties break toward the lower index.
-        order = np.argsort(d2, axis=1, kind="stable")
-        self.neighbors = order[:, : self.kappa]
+        # Inner products are summed one coordinate at a time, in order, so
+        # that an entry never depends on the block it falls in; a BLAS
+        # product changes its summation order with the shape, which moves
+        # entries by an ulp and reorders tied distances.
+        cols = np.ascontiguousarray(coords.T)
+        sq = cols[0] * cols[0]
+        for c in cols[1:]:
+            sq += c * c
+        # With kappa = n every unit is a neighbor; keep the full order.
+        width = kappa if kappa == n else kappa + 1
+        order = np.empty((n, width), dtype=np.intp)
+        rows = min(n, max(1, _BLOCK_ELEMENTS // n))
+        gram, d2 = np.empty((rows, n)), np.empty((rows, n))
+        for start in range(0, n, rows):
+            blk = slice(start, min(start + rows, n))
+            g, d = gram[: blk.stop - start], d2[: blk.stop - start]
+            np.multiply(cols[0][blk, None], cols[0], out=g)
+            for c in cols[1:]:
+                g += np.multiply(c[blk, None], c, out=d)
+            g *= 2.0
+            np.add(sq[blk, None], sq, out=d)
+            d -= g
+            order[blk] = _nearest(d, width)
+        self.neighbors = order[:, :kappa]
         if kappa < n:
-            keep = order != np.arange(n)[:, None]
-            self.loo_neighbors = order[keep].reshape(n, n - 1)[:, : self.kappa]
+            # Drop each row's own unit if it is among its kappa + 1 nearest;
+            # otherwise the first kappa already exclude it.
+            own = order == np.arange(n)[:, None]
+            pos = np.where(own.any(axis=1), own.argmax(axis=1), kappa)
+            col = np.arange(kappa)
+            self.loo_neighbors = np.where(
+                col < pos[:, None], order[:, :kappa], order[:, 1:]
+            )
         else:
             self.loo_neighbors = None
 
@@ -136,6 +175,28 @@ class NeighborIndex:
             raise ValidationError("leave-one-out vote needs kappa < n")
         b = np.asarray(b, dtype=float)
         return b[self.loo_neighbors].mean(axis=1)
+
+
+def _nearest(d2, width):
+    """Indices of the ``width`` smallest entries of each row of ``d2``,
+    ordered by (distance, index): the leading columns of a stable argsort.
+
+    Partitioning finds each row's ``width``-th smallest distance. Where no
+    other entry ties it, the ``width`` partitioned candidates are exactly the
+    stable argsort's leading entries and are sorted in one pass; rows with
+    extra ties at that distance sort every candidate at or below it.
+    """
+    n = d2.shape[1]
+    if width == n:
+        return np.argsort(d2, axis=1, kind="stable")
+    cand = np.argpartition(d2, width - 1, axis=1)[:, :width]
+    vals = np.take_along_axis(d2, cand, axis=1)
+    order = np.take_along_axis(cand, np.lexsort((cand, vals), axis=1), axis=1)
+    thr = vals.max(axis=1)
+    for r in np.flatnonzero(np.count_nonzero(d2 <= thr[:, None], axis=1) > width):
+        idx = np.flatnonzero(d2[r] <= thr[r])
+        order[r] = idx[np.argsort(d2[r, idx], kind="stable")][:width]
+    return order
 
 
 # Posterior assignment probability --------------------------------------------

@@ -126,3 +126,32 @@ def knapsack_grid(a, b, budget, step=0.1):
     if not np.any(feasible):
         return 0.0
     return float(np.max((a @ xi)[feasible]))
+
+
+def knn_lists(x, y, kappa):
+    """Neighbor lists from the full n x n squared-distance matrix over
+    standardized (x, y): each row's stable argsort, so ties go to the lower
+    index. Returns ``(neighbors, loo_neighbors)``; the leave-one-out lists
+    drop the row's own unit and are None when kappa = n.
+
+    Squared distances are ``|c_i|^2 + |c_j|^2 - 2 <c_i, c_j>`` with every
+    inner product summed one coordinate at a time, in order, so each entry
+    is a fixed sequence of rounded operations: it depends neither on the
+    BLAS kernel nor on the shape of the matrix it is computed in.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n = x.shape[0]
+    coords = np.hstack([x, y[:, None]])
+    scale = coords.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    cols = (coords / scale).T
+    sq = sum(c * c for c in cols)
+    gram = sum(np.outer(c, c) for c in cols)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    order = np.argsort(d2, axis=1, kind="stable")
+    neighbors = order[:, :kappa]
+    if kappa == n:
+        return neighbors, None
+    keep = order != np.arange(n)[:, None]
+    return neighbors, order[keep].reshape(n, n - 1)[:, :kappa]

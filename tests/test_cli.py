@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adasplit import read_dataset_csv, write_dataset_csv
+from adasplit import cli
 from adasplit.cli import main
 from adasplit.simlab import generate, scenario_with_size
 
@@ -96,6 +97,33 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "p_init=0.05" in err and "5 units" in err
         assert "n=60" in err and "d=5" in err
+
+    def test_empty_inference_fold_exit_3(self, trial_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p_init": 0.999}))
+        assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "p_init=0.999" in err and "subgroup 0" in err
+        assert "100 units" in err
+
+    @pytest.mark.parametrize("debug", [None, "1"])
+    def test_internal_error_exit_1(self, trial_csv, monkeypatch, capsys, debug):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fail)
+        if debug is None:
+            monkeypatch.delenv("ADASPLIT_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("ADASPLIT_DEBUG", debug)
+        assert run_cli("analyze", "--data", trial_csv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: boom\n")
+        has_traceback = "Traceback (most recent call last)" in err
+        assert has_traceback == (debug == "1")
+        if debug:
+            assert 'raise RuntimeError("boom")' in err
 
     def test_no_subgroups_exit_2(self, tmp_path):
         ds, _, _ = generate("default", 9)

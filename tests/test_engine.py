@@ -58,9 +58,13 @@ class TestSplitInit:
             assert scores[taken].min() >= scores[left].max() - 1e-12
 
     def test_degenerate_proportion(self):
+        # Subgroups of 40: ceil(0.999 * 40) = 40 leaves no unit to test.
         ds, part = small_problem(2)
-        with pytest.raises(ValidationError, match="initial proportion too large"):
+        pattern = r"p_init=0\.999 seeds all 40 units of subgroup 0"
+        with pytest.raises(ConfigError, match=pattern):
             split_init(ds, part, 0.999)
+        with pytest.raises(ConfigError, match=pattern):
+            run(ds, part, small_config(p_init=0.999))
 
     def test_seed_fold_smaller_than_d_plus_one(self):
         # n = 60 in five subgroups of 12: ceil(0.05 * 12) = 1 unit each, so

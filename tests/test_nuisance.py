@@ -1,6 +1,8 @@
 """Nuisance estimators: outcome model, residuals, selection probability,
 posterior assignment probability, pooled CATE estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from adasplit import (
     posterior_e,
     scaled_residual,
 )
+from adasplit import nuisance
 from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import draw_covariates, generate, get_scenario
 from adasplit import rng
-from oracles import minimize_bar_loss, wls_solve
+from oracles import knn_lists, minimize_bar_loss, wls_solve
 
 
 class TestOutcomeModel:
@@ -191,6 +194,68 @@ class TestSelectionProbability:
         loo_vote = index.vote_loo(b)
         assert self_vote[0] == 0.5      # itself plus one unselected neighbor
         assert loo_vote[0] == 0.0       # both true neighbors unselected
+
+
+def knn_inputs(kind, n, seed=0):
+    """Covariates and outcomes for the neighbor-index oracle tests; all but
+    ``continuous`` have many exactly tied distances."""
+    gen = np.random.default_rng(seed)
+    if kind == "grid":
+        return gen.integers(0, 3, size=(n, 2)).astype(float), \
+            gen.integers(0, 2, size=n).astype(float)
+    if kind == "duplicates":
+        base = gen.normal(size=(n // 4 + 1, 3))
+        rows = np.repeat(base, 4, axis=0)[gen.permutation(n)]
+        return rows[:, :2], rows[:, 2]
+    if kind == "equal":
+        return np.full((n, 2), 0.5), np.full(n, -1.0)
+    return gen.normal(size=(n, 3)), gen.normal(size=n)
+
+
+def assert_matches_oracle(x, y, kappa):
+    index = NeighborIndex(x, y, kappa)
+    neighbors, loo_neighbors = knn_lists(x, y, kappa)
+    assert np.array_equal(index.neighbors, neighbors)
+    if loo_neighbors is None:
+        assert index.loo_neighbors is None
+    else:
+        assert np.array_equal(index.loo_neighbors, loo_neighbors)
+
+
+class TestNeighborIndex:
+    """The row-blocked build against the full-matrix stable argsort."""
+
+    @pytest.mark.parametrize("kind", ["grid", "duplicates", "equal", "continuous"])
+    @pytest.mark.parametrize("n", [150, 1000])
+    def test_matches_full_sort_oracle(self, kind, n):
+        rows = nuisance._BLOCK_ELEMENTS // n
+        if n == 150:
+            assert rows >= n                       # one block holds every row
+        else:
+            assert n % rows and n // rows >= 3      # several blocks, last partial
+        x, y = knn_inputs(kind, n, seed=n)
+        for kappa in (1, 10, n - 1, n):
+            assert_matches_oracle(x, y, kappa)
+
+    @pytest.mark.parametrize("budget", [97, 3 * 97 + 5])
+    def test_blocks_of_one_and_few_rows(self, monkeypatch, budget):
+        monkeypatch.setattr(nuisance, "_BLOCK_ELEMENTS", budget)
+        for kind in ("grid", "duplicates", "continuous"):
+            x, y = knn_inputs(kind, 97, seed=budget)
+            for kappa in (1, 4, 96, 97):
+                assert_matches_oracle(x, y, kappa)
+
+    def test_build_memory_is_linear_in_n(self):
+        # The n x n distance matrix alone would take 8000^2 * 8 B = 512 MB.
+        gen = np.random.default_rng(12)
+        x, y = gen.normal(size=(8000, 5)), gen.normal(size=8000)
+        tracemalloc.start()
+        try:
+            NeighborIndex(x, y, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestPosterior:
