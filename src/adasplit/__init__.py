@@ -6,24 +6,22 @@ from .data import (
     AdaSplitConfig,
     AnalysisReport,
     Dataset,
-    FoldState,
+    FoldSnapshot,
     SubgroupPartition,
     partition_by_quantiles,
     read_dataset_csv,
-    validate_dataset,
     write_dataset_csv,
 )
 from .engine import run, split_init, write_trace_csv
 from .errors import AdaSplitError, ConfigError, ValidationError
 from .linmodel import LinearModel, diversity_scores, fit_wls, predict
-from .multtest import RejectionSet, closed_testing, fisher_combine, holm
+from .multtest import closed_testing, fisher_combine
 from .nuisance import (
     NuisanceModel,
     certainty,
     expected_beta_distance,
     fit_bar_learner,
     fit_mu,
-    fit_rlearner_ols,
     fit_rlearner_weighted,
     marginalized_residual,
     one_minus_c2_series,
@@ -37,27 +35,25 @@ from .randtest import (
     gaussian_approx_pvalue,
     mc_pvalue,
     optimal_soft_inclusion,
-    phi_aipw,
-    t_dm,
 )
 from .simlab import generate, reproduce_table, run_method
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaSplitConfig", "AnalysisReport", "Dataset", "FoldState",
+    "AdaSplitConfig", "AnalysisReport", "Dataset", "FoldSnapshot",
     "SubgroupPartition", "partition_by_quantiles", "read_dataset_csv",
-    "validate_dataset", "write_dataset_csv",
+    "write_dataset_csv",
     "run", "split_init", "write_trace_csv",
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls", "predict",
-    "RejectionSet", "closed_testing", "fisher_combine", "holm",
+    "closed_testing", "fisher_combine",
     "NuisanceModel", "certainty", "expected_beta_distance",
-    "fit_bar_learner", "fit_mu", "fit_rlearner_ols", "fit_rlearner_weighted",
+    "fit_bar_learner", "fit_mu", "fit_rlearner_weighted",
     "marginalized_residual", "one_minus_c2_series", "posterior_e",
     "scaled_residual",
     "PValue", "TestStatisticSpec", "exact_pvalue", "gaussian_approx_pvalue",
-    "mc_pvalue", "optimal_soft_inclusion", "phi_aipw", "t_dm",
+    "mc_pvalue", "optimal_soft_inclusion",
     "generate", "reproduce_table", "run_method",
     "__version__",
 ]

@@ -1,19 +1,21 @@
-"""Domain data model: trial data, subgroup partitions, fold state, configuration.
+"""Domain data model: trial data, subgroup partitions, fold snapshots,
+configuration.
 
 A :class:`Dataset` holds the covariate matrix ``x``, observed outcomes ``y``,
 binary treatment assignments ``z`` and the per-unit design probabilities
 ``e`` (all 1/2 for the standard Bernoulli design). Assignments may be masked
 (NaN) for units whose treatment is unknown; every other field must be finite.
 
-Core types are immutable after construction and safe to share across
-workers. :class:`FoldState` is the one mutable object and is only touched
-inside the single-threaded selection loop.
+Every type here is immutable after construction and safe to share across
+workers. A fold split is a boolean nuisance mask over the units; the
+inference fold of subgroup ``g`` is ``g[~mask[g]]``.
 """
 
 import csv
 import dataclasses
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -86,34 +88,6 @@ class Dataset:
             and np.array_equal(self.z, other.z, equal_nan=True)
             and np.array_equal(self.e, other.e)
         )
-
-
-def validate_dataset(raw):
-    """Validate tabular records into a :class:`Dataset`.
-
-    ``raw`` may be an existing :class:`Dataset` (re-validated and returned
-    as an equal copy, so the operation is idempotent), a mapping with keys
-    ``x``, ``y``, ``z`` and optionally ``e``, or a sequence of row mappings
-    with keys ``x1..xd``, ``y``, ``z``.
-    """
-    if isinstance(raw, Dataset):
-        return Dataset.from_arrays(raw.x, raw.y, raw.z, raw.e)
-    if isinstance(raw, dict):
-        try:
-            return Dataset.from_arrays(raw["x"], raw["y"], raw["z"], raw.get("e"))
-        except KeyError as exc:
-            raise ValidationError(f"missing column(s): [{exc.args[0]!r}]")
-    rows = list(raw)
-    if not rows:
-        raise ValidationError("n >= 1 required")
-    names = _covariate_names(rows[0].keys())
-    try:
-        x = np.array([[row[c] for c in names] for row in rows], dtype=float)
-        y = np.array([row["y"] for row in rows], dtype=float)
-        z = np.array([row["z"] for row in rows], dtype=float)
-    except KeyError as exc:
-        raise ValidationError(f"missing column(s): [{exc.args[0]!r}]")
-    return Dataset.from_arrays(x, y, z)
 
 
 def _covariate_names(keys):
@@ -199,58 +173,6 @@ def partition_by_quantiles(dataset, column, cuts):
     return SubgroupPartition(tuple(groups))
 
 
-class FoldState:
-    """Mutable nuisance/inference split over a fixed partition.
-
-    The nuisance fold I and the per-subgroup inference folds J_k are
-    derived from a single membership mask, so the disjointness and coverage
-    invariants hold by construction and the inference proportions pi_k are
-    exact after every mutation.
-    """
-
-    def __init__(self, partition, nuisance_mask=None):
-        self.partition = partition
-        n = partition.n
-        if nuisance_mask is None:
-            nuisance_mask = np.zeros(n, dtype=bool)
-        self._mask = np.array(nuisance_mask, dtype=bool)
-        if self._mask.shape != (n,):
-            raise ValidationError("nuisance mask length mismatch")
-
-    @property
-    def nuisance_mask(self):
-        return self._mask.copy()
-
-    @property
-    def nuisance(self):
-        return np.flatnonzero(self._mask)
-
-    def inference(self, k):
-        g = self.partition.groups[k]
-        return g[~self._mask[g]]
-
-    @property
-    def proportions(self):
-        return np.array(
-            [1.0 - self._mask[g].mean() for g in self.partition.groups]
-        )
-
-    def move_to_nuisance(self, j):
-        if self._mask[j]:
-            raise ValidationError(f"unit {j} already in the nuisance fold")
-        self._mask[j] = True
-
-    def snapshot(self):
-        return FoldSnapshot(
-            nuisance=tuple(int(i) for i in self.nuisance),
-            inference=tuple(
-                tuple(int(i) for i in self.inference(k))
-                for k in range(self.partition.k)
-            ),
-            proportions=tuple(float(p) for p in self.proportions),
-        )
-
-
 @dataclass(frozen=True)
 class FoldSnapshot:
     """Immutable record of a fold assignment, for reports."""
@@ -258,6 +180,18 @@ class FoldSnapshot:
     nuisance: tuple
     inference: tuple
     proportions: tuple
+
+    @classmethod
+    def from_mask(cls, partition, mask):
+        """Snapshot of the split whose nuisance fold is the boolean ``mask``."""
+        mask = np.asarray(mask, dtype=bool)
+        return cls(
+            nuisance=tuple(int(i) for i in np.flatnonzero(mask)),
+            inference=tuple(
+                tuple(int(i) for i in g[~mask[g]]) for g in partition.groups
+            ),
+            proportions=tuple(float(1.0 - mask[g].mean()) for g in partition.groups),
+        )
 
 
 # Configuration ---------------------------------------------------------------
@@ -279,6 +213,9 @@ class AdaSplitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if not 0.0 < self.p_init < 1.0:
             raise ConfigError("p_init must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:
@@ -310,16 +247,20 @@ class AdaSplitConfig:
             if f.name not in values:
                 continue
             v = values[f.name]
-            target = type(f.default)
             try:
-                if target is int:
-                    if isinstance(v, float) and not v.is_integer():
+                # JSON numbers only: a string or a boolean is never coerced.
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise TypeError
+                if type(f.default) is int:
+                    if not float(v).is_integer():
                         raise ValueError
                     kwargs[f.name] = int(v)
                 else:
                     kwargs[f.name] = float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {f.name!r}: bad value {v!r}")
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"config key {f.name!r}: bad value {v!r} (must be a number)"
+                )
         return cls(**kwargs)
 
     @classmethod
@@ -402,8 +343,9 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     """Strictly parse a trial CSV into a dataset plus optional subgroup labels.
 
     Expected header: ``x1,...,xd,y,z`` with an optional integer subgroup
-    column (named ``subgroup`` unless overridden). Any non-numeric cell is an
-    error naming the offending row and column; nothing is coerced silently.
+    column (named ``subgroup`` unless overridden). A non-numeric or
+    non-finite cell, or a ``z`` other than 0 or 1, is an error naming the
+    offending row and column; nothing is coerced silently.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -445,9 +387,14 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
 def _cell(row, idx, r, name, kind):
     text = row[idx].strip()
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValidationError(f"row {r}, column {name}: could not parse {text!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"row {r}, column {name}: non-finite value {text!r}")
+    if name == "z" and value not in (0.0, 1.0):
+        raise ValidationError(f"row {r}, column z: assignment {text!r} is not 0 or 1")
+    return value
 
 
 def write_dataset_csv(path, dataset, subgroup_labels=None):

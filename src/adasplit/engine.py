@@ -21,12 +21,13 @@ import math
 
 import numpy as np
 
-from .data import AnalysisReport, FoldState
+from .data import AnalysisReport, FoldSnapshot
 from .errors import ConfigError, ValidationError
 from .linmodel import diversity_scores
 from .nuisance import (
     NeighborIndex,
     NuisanceModel,
+    certainty,
     fit_bar_learner,
     fit_mu,
     fit_rlearner_weighted,
@@ -58,7 +59,7 @@ class _AssignmentLog:
 def split_init(dataset, partition, p_init, ridge=0.0):
     """Deterministic initial split: from each subgroup, the ceil(p_init * size)
     units with the largest diversity scores seed the nuisance fold (score
-    ties break toward the lower unit index).
+    ties break toward the lower unit index). Returns the boolean nuisance mask.
 
     The seed fold must hold at least d + 1 units, the smallest fold the
     residual regression can fit, and must leave every subgroup at least one
@@ -67,7 +68,7 @@ def split_init(dataset, partition, p_init, ridge=0.0):
     if not 0.0 < p_init < 1.0:
         raise ValidationError("p_init must lie in (0, 1)")
     scores = diversity_scores(dataset.x, ridge=ridge)
-    state = FoldState(partition)
+    mask = np.zeros(dataset.n, dtype=bool)
     for k, g in enumerate(partition.groups):
         m = math.ceil(p_init * g.size)
         if m >= g.size:
@@ -75,28 +76,24 @@ def split_init(dataset, partition, p_init, ridge=0.0):
                 f"p_init={p_init} seeds all {g.size} units of subgroup {k} into "
                 "the nuisance fold, leaving none to test; lower p_init"
             )
-        order = g[np.lexsort((g, -scores[g]))]
-        for j in order[:m]:
-            state.move_to_nuisance(int(j))
-    seed_size = state.nuisance.size
+        mask[g[np.lexsort((g, -scores[g]))][:m]] = True
+    seed_size = int(mask.sum())
     if seed_size < dataset.d + 1:
         raise ConfigError(
             f"p_init={p_init} seeds a nuisance fold of {seed_size} units, fewer "
             f"than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
             "raise p_init or use a larger sample"
         )
-    return state
+    return mask
 
 
 def selection_criterion(tau_vals, e_hat_vals):
-    """Selection score ``sign(tau_hat) * |2 e_hat - 1|`` (sign(0) = 0).
+    """Selection score ``sign(tau_hat) * certainty(e_hat)`` (sign(0) = 0).
 
     Minimizing it prefers negative estimated CATEs first, then low-certainty
     units among the positive ones.
     """
-    return np.sign(np.asarray(tau_vals, dtype=float)) * np.abs(
-        2.0 * np.asarray(e_hat_vals, dtype=float) - 1.0
-    )
+    return np.sign(np.asarray(tau_vals, dtype=float)) * certainty(e_hat_vals)
 
 
 def convergence_metric(tau_new, tau_old, x_j):
@@ -177,8 +174,7 @@ def run(dataset, partition, config, collect_trace=True):
     mu = fit_mu(x, y, ridge=ridge)
     mu_vals = mu.predict(x)
 
-    state = split_init(dataset, partition, config.p_init, ridge=ridge)
-    mask = state.nuisance_mask
+    mask = split_init(dataset, partition, config.p_init, ridge=ridge)
     groups = partition.groups
     s_sizes = np.array([g.size for g in groups])
     j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
@@ -258,12 +254,11 @@ def run(dataset, partition, config, collect_trace=True):
         x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
     )
 
-    final_state = FoldState(partition, mask)
     reads_before = [int(i) for i in zlog.reads()]
     stat = TestStatisticSpec(
         kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau_final),
     )
-    folds = [final_state.inference(k) for k in range(partition.k)]
+    folds = [g[~mask[g]] for g in groups]
     pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
 
     diagnostics = {
@@ -279,7 +274,7 @@ def run(dataset, partition, config, collect_trace=True):
     return AnalysisReport(
         pvalues=pvalues,
         rejected=rejected,
-        folds=final_state.snapshot(),
+        folds=FoldSnapshot.from_mask(partition, mask),
         iterations=t,
         cate_coefficients=tuple(float(c) for c in tau_final.coef),
         diagnostics=diagnostics,

@@ -2,25 +2,13 @@
 
 The subgroup p-values are independent under the null by construction (the
 fold selection never reads held-out assignments), which licenses Fisher's
-combination as the global test inside closed testing; the Holm step-down
-procedure is provided as the conservative baseline.
+combination as the global test inside closed testing.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class RejectionSet:
-    """Indices rejected at family-wise level q (0-based)."""
-
-    rejected: tuple
-    level: float
-    method: str
 
 
 def _check_pvals(pvals):
@@ -43,12 +31,13 @@ def fisher_combine(pvals):
     return float(chi2.sf(stat, 2 * p.size))
 
 
-def closed_testing(pvals, q, global_test=fisher_combine):
-    """Closed testing procedure with an arbitrary global test.
+def closed_testing(pvals, q):
+    """Closed testing with Fisher's combination as the global test.
 
-    Rejects hypothesis k iff every subset containing k has a global-test
-    p-value at most q. Controls the family-wise error rate strongly for
-    any valid global test. Enumerates all 2^K - 1 subsets, so K <= 20.
+    Rejects hypothesis k iff every subset containing k has a combined
+    p-value at most q, which controls the family-wise error rate strongly.
+    Enumerates all 2^K - 1 subsets, so K <= 20. Returns the rejected
+    hypotheses' 0-based indices as a tuple of ints.
     """
     p = _check_pvals(pvals)
     k = p.size
@@ -61,22 +50,6 @@ def closed_testing(pvals, q, global_test=fisher_combine):
         members = [i for i in range(k) if mask >> i & 1]
         if not any(alive[i] for i in members):
             continue
-        if global_test(p[members]) > q:
+        if fisher_combine(p[members]) > q:
             alive[members] = False
-    return RejectionSet(tuple(np.flatnonzero(alive)), q, "closed-testing")
-
-
-def holm(pvals, q):
-    """Holm's step-down procedure (Bonferroni-based closed test shortcut)."""
-    p = _check_pvals(pvals)
-    if not 0.0 < q < 1.0:
-        raise ValidationError("q must lie in (0, 1)")
-    k = p.size
-    order = np.argsort(p, kind="stable")
-    rejected = []
-    for i, idx in enumerate(order):
-        if p[idx] <= q / (k - i):
-            rejected.append(int(idx))
-        else:
-            break
-    return RejectionSet(tuple(sorted(rejected)), q, "holm")
+    return tuple(int(i) for i in np.flatnonzero(alive))

@@ -61,33 +61,25 @@ def marginalized_residual(y, mu_vals, e, e_hat):
     return e_hat * d / (1.0 - e) + (1.0 - e_hat) * d / (0.0 - e)
 
 
-def fit_rlearner_ols(x, y, z, e, mu_vals, ridge=0.0):
-    """CATE regression of scaled residuals on covariates over one fold.
+def fit_rlearner_weighted(x, y, z, e, mu_vals, p_vals=None, ridge=0.0):
+    """CATE regression of scaled residuals on covariates over one fold,
+    corrected for selection bias.
 
     All array arguments are restricted to the fold; callers hand in exactly
-    the assignments they are allowed to read.
+    the assignments they are allowed to read. Each unit is weighted by the
+    inverse of its estimated selection probability, restoring consistency
+    when the fold was chosen adaptively; ``p_vals=None`` means unit
+    probabilities, the plain least-squares fit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] < x.shape[1] + 1:
         raise ValidationError("fold too small for the residual regression")
     r = scaled_residual(y, z, mu_vals, e)
-    return fit_wls(x, r, ridge=ridge)
-
-
-def fit_rlearner_weighted(x, y, z, e, mu_vals, p_vals, ridge=0.0):
-    """Selection-bias-corrected CATE regression.
-
-    Weights each fold unit by the inverse of its estimated selection
-    probability, restoring consistency when the fold was chosen adaptively.
-    Constant ``p_vals`` reproduce :func:`fit_rlearner_ols` exactly.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] < x.shape[1] + 1:
-        raise ValidationError("fold too small for the residual regression")
+    if p_vals is None:
+        return fit_wls(x, r, ridge=ridge)
     p_vals = np.asarray(p_vals, dtype=float).ravel()
     if np.any(p_vals <= 0.0):
         raise ValidationError("selection probabilities must be positive")
-    r = scaled_residual(y, z, mu_vals, e)
     return fit_wls(x, r, w=1.0 / p_vals, ridge=ridge)
 
 
@@ -229,12 +221,6 @@ class NuisanceModel:
     mu: LinearModel
     tau: LinearModel
 
-    def mu_vals(self, x):
-        return self.mu.predict(x)
-
-    def tau_vals(self, x):
-        return self.tau.predict(x)
-
 
 # Imputation-based CATE estimator ----------------------------------------------
 
@@ -251,7 +237,8 @@ def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
 
     with an intercept column in X and ridge stabilization of the Gram matrix.
     ``lam`` rescales the imputed units' contribution; ``lam=0`` reduces to
-    :func:`fit_rlearner_ols` on the nuisance fold alone.
+    :func:`fit_rlearner_weighted` with unit probabilities on the nuisance
+    fold alone.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     mask = np.asarray(nuisance_mask, dtype=bool)

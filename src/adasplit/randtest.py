@@ -17,7 +17,7 @@ from scipy.stats import norm
 
 from . import rng
 from .errors import ValidationError
-from .multtest import closed_testing, fisher_combine
+from .multtest import closed_testing
 from .nuisance import NuisanceModel, certainty, posterior_e
 
 STAT_DM = "difference-in-means"
@@ -53,31 +53,13 @@ class PValue:
             raise ValidationError("p-value must lie in (0, 1]")
 
 
-def t_dm(y, z):
-    """Difference in means, scaled by 2/|S|: mean treated minus mean control
-    under a balanced half design."""
-    y = np.asarray(y, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if y.size == 0:
-        raise ValidationError("empty subgroup")
-    return 2.0 / y.size * float(np.sum(z * y) - np.sum((1.0 - z) * y))
-
-
-def phi_aipw(y, z, e, mu_vals, tau_vals):
-    """Augmented inverse-probability-weighted effect contribution per unit.
-
-    Arm-specific outcome models are reconstructed from the marginal outcome
-    model and the CATE: ``mu_z(x) = mu(x) + (z - e(x)) tau(x)``.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    mu1 = mu_vals + (1.0 - e) * tau_vals
-    mu0 = mu_vals - e * tau_vals
-    return z / e * (y - mu1) - (1.0 - z) / (1.0 - e) * (y - mu0) + tau_vals
-
-
 def _linear_coeffs(stat, dataset, subgroup):
-    """Coefficients (w, c) with T(z) = w @ z + c on the subgroup."""
+    """Coefficients (w, c) with T(z) = w @ z + c on the subgroup.
+
+    Difference in means is ``2/m (sum_treated y - sum_control y)``. AIPW is
+    the mean over the m units of ``z/e (y - mu_1) - (1-z)/(1-e) (y - mu_0)
+    + tau``, with arm models ``mu_z(x) = mu(x) + (z - e(x)) tau(x)``.
+    """
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
     y = dataset.y[idx]
@@ -86,8 +68,8 @@ def _linear_coeffs(stat, dataset, subgroup):
         return 4.0 * y / m, -2.0 * float(np.sum(y)) / m
     nuis = stat.nuisances
     x = dataset.x[idx]
-    mu_vals = nuis.mu_vals(x)
-    tau_vals = nuis.tau_vals(x)
+    mu_vals = nuis.mu.predict(x)
+    tau_vals = nuis.tau.predict(x)
     mu1 = mu_vals + (1.0 - e) * tau_vals
     mu0 = mu_vals - e * tau_vals
     w = ((y - mu1) / e + (y - mu0) / (1.0 - e)) / m
@@ -139,9 +121,8 @@ def test_folds(stat, dataset, folds, config):
         for k, fold in enumerate(folds)
     ]
     values = tuple(pv.value for pv in pvalues)
-    rejected = closed_testing(values, config.q, fisher_combine).rejected
     flags = {str(pv.subgroup): pv.flag for pv in pvalues if pv.flag}
-    return values, tuple(int(k) for k in rejected), flags
+    return values, closed_testing(values, config.q), flags
 
 
 def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):

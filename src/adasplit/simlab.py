@@ -29,13 +29,13 @@ from .data import (
     AdaSplitConfig,
     AnalysisReport,
     Dataset,
-    FoldState,
+    FoldSnapshot,
     SubgroupPartition,
     partition_by_quantiles,
 )
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel
-from .nuisance import NuisanceModel, fit_mu, fit_rlearner_ols
+from .nuisance import NuisanceModel, fit_mu, fit_rlearner_weighted
 from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec, test_folds
 
 METHOD_RT = "rt"
@@ -186,12 +186,11 @@ def run_method(method, dataset, partition, config, collect_trace=False):
         nuis_idx = np.flatnonzero(mask)
         x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
         mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
-        tau = fit_rlearner_ols(x_i, y_i, dataset.z[nuis_idx], dataset.e[nuis_idx],
-                               mu.predict(x_i), ridge=config.ridge_lambda)
+        tau = fit_rlearner_weighted(x_i, y_i, dataset.z[nuis_idx], dataset.e[nuis_idx],
+                                    mu.predict(x_i), ridge=config.ridge_lambda)
         stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
-        state = FoldState(partition, mask)
-        folds = [state.inference(k) for k in range(partition.k)]
-        snapshot = state.snapshot()
+        folds = [g[~mask[g]] for g in partition.groups]
+        snapshot = FoldSnapshot.from_mask(partition, mask)
         coef = tuple(float(c) for c in tau.coef)
     pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
     return AnalysisReport(
@@ -283,7 +282,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
         # but regresses residuals over the nuisance fold alone.
         nuis_idx = np.asarray(report.folds.nuisance, dtype=int)
         mu = fit_mu(dataset.x, dataset.y, ridge=config.ridge_lambda)
-        rl = fit_rlearner_ols(
+        rl = fit_rlearner_weighted(
             dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
             dataset.e[nuis_idx], mu.predict(dataset.x[nuis_idx]),
             ridge=config.ridge_lambda,

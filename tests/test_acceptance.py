@@ -140,8 +140,8 @@ def test_criterion_5_monte_carlo_vs_enumeration():
             mu = fit_mu(x, y, ridge=1e-8)
             nuis = NuisanceModel(mu=mu, tau=LinearModel(gen.normal(size=3)))
             spec = TestStatisticSpec(STAT_AIPW, nuis)
-            mu_vals = nuis.mu_vals(x)
-            tau_vals = nuis.tau_vals(x)
+            mu_vals = nuis.mu.predict(x)
+            tau_vals = nuis.tau.predict(x)
             oracle = enumerate_pvalue(
                 lambda zz: aipw_statistic(y, zz, 0.5, mu_vals, tau_vals), z, ds.e)
         exact = exact_pvalue(spec, ds, np.arange(m)).value

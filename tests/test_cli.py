@@ -77,10 +77,31 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "row 1" in err and "column y" in err
 
+    @pytest.mark.parametrize("method", ["rt", "random_split", "adasplit"])
+    @pytest.mark.parametrize("cell,column,cause", [
+        ("y=inf", "y", "non-finite"),
+        ("z=nan", "z", "non-finite"),
+        ("z=2", "z", "not 0 or 1"),
+    ])
+    def test_bad_cell_names_row_and_column(self, trial_csv, capsys, cell,
+                                           column, cause, method):
+        rows = trial_csv.read_text().splitlines()
+        header = rows[0].split(",")
+        cells = rows[3].split(",")
+        name, text = cell.split("=")
+        cells[header.index(name)] = text
+        rows[3] = ",".join(cells)
+        trial_csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("analyze", "--data", trial_csv, "--method", method) == 2
+        err = capsys.readouterr().err
+        assert f"row 3, column {column}" in err and cause in err
+        assert "inference fold" not in err
+
     def test_bad_config_exit_3(self, trial_csv, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"rho": 2.0}))
-        assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+        for values in ({"rho": 2.0}, {"rho": "0.3", "n0": True}):
+            config.write_text(json.dumps(values))
+            assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
 
     def test_removed_config_keys_exit_3(self, trial_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -10,34 +10,28 @@ from adasplit import (
     AnalysisReport,
     ConfigError,
     Dataset,
-    FoldState,
+    FoldSnapshot,
     SubgroupPartition,
     ValidationError,
     partition_by_quantiles,
-    validate_dataset,
 )
 
 
-def rowdicts(x, y, z):
-    return [
-        {**{f"x{j + 1}": x[i][j] for j in range(len(x[i]))}, "y": y[i], "z": z[i]}
-        for i in range(len(y))
-    ]
-
-
 class TestValidateDataset:
+    """The checks ``Dataset`` makes on construction."""
+
     def test_well_formed_rows(self):
-        ds = validate_dataset(rowdicts([[0.1], [0.2], [0.3]], [1, 2, 3], [0, 1, 0]))
+        ds = Dataset.from_arrays([[0.1], [0.2], [0.3]], [1, 2, 3], [0, 1, 0])
         assert ds.n == 3 and ds.d == 1
         assert np.all(ds.e == 0.5)
 
     def test_non_binary_assignment(self):
         with pytest.raises(ValidationError, match="non-binary assignment"):
-            validate_dataset(rowdicts([[0.1]], [1.0], [2.0]))
+            Dataset.from_arrays([[0.1]], [1.0], [2.0])
 
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="n >= 1"):
-            validate_dataset([])
+            Dataset.from_arrays(np.empty((0, 1)), [], [])
 
     def test_nan_covariate_and_outcome(self):
         with pytest.raises(ValidationError, match="covariate"):
@@ -56,15 +50,6 @@ class TestValidateDataset:
     def test_masked_assignments_allowed(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0], [1.0, np.nan])
         assert np.isnan(ds.z[1])
-
-    def test_idempotent(self):
-        ds = validate_dataset(rowdicts([[0.5, 1.0]], [2.0], [1.0]))
-        again = validate_dataset(ds)
-        assert again.equals(ds)
-
-    def test_column_mapping_input(self):
-        ds = validate_dataset({"x": [[0.1], [0.2]], "y": [1.0, 2.0], "z": [0, 1]})
-        assert ds.n == 2 and np.all(ds.e == 0.5)
 
     def test_oracles_are_independent_of_the_package(self):
         import pathlib
@@ -153,24 +138,24 @@ class TestPartition:
 
 
 class TestFoldState:
+    """Fold snapshots built from a boolean nuisance mask."""
+
     def test_proportions_exact_after_moves(self):
         part = SubgroupPartition(([0, 1, 2, 3], [4, 5]))
-        state = FoldState(part)
-        assert np.allclose(state.proportions, [1.0, 1.0])
-        state.move_to_nuisance(0)
-        state.move_to_nuisance(4)
-        assert np.allclose(state.proportions, [0.75, 0.5])
-        assert list(state.nuisance) == [0, 4]
-        assert list(state.inference(0)) == [1, 2, 3]
-        with pytest.raises(ValidationError):
-            state.move_to_nuisance(0)
+        mask = np.zeros(6, dtype=bool)
+        assert FoldSnapshot.from_mask(part, mask).proportions == (1.0, 1.0)
+        mask[[0, 4]] = True
+        snap = FoldSnapshot.from_mask(part, mask)
+        assert snap.proportions == (0.75, 0.5)
+        assert snap.nuisance == (0, 4)
+        assert snap.inference == ((1, 2, 3), (5,))
 
     def test_snapshot(self):
         part = SubgroupPartition(([0, 1], [2]))
-        state = FoldState(part, np.array([True, False, False]))
-        snap = state.snapshot()
+        snap = FoldSnapshot.from_mask(part, [True, False, False])
         assert snap.nuisance == (0,)
         assert snap.inference == ((1,), (2,))
+        assert all(type(i) is int for i in snap.nuisance + snap.inference[0])
 
 
 class TestConfig:
@@ -182,6 +167,7 @@ class TestConfig:
         ("p_init", 0.0), ("p_init", 1.0), ("rho", 0.0), ("eps_l", 0.0),
         ("n0", 0), ("mc_draws", 0), ("alpha", 1.0), ("q", 0.0),
         ("knn_k", 0), ("ridge_lambda", -1.0),
+        ("ridge_lambda", float("inf")), ("lambda_imputed", float("nan")),
     ])
     def test_bounds(self, field, value):
         with pytest.raises(ConfigError):
@@ -202,6 +188,26 @@ class TestConfig:
     def test_from_dict_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             AdaSplitConfig.from_dict({"mc_draws": "many"})
+
+    @pytest.mark.parametrize("key,value,accepted", [
+        ("rho", "0.3", False), ("n0", True, False), ("seed", False, False),
+        ("mc_draws", "200", False), ("rho", np.bool_(True), False),
+        ("n0", 2.5, False), ("rho", None, False),
+        ("ridge_lambda", float("inf"), False),
+        ("rho", 0.3, True), ("n0", 20, True), ("n0", 20.0, True),
+        ("rho", np.float32(0.25), True), ("n0", np.int64(7), True),
+        ("mc_draws", np.float64(300.0), True),
+    ])
+    def test_from_dict_numbers_only(self, key, value, accepted):
+        if accepted:
+            cfg = AdaSplitConfig.from_dict({key: value})
+            assert getattr(cfg, key) == value
+            assert type(getattr(cfg, key)) is type(getattr(AdaSplitConfig(), key))
+            # the replication workers rebuild configs from to_dict
+            assert AdaSplitConfig.from_dict(cfg.to_dict()) == cfg
+        else:
+            with pytest.raises(ConfigError, match=key):
+                AdaSplitConfig.from_dict({key: value})
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"

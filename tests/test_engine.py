@@ -42,18 +42,19 @@ def small_config(**kwargs):
 class TestSplitInit:
     def test_counts_per_subgroup(self):
         ds, part = generate("default", 3)[:2]
-        state = split_init(ds, part, 0.05)
+        mask = split_init(ds, part, 0.05)
+        assert mask.dtype == bool and mask.shape == (ds.n,)
         for k in range(part.k):
-            taken = np.intersect1d(state.nuisance, part.groups[k])
+            taken = np.intersect1d(np.flatnonzero(mask), part.groups[k])
             assert taken.size == 5
 
     def test_picks_largest_diversity_scores(self):
         ds, part = small_problem(1)
-        state = split_init(ds, part, 0.1, ridge=1e-9)
+        mask = split_init(ds, part, 0.1, ridge=1e-9)
         scores = diversity_scores(ds.x, ridge=1e-9)
         for k in range(part.k):
             g = part.groups[k]
-            taken = np.intersect1d(state.nuisance, g)
+            taken = np.intersect1d(np.flatnonzero(mask), g)
             left = np.setdiff1d(g, taken)
             assert scores[taken].min() >= scores[left].max() - 1e-12
 
@@ -75,12 +76,12 @@ class TestSplitInit:
             split_init(ds, part, 0.05)
         with pytest.raises(ConfigError, match=pattern):
             run(ds, part, AdaSplitConfig())
-        assert split_init(ds, part, 0.1).nuisance.size == 10
+        assert split_init(ds, part, 0.1).sum() == 10
 
     def test_deterministic(self):
         ds, part = small_problem(3)
-        a = split_init(ds, part, 0.07).nuisance
-        b = split_init(ds, part, 0.07).nuisance
+        a = split_init(ds, part, 0.07)
+        b = split_init(ds, part, 0.07)
         assert np.array_equal(a, b)
 
 
@@ -171,7 +172,7 @@ class TestRun:
         assert read_before <= nuisance
 
     def test_pvalues_in_range_and_rejection_rule(self):
-        from adasplit import closed_testing, fisher_combine
+        from adasplit import closed_testing
 
         ds, part = small_problem(9)
         cfg = small_config()
@@ -179,8 +180,7 @@ class TestRun:
         m = cfg.mc_draws
         for p in report.pvalues:
             assert 1.0 / (m + 1) <= p <= 1.0
-        assert report.rejected == closed_testing(report.pvalues, cfg.q,
-                                                 fisher_combine).rejected
+        assert report.rejected == closed_testing(report.pvalues, cfg.q)
 
     def test_requires_half_design(self):
         ds, part = small_problem(10)

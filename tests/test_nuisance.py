@@ -12,7 +12,6 @@ from adasplit import (
     expected_beta_distance,
     fit_bar_learner,
     fit_mu,
-    fit_rlearner_ols,
     fit_rlearner_weighted,
     fit_wls,
     marginalized_residual,
@@ -88,7 +87,7 @@ class TestResidualRegressions:
         z = (gen.random(30) < 0.5).astype(float)
         mu_vals = np.zeros(30)
         y = (z - 0.5) * tau  # mu0 chosen so mu(x) = 0, no noise
-        model = fit_rlearner_ols(x, y, z, np.full(30, 0.5), mu_vals)
+        model = fit_rlearner_weighted(x, y, z, np.full(30, 0.5), mu_vals)
         assert np.allclose(model.coef, beta, atol=1e-9)
 
     def test_matches_wls(self):
@@ -99,15 +98,16 @@ class TestResidualRegressions:
         mu_vals = gen.normal(size=30)
         e = np.full(30, 0.5)
         r = scaled_residual(y, z, mu_vals, e)
-        assert np.allclose(
-            fit_rlearner_ols(x, y, z, e, mu_vals, ridge=1e-9).coef,
-            fit_wls(x, r, ridge=1e-9).coef, atol=1e-12,
+        # unit probabilities take the unweighted least-squares path exactly
+        assert np.array_equal(
+            fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9).coef,
+            fit_wls(x, r, ridge=1e-9).coef,
         )
 
     def test_fold_too_small(self):
         with pytest.raises(ValidationError, match="fold too small"):
-            fit_rlearner_ols(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0],
-                             np.full(2, 0.5), np.zeros(2))
+            fit_rlearner_weighted(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0],
+                                  np.full(2, 0.5), np.zeros(2))
 
     def test_weighted_constant_weights_match_ols(self):
         gen = np.random.default_rng(5)
@@ -116,7 +116,7 @@ class TestResidualRegressions:
         z = (gen.random(25) < 0.5).astype(float)
         e = np.full(25, 0.5)
         mu_vals = gen.normal(size=25)
-        ols = fit_rlearner_ols(x, y, z, e, mu_vals).coef
+        ols = fit_rlearner_weighted(x, y, z, e, mu_vals).coef
         for const in (1.0, 0.3):
             w = fit_rlearner_weighted(x, y, z, e, mu_vals, np.full(25, const)).coef
             assert np.allclose(w, ols, atol=1e-9)
@@ -304,19 +304,20 @@ class TestBarLearner:
         x, y, z, e, _, mu_vals, e_hat = self._instance(0)
         mask = np.ones(len(y), dtype=bool)
         bar = fit_bar_learner(x, y, e, mask, z, mu_vals, e_hat, lam=1.0, ridge=1e-9)
-        ols = fit_rlearner_ols(x, y, z, e, mu_vals, ridge=1e-9)
+        ols = fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9)
         assert np.allclose(bar.coef, ols.coef, atol=1e-10)
 
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, e, mask, mu_vals, _ = self._instance(1)
         bar = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, z, lam=1.0, ridge=1e-9)
-        full = fit_rlearner_ols(x, y, z, e, mu_vals, ridge=1e-9)
+        full = fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9)
         assert np.allclose(bar.coef, full.coef, atol=1e-10)
 
     def test_lam_zero_restricts_to_fold(self):
         x, y, z, e, mask, mu_vals, e_hat = self._instance(2)
         bar = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, e_hat, lam=0.0, ridge=1e-9)
-        ols = fit_rlearner_ols(x[mask], y[mask], z[mask], e[mask], mu_vals[mask], ridge=1e-9)
+        ols = fit_rlearner_weighted(x[mask], y[mask], z[mask], e[mask], mu_vals[mask],
+                                    ridge=1e-9)
         assert np.allclose(bar.coef, ols.coef, atol=1e-10)
 
     def test_matches_coordinate_descent(self):

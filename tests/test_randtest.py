@@ -14,8 +14,6 @@ from adasplit import (
     gaussian_approx_pvalue,
     mc_pvalue,
     optimal_soft_inclusion,
-    phi_aipw,
-    t_dm,
 )
 from adasplit.nuisance import fit_mu, posterior_e
 from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
@@ -34,35 +32,54 @@ def aipw_spec(x, y, tau_coef=None, seed=0):
     return TestStatisticSpec(STAT_AIPW, NuisanceModel(mu=mu, tau=LinearModel(coef)))
 
 
+def observed(spec, y, z, x=None):
+    """The pipeline's statistic on the observed assignment of the whole fold."""
+    y = np.asarray(y, dtype=float)
+    x = np.zeros((y.size, 1)) if x is None else x
+    ds = Dataset.from_arrays(x, y, z)
+    return exact_pvalue(spec, ds, np.arange(y.size)).observed
+
+
+def constant_aipw_spec(mu, tau):
+    """AIPW with constant outcome model ``mu`` and constant CATE ``tau``."""
+    return TestStatisticSpec(
+        STAT_AIPW, NuisanceModel(mu=LinearModel([mu, 0.0]), tau=LinearModel([tau, 0.0]))
+    )
+
+
 class TestStatistics:
     def test_dm_balanced_constant(self):
-        assert t_dm([3.0, 3.0, 3.0, 3.0], [1.0, 0.0, 1.0, 0.0]) == 0.0
+        assert observed(dm_spec(), [3.0, 3.0, 3.0, 3.0], [1.0, 0.0, 1.0, 0.0]) == 0.0
 
     def test_dm_single_unit(self):
-        assert t_dm([1.0], [1.0]) == 2.0
+        assert observed(dm_spec(), [1.0], [1.0]) == 2.0
 
     def test_dm_hand_case(self):
-        assert t_dm([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == pytest.approx(4.0 / 3.0)
+        assert observed(dm_spec(), [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == pytest.approx(4.0 / 3.0)
 
     def test_dm_empty(self):
-        with pytest.raises(ValidationError):
-            t_dm([], [])
+        # an empty fold has no statistic: p = 1 with a flag, never an error
+        ds = Dataset.from_arrays([[0.0]], [1.0], [1.0])
+        pv = exact_pvalue(dm_spec(), ds, np.array([], dtype=int))
+        assert pv.value == 1.0 and np.isnan(pv.observed)
+        assert pv.flag == "empty-inference-fold"
 
     def test_aipw_zero_augmentation(self):
         # y equal to the arm-specific outcome model returns tau exactly
         tau = 0.7
         mu = 1.0
         e = 0.5
+        spec = constant_aipw_spec(mu, tau)
         y1 = mu + (1.0 - e) * tau
-        assert phi_aipw(y1, 1.0, e, mu, tau) == pytest.approx(tau)
+        assert observed(spec, [y1], [1.0]) == pytest.approx(tau)
         y0 = mu - e * tau
-        assert phi_aipw(y0, 0.0, e, mu, tau) == pytest.approx(tau)
+        assert observed(spec, [y0], [0.0]) == pytest.approx(tau)
 
     def test_aipw_direct_value(self):
         # e=1/2, z=1, y - mu1 = 1, tau = 1 -> 2*1 + 1 = 3
         mu, tau, e = 0.0, 1.0, 0.5
         y = mu + (1.0 - e) * tau + 1.0
-        assert phi_aipw(y, 1.0, e, mu, tau) == pytest.approx(3.0)
+        assert observed(constant_aipw_spec(mu, tau), [y], [1.0]) == pytest.approx(3.0)
 
     def test_aipw_arm_difference_identity(self):
         gen = np.random.default_rng(0)
@@ -70,7 +87,8 @@ class TestStatistics:
         e = 0.5
         mu1 = mu + (1.0 - e) * tau
         mu0 = mu - e * tau
-        diff = phi_aipw(y, 1.0, e, mu, tau) - phi_aipw(y, 0.0, e, mu, tau)
+        spec = constant_aipw_spec(mu, tau)
+        diff = observed(spec, [y], [1.0]) - observed(spec, [y], [0.0])
         assert diff == pytest.approx(2.0 * (y - mu1) + 2.0 * (y - mu0), abs=1e-12)
 
 
@@ -179,8 +197,8 @@ class TestExactPValue:
             else:
                 spec = aipw_spec(x, y, seed=i)
                 nuis = spec.nuisances
-                mu_vals = nuis.mu_vals(x)
-                tau_vals = nuis.tau_vals(x)
+                mu_vals = nuis.mu.predict(x)
+                tau_vals = nuis.tau.predict(x)
                 oracle = enumerate_pvalue(
                     lambda zz: aipw_statistic(y, zz, 0.5, mu_vals, tau_vals), z, ds.e)
             assert exact_pvalue(spec, ds, np.arange(m)).value == oracle
