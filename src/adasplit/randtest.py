@@ -77,13 +77,36 @@ def _linear_coeffs(stat, dataset, subgroup):
     return w, c
 
 
+# Monte-Carlo draws are made and scored about this many doubles at a time
+# (512 KB), which bounds the working memory of a p-value whatever mc_draws is.
+_DRAW_ELEMENTS = 1 << 16
+
+
+def _row_sums(v):
+    """Row sums of ``v`` (overwritten) in a fixed pairwise order.
+
+    The order depends only on the row length, so a row's sum is the same
+    whatever rows are summed with it. A BLAS matrix-vector product gives no
+    such guarantee: its kernel, and with it the rounding, changes with the
+    number of rows.
+    """
+    n = v.shape[1]
+    while n > 1:
+        half = n // 2
+        v[:, :half] += v[:, n - half:n]
+        n -= half
+    return v[:, 0]
+
+
 def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     """Monte-Carlo randomization p-value on one subgroup's inference fold.
 
     Draws ``m_draws`` i.i.d. assignment vectors from the design
     (independent Bernoulli with the stored per-unit probabilities),
     recomputes the statistic on each, and applies the add-one correction.
-    An empty fold yields p = 1 with a flag rather than an error.
+    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles,
+    so memory does not grow with ``m_draws``. An empty fold yields p = 1 with
+    a flag rather than an error.
     """
     idx = np.asarray(subgroup, dtype=int)
     if m_draws < 1:
@@ -96,13 +119,19 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     if np.any(np.isnan(z_obs)):
         raise ValidationError("masked assignment in the inference fold")
     e = dataset.e[idx]
-    draws = (rng.random((m_draws, idx.size)) < e).astype(float)
-    # The observed statistic goes through the same matrix product as the
-    # reference draws, so a draw replicating the observed assignment ties
-    # exactly (ties carry real probability mass on small folds).
-    t_all = np.vstack([draws, z_obs[None, :]]) @ w + c
-    t_ref, t_obs = t_all[:-1], float(t_all[-1])
-    count = int(np.sum(t_ref >= t_obs))
+    # The observed statistic is summed exactly as each draw's is, so a draw
+    # replicating the observed assignment ties exactly (ties carry real
+    # probability mass on small folds).
+    t_obs = float(_row_sums(z_obs[None, :] * w)[0]) + c
+    rows = max(1, _DRAW_ELEMENTS // idx.size)
+    count = 0
+    for start in range(0, m_draws, rows):
+        # Generator.random fills in C order, so the chunks consume the
+        # stream exactly as one m_draws x |J| draw would.
+        draws = rng.random((min(rows, m_draws - start), idx.size))
+        np.less(draws, e, out=draws)
+        draws *= w
+        count += int(np.count_nonzero(_row_sums(draws) + c >= t_obs))
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 

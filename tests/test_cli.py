@@ -64,6 +64,22 @@ class TestAnalyze:
         assert code == 0
         assert len(json.loads(out.read_text())["pvalues"]) == 5
 
+    def test_more_than_twenty_subgroups(self, tmp_path):
+        # 21 quantile slices of about 24 units each: past K = 20.
+        ds, _, _ = generate("default", 8)
+        path = tmp_path / "plain.csv"
+        write_dataset_csv(path, ds)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mc_draws": 200}))
+        out = tmp_path / "r.json"
+        cuts = ",".join(str(i / 21) for i in range(1, 21))
+        code = run_cli("analyze", "--data", path, "--config", config, "--method", "rt",
+                       "--quantile-cuts", cuts, "--on", "x1", "--out", out)
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["pvalues"]) == 21
+        assert all(0 <= k < 21 for k in payload["rejected"])
+
     def test_missing_z_column_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
         path.write_text("x1,y\n0.1,2.0\n")

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from adasplit import ValidationError, closed_testing, fisher_combine
+from oracles import closed_testing_bruteforce
 
 
 def brute_closed_testing(pvals, q):
@@ -25,6 +26,33 @@ def brute_closed_testing(pvals, q):
         if ok:
             rejected.append(target)
     return tuple(rejected)
+
+
+def random_pvalue_cases(n_cases, seed):
+    """Seeded (p-values, q) pairs for K = 1..10 in four families: continuous
+    p skewed toward 0, ties on the Monte-Carlo grid (integers / 1001), blocks
+    of p = 1, and continuous p mixed with grid values. Case i has
+    K = 1 + i % 10, family (i // 10) % 4 and q from (0.05, 0.1, 0.2) by
+    i % 3, so every 120 consecutive cases cover every combination."""
+    gen = np.random.default_rng(seed)
+    for i in range(n_cases):
+        k = 1 + i % 10
+        family = (i // 10) % 4
+        q = (0.05, 0.1, 0.2)[i % 3]
+        cont = (1.0 - gen.random(k)) ** gen.uniform(1.0, 6.0)
+        pool = gen.integers(1, 1002, size=int(gen.integers(1, 4)))
+        grid = gen.choice(pool, size=k) / 1001.0
+        if family == 0:
+            p = cont
+        elif family == 1:
+            p = grid
+        elif family == 2:
+            p = cont
+            start = int(gen.integers(k))
+            p[start:start + int(gen.integers(1, k + 1))] = 1.0
+        else:
+            p = np.where(gen.random(k) < 0.5, cont, grid)
+        yield p, q
 
 
 class TestFisher:
@@ -50,6 +78,13 @@ class TestFisher:
             fisher_combine([])
         with pytest.raises(ValidationError):
             fisher_combine([0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            fisher_combine([bad])
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            fisher_combine([0.5, bad])
 
 
 class TestClosedTesting:
@@ -78,9 +113,51 @@ class TestClosedTesting:
             smaller[i] = p[i] / 2.0
             assert base <= set(closed_testing(smaller, 0.2))
 
-    def test_k_limit(self):
-        with pytest.raises(ValidationError, match="too many"):
-            closed_testing(np.full(21, 0.5), 0.2)
+    def test_matches_bitmask_oracle(self):
+        cases = list(random_pvalue_cases(2400, seed=11))
+        assert {len(p) for p, _ in cases} == set(range(1, 11))
+        assert {q for _, q in cases} == {0.05, 0.1, 0.2}
+        rejecting = 0
+        for p, q in cases:
+            ours = closed_testing(p, q)
+            assert ours == closed_testing_bruteforce(p, q), (p.tolist(), q)
+            rejecting += bool(ours)
+        # The suite must exercise rejections, not only empty sets.
+        assert rejecting > len(cases) // 4
+
+    def test_permutation_equivariant(self):
+        gen = np.random.default_rng(12)
+        for p, q in random_pvalue_cases(600, seed=13):
+            perm = gen.permutation(p.size)
+            base = set(closed_testing(p, q))
+            # Hypothesis i of the permuted family is hypothesis perm[i].
+            moved = {i for i in range(p.size) if perm[i] in base}
+            assert set(closed_testing(p[perm], q)) == moved
+
+    def test_rejections_form_a_down_set(self):
+        for p, q in random_pvalue_cases(600, seed=14):
+            rejected = closed_testing(p, q)
+            for k in rejected:
+                assert set(np.flatnonzero(p <= p[k])) <= set(rejected)
+
+    def test_no_cap_on_k(self):
+        # K = 21 and K = 500, past the old cap of 20.
+        gen = np.random.default_rng(15)
+        p = 1.0 - gen.random(21)
+        p[:3] = 1e-12
+        assert closed_testing(p, 0.2) == (0, 1, 2)
+        p = np.concatenate([np.full(450, 1e-30), gen.uniform(0.3, 1.0, size=50)])
+        p = p[gen.permutation(p.size)]
+        rejected = closed_testing(p, 0.2)
+        assert all(type(k) is int for k in rejected)
+        assert rejected == tuple(int(k) for k in np.flatnonzero(p == 1e-30))
+        for k in rejected:
+            assert set(np.flatnonzero(p <= p[k])) <= set(rejected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            closed_testing([bad, 0.5], 0.2)
 
     def test_fwer_on_null_uniforms(self):
         gen = np.random.default_rng(3)

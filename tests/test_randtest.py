@@ -1,6 +1,8 @@
 """Test statistics, Monte-Carlo and exact p-values, the Gaussian
 approximation, and the soft inclusion solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from adasplit import (
 )
 from adasplit.nuisance import fit_mu, posterior_e
 from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
-from adasplit import rng
+from adasplit import randtest, rng
 from oracles import aipw_statistic, dm_statistic, enumerate_pvalue, knapsack_grid
 
 
@@ -153,7 +155,7 @@ class TestMonteCarloPValue:
         w, c = _linear_coeffs(spec, ds, np.arange(12))
         draws = (rng.stream(6, 1).random((2000, 12)) < 0.5).astype(float)
         for scale in (1.0, 12.0, 1e-3):
-            t_all = np.vstack([draws, z[None]]) @ (scale * w) + scale * c
+            t_all = randtest._row_sums(np.vstack([draws, z[None]]) * (scale * w)) + scale * c
             count = np.sum(t_all[:-1] >= t_all[-1])
             if scale == 1.0:
                 base = count
@@ -166,6 +168,61 @@ class TestMonteCarloPValue:
         ds = Dataset.from_arrays(gen.normal(size=(8, 1)), y, z)
         pv = mc_pvalue(dm_spec(), ds, np.arange(8), 999, rng.stream(8, 0))
         assert 1.0 / 1000.0 <= pv.value <= 1.0
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunks_of_one_and_few_rows(self, monkeypatch, rows):
+        # Continuous outcomes, outcomes with many ties (rounded), and mixed
+        # magnitudes; one fold in one chunk at the default budget and one
+        # over several. 1001 draws leave a partial last chunk of 3 rows.
+        gen = np.random.default_rng(9)
+        cases = []
+        for i, (m, kind) in enumerate(((7, "mixed"), (40, "rounded"), (130, "normal"))):
+            x = gen.normal(size=(m, 2))
+            y = gen.normal(size=m)
+            if kind == "rounded":
+                y = np.round(y, 1)
+            elif kind == "mixed":
+                y = y * gen.choice([1e-3, 1.0, 1e3], size=m)
+            z = (gen.random(m) < 0.5).astype(float)
+            for spec in (dm_spec(), aipw_spec(x, y, seed=i)):
+                for e in (np.full(m, 0.5), gen.uniform(0.2, 0.8, size=m)):
+                    ds = Dataset(x=x, y=y, z=z, e=e)
+                    cases.append((spec, ds, mc_pvalue(spec, ds, np.arange(m), 1001,
+                                                      rng.stream(9, len(cases)))))
+        assert randtest._DRAW_ELEMENTS // 130 < 1001 < randtest._DRAW_ELEMENTS // 7
+        for j, (spec, ds, base) in enumerate(cases):
+            m = ds.y.size
+            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
+            assert mc_pvalue(spec, ds, np.arange(m), 1001, rng.stream(9, j)) == base
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_replicated_assignment_ties_exactly(self, monkeypatch, rows):
+        # Design probabilities pinned near the observed assignment: every draw
+        # replicates it, so every draw ties and p = 1 whatever the magnitudes.
+        gen = np.random.default_rng(11)
+        for m in (2, 7, 50, 300):
+            y = gen.normal(size=m) * gen.choice([1e-3, 1.0, 1e3], size=m)
+            z = (gen.random(m) < 0.5).astype(float)
+            e = np.where(z == 1.0, 1.0 - 1e-12, 1e-12)
+            ds = Dataset(x=gen.normal(size=(m, 1)), y=y, z=z, e=e)
+            if rows is not None:
+                monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
+            assert mc_pvalue(dm_spec(), ds, np.arange(m), 200, rng.stream(11, m)).value == 1.0
+
+    def test_draw_memory_is_bounded(self):
+        # Drawn at once, 200000 x 50 draws are 80 MB, 160 MB with a stacked
+        # copy for the observed assignment.
+        gen = np.random.default_rng(10)
+        ds = Dataset.from_arrays(gen.normal(size=(50, 1)), gen.normal(size=50),
+                                 (gen.random(50) < 0.5).astype(float))
+        tracemalloc.start()
+        try:
+            pv = mc_pvalue(dm_spec(), ds, np.arange(50), 200000, rng.stream(10, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert pv.draws == 200000 and 0.0 < pv.value <= 1.0
 
 
 class TestExactPValue:
