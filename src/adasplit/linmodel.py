@@ -10,7 +10,7 @@ factorization rather than an iterative method.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ValidationError
 
@@ -42,13 +42,31 @@ def _design(x):
 
 
 def _solve_spd(a, b, ridge):
-    try:
-        c, low = scipy.linalg.cho_factor(a)
-    except np.linalg.LinAlgError:
+    """Solve ``a x = b`` for symmetric positive-definite ``a`` with the LAPACK
+    routines ``scipy.linalg.cho_factor``/``cho_solve`` run (upper factor),
+    minus their wrappers, which cost more than a solve of this size. The
+    finiteness checks and errors are theirs."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
         if ridge == 0.0:
             raise ValidationError("singular design; increase ridge")
-        raise
-    return scipy.linalg.cho_solve((c, low), b)
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return dpotrs(c, b, lower=0)[0]
+
+
+def _wls(xd, y, w, ridge):
+    """Weighted ridge fit on a ready intercept design ``xd`` (``w=None``
+    means unit weights): the Gram matrix, right-hand side and solve of
+    :func:`fit_wls`, shared with the selection loop."""
+    xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
+    gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
+    return LinearModel(_solve_spd(gram, xd.T @ yw, ridge))
 
 
 def fit_wls(x, y, w=None, ridge=0.0):
@@ -67,11 +85,7 @@ def fit_wls(x, y, w=None, ridge=0.0):
         raise ValidationError("x and y length mismatch")
     if ridge < 0.0:
         raise ValidationError("ridge must be >= 0")
-    xd = _design(x)
-    if w is None:
-        xw = xd
-        yw = y
-    else:
+    if w is not None:
         w = np.asarray(w, dtype=float).ravel()
         if w.size != y.size:
             raise ValidationError("weight length mismatch")
@@ -79,11 +93,7 @@ def fit_wls(x, y, w=None, ridge=0.0):
             raise ValidationError("weights must be nonnegative")
         if not np.any(w > 0.0):
             raise ValidationError("at least one positive weight required")
-        xw = xd * w[:, None]
-        yw = y * w
-    gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
-    coef = _solve_spd(gram, xd.T @ yw, ridge)
-    return LinearModel(coef)
+    return _wls(_design(x), y, w, ridge)
 
 
 def predict(model, x):

@@ -245,8 +245,6 @@ def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
     if mask.sum() < 1:
         raise ValidationError("nuisance fold is empty")
     xd = _design(x)
-    xd_i = xd[mask]
-    xd_j = xd[~mask]
     r_i = scaled_residual(
         np.asarray(y)[mask], z_nuis, np.asarray(mu_vals)[mask], np.asarray(e)[mask]
     )
@@ -254,7 +252,14 @@ def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
         np.asarray(y)[~mask], np.asarray(mu_vals)[~mask],
         np.asarray(e)[~mask], np.asarray(e_hat_vals)[~mask],
     )
-    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd.shape[1])
+    return _pooled_fit(xd[mask], r_i, xd[~mask], r_j, lam, ridge)
+
+
+def _pooled_fit(xd_i, r_i, xd_j, r_j, lam, ridge):
+    """Solve of :func:`fit_bar_learner` on ready designs and residuals of the
+    nuisance fold (``_i``) and the held-out units (``_j``); shared with the
+    selection loop."""
+    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd_i.shape[1])
     rhs = xd_i.T @ r_i + lam * (xd_j.T @ r_j)
     return LinearModel(_solve_spd(gram, rhs, ridge))
 

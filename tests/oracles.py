@@ -178,3 +178,171 @@ def closed_testing_bruteforce(pvals, q):
         if float(chdtrc(2 * len(members), stat)) > q:
             alive[members] = False
     return tuple(int(i) for i in np.flatnonzero(alive))
+
+
+
+# Reference selection loop ------------------------------------------------------
+#
+# The engine loop as it stood before the per-run loop state: every step
+# refits through the public fitting functions, rebuilding the intercept
+# design, and votes through the neighbor index. The engine must produce
+# byte-identical reports. This oracle pins the loop, not the fitting
+# functions, so it runs on the package's: the caller passes the package in
+# as ``pkg`` and nothing here imports it.
+
+
+def reference_convergence_metric(pkg, tau_new, tau_old, x_j):
+    x_j = np.atleast_2d(np.asarray(x_j, dtype=float))
+    if x_j.shape[0] < 2:
+        raise pkg.errors.ValidationError("need at least two inference units")
+    new = tau_new.predict(x_j)
+    old = tau_old.predict(x_j)
+    denom = float(np.sum((old - old.mean()) ** 2))
+    if denom == 0.0:
+        return 0.0 if float(np.max(np.abs(new - old))) <= 1e-12 else float("inf")
+    return float(np.sum((new - old) ** 2)) / denom
+
+
+def _reference_refit(pkg, x, y, e, mask, p_all, zlog, mu_vals, floor, ridge):
+    nuis_idx = np.flatnonzero(mask)
+    z_i = zlog.take(nuis_idx)
+    p_i = p_all[nuis_idx]
+    tau_w = pkg.nuisance.fit_rlearner_weighted(
+        x[nuis_idx], y[nuis_idx], z_i, e[nuis_idx], mu_vals[nuis_idx], p_i,
+        ridge=ridge,
+    )
+    resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_w.predict(x[nuis_idx])
+    nu2 = max(float(np.sum(resid**2 / p_i)) / x.shape[0], floor)
+    e_hat = pkg.nuisance.posterior_e(y, mu_vals, tau_w.predict(x), nu2)
+    return z_i, tau_w, e_hat, nu2
+
+
+def _reference_selection_prob(neighbors, mask):
+    vote = neighbors.vote_loo if neighbors.loo_neighbors is not None else neighbors.vote
+    return np.clip(vote(mask.astype(float)), 1.0 / (2.0 * neighbors.kappa), 1.0)
+
+
+def reference_run(pkg, dataset, partition, config, collect_trace=True):
+    """The engine's ``run`` with a full refit through the public fitting
+    functions of ``pkg`` (the package) at every step."""
+    nuisance = pkg.nuisance
+    if dataset.n != partition.n:
+        raise pkg.errors.ValidationError("dataset and partition sizes differ")
+    if not np.all(dataset.e == 0.5):
+        raise pkg.errors.ValidationError(
+            "adaptive splitting requires the Bernoulli(1/2) design")
+
+    x, y, e = dataset.x, dataset.y, dataset.e
+    n = dataset.n
+    zlog = pkg.engine._AssignmentLog(dataset.z)
+    lam = config.lambda_imputed
+    ridge = config.ridge_lambda
+    floor = nuisance.noise_floor(y)
+
+    mu = nuisance.fit_mu(x, y, ridge=ridge)
+    mu_vals = mu.predict(x)
+
+    mask = pkg.engine.split_init(dataset, partition, config.p_init, ridge=ridge)
+    groups = partition.groups
+    s_sizes = np.array([g.size for g in groups])
+    j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
+
+    _, tau_prev, e_hat, _ = _reference_refit(
+        pkg, x, y, e, mask, np.ones(n), zlog, mu_vals, floor, ridge,
+    )
+    tau_prev_vals = tau_prev.predict(x)
+
+    neighbors = nuisance.NeighborIndex(x, y, min(config.knn_k, n))
+    labels = partition.labels()
+
+    l_hist = []
+    trace = []
+    converged = False
+    t = 0
+    while True:
+        eligible = (j_sizes - 1) >= config.rho * s_sizes
+        cand = np.flatnonzero(~mask & eligible[labels])
+        if cand.size == 0:
+            break
+        crit = pkg.engine.selection_criterion(tau_prev_vals[cand], e_hat[cand])
+        pick = np.lexsort((cand, crit))[0]
+        j_star = int(cand[pick])
+        k_star = int(labels[j_star])
+        mask[j_star] = True
+        j_sizes[k_star] -= 1
+        t += 1
+
+        z_i, _, e_hat, _ = _reference_refit(
+            pkg, x, y, e, mask, _reference_selection_prob(neighbors, mask), zlog,
+            mu_vals, floor, ridge,
+        )
+        tau_new = nuisance.fit_bar_learner(
+            x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
+        )
+        x_j = x[~mask]
+        if x_j.shape[0] >= 2:
+            l_t = reference_convergence_metric(pkg, tau_new, tau_prev, x_j)
+        else:
+            l_t = float("inf")
+        l_hist.append(l_t)
+        tau_prev = tau_new
+        tau_prev_vals = tau_prev.predict(x)
+        if collect_trace:
+            trace.append({
+                "t": t, "unit": j_star, "subgroup": k_star,
+                "criterion": float(crit[pick]), "l": l_t,
+                "proportions": [float(v) for v in j_sizes / s_sizes],
+            })
+        converged = (
+            len(l_hist) > config.n0 and max(l_hist[-config.n0:]) <= config.eps_l
+        )
+        if converged:
+            break
+
+    for k, g in enumerate(groups):
+        j_units = g[~mask[g]]
+        order = j_units[np.lexsort((j_units, tau_prev_vals[j_units]))]
+        for j in order:
+            if tau_prev_vals[j] >= 0.0:
+                break
+            if (j_sizes[k] - 1) < config.rho * s_sizes[k]:
+                break
+            mask[j] = True
+            j_sizes[k] -= 1
+
+    z_i, _, e_hat, nu2 = _reference_refit(
+        pkg, x, y, e, mask, _reference_selection_prob(neighbors, mask), zlog,
+        mu_vals, floor, ridge,
+    )
+    tau_final = nuisance.fit_bar_learner(
+        x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
+    )
+
+    reads_before = [int(i) for i in zlog.reads()]
+    stat = pkg.randtest.TestStatisticSpec(
+        kind=pkg.randtest.STAT_AIPW,
+        nuisances=nuisance.NuisanceModel(mu=mu, tau=tau_final),
+    )
+    folds = [g[~mask[g]] for g in groups]
+    pvalues, rejected, flags = pkg.randtest.test_folds(stat, dataset, folds, config)
+
+    diagnostics = {
+        "l": l_hist,
+        "converged": converged,
+        "nu2": nu2,
+        "z_reads_before_pvalues": reads_before,
+        "pvalue_flags": flags,
+    }
+    if collect_trace:
+        diagnostics["trace"] = trace
+
+    return pkg.data.AnalysisReport(
+        pvalues=pvalues,
+        rejected=rejected,
+        folds=pkg.data.FoldSnapshot.from_mask(partition, mask),
+        iterations=t,
+        cate_coefficients=tuple(float(c) for c in tau_final.coef),
+        diagnostics=diagnostics,
+        method=pkg.simlab.METHOD_ADASPLIT,
+        config=config,
+    )

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adasplit import ValidationError, diversity_scores, fit_wls, predict
+from adasplit.linmodel import _solve_spd
 from oracles import wls_solve
 
 
@@ -126,3 +128,48 @@ def test_diversity_matches_dense_inverse():
     expected = np.einsum("ij,jk,ik->i", x, inv2, x)
     assert np.allclose(diversity_scores(x), expected, atol=1e-10)
     assert np.all(diversity_scores(x) >= 0.0)
+
+
+def scipy_cholesky_solve(a, b):
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_solve_spd_matches_scipy_cholesky_bit_for_bit():
+    gen = np.random.default_rng(9)
+    for p in (1, 2, 6, 9):
+        x = gen.normal(size=(3 * p, p))
+        w = gen.uniform(0.1, 2.0, size=3 * p)
+        a = x.T @ (x * w[:, None]) + 1e-8 * np.eye(p)  # not exactly symmetric
+        for b in (gen.normal(size=p), gen.normal(size=(p, 4)), x.T):
+            assert np.array_equal(_solve_spd(a, b, 1e-8), scipy_cholesky_solve(a, b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_spd_non_finite_errors(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    got = raised(_solve_spd, a, np.ones(3), 0.0)
+    assert got == (ValueError, "array must not contain infs or NaNs")
+    assert got == raised(scipy_cholesky_solve, a, np.ones(3))
+    b = np.array([1.0, bad, 0.0])
+    assert raised(_solve_spd, np.eye(3), b, 0.0) == got
+    assert raised(scipy_cholesky_solve, np.eye(3), b) == got
+
+
+def test_solve_spd_not_positive_definite_errors():
+    singular = np.ones((3, 3))
+    assert raised(_solve_spd, singular, np.ones(3), 0.0) == (
+        ValidationError, "singular design; increase ridge")
+    indefinite = np.diag([1.0, -1.0, 1.0])
+    got = raised(_solve_spd, indefinite, np.ones(3), 1e-6)
+    assert got == (np.linalg.LinAlgError,
+                   "2-th leading minor of the array is not positive definite")
+    assert got == raised(scipy_cholesky_solve, indefinite, np.ones(3))
+    # The factor is checked before the right-hand side, as scipy does.
+    assert raised(_solve_spd, singular, np.full(3, np.nan), 0.0)[0] is ValidationError
