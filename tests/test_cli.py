@@ -64,6 +64,13 @@ class TestAnalyze:
         assert code == 0
         assert len(json.loads(out.read_text())["pvalues"]) == 5
 
+    def test_quantile_cut_not_a_number_exit_2(self, trial_csv, capsys):
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--quantile-cuts", "0.2,abc", "--on", "x1") == 2
+        err = capsys.readouterr().err
+        assert "--quantile-cuts" in err and "'abc'" in err
+        assert "internal error" not in err
+
     def test_more_than_twenty_subgroups(self, tmp_path):
         # 21 quantile slices of about 24 units each: past K = 20.
         ds, _, _ = generate("default", 8)
@@ -263,6 +270,21 @@ class TestThreads:
         monkeypatch.setenv("ADASPLIT_THREADS", "lots")
         assert run_cli("simulate", "--scenario", "default", "--reps", "1",
                        "--out", tmp_path / "x.csv") == 3
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_flag_below_one_exit_3(self, tmp_path, capsys, value):
+        assert run_cli("--threads", value, "simulate", "--scenario", "default",
+                       "--reps", "1", "--out", tmp_path / "x.csv") == 3
+        assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_variable_below_one_exit_3(self, tmp_path, capsys, monkeypatch,
+                                           value):
+        monkeypatch.setenv("ADASPLIT_THREADS", value)
+        assert run_cli("simulate", "--scenario", "default", "--reps", "1",
+                       "--out", tmp_path / "x.csv") == 3
+        assert f"ADASPLIT_THREADS must be >= 1, got {value}" in capsys.readouterr().err
 
     def test_threads_flag(self, tmp_path):
         out = tmp_path / "t.csv"
