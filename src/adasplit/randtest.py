@@ -7,7 +7,8 @@ Both test statistics are linear in the assignment vector, so a draw of the
 reference distribution is a single dot product. The Monte-Carlo p-value uses
 the add-one correction ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is
 finite-sample valid for any number of draws because the observed and
-randomized assignments are exchangeable; ties count toward the numerator.
+randomized assignments are exchangeable; ties, up to rounding
+(``_tie_floor``), count toward the numerator.
 """
 
 from dataclasses import dataclass
@@ -82,6 +83,16 @@ def _linear_coeffs(stat, dataset, subgroup):
 _DRAW_ELEMENTS = 1 << 16
 
 
+def _tie_floor(t_obs, w, c, steps):
+    """``t_obs - steps * eps * (sum |w| + |c| + |t_obs|)``, the least
+    statistic counted as reaching ``t_obs``. With z in {0, 1} the products
+    ``w @ z`` are exact and each rounding errs by at most ``eps / 2 * (sum |w|
+    + |c|)``, so after at most ``steps - 1`` roundings per term, statistics
+    equal in exact arithmetic stay above it. Extra near-ties only raise p."""
+    eps = np.finfo(float).eps
+    return t_obs - steps * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_obs))
+
+
 def _row_sums(v):
     """Row sums of ``v`` (overwritten) in a fixed pairwise order.
 
@@ -123,6 +134,8 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     # replicating the observed assignment ties exactly (ties carry real
     # probability mass on small folds).
     t_obs = float(_row_sums(z_obs[None, :] * w)[0]) + c
+    # The pairwise sum takes ceil(log2 m) rounds, then c is added.
+    t_min = _tie_floor(t_obs, w, c, (idx.size - 1).bit_length() + 2)
     rows = max(1, _DRAW_ELEMENTS // idx.size)
     count = 0
     for start in range(0, m_draws, rows):
@@ -131,7 +144,7 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
         draws = rng.random((min(rows, m_draws - start), idx.size))
         np.less(draws, e, out=draws)
         draws *= w
-        count += int(np.count_nonzero(_row_sums(draws) + c >= t_obs))
+        count += int(np.count_nonzero(_row_sums(draws) + c >= t_min))
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 
@@ -160,7 +173,10 @@ def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
     Each assignment vector is weighted by its design probability; under the
     half design this is the plain proportion of assignments whose statistic
     is at least the observed one. No add-one correction (the reference
-    distribution is complete).
+    distribution is complete). A statistic is ``c`` plus m terms added in
+    sequence, so two equal in exact arithmetic differ by at most ``2 gamma_m
+    (sum |w| + |c|)``, ``gamma_m = m u / (1 - m u)``, ``u = eps / 2``; for
+    m <= 20 that is below the margin ``_tie_floor`` sets with steps = m + 1.
     """
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
@@ -186,7 +202,7 @@ def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
     # statistic off the same table makes the self-tie exact.
     obs_code = int(sum(1 << j for j in range(m) if z_obs[j] == 1.0))
     t_obs = float(t_ref[obs_code])
-    hits = t_ref >= t_obs
+    hits = t_ref >= _tie_floor(t_obs, w, c, m + 1)
     if half:
         value = int(np.sum(hits)) / float(1 << m)
     else:

@@ -48,6 +48,24 @@ def enumerate_pvalue(stat_fn, z_obs, e):
     return hits / float(2**m) if half else mass
 
 
+def integer_pvalue(scores, z_obs, draws=None):
+    """Randomization p-value of a statistic ``a * (scores @ z) + b`` with
+    a > 0 and integer ``scores``, computed in integer arithmetic, so every
+    tie is exact. With ``draws=None``: the share of all 2^m assignments whose
+    score sum reaches the observed one (the half design). Otherwise: the
+    add-one Monte-Carlo p-value over the rows of the 0/1 matrix ``draws``."""
+    scores = [int(s) for s in scores]
+    t_obs = sum(s for s, z in zip(scores, z_obs) if z == 1.0)
+    if draws is None:
+        hits = sum(
+            sum(s for s, b in zip(scores, bits) if b) >= t_obs
+            for bits in itertools.product((0, 1), repeat=len(scores))
+        )
+        return hits / float(2 ** len(scores))
+    sums = np.asarray(draws, dtype=np.int64) @ np.asarray(scores, dtype=np.int64)
+    return (1.0 + int(np.count_nonzero(sums >= t_obs))) / (len(sums) + 1.0)
+
+
 def wls_solve(x, y, w=None, ridge=0.0):
     """Weighted ridge least squares through an augmented QR solve
     (``numpy.linalg.lstsq``), intercept column first."""

@@ -20,7 +20,9 @@ from adasplit import (
 from adasplit.nuisance import fit_mu, posterior_e
 from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
 from adasplit import randtest, rng
-from oracles import aipw_statistic, dm_statistic, enumerate_pvalue, knapsack_grid
+from oracles import (
+    aipw_statistic, dm_statistic, enumerate_pvalue, integer_pvalue, knapsack_grid,
+)
 
 
 def dm_spec():
@@ -270,6 +272,65 @@ class TestExactPValue:
         ours = exact_pvalue(dm_spec(), ds, np.arange(m)).value
         oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z, e)
         assert ours == pytest.approx(oracle, abs=1e-12)
+
+
+class TestTies:
+    """Draws whose statistic equals the observed one in exact arithmetic
+    count as ties, whatever rounding does to the two sums. The reference is
+    ``oracles.integer_pvalue``: both statistics are a positive multiple of
+    an integer score sum plus a constant on these outcomes."""
+
+    @staticmethod
+    def folds(kind, m, gen):
+        """Outcomes and their integer scores (y = scores * unit)."""
+        if kind == "binary":
+            scores = gen.integers(0, 2, size=m)
+            return scores.astype(float), scores
+        if kind == "grid":
+            scores = gen.integers(-20, 21, size=m)
+            return scores / 10.0, scores
+        # Replicated rows: three continuous-looking values on a dyadic grid.
+        scores = gen.choice(gen.integers(-2**20, 2**20, size=3), size=m)
+        return scores * 2.0**-18, scores
+
+    @staticmethod
+    def spec_and_scores(stat, y, scores, kind):
+        """The statistic, and the integer scores its coefficients are a
+        positive multiple of. Under the half design AIPW's coefficient is
+        4 (y - mu(x)) / m whatever tau is; mu = 0.5 is on every grid here
+        (on the binary and dyadic ones as 1/2, on the 0.1 grid as 5/10)."""
+        if stat == STAT_DM:
+            return dm_spec(), scores
+        shift = {"binary": 0.5, "grid": 5, "replicated": 2**17}[kind]
+        ints = 2 * scores - 1 if kind == "binary" else scores - shift
+        return constant_aipw_spec(0.5, 0.7), ints
+
+    @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
+    @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
+    def test_exact_pvalue_counts_every_tie(self, kind, stat):
+        gen = np.random.default_rng(21)
+        for _ in range(30):
+            m = int(gen.integers(2, 13))
+            y, scores = self.folds(kind, m, gen)
+            z = (gen.random(m) < 0.5).astype(float)
+            spec, ints = self.spec_and_scores(stat, y, scores, kind)
+            ds = Dataset.from_arrays(np.zeros((m, 1)), y, z)
+            got = exact_pvalue(spec, ds, np.arange(m)).value
+            assert got == integer_pvalue(ints, z)
+
+    @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
+    @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
+    def test_mc_pvalue_counts_every_tie(self, kind, stat):
+        gen = np.random.default_rng(22)
+        for i in range(20):
+            m = int(gen.integers(20, 200))
+            y, scores = self.folds(kind, m, gen)
+            z = (gen.random(m) < 0.5).astype(float)
+            spec, ints = self.spec_and_scores(stat, y, scores, kind)
+            ds = Dataset.from_arrays(np.zeros((m, 1)), y, z)
+            got = mc_pvalue(spec, ds, np.arange(m), 500, np.random.default_rng(i)).value
+            draws = np.random.default_rng(i).random((500, m)) < 0.5
+            assert got == integer_pvalue(ints, z, draws)
 
 
 class TestGaussianApproximation:
