@@ -88,26 +88,17 @@ def _load_config(path, seed=None):
 
 
 def _resolve_threads(value):
-    name = "--threads"
+    name, env = "--threads", os.environ.get("ADASPLIT_THREADS")
     if value is None:
-        env = os.environ.get("ADASPLIT_THREADS")
         if not env:
             return 1
-        name = "ADASPLIT_THREADS"
         try:
-            value = int(env)
+            name, value = "ADASPLIT_THREADS", int(env)
         except ValueError:
             raise ConfigError(f"ADASPLIT_THREADS: bad value {env!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _parse_cut(text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"--quantile-cuts: cannot parse {text.strip()!r} as a number")
 
 
 def _parse_column(name, d):
@@ -134,7 +125,10 @@ def _cmd_analyze(args):
         args.data, subgroup_column=args.subgroup_column or "subgroup"
     )
     if args.quantile_cuts is not None:
-        cuts = tuple(_parse_cut(c) for c in args.quantile_cuts.split(",") if c.strip())
+        try:
+            cuts = tuple(float(c) for c in args.quantile_cuts.split(",") if c.strip())
+        except ValueError as exc:
+            raise ValidationError(f"--quantile-cuts: {exc}")
         column = _parse_column(args.on, dataset.d)
         partition = partition_by_quantiles(dataset, column, cuts)
     elif labels is not None:

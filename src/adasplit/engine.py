@@ -10,15 +10,11 @@ subgroup can donate without dropping its inference share below the floor
 folds (never crossing the floor), and only then are the held-out assignments
 read to compute one Monte-Carlo randomization p-value per subgroup.
 
-The loop runs on a loop state built once per run: the intercept design, the
-outcome residuals ``y - mu(x)``, and each unit's neighbor vote as an integer
-count, updated through reverse neighbor lists at the about kappa units a move
-touches. A step gathers the design rows of both folds and forms each Gram
-matrix and right-hand side afresh with the products the public fitting
-functions use, so reports are byte-identical to refitting through them; the
-O(n d) posterior and prediction products remain. As run time over steps
-(2-core Xeon, one BLAS thread) a step costs 0.37 ms at n = 500, d = 5 and
-0.98 ms at n = 3000, against 0.68 and 1.8 ms refitting through them.
+A loop state built once per run holds the design, ``y - mu(x)`` and each
+unit's neighbor vote as an integer count, updated where a move touches it;
+steps form Gram matrices afresh with the public fitting functions' products,
+so reports match refitting through them byte for byte. On a 2-core Xeon a step
+takes 0.37 ms at n = 500, 0.98 ms at n = 3000 (0.68 and 1.8 ms refitting).
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. The engine therefore
@@ -141,10 +137,8 @@ class _LoopState:
         self.lam, self.ridge = config.lambda_imputed, config.ridge_lambda
 
     def index(self, neighbors):
-        """Count each unit's voting neighbors (leave-one-out; all units when
-        kappa = n) in the fold, and list in CSR form, for each unit, the
-        units whose counts it enters. Sums of 0/1 are exact, so
-        ``counts / kappa`` is NeighborIndex's vote to the bit."""
+        """Count fold members among each unit's voters (count / kappa is its
+        vote, bit for bit); list, CSR, the units whose counts each enters."""
         self.kappa = neighbors.kappa
         lists = neighbors.loo_neighbors
         lists = neighbors.neighbors if lists is None else lists
@@ -175,8 +169,10 @@ class _LoopState:
         return tau_w, tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2), nu2
 
     def step(self):
-        """Refit with the clipped vote as selection probability, then the
-        pooled CATE fit; returns that, the posterior and its scale."""
+        """Refit with the vote, clipped below at 1/(2 kappa), as selection
+        probability (voting leave-one-out: self-inclusion would inflate it
+        exactly on the fold, biasing the inverse weights), then the pooled
+        CATE fit; returns that, the posterior and its scale."""
         p_all = np.clip(self.counts / self.kappa, 1.0 / (2.0 * self.kappa), 1.0)
         _, _, e_hat, nu2 = self.refit(p_all)
         held = ~self.mask

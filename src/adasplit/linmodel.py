@@ -42,10 +42,8 @@ def _design(x):
 
 
 def _solve_spd(a, b, ridge):
-    """Solve ``a x = b`` for symmetric positive-definite ``a`` with the LAPACK
-    routines ``scipy.linalg.cho_factor``/``cho_solve`` run (upper factor),
-    minus their wrappers, which cost more than a solve of this size. The
-    finiteness checks and errors are theirs."""
+    """``scipy.linalg.cho_solve(cho_factor(a), b)``, checks and errors
+    included, without wrappers that cost more than a solve this small."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(a, lower=0, clean=0)
@@ -61,9 +59,7 @@ def _solve_spd(a, b, ridge):
 
 
 def _wls(xd, y, w, ridge):
-    """Weighted ridge fit on a ready intercept design ``xd`` (``w=None``
-    means unit weights): the Gram matrix, right-hand side and solve of
-    :func:`fit_wls`, shared with the selection loop."""
+    """:func:`fit_wls` on a ready intercept design; shared with the loop."""
     xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
     gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
     return LinearModel(_solve_spd(gram, xd.T @ yw, ridge))

@@ -256,9 +256,7 @@ def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
 
 
 def _pooled_fit(xd_i, r_i, xd_j, r_j, lam, ridge):
-    """Solve of :func:`fit_bar_learner` on ready designs and residuals of the
-    nuisance fold (``_i``) and the held-out units (``_j``); shared with the
-    selection loop."""
+    """:func:`fit_bar_learner` on ready designs; shared with the loop."""
     gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd_i.shape[1])
     rhs = xd_i.T @ r_i + lam * (xd_j.T @ r_j)
     return LinearModel(_solve_spd(gram, rhs, ridge))
