@@ -136,21 +136,30 @@ class _LoopState:
         self.floor = noise_floor(dataset.y)
         self.lam, self.ridge = config.lambda_imputed, config.ridge_lambda
 
-    def index(self, neighbors):
+    def index(self, x, y, knn_k):
         """Count fold members among each unit's voters (count / kappa is its
-        vote, bit for bit); list, CSR, the units whose counts each enters."""
-        self.kappa = neighbors.kappa
-        lists = neighbors.loo_neighbors
-        lists = neighbors.neighbors if lists is None else lists
+        vote, bit for bit). With ``knn_k >= n`` every unit votes on every
+        unit, so each count is |I| and no index is built; otherwise the
+        voters are the leave-one-out lists, and CSR ``rev`` lists the units
+        whose counts each unit enters."""
+        n = self.mask.size
+        if knn_k >= n:
+            self.kappa, self.rev = n, None
+            self.counts = np.full(n, np.count_nonzero(self.mask))
+            return
+        lists = NeighborIndex(x, y, knn_k).loo_neighbors
+        self.kappa = int(knn_k)
         self.rev = np.argsort(lists, axis=None, kind="stable") // self.kappa
-        self.rev_ptr = np.zeros(self.mask.size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(lists.ravel(), minlength=self.mask.size),
-                  out=self.rev_ptr[1:])
+        self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(lists.ravel(), minlength=n), out=self.rev_ptr[1:])
         self.counts = np.count_nonzero(self.mask[lists], axis=1)
 
     def move(self, j):
         self.mask[j] = True
-        self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
+        if self.rev is None:
+            self.counts += 1
+        else:
+            self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
 
     def refit(self, p_all):
         """Weighted CATE fit on the nuisance fold given every unit's selection
@@ -208,7 +217,7 @@ def run(dataset, partition, config, collect_trace=True):
     # has selection probability one.
     tau_prev, tau_prev_vals, e_hat, _ = state.refit(np.ones(n))
 
-    state.index(NeighborIndex(x, y, min(config.knn_k, n)))
+    state.index(x, y, config.knn_k)
     labels = partition.labels()
 
     l_hist = []

@@ -18,8 +18,9 @@ The estimation stack mirrors how the adaptive split consumes it:
   the nuisance fold.
 * Because the nuisance fold is selected adaptively, plain least squares on
   it is biased; ``fit_rlearner_weighted`` corrects this by inverse weighting
-  with the estimated selection probability ``p(x, y)``, a k-nearest-neighbor
-  vote on standardized (covariate, outcome) coordinates.
+  with the estimated selection probability ``p(x, y)``, a leave-one-out
+  k-nearest-neighbor vote on standardized (covariate, outcome) coordinates:
+  ``NeighborIndex`` holds the lists, the engine counts the votes.
 """
 
 from dataclasses import dataclass
@@ -93,26 +94,26 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 class NeighborIndex:
-    """Precomputed k-nearest-neighbor lists over standardized (x, y) space.
+    """Precomputed leave-one-out k-nearest-neighbor lists over standardized
+    (x, y) space, for 1 <= kappa < n.
 
     Distances depend only on the covariates and outcomes, which never change
-    during the selection loop, so the neighbor lists are built once and each
-    refit of the selection probability is a cheap masked vote.
+    during the selection loop, so the lists are built once per run.
 
     The build computes squared distances one block of rows at a time, about
     ``_BLOCK_ELEMENTS`` doubles per block, and keeps only each row's
     ``kappa + 1`` nearest units, so its memory is O(n * block + n * kappa)
-    rather than O(n^2). Distance ties go to the lower index: ``neighbors``
-    and ``loo_neighbors`` are the leading entries of each row's order by
-    (distance, index), with the row's own unit dropped for the latter.
+    rather than O(n^2). Distance ties go to the lower index:
+    ``loo_neighbors`` holds the leading ``kappa`` entries of each row's
+    order by (distance, index) with the row's own unit dropped.
     """
 
     def __init__(self, x, y, kappa):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         n = x.shape[0]
-        if not 1 <= kappa <= n:
-            raise ValidationError("kappa must lie in [1, n]")
+        if not 1 <= kappa < n:
+            raise ValidationError("kappa must lie in [1, n)")
         self.kappa = kappa = int(kappa)
         coords = np.hstack([x, y[:, None]])
         scale = coords.std(axis=0)
@@ -126,9 +127,7 @@ class NeighborIndex:
         sq = cols[0] * cols[0]
         for c in cols[1:]:
             sq += c * c
-        # With kappa = n every unit is a neighbor; keep the full order.
-        width = kappa if kappa == n else kappa + 1
-        order = np.empty((n, width), dtype=np.intp)
+        order = np.empty((n, kappa + 1), dtype=np.intp)
         rows = min(n, max(1, _BLOCK_ELEMENTS // n))
         gram, d2 = np.empty((rows, n)), np.empty((rows, n))
         for start in range(0, n, rows):
@@ -140,33 +139,15 @@ class NeighborIndex:
             g *= 2.0
             np.add(sq[blk, None], sq, out=d)
             d -= g
-            order[blk] = _nearest(d, width)
-        self.neighbors = order[:, :kappa]
-        if kappa < n:
-            # Drop each row's own unit if it is among its kappa + 1 nearest;
-            # otherwise the first kappa already exclude it.
-            own = order == np.arange(n)[:, None]
-            pos = np.where(own.any(axis=1), own.argmax(axis=1), kappa)
-            col = np.arange(kappa)
-            self.loo_neighbors = np.where(
-                col < pos[:, None], order[:, :kappa], order[:, 1:]
-            )
-        else:
-            self.loo_neighbors = None
-
-    def vote(self, b):
-        """Fraction of selected units among each point's nearest neighbors."""
-        b = np.asarray(b, dtype=float)
-        return b[self.neighbors].mean(axis=1)
-
-    def vote_loo(self, b):
-        """Leave-one-out vote: each training point is excluded from its own
-        neighborhood, removing the upward bias of self-inclusion at selected
-        points."""
-        if self.loo_neighbors is None:
-            raise ValidationError("leave-one-out vote needs kappa < n")
-        b = np.asarray(b, dtype=float)
-        return b[self.loo_neighbors].mean(axis=1)
+            order[blk] = _nearest(d, kappa + 1)
+        # Drop each row's own unit if it is among its kappa + 1 nearest;
+        # otherwise the first kappa already exclude it.
+        own = order == np.arange(n)[:, None]
+        pos = np.where(own.any(axis=1), own.argmax(axis=1), kappa)
+        col = np.arange(kappa)
+        self.loo_neighbors = np.where(
+            col < pos[:, None], order[:, :kappa], order[:, 1:]
+        )
 
 
 def _nearest(d2, width):
@@ -178,9 +159,6 @@ def _nearest(d2, width):
     stable argsort's leading entries and are sorted in one pass; rows with
     extra ties at that distance sort every candidate at or below it.
     """
-    n = d2.shape[1]
-    if width == n:
-        return np.argsort(d2, axis=1, kind="stable")
     cand = np.argpartition(d2, width - 1, axis=1)[:, :width]
     vals = np.take_along_axis(d2, cand, axis=1)
     order = np.take_along_axis(cand, np.lexsort((cand, vals), axis=1), axis=1)

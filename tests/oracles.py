@@ -203,10 +203,11 @@ def closed_testing_bruteforce(pvals, q):
 #
 # The engine loop as it stood before the per-run loop state: every step
 # refits through the public fitting functions, rebuilding the intercept
-# design, and votes through the neighbor index. The engine must produce
-# byte-identical reports. This oracle pins the loop, not the fitting
-# functions, so it runs on the package's: the caller passes the package in
-# as ``pkg`` and nothing here imports it.
+# design, and votes as the mean of the fold indicator over each unit's
+# leave-one-out lists from ``knn_lists`` (over all units when kappa >= n).
+# The engine must produce byte-identical reports. This oracle pins the loop
+# and the vote, not the fitting functions, so it runs on the package's: the
+# caller passes the package in as ``pkg`` and nothing here imports it.
 
 
 def reference_convergence_metric(pkg, tau_new, tau_old, x_j):
@@ -235,9 +236,9 @@ def _reference_refit(pkg, x, y, e, mask, p_all, zlog, mu_vals, floor, ridge):
     return z_i, tau_w, e_hat, nu2
 
 
-def _reference_selection_prob(neighbors, mask):
-    vote = neighbors.vote_loo if neighbors.loo_neighbors is not None else neighbors.vote
-    return np.clip(vote(mask.astype(float)), 1.0 / (2.0 * neighbors.kappa), 1.0)
+def _reference_selection_prob(lists, mask):
+    b = mask.astype(float)
+    return np.clip(b[lists].mean(axis=1), 1.0 / (2.0 * lists.shape[1]), 1.0)
 
 
 def reference_run(pkg, dataset, partition, config, collect_trace=True):
@@ -270,7 +271,8 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     )
     tau_prev_vals = tau_prev.predict(x)
 
-    neighbors = nuisance.NeighborIndex(x, y, min(config.knn_k, n))
+    neighbors, loo_neighbors = knn_lists(x, y, min(config.knn_k, n))
+    lists = neighbors if loo_neighbors is None else loo_neighbors
     labels = partition.labels()
 
     l_hist = []
@@ -291,7 +293,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
         t += 1
 
         z_i, _, e_hat, _ = _reference_refit(
-            pkg, x, y, e, mask, _reference_selection_prob(neighbors, mask), zlog,
+            pkg, x, y, e, mask, _reference_selection_prob(lists, mask), zlog,
             mu_vals, floor, ridge,
         )
         tau_new = nuisance.fit_bar_learner(
@@ -329,7 +331,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
             j_sizes[k] -= 1
 
     z_i, _, e_hat, nu2 = _reference_refit(
-        pkg, x, y, e, mask, _reference_selection_prob(neighbors, mask), zlog,
+        pkg, x, y, e, mask, _reference_selection_prob(lists, mask), zlog,
         mu_vals, floor, ridge,
     )
     tau_final = nuisance.fit_bar_learner(

@@ -2,6 +2,7 @@
 the full loop, and its structural guarantees."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,8 @@ from adasplit import (
 import adasplit
 from adasplit import engine
 from adasplit.engine import convergence_metric, selection_criterion
-from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import generate, scenario_with_size
-from oracles import reference_run
+from oracles import knn_lists, reference_run
 
 
 def small_problem(seed=0, n=120, k=3):
@@ -228,27 +228,50 @@ def duplicated_problem(seed=2, n=120, k=3):
 
 
 class TestLoopState:
-    @pytest.mark.parametrize("kappa", [1, 10, 119, 120])
+    @pytest.mark.parametrize("kappa", [1, 10, 119, 120, 1000])
     def test_vote_counts_track_neighbor_index(self, kappa, monkeypatch):
         # After every move, loop and prune moves alike, the incremental
-        # counts give exactly the vote NeighborIndex computes from the mask.
+        # counts give exactly the mean of the mask over each unit's oracle
+        # leave-one-out list, or over all units when kappa >= n.
         ds, part = duplicated_problem()
-        index = NeighborIndex(ds.x, ds.y, kappa)
+        neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
+        lists = neighbors if loo_neighbors is None else loo_neighbors
         moves = []
         original = engine._LoopState.move
 
         def checked_move(state, j):
             original(state, j)
             moves.append(j)
-            b = state.mask.astype(float)
-            expected = index.vote(b) if kappa == ds.n else index.vote_loo(b)
-            assert np.array_equal(state.counts / kappa, expected)
+            expected = state.mask.astype(float)[lists].mean(axis=1)
+            assert np.array_equal(state.counts / state.kappa, expected)
 
         monkeypatch.setattr(engine._LoopState, "move", checked_move)
         cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5)
         report = run(ds, part, cfg)
         # Both kinds of move happened: the loop's and the prune pass's.
         assert 0 < report.iterations < len(moves)
+
+    def test_knn_k_at_least_n_builds_no_index(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("NeighborIndex built with knn_k >= n")
+
+        ds, part = small_problem(17)
+        monkeypatch.setattr(engine, "NeighborIndex", refuse)
+        reports = [run(ds, part, small_config(knn_k=k)) for k in (ds.n, 10**6)]
+        assert reports[0].pvalues == reports[1].pvalues
+        assert reports[0].folds == reports[1].folds
+
+    def test_knn_k_n_memory_is_linear_in_n(self):
+        # The n x n neighbor order this replaces peaked at 146 MiB here.
+        ds, part, _ = generate(scenario_with_size("default", 3000), 3)
+        cfg = AdaSplitConfig(seed=1, knn_k=ds.n)
+        tracemalloc.start()
+        try:
+            run(ds, part, cfg, collect_trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def sweep_cases():
@@ -260,6 +283,8 @@ def sweep_cases():
         size = n or {"toy_fig3": 200, "larger_n": 1000}.get(scenario, 500)
         for kappa in (1, 10, size):
             cases.append((scenario, n, kappa))
+        if scenario == "toy_fig3" or n in (150, 1000):
+            cases += [(scenario, n, size - 1), (scenario, n, 4 * size)]
     return cases
 
 

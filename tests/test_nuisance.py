@@ -19,7 +19,7 @@ from adasplit import (
     posterior_e,
     scaled_residual,
 )
-from adasplit import nuisance
+from adasplit import AdaSplitConfig, Dataset, engine, nuisance
 from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import draw_covariates, generate, get_scenario
 from adasplit import rng
@@ -140,20 +140,30 @@ def clipped(vote, kappa):
     return np.clip(vote, 1.0 / (2.0 * kappa), 1.0)
 
 
+def loop_vote(x, y, b, knn_k):
+    """The selection probability the engine's loop state gives each unit when
+    the nuisance fold is ``b``: its vote count over kappa, clipped."""
+    mask = np.asarray(b, dtype=bool)
+    ds = Dataset.from_arrays(x, y, np.zeros(mask.size))
+    state = engine._LoopState(ds, np.zeros(mask.size), mask.copy(), None,
+                              AdaSplitConfig())
+    state.index(ds.x, ds.y, knn_k)
+    return clipped(state.counts / state.kappa, state.kappa)
+
+
 class TestSelectionProbability:
     def test_all_selected(self):
         gen = np.random.default_rng(7)
-        index = NeighborIndex(gen.normal(size=(12, 2)), gen.normal(size=12), 3)
-        b = np.ones(12)
-        assert np.allclose(clipped(index.vote(b), 3), 1.0)
-        assert np.allclose(clipped(index.vote_loo(b), 3), 1.0)
+        x, y = gen.normal(size=(12, 2)), gen.normal(size=12)
+        assert np.array_equal(loop_vote(x, y, np.ones(12), 3), np.ones(12))
 
     def test_kappa_equals_n_global_average(self):
         gen = np.random.default_rng(8)
         b = (gen.random(15) < 0.4).astype(float)
-        index = NeighborIndex(gen.normal(size=(15, 1)), gen.normal(size=15), 15)
+        x, y = gen.normal(size=(15, 1)), gen.normal(size=15)
         expected = np.clip(b.mean(), 1.0 / 30.0, 1.0)
-        assert np.allclose(clipped(index.vote(b), 15), expected)
+        for knn_k in (15, 16, 10**6):
+            assert np.array_equal(loop_vote(x, y, b, knn_k), np.full(15, expected))
 
     def test_matches_brute_force_vote(self):
         gen = np.random.default_rng(9)
@@ -161,39 +171,31 @@ class TestSelectionProbability:
         y = gen.normal(size=20)
         b = (gen.random(20) < 0.5).astype(float)
         kappa = 5
-        index = NeighborIndex(x, y, kappa)
-        vote = clipped(index.vote(b), kappa)
-        vote_loo = clipped(index.vote_loo(b), kappa)
+        loo_neighbors = NeighborIndex(x, y, kappa).loo_neighbors
+        vote_loo = loop_vote(x, y, b, kappa)
         coords = np.hstack([x, y[:, None]])
         coords = coords / coords.std(axis=0)
         for i in range(20):
             dist = np.sqrt(np.sum((coords - coords[i]) ** 2, axis=1))
-            nbrs = np.argsort(dist, kind="stable")[:kappa]
-            expected = np.clip(b[nbrs].mean(), 1.0 / (2 * kappa), 1.0)
-            assert vote[i] == pytest.approx(expected, abs=1e-12)
             others = np.argsort(np.where(np.arange(20) == i, np.inf, dist),
                                 kind="stable")[:kappa]
+            assert np.array_equal(loo_neighbors[i], others)
             expected_loo = np.clip(b[others].mean(), 1.0 / (2 * kappa), 1.0)
             assert vote_loo[i] == pytest.approx(expected_loo, abs=1e-12)
 
     def test_kappa_bounds(self):
         x, y = np.ones((4, 1)), np.ones(4)
-        with pytest.raises(ValidationError, match="kappa"):
-            NeighborIndex(x, y, 5)
-        with pytest.raises(ValidationError, match="kappa"):
-            NeighborIndex(x, y, 0)
-        with pytest.raises(ValidationError, match="leave-one-out"):
-            NeighborIndex(x, y, 4).vote_loo(np.ones(4))
+        for kappa in (0, 4, 5):
+            with pytest.raises(ValidationError, match=r"kappa must lie in \[1, n\)"):
+                NeighborIndex(x, y, kappa)
 
     def test_loo_vote_excludes_self(self):
         x = np.arange(6.0)[:, None]
         y = np.zeros(6)
         b = np.array([1.0, 0, 0, 0, 0, 0])
-        index = NeighborIndex(x, y, 2)
-        self_vote = index.vote(b)
-        loo_vote = index.vote_loo(b)
-        assert self_vote[0] == 0.5      # itself plus one unselected neighbor
-        assert loo_vote[0] == 0.0       # both true neighbors unselected
+        assert np.array_equal(NeighborIndex(x, y, 2).loo_neighbors[0], [1, 2])
+        # Neither true neighbor is selected: a vote of 0, clipped to 1/(2 kappa).
+        assert loop_vote(x, y, b, 2)[0] == 0.25
 
 
 def knn_inputs(kind, n, seed=0):
@@ -214,12 +216,7 @@ def knn_inputs(kind, n, seed=0):
 
 def assert_matches_oracle(x, y, kappa):
     index = NeighborIndex(x, y, kappa)
-    neighbors, loo_neighbors = knn_lists(x, y, kappa)
-    assert np.array_equal(index.neighbors, neighbors)
-    if loo_neighbors is None:
-        assert index.loo_neighbors is None
-    else:
-        assert np.array_equal(index.loo_neighbors, loo_neighbors)
+    assert np.array_equal(index.loo_neighbors, knn_lists(x, y, kappa)[1])
 
 
 class TestNeighborIndex:
@@ -234,7 +231,7 @@ class TestNeighborIndex:
         else:
             assert n % rows and n // rows >= 3      # several blocks, last partial
         x, y = knn_inputs(kind, n, seed=n)
-        for kappa in (1, 10, n - 1, n):
+        for kappa in (1, 10, n - 1):
             assert_matches_oracle(x, y, kappa)
 
     @pytest.mark.parametrize("budget", [97, 3 * 97 + 5])
@@ -242,7 +239,7 @@ class TestNeighborIndex:
         monkeypatch.setattr(nuisance, "_BLOCK_ELEMENTS", budget)
         for kind in ("grid", "duplicates", "continuous"):
             x, y = knn_inputs(kind, 97, seed=budget)
-            for kappa in (1, 4, 96, 97):
+            for kappa in (1, 4, 96):
                 assert_matches_oracle(x, y, kappa)
 
     def test_build_memory_is_linear_in_n(self):
