@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +166,9 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     The methods differ only in how they choose the inference folds and fit
     the nuisances; all three test the folds with :func:`test_folds`. ``rt``
     tests each full subgroup with the difference-in-means statistic;
-    ``random_split`` fits nuisances on a seeded per-subgroup random share
-    ``rho`` and tests the rest with the AIPW statistic; ``adasplit``
+    ``random_split`` keeps a seeded random part of each subgroup for
+    inference, at the floor ``rho`` the adaptive engine stops at, fits the
+    nuisances on the rest and tests with the AIPW statistic; ``adasplit``
     delegates to the adaptive engine.
     """
     method = canonical_method(method)
@@ -181,7 +183,9 @@ def run_method(method, dataset, partition, config, collect_trace=False):
         mask = np.zeros(dataset.n, dtype=bool)
         for k, g in enumerate(partition.groups):
             gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
-            m_k = int(np.floor(config.rho * g.size))
+            # The smallest inference count j with j >= rho * s, by the same
+            # comparison as the engine's eligibility test.
+            m_k = g.size - math.ceil(config.rho * g.size)
             mask[gen.permutation(g)[:m_k]] = True
         nuis_idx = np.flatnonzero(mask)
         x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]

@@ -90,6 +90,24 @@ class TestRunMethod:
         for k, g in enumerate(part.groups):
             assert set(report.folds.inference[k]) <= set(g)
 
+    def test_random_split_rho_is_the_inference_floor(self):
+        # Uneven subgroups: at rho = 0.3 the inference counts are
+        # ceil(0.3 * s) = 12, 13, 13, where the adaptive loop stops when it
+        # runs to the floor (eps_l this small never converges).
+        gen = np.random.default_rng(6)
+        n = 120
+        x = gen.uniform(-0.5, 0.5, size=(n, 3))
+        z = (gen.random(n) < 0.5).astype(float)
+        ds = Dataset.from_arrays(x, x.sum(axis=1) * (1.0 + z) + gen.normal(size=n), z)
+        part = SubgroupPartition.from_labels(np.repeat(np.arange(3), [37, 41, 42]))
+        cfg = AdaSplitConfig(seed=6, mc_draws=50, n0=10, knn_k=5, rho=0.3,
+                             eps_l=1e-300)
+        split = run_method("random_split", ds, part, cfg).folds
+        ada = run_method("adasplit", ds, part, cfg).folds
+        sizes = [len(j) for j in split.inference]
+        assert sizes == [len(j) for j in ada.inference] == [12, 13, 13]
+        assert min(split.proportions) >= 0.3
+
     def test_constant_outcomes_give_p_one(self):
         n = 90
         gen = np.random.default_rng(5)
