@@ -44,22 +44,13 @@ METHOD_RANDOM_SPLIT = "random_split"
 METHOD_ADASPLIT = "adasplit"
 ALL_METHODS = (METHOD_RT, METHOD_RANDOM_SPLIT, METHOD_ADASPLIT)
 
-_METHOD_ALIASES = {
-    "rt": METHOD_RT,
-    "rt_randomsplit": METHOD_RANDOM_SPLIT,
-    "randomsplit": METHOD_RANDOM_SPLIT,
-    "random_split": METHOD_RANDOM_SPLIT,
-    "random-split": METHOD_RANDOM_SPLIT,
-    "rt_adasplit": METHOD_ADASPLIT,
-    "adasplit": METHOD_ADASPLIT,
-}
-
-
 def canonical_method(name):
-    try:
-        return _METHOD_ALIASES[name.strip().lower()]
-    except KeyError:
-        raise ValidationError(f"unknown method {name!r}")
+    """Check a method name; only the three exact names are accepted."""
+    if name not in ALL_METHODS:
+        raise ValidationError(
+            f"unknown method {name!r}; choose one of {', '.join(ALL_METHODS)}"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,8 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     delegates to the adaptive engine.
     """
     method = canonical_method(method)
+    if dataset.n != partition.n:
+        raise ValidationError("dataset and partition sizes differ")
     if method == METHOD_ADASPLIT:
         return engine.run(dataset, partition, config, collect_trace=collect_trace)
     if method == METHOD_RT:

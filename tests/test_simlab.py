@@ -69,11 +69,21 @@ class TestGenerate:
 
 class TestRunMethod:
     def test_aliases(self):
-        assert canonical_method("RT") == "rt"
-        assert canonical_method("RT_RandomSplit") == "random_split"
-        assert canonical_method("rt_adasplit") == "adasplit"
-        with pytest.raises(ValidationError):
-            canonical_method("bogus")
+        for name in ("rt", "random_split", "adasplit"):
+            assert canonical_method(name) == name
+        for name in ("bogus", "RT", "rt_randomsplit", "randomsplit", "random-split",
+                     "rt_adasplit"):
+            with pytest.raises(ValidationError,
+                               match="choose one of rt, random_split, adasplit"):
+                canonical_method(name)
+
+    @pytest.mark.parametrize("size", [400, 600])
+    @pytest.mark.parametrize("method", ["rt", "random_split", "adasplit"])
+    def test_partition_size_must_match(self, method, size):
+        ds, _, _ = generate("default", 3)
+        part = SubgroupPartition.from_labels(np.arange(size) % 5)
+        with pytest.raises(ValidationError, match="dataset and partition sizes differ"):
+            run_method(method, ds, part, AdaSplitConfig(seed=3, mc_draws=100))
 
     def test_rt_has_no_folds(self):
         ds, part, _ = generate("default", 3)
