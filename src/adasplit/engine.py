@@ -147,8 +147,8 @@ class _LoopState:
             self.kappa, self.rev = n, None
             self.counts = np.full(n, np.count_nonzero(self.mask))
             return
-        lists = NeighborIndex(x, y, knn_k).loo_neighbors
-        self.kappa = int(knn_k)
+        index = NeighborIndex(x, y, knn_k)
+        self.kappa, lists = index.kappa, index.loo_neighbors
         self.rev = np.argsort(lists, axis=None, kind="stable") // self.kappa
         self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(lists.ravel(), minlength=n), out=self.rev_ptr[1:])

@@ -262,7 +262,7 @@ class TestLoopState:
         assert reports[0].folds == reports[1].folds
 
     def test_knn_k_n_memory_is_linear_in_n(self):
-        # The n x n neighbor order this replaces peaked at 146 MiB here.
+        # A full n x n neighbor order at this size peaks at about 146 MiB.
         ds, part, _ = generate(scenario_with_size("default", 3000), 3)
         cfg = AdaSplitConfig(seed=1, knn_k=ds.n)
         tracemalloc.start()
