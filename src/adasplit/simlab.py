@@ -181,6 +181,12 @@ def run_method(method, dataset, partition, config, collect_trace=False):
             m_k = g.size - math.ceil(config.rho * g.size)
             mask[gen.permutation(g)[:m_k]] = True
         nuis_idx = np.flatnonzero(mask)
+        if nuis_idx.size < dataset.d + 1:
+            raise ConfigError(
+                f"rho={config.rho} leaves a nuisance fold of {nuis_idx.size} units, "
+                f"fewer than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
+                "lower rho or use a larger sample"
+            )
         x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
         mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
         tau = fit_rlearner_weighted(x_i, y_i, dataset.z[nuis_idx], dataset.e[nuis_idx],

@@ -176,6 +176,26 @@ def knn_lists(x, y, kappa):
     return neighbors, order[keep].reshape(n, n - 1)[:, :kappa]
 
 
+def knn_rows(x, y, kappa, rows):
+    """The leave-one-out lists of :func:`knn_lists` for the given rows only:
+    each row's full distance row by the same formula, a stable argsort, and
+    the row's own unit dropped. Costs O(len(rows) * n), so it checks single
+    rows of inputs too large for the full matrix."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    rows = np.asarray(rows)
+    coords = np.hstack([x, y[:, None]])
+    scale = coords.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    cols = (coords / scale).T
+    sq = sum(c * c for c in cols)
+    gram = sum(np.outer(c[rows], c) for c in cols)
+    d2 = sq[rows, None] + sq[None, :] - 2.0 * gram
+    order = np.argsort(d2, axis=1, kind="stable")
+    keep = order != rows[:, None]
+    return order[keep].reshape(rows.size, x.shape[0] - 1)[:, :kappa]
+
+
 def closed_testing_bruteforce(pvals, q):
     """Closed testing with Fisher's combination by enumerating all 2^K - 1
     subsets as bitmasks: hypothesis k is rejected iff every subset

@@ -150,6 +150,15 @@ class TestAnalyze:
         assert "p_init=0.999" in err and "subgroup 0" in err
         assert "100 units" in err
 
+    def test_random_split_rho_too_high_exit_3(self, trial_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rho": 0.99}))
+        assert run_cli("analyze", "--data", trial_csv, "--method", "random_split",
+                       "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "rho=0.99" in err and "5 units" in err and "d + 1 = 6" in err
+        assert "fold too small" not in err
+
     @pytest.mark.parametrize("debug", [None, "1"])
     def test_internal_error_exit_1(self, trial_csv, monkeypatch, capsys, debug):
         def fail(args):

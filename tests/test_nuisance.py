@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from adasplit import (
     ValidationError,
@@ -21,9 +22,10 @@ from adasplit import (
 )
 from adasplit import AdaSplitConfig, Dataset, engine, nuisance
 from adasplit.nuisance import NeighborIndex
-from adasplit.simlab import draw_covariates, generate, get_scenario
+from adasplit.simlab import (draw_covariates, generate, get_scenario,
+                             scenario_with_size)
 from adasplit import rng
-from oracles import knn_lists, minimize_bar_loss, wls_solve
+from oracles import knn_lists, knn_rows, minimize_bar_loss, wls_solve
 
 
 class TestOutcomeModel:
@@ -219,8 +221,37 @@ def assert_matches_oracle(x, y, kappa):
     assert np.array_equal(index.loo_neighbors, knn_lists(x, y, kappa)[1])
 
 
+def fallback_counts(monkeypatch):
+    """Record the number of rows in each block the index build sends through
+    its full-row scan (the rows the certificate did not cover)."""
+    counts = []
+    scan = nuisance._nearest
+
+    def counting(d2, width):
+        counts.append(d2.shape[0])
+        return scan(d2, width)
+
+    monkeypatch.setattr(nuisance, "_nearest", counting)
+    return counts
+
+
+class ReversedTree(cKDTree):
+    """A KD-tree over the units in reverse order. Its neighbor sets are as
+    valid as the plain tree's, but among tied units it tends to propose the
+    highest indices rather than the lowest."""
+
+    def __init__(self, data):
+        self.n_units = len(data)
+        super().__init__(np.ascontiguousarray(data[::-1]))
+
+    def query(self, points, k):
+        dist, idx = super().query(points, k=k)
+        return dist, self.n_units - 1 - idx
+
+
 class TestNeighborIndex:
-    """The row-blocked build against the full-matrix stable argsort."""
+    """Tree candidates, the certificate and the full-row fallback against
+    the full-matrix stable argsort."""
 
     @pytest.mark.parametrize("kind", ["grid", "duplicates", "equal", "continuous"])
     @pytest.mark.parametrize("n", [150, 1000])
@@ -237,10 +268,63 @@ class TestNeighborIndex:
     @pytest.mark.parametrize("budget", [97, 3 * 97 + 5])
     def test_blocks_of_one_and_few_rows(self, monkeypatch, budget):
         monkeypatch.setattr(nuisance, "_BLOCK_ELEMENTS", budget)
-        for kind in ("grid", "duplicates", "continuous"):
+        counts = fallback_counts(monkeypatch)
+        for kind in ("grid", "duplicates", "equal", "continuous"):
             x, y = knn_inputs(kind, 97, seed=budget)
             for kappa in (1, 4, 96):
+                counts.clear()
                 assert_matches_oracle(x, y, kappa)
+                if kind == "equal" and kappa < 96:
+                    # every row ties at the cut and is scanned, in blocks of
+                    # budget // n rows
+                    assert sum(counts) == 97
+                    assert max(counts) == max(1, budget // 97)
+
+    def test_certified_and_fallback_rows_in_one_build(self, monkeypatch):
+        # A continuous cloud, then 40 rows that are 10 points repeated four
+        # times and 40 rows on an integer grid, both apart from the cloud.
+        gen = np.random.default_rng(21)
+        cloud = gen.normal(size=(300, 4))
+        dup = np.repeat(gen.normal(size=(10, 4)) - 8.0, 4, axis=0)
+        grid = np.column_stack([gen.integers(0, 3, size=(40, 3)) + 8.0,
+                                gen.integers(0, 2, size=40)]).astype(float)
+        pts = np.vstack([cloud, dup, grid])
+        x, y = pts[:, :3], pts[:, 3]
+        counts = fallback_counts(monkeypatch)
+        for kappa in (1, 10, 379):
+            counts.clear()
+            assert_matches_oracle(x, y, kappa)
+            if kappa < 379:
+                # the cloud's rows are certified; tied rows are scanned
+                assert 0 < sum(counts) <= 80
+            else:
+                assert not counts          # every unit is a candidate
+
+    def test_lists_do_not_depend_on_the_trees_tie_break(self, monkeypatch):
+        monkeypatch.setattr(nuisance, "cKDTree", ReversedTree)
+        inputs = [knn_inputs(kind, 150, seed=3)
+                  for kind in ("grid", "duplicates", "equal", "continuous")]
+        inputs.append((np.zeros((150, 2)), np.zeros(150)))   # all at the origin
+        for x, y in inputs:
+            for kappa in (1, 10):
+                assert_matches_oracle(x, y, kappa)
+
+    @pytest.mark.parametrize("offset", [1e5, 1e6, 1e8])
+    def test_large_offsets_keep_exact_lists(self, offset):
+        # Coordinates are scaled, not centered: with a large offset the
+        # formula's rounding outgrows the gaps between neighbors, and the
+        # certificate must send the affected rows to the scan.
+        gen = np.random.default_rng(22)
+        x, y = gen.normal(size=(400, 3)) + offset, gen.normal(size=400)
+        for kappa in (1, 10):
+            assert_matches_oracle(x, y, kappa)
+
+    def test_spot_rows_at_scale(self):
+        ds, _, _ = generate(scenario_with_size("default", 20000), 3)
+        rows = np.random.default_rng(23).choice(20000, size=50, replace=False)
+        index = NeighborIndex(ds.x, ds.y, 10)
+        assert np.array_equal(index.loo_neighbors[rows],
+                              knn_rows(ds.x, ds.y, 10, rows))
 
     def test_build_memory_is_linear_in_n(self):
         # The n x n distance matrix alone would take 8000^2 * 8 B = 512 MB.

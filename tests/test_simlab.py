@@ -118,6 +118,17 @@ class TestRunMethod:
         assert sizes == [len(j) for j in ada.inference] == [12, 13, 13]
         assert min(split.proportions) >= 0.3
 
+    def test_random_split_rho_leaves_too_few_nuisance_units(self):
+        # Five subgroups of 100: rho = 0.99 keeps 99 of each for inference,
+        # so the nuisance fold holds 5 units and the regression needs 6.
+        ds, part, _ = generate("default", 4)
+        cfg = AdaSplitConfig(seed=4, mc_draws=50, rho=0.99)
+        with pytest.raises(ConfigError, match=r"rho=0\.99 leaves a nuisance fold "
+                           r"of 5 units, fewer than d \+ 1 = 6 \(n=500, d=5\)"):
+            run_method("random_split", ds, part, cfg)
+        report = run_method("random_split", ds, part, cfg.replace(rho=0.98))
+        assert [len(j) for j in report.folds.inference] == [98] * 5
+
     def test_constant_outcomes_give_p_one(self):
         n = 90
         gen = np.random.default_rng(5)
