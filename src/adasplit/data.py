@@ -149,8 +149,10 @@ def partition_by_quantiles(dataset, column, cuts):
     """Split units by empirical quantiles of one covariate column.
 
     Quantiles use the inverted-CDF convention: the cut at fraction ``c`` is
-    the smallest order statistic whose empirical CDF is at least ``c``.
-    A unit equal to a cut value goes to the lower group.
+    the smallest order statistic whose empirical CDF is at least ``c``, the
+    k-th for the smallest k with ``k / n >= c`` in floating point (``ceil(c
+    * n)`` can round past it: 0.55 * 100 is 55.00000000000001). A unit
+    equal to a cut value goes to the lower group.
     """
     cuts = tuple(float(c) for c in cuts)
     if any(not 0.0 < c < 1.0 for c in cuts):
@@ -162,7 +164,7 @@ def partition_by_quantiles(dataset, column, cuts):
     v = dataset.x[:, column]
     n = v.size
     order_stats = np.sort(v)
-    bounds = [order_stats[math.ceil(c * n) - 1] for c in cuts]
+    bounds = [order_stats[_cut_rank(c, n) - 1] for c in cuts]
     edges = np.concatenate(([-np.inf], bounds, [np.inf]))
     groups = []
     for k in range(len(cuts) + 1):
@@ -171,6 +173,17 @@ def partition_by_quantiles(dataset, column, cuts):
             raise ValidationError(f"quantile cut produces empty subgroup {k + 1}")
         groups.append(g)
     return SubgroupPartition(tuple(groups))
+
+
+def _cut_rank(c, n):
+    """The smallest k with ``k / n >= c``, for 0 < c < 1. ``ceil(c * n)`` is
+    within one of it, since ``c * n`` is off by at most an ulp."""
+    k = math.ceil(c * n)
+    while k > 1 and (k - 1) / n >= c:
+        k -= 1
+    while k / n < c:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ class LinearModel:
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float).ravel()
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise ValidationError("non-finite coefficient")
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
@@ -44,6 +44,11 @@ def _design(x):
 def _solve_spd(a, b, ridge):
     """``scipy.linalg.cho_solve(cho_factor(a), b)``, checks and errors
     included, without wrappers that cost more than a solve this small."""
+    return _cho_solve(_cho_factor(a, ridge), b)
+
+
+def _cho_factor(a, ridge):
+    """The Cholesky factor of :func:`_solve_spd`, with its errors."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(a, lower=0, clean=0)
@@ -53,16 +58,14 @@ def _solve_spd(a, b, ridge):
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
         )
+    return c
+
+
+def _cho_solve(c, b):
+    """Solve with a factor from :func:`_cho_factor`."""
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     return dpotrs(c, b, lower=0)[0]
-
-
-def _wls(xd, y, w, ridge):
-    """:func:`fit_wls` on a ready intercept design; shared with the loop."""
-    xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
-    gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
-    return LinearModel(_solve_spd(gram, xd.T @ yw, ridge))
 
 
 def fit_wls(x, y, w=None, ridge=0.0):
@@ -89,7 +92,10 @@ def fit_wls(x, y, w=None, ridge=0.0):
             raise ValidationError("weights must be nonnegative")
         if not np.any(w > 0.0):
             raise ValidationError("at least one positive weight required")
-    return _wls(_design(x), y, w, ridge)
+    xd = _design(x)
+    xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
+    gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
+    return LinearModel(_solve_spd(gram, xd.T @ yw, ridge))
 
 
 def predict(model, x):

@@ -299,12 +299,8 @@ def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
         np.asarray(y)[~mask], np.asarray(mu_vals)[~mask],
         np.asarray(e)[~mask], np.asarray(e_hat_vals)[~mask],
     )
-    return _pooled_fit(xd[mask], r_i, xd[~mask], r_j, lam, ridge)
-
-
-def _pooled_fit(xd_i, r_i, xd_j, r_j, lam, ridge):
-    """:func:`fit_bar_learner` on ready designs; shared with the loop."""
-    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd_i.shape[1])
+    xd_i, xd_j = xd[mask], xd[~mask]
+    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd.shape[1])
     rhs = xd_i.T @ r_i + lam * (xd_j.T @ r_j)
     return LinearModel(_solve_spd(gram, rhs, ridge))
 

@@ -225,7 +225,9 @@ def closed_testing_bruteforce(pvals, q):
 # refits through the public fitting functions, rebuilding the intercept
 # design, and votes as the mean of the fold indicator over each unit's
 # leave-one-out lists from ``knn_lists`` (over all units when kappa >= n).
-# The engine must produce byte-identical reports. This oracle pins the loop
+# The engine keeps running sums instead, so its reports must match these
+# exactly in every decision and to 1e-9 in the fitted numbers
+# (``test_engine.assert_matches_reference``). This oracle pins the loop
 # and the vote, not the fitting functions, so it runs on the package's: the
 # caller passes the package in as ``pkg`` and nothing here imports it.
 

@@ -1,6 +1,7 @@
 """Data model, validation, partitioning, configuration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adasplit import (
     ValidationError,
     partition_by_quantiles,
 )
+from adasplit.data import _cut_rank
 
 
 class TestValidateDataset:
@@ -122,6 +124,29 @@ class TestPartition:
             merged = np.sort(np.concatenate(part.groups))
             assert np.array_equal(merged, np.arange(n))
             assert all(g.size >= 1 for g in part.groups)
+
+    @pytest.mark.parametrize("n,cut,low", [(100, 0.55, 55), (100, 0.07, 7),
+                                           (42, 9 / 14, 27)])
+    def test_cut_where_c_times_n_rounds_up(self, n, cut, low):
+        # 0.55 * 100, 0.07 * 100 and (9/14) * 42 all round above an integer,
+        # yet low / n >= cut already holds.
+        assert math.ceil(cut * n) == low + 1
+        x = np.arange(1.0, n + 1.0)[::-1, None]
+        ds = Dataset.from_arrays(x, np.zeros(n), np.zeros(n))
+        part = partition_by_quantiles(ds, 0, (cut,))
+        assert part.groups[0].size == low
+        assert x[part.groups[0], 0].max() == low
+
+    def test_cut_rank_is_smallest_k_reaching_c(self):
+        gen = np.random.default_rng(11)
+        fractions = [i / m for m in (3, 7, 14, 21, 100) for i in range(1, m)]
+        fractions += list(gen.uniform(size=300))
+        for n in (1, 2, 3, 10, 42, 99, 100, 500, 1000, 4000, 20000):
+            ks = np.arange(1, n + 1)
+            ratios = ks / n
+            for c in fractions:
+                want = int(ks[ratios >= c][0])
+                assert _cut_rank(c, n) == want, (c, n)
 
     def test_labels_roundtrip(self):
         part = SubgroupPartition.from_labels([2, 0, 2, 1, 0])

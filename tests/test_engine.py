@@ -2,6 +2,7 @@
 the full loop, and its structural guarantees."""
 
 import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -288,9 +289,9 @@ def sweep_cases():
     return cases
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     try:
-        return fn(*args, collect_trace=True).to_json()
+        return fn(*args, collect_trace=True, **kwargs).to_json()
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -299,14 +300,69 @@ def reference(*args, collect_trace):
     return reference_run(adasplit, *args, collect_trace=collect_trace)
 
 
+# The golden rule: decisions exactly, the loop's running-sum arithmetic
+# (CATE coefficients, nu2, l, the trace criterion) to TOL.
+EXACT = ("pvalues", "rejected", "folds", "iterations")
+EXACT_DIAGNOSTICS = ("converged", "z_reads_before_pvalues", "pvalue_flags")
+EXACT_TRACE = ("t", "unit", "subgroup", "proportions")
+TOL = 1e-9
+
+
+def assert_matches_reference(got, want):
+    if isinstance(want, tuple):           # both must fail the same way
+        assert got == want
+        return
+    got, want = json.loads(got), json.loads(want)
+    for key in EXACT:
+        assert got[key] == want[key], key
+    np.testing.assert_allclose(got["cate_coefficients"], want["cate_coefficients"],
+                               rtol=0, atol=TOL)
+    gd, wd = got["diagnostics"], want["diagnostics"]
+    for key in EXACT_DIAGNOSTICS:
+        assert gd[key] == wd[key], key
+    assert gd["stop_reason"] == ("converged" if wd["converged"] else "floor")
+    assert abs(gd["nu2"] - wd["nu2"]) <= TOL
+    assert len(gd["l"]) == len(wd["l"])
+    for a, b in zip(gd["l"], wd["l"]):
+        # inf serializes as the string "Infinity" and must match exactly
+        assert a == b if isinstance(b, str) else abs(a - b) <= TOL
+    assert len(gd["trace"]) == len(wd["trace"])
+    for a, b in zip(gd["trace"], wd["trace"]):
+        assert [a[k] for k in EXACT_TRACE] == [b[k] for k in EXACT_TRACE]
+        assert abs(a["criterion"] - b["criterion"]) <= TOL
+
+
+def floor_problem(n=1500, seed=3):
+    ds, part, _ = generate(scenario_with_size("default", n), seed)
+    return ds, part
+
+
 class TestReferenceLoop:
     @pytest.mark.parametrize("scenario,n,kappa", sweep_cases())
-    def test_reports_byte_identical(self, scenario, n, kappa):
+    def test_reports_match_reference(self, scenario, n, kappa):
         name = scenario_with_size(scenario, n) if n else scenario
         seed = 1 + (kappa % 3)
         ds, part, _ = generate(name, seed)
         cfg = AdaSplitConfig(seed=seed, knn_k=kappa)
-        assert outcome(run, ds, part, cfg) == outcome(reference, ds, part, cfg)
+        assert_matches_reference(outcome(run, ds, part, cfg),
+                                 outcome(reference, ds, part, cfg))
+
+    @pytest.mark.parametrize("scenario,seed,lam", [("default", 2, 0.0),
+                                                   ("high_noise", 1, 0.5)])
+    def test_lambda_matches_reference(self, scenario, seed, lam):
+        # lambda < 1 puts the running fold Gram into the pooled fit.
+        ds, part, _ = generate(scenario, seed)
+        cfg = AdaSplitConfig(seed=seed, lambda_imputed=lam)
+        assert_matches_reference(outcome(run, ds, part, cfg),
+                                 outcome(reference, ds, part, cfg))
+
+    def test_floor_run_matches_reference(self):
+        # eps_l = 1e-12 never converges: 675 running-sum updates.
+        ds, part = floor_problem()
+        cfg = AdaSplitConfig(seed=1, eps_l=1e-12)
+        got = outcome(run, ds, part, cfg)
+        assert json.loads(got)["diagnostics"]["stop_reason"] == "floor"
+        assert_matches_reference(got, outcome(reference, ds, part, cfg))
 
     def test_same_error_inside_the_loop(self):
         # A masked assignment is read only once its unit joins the fold.
@@ -318,3 +374,76 @@ class TestReferenceLoop:
         got = outcome(run, masked, part, cfg)
         assert got[0] is ValidationError
         assert got == outcome(reference, masked, part, cfg)
+
+
+def recorded_states(monkeypatch):
+    """Loop states the engine builds from now on, in order."""
+    states = []
+
+    class Recorded(engine._LoopState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(engine, "_LoopState", Recorded)
+    return states
+
+
+def assert_sums_fresh(state, ds):
+    """The running sums equal a fresh recomputation over the final fold,
+    to 1e-10 of each sum's largest entry."""
+    nuis = np.flatnonzero(state.mask)
+    k = state.kappa
+    w = 1.0 / np.clip(state.counts[nuis] / k, 1.0 / (2.0 * k), 1.0)
+    xd = np.hstack([np.ones((nuis.size, 1)), ds.x[nuis]])
+    r = state.resid_y[nuis] / (ds.z[nuis] - 0.5)
+    fresh = {"g_w": xd.T @ (w[:, None] * xd), "b_w": xd.T @ (w * r),
+             "g_i": xd.T @ xd}
+    for name, want in fresh.items():
+        got = getattr(state, name)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
+    assert np.array_equal(state.w != 0.0, state.mask)
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("kappa", [1, 10])
+    def test_no_drift_after_floor_run(self, kappa, monkeypatch):
+        states = recorded_states(monkeypatch)
+        ds, part = floor_problem()
+        report = run(ds, part, AdaSplitConfig(seed=1, eps_l=1e-12, knn_k=kappa),
+                     collect_trace=False)
+        assert report.diagnostics["stop_reason"] == "floor"
+        assert report.iterations > 600
+        assert_sums_fresh(states[0], ds)
+
+    def test_pruned_batch_is_rebuilt(self, monkeypatch):
+        # This run converges and the prune pass then moves 18 units at
+        # once; the final sums must cover all of them.
+        states = recorded_states(monkeypatch)
+        ds, part, _ = generate("high_noise", 1)
+        report = run(ds, part, AdaSplitConfig(seed=1), collect_trace=False)
+        state = states[0]
+        assert report.diagnostics["stop_reason"] == "converged"
+        pruned = state.mask.sum() - (split_init(ds, part, 0.05).sum()
+                                     + report.iterations)
+        assert pruned > 1
+        assert_sums_fresh(state, ds)
+
+
+class TestStopReason:
+    def test_converged(self):
+        ds, part, _ = generate("default", 1)
+        report = run(ds, part, AdaSplitConfig(seed=1))
+        assert report.diagnostics["converged"]
+        assert report.diagnostics["stop_reason"] == "converged"
+
+    def test_floor(self):
+        # eps_l = 1e-12 is never met, so the loop runs until every subgroup
+        # sits at its rho floor.
+        ds, part = small_problem(6)
+        report = run(ds, part, small_config(eps_l=1e-12))
+        assert not report.diagnostics["converged"]
+        assert report.diagnostics["stop_reason"] == "floor"
+        sizes = np.array([g.size for g in part.groups])
+        held = np.array([len(j) for j in report.folds.inference])
+        assert np.all(held - 1 < report.config.rho * sizes)
