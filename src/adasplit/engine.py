@@ -21,8 +21,8 @@ predictions, the pooled right-hand side and the posterior. Running sums round
 differently from fresh ones, so reports agree with refitting from scratch
 (``tests/oracles.reference_run``) exactly in every decision (folds,
 iterations, p-values, the audited reads) and to 1e-9 in the CATE
-coefficients, ``nu2`` and ``l``. On a 2-core Xeon a step takes 0.18 ms at
-n = 500, 0.29 ms at n = 3000 and 1.9 ms at n = 20000 (0.29, 0.82 and 5.8 ms
+coefficients, ``nu2`` and ``l``. On a 2-core Xeon a step takes 0.17 ms at
+n = 500, 0.29 ms at n = 3000 and 1.8 ms at n = 20000 (0.28, 0.72 and 5.7 ms
 summing afresh).
 
 Validity rests on a single structural property: no assignment outside the
