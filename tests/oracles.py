@@ -6,6 +6,7 @@ minimization, dense linear algebra via a different factorization), so
 agreement with the library is meaningful evidence rather than tautology.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -64,6 +65,60 @@ def integer_pvalue(scores, z_obs, draws=None):
         return hits / float(2 ** len(scores))
     sums = np.asarray(draws, dtype=np.int64) @ np.asarray(scores, dtype=np.int64)
     return (1.0 + int(np.count_nonzero(sums >= t_obs))) / (len(sums) + 1.0)
+
+
+def mc_pvalue_reference(w, c, e, z_obs, m_draws, gen):
+    """The Monte-Carlo p-value of the statistic ``w @ z + c``, drawn and
+    summed as the package did before its matrix-vector product: draws from
+    ``gen`` in row chunks of about 2^16 doubles (C order, so the chunking
+    does not change the stream), each row summed in a fixed pairwise order,
+    and a draw counted when its statistic reaches the tie floor ``t_obs -
+    steps * eps * (sum |w| + |c| + |t_obs|)``, steps = ceil(log2 m) + 2.
+    Returns ``(p-value, observed statistic)``."""
+    w = np.asarray(w, dtype=float)
+    e = np.asarray(e, dtype=float)
+    m = w.size
+
+    def row_sums(v):
+        n = v.shape[1]
+        while n > 1:
+            half = n // 2
+            v[:, :half] += v[:, n - half:n]
+            n -= half
+        return v[:, 0]
+
+    t_obs = float(row_sums(np.asarray(z_obs, dtype=float)[None, :] * w)[0]) + c
+    steps = (m - 1).bit_length() + 2
+    eps = np.finfo(float).eps
+    t_min = t_obs - steps * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_obs))
+    rows = max(1, (1 << 16) // m)
+    count = 0
+    for start in range(0, m_draws, rows):
+        draws = gen.random((min(rows, m_draws - start), m))
+        np.less(draws, e, out=draws)
+        draws *= w
+        count += int(np.count_nonzero(row_sums(draws) + c >= t_min))
+    return (1.0 + count) / (m_draws + 1.0), t_obs
+
+
+def write_csv_reference(path, x, y, z, labels=None):
+    """A trial CSV written one row at a time: header ``x1..xd,y,z`` plus
+    ``subgroup`` with labels, each covariate and outcome as ``repr`` of the
+    float, the assignment and label as integers."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    header = [f"x{i + 1}" for i in range(x.shape[1])] + ["y", "z"]
+    if labels is not None:
+        header.append("subgroup")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(x.shape[0]):
+            row = [repr(float(v)) for v in x[i]]
+            row.append(repr(float(y[i])))
+            row.append(str(int(z[i])))
+            if labels is not None:
+                row.append(str(int(labels[i])))
+            writer.writerow(row)
 
 
 def wls_solve(x, y, w=None, ridge=0.0):

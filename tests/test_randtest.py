@@ -10,6 +10,7 @@ from adasplit import (
     Dataset,
     LinearModel,
     NuisanceModel,
+    PValue,
     TestStatisticSpec,
     ValidationError,
     exact_pvalue,
@@ -22,6 +23,7 @@ from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
 from adasplit import randtest, rng
 from oracles import (
     aipw_statistic, dm_statistic, enumerate_pvalue, integer_pvalue, knapsack_grid,
+    mc_pvalue_reference,
 )
 
 
@@ -225,6 +227,62 @@ class TestMonteCarloPValue:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert pv.draws == 200000 and 0.0 < pv.value <= 1.0
+
+
+class TestReferenceDrawLoop:
+    """``mc_pvalue`` returns the very ``PValue`` of
+    ``oracles.mc_pvalue_reference``, the draw loop with fixed-order pairwise
+    row sums, on every statistic, outcome kind, design and generator."""
+
+    GENERATORS = (
+        lambda seed: rng.stream(31, seed),  # Philox
+        np.random.default_rng,  # PCG64
+        lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    )
+    KINDS = ("continuous", "binary", "grid", "replicated", "cancelling")
+
+    @staticmethod
+    def outcomes(kind, m, gen):
+        if kind == "continuous":
+            return gen.normal(size=m) * gen.choice([1e-3, 1.0, 1e3], size=m)
+        if kind == "binary":
+            return gen.integers(0, 2, size=m).astype(float)
+        if kind == "grid":
+            return gen.integers(-20, 21, size=m) / 10.0
+        if kind == "replicated":
+            return gen.choice(gen.normal(size=3), size=m)
+        # Small grid values between large ones of both signs: the sums lose
+        # most of the small terms, and how many depends on the order.
+        y = gen.integers(0, 2, size=m).astype(float)
+        big = gen.choice(m, size=max(1, m // 16), replace=False)
+        y[big] = gen.choice([-1.0, 1.0], size=big.size) * 2.0**54
+        return y
+
+    @staticmethod
+    def case(i, gen):
+        """One seeded fold: (spec, dataset, fold indices, draws, stream)."""
+        kind = TestReferenceDrawLoop.KINDS[i % 5]
+        m = int(gen.choice([1, 2, 3, 7, 33, 130, 400]))
+        n = m + int(gen.integers(0, 5))
+        x = gen.normal(size=(n, 2))
+        y = TestReferenceDrawLoop.outcomes(kind, n, gen)
+        z = (gen.random(n) < 0.5).astype(float)
+        e = np.full(n, 0.5) if i % 2 else gen.uniform(0.1, 0.9, size=n)
+        ds = Dataset(x=x, y=y, z=z, e=e)
+        spec = dm_spec() if i % 3 else aipw_spec(x, y, seed=i)
+        fold = np.sort(gen.choice(n, size=m, replace=False))
+        m_draws = int(gen.choice([1, 10, 999, 3000]))
+        return spec, ds, fold, m_draws, TestReferenceDrawLoop.GENERATORS[i % 3]
+
+    def test_sweep_matches_reference(self):
+        gen = np.random.default_rng(30)
+        for i in range(90):
+            spec, ds, fold, m_draws, make = self.case(i, gen)
+            w, c = randtest._linear_coeffs(spec, ds, fold)
+            value, t_obs = mc_pvalue_reference(w, c, ds.e[fold], ds.z[fold],
+                                               m_draws, make(i))
+            got = mc_pvalue(spec, ds, fold, m_draws, make(i), subgroup_id=i)
+            assert got == PValue(value, m_draws, t_obs, i), (i, got, value)
 
 
 class TestExactPValue:
