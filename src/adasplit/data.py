@@ -13,6 +13,7 @@ inference fold of subgroup ``g`` is ``g[~mask[g]]``.
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -352,13 +353,21 @@ class AnalysisReport:
 
 # CSV ingestion ---------------------------------------------------------------
 
+# Rows are parsed this many at a time, which bounds the text held in memory.
+_CSV_BLOCK = 4096
+_LABEL_RANGE = np.iinfo(int)
+
+
 def read_dataset_csv(path, subgroup_column="subgroup"):
     """Strictly parse a trial CSV into a dataset plus optional subgroup labels.
 
     Expected header: ``x1,...,xd,y,z`` with an optional integer subgroup
     column (named ``subgroup`` unless overridden). A non-numeric or
-    non-finite cell, or a ``z`` other than 0 or 1, is an error naming the
-    offending row and column; nothing is coerced silently.
+    non-finite cell, a ``z`` other than 0 or 1, or a label outside the
+    64-bit range is an error naming the offending row and column; nothing
+    is coerced silently. A row of blank cells is skipped but keeps its
+    number. Rows are parsed in blocks of ``_CSV_BLOCK``, a column at a time,
+    so memory holds one block of text whatever the file's length.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -378,23 +387,76 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
         if len(set(header)) != len(header):
             raise ValidationError("duplicate column names")
         col = {name: header.index(name) for name in header}
-        has_subgroup = subgroup_column in col
+        # (column index, name, type) in the order a row's cells are checked.
+        fields = [(col[c], c, float) for c in names + ["y", "z"]]
+        if subgroup_column in col:
+            fields.append((col[subgroup_column], subgroup_column, int))
 
-        x_rows, y_rows, z_rows, labels = [], [], [], []
-        for r, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-            x_rows.append([_cell(row, col[c], r, c, float) for c in names])
-            y_rows.append(_cell(row, col["y"], r, "y", float))
-            z_rows.append(_cell(row, col["z"], r, "z", float))
-            if has_subgroup:
-                labels.append(_cell(row, col[subgroup_column], r, subgroup_column, int))
-    if not x_rows:
+        blocks = []
+        first = 1
+        while True:
+            rows = []
+            try:
+                rows.extend(itertools.islice(reader, _CSV_BLOCK))
+            except csv.Error:
+                # A bad cell before the reader's own error is reported first.
+                _parse_block(rows, first, fields, len(header))
+                raise
+            if not rows:
+                break
+            blocks.append(_parse_block(rows, first, fields, len(header)))
+            first += len(rows)
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    if not columns or columns[0].size == 0:
         raise ValidationError("empty file: n >= 1 required")
-    dataset = Dataset.from_arrays(np.array(x_rows), y_rows, z_rows)
-    return dataset, (np.array(labels, dtype=int) if has_subgroup else None)
+    d = len(names)
+    dataset = Dataset.from_arrays(np.column_stack(columns[:d]), columns[d], columns[d + 1])
+    return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
+
+
+def _parse_block(rows, first, fields, width):
+    """One array per field over the block's non-blank rows; ``first`` is the
+    number of the block's first row.
+
+    ``float`` and ``int`` strip whitespace themselves, except the separators
+    U+001C..U+001F that ``str.strip`` (and so :func:`_cell`) also removes,
+    so a block that fails on its raw text is converted once more from
+    stripped text. A block that still fails is scanned row by row with
+    :func:`_cell`, which raises the error of the first bad cell.
+    """
+    kept = [row for row in rows if "".join(row).strip()]
+    try:
+        if any(len(row) != width for row in kept):
+            raise ValueError("row width")
+        text = list(zip(*kept)) or [()] * width
+        try:
+            return _convert(text, fields)
+        except (ValueError, OverflowError):
+            return _convert([tuple(map(str.strip, t)) for t in text], fields)
+    except (ValueError, OverflowError):
+        for r, row in enumerate(rows, start=first):
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise ValidationError(f"row {r}: expected {width} cells, got {len(row)}")
+            for idx, name, kind in fields:
+                _cell(row, idx, r, name, kind)
+        raise
+
+
+def _convert(text, fields):
+    """Each field's column of ``text`` as an array, checked as :func:`_cell`
+    checks a cell; raises ``ValueError`` or ``OverflowError`` otherwise."""
+    n = len(text[0])
+    out = []
+    for idx, name, kind in fields:
+        values = np.fromiter(map(kind, text[idx]), kind, count=n)
+        if kind is float and not np.isfinite(values).all():
+            raise ValueError(f"non-finite {name}")
+        if name == "z" and not ((values == 0.0) | (values == 1.0)).all():
+            raise ValueError("assignment not 0 or 1")
+        out.append(values)
+    return out
 
 
 def _cell(row, idx, r, name, kind):
@@ -403,6 +465,9 @@ def _cell(row, idx, r, name, kind):
         value = kind(text)
     except ValueError:
         raise ValidationError(f"row {r}, column {name}: could not parse {text!r}")
+    if kind is int and not _LABEL_RANGE.min <= value <= _LABEL_RANGE.max:
+        raise ValidationError(
+            f"row {r}, column {name}: label {text!r} is outside the 64-bit range")
     if not math.isfinite(value):
         raise ValidationError(f"row {r}, column {name}: non-finite value {text!r}")
     if name == "z" and value not in (0.0, 1.0):
@@ -411,17 +476,22 @@ def _cell(row, idx, r, name, kind):
 
 
 def write_dataset_csv(path, dataset, subgroup_labels=None):
-    """Inverse of :func:`read_dataset_csv`, used by the simulation lab."""
+    """Inverse of :func:`read_dataset_csv`, used by the simulation lab.
+
+    Covariates and outcomes are written as the ``repr`` of each float, which
+    reads back bit for bit; assignments and labels as integers.
+    """
     header = [f"x{i + 1}" for i in range(dataset.d)] + ["y", "z"]
+    columns = [map(repr, c) for c in dataset.x.T.tolist()]
+    columns.append(map(repr, dataset.y.tolist()))
+    columns.append(map(str, map(int, dataset.z.tolist())))
     if subgroup_labels is not None:
+        if len(subgroup_labels) != dataset.n:
+            raise ValidationError(
+                f"{len(subgroup_labels)} subgroup labels for {dataset.n} rows")
         header.append("subgroup")
+        columns.append(map(str, map(int, subgroup_labels)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.x[i]]
-            row.append(repr(float(dataset.y[i])))
-            row.append(str(int(dataset.z[i])))
-            if subgroup_labels is not None:
-                row.append(str(int(subgroup_labels[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

@@ -4,7 +4,9 @@ approximation of the marginalized p-value, and the threshold solution of the
 soft inclusion problem.
 
 Both test statistics are linear in the assignment vector, so a draw of the
-reference distribution is a single dot product. The Monte-Carlo p-value uses
+reference distribution is a single dot product, and a chunk of draws is one
+matrix-vector product (certified against a fixed-order sum where rounding
+could decide; see :func:`mc_pvalue`). The Monte-Carlo p-value uses
 the add-one correction ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is
 finite-sample valid for any number of draws because the observed and
 randomized assignments are exchangeable; ties, up to rounding
@@ -99,7 +101,8 @@ def _row_sums(v):
     The order depends only on the row length, so a row's sum is the same
     whatever rows are summed with it. A BLAS matrix-vector product gives no
     such guarantee: its kernel, and with it the rounding, changes with the
-    number of rows.
+    number of rows and the CPU. :func:`mc_pvalue` therefore uses the product
+    only where it provably decides a draw the way this sum does.
     """
     n = v.shape[1]
     while n > 1:
@@ -115,9 +118,33 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     Draws ``m_draws`` i.i.d. assignment vectors from the design
     (independent Bernoulli with the stored per-unit probabilities),
     recomputes the statistic on each, and applies the add-one correction.
-    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles,
-    so memory does not grow with ``m_draws``. An empty fold yields p = 1 with
-    a flag rather than an error.
+    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles
+    into one reused buffer, so memory does not grow with ``m_draws``. An
+    empty fold yields p = 1 with a flag rather than an error.
+
+    A draw counts when its statistic, summed by :func:`_row_sums` and plus
+    ``c``, reaches ``t_min`` (``_tie_floor``). Each chunk's statistics come
+    from one matrix-vector product instead, in whatever order the BLAS
+    kernel sums, and are recomputed by :func:`_row_sums` only where the
+    product cannot decide. With z in {0, 1} every product ``w_j z_j`` is
+    exact and the m terms are summed, so with ``u = eps / 2``, ``W = sum
+    |w|`` and T the exact statistic, the pairwise sum (at most ceil(log2 m)
+    roundings per term, then one for ``c``) and any other summation order
+    (at most m - 1, then one) satisfy
+
+        |t_pair - T| <= gamma_{L+1} (W + |c|),   L = ceil(log2 m),
+        |t_blas - T| <= gamma_m (W + |c|),       gamma_k = k u / (1 - k u),
+
+    so ``|t_blas - t_pair| <= gamma_{m+L+1} (W + |c|) <= (m + steps) eps
+    (W + |c|)`` with steps = L + 2. Forming ``t_min +- slack`` rounds by at
+    most ``u (|t_min| + slack)``. ``slack = 4 (m + steps + 2) eps (W + |c| +
+    |t_min|)`` exceeds both together more than twice over, which also covers
+    the rounding of ``W`` and of ``slack`` itself. Hence ``t_blas >= t_min +
+    slack`` implies ``t_pair >= t_min`` and ``t_blas <= t_min - slack``
+    implies ``t_pair < t_min``; the draws in between (ties and near-ties,
+    which binary and grid outcomes produce) and any non-finite statistic are
+    summed again exactly as the pairwise rule says. The count, and with it
+    the p-value, is the pairwise count whatever the BLAS kernel.
     """
     idx = np.asarray(subgroup, dtype=int)
     if m_draws < 1:
@@ -130,21 +157,35 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     if np.any(np.isnan(z_obs)):
         raise ValidationError("masked assignment in the inference fold")
     e = dataset.e[idx]
+    m = idx.size
     # The observed statistic is summed exactly as each draw's is, so a draw
     # replicating the observed assignment ties exactly (ties carry real
     # probability mass on small folds).
     t_obs = float(_row_sums(z_obs[None, :] * w)[0]) + c
     # The pairwise sum takes ceil(log2 m) rounds, then c is added.
-    t_min = _tie_floor(t_obs, w, c, (idx.size - 1).bit_length() + 2)
-    rows = max(1, _DRAW_ELEMENTS // idx.size)
+    steps = (m - 1).bit_length() + 2
+    t_min = _tie_floor(t_obs, w, c, steps)
+    eps = np.finfo(float).eps
+    slack = 4 * (m + steps + 2) * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_min))
+    # A non-finite bound certifies nothing: every draw is summed pairwise.
+    hi, lo = (t_min + slack, t_min - slack) if np.isfinite(slack) else (np.nan, np.nan)
+    rows = max(1, _DRAW_ELEMENTS // m)
+    buf = np.empty((min(rows, m_draws), m))
     count = 0
     for start in range(0, m_draws, rows):
+        draws = buf[:min(rows, m_draws - start)]
         # Generator.random fills in C order, so the chunks consume the
-        # stream exactly as one m_draws x |J| draw would.
-        draws = rng.random((min(rows, m_draws - start), idx.size))
+        # stream exactly as one m_draws x m draw would.
+        rng.random(out=draws)
         np.less(draws, e, out=draws)
-        draws *= w
-        count += int(np.count_nonzero(_row_sums(draws) + c >= t_min))
+        t = draws @ w
+        t += c
+        above = t >= hi
+        unsure = np.flatnonzero(~(above | (t <= lo)))
+        count += int(np.count_nonzero(above))
+        if unsure.size:
+            t_pair = _row_sums(draws[unsure] * w) + c
+            count += int(np.count_nonzero(t_pair >= t_min))
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 

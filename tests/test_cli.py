@@ -100,6 +100,17 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "row 1" in err and "column y" in err
 
+    @pytest.mark.parametrize("label", ["100000000000000000000000", "-9223372036854775809",
+                                       "1" + "0" * 400])
+    def test_out_of_range_label_exit_2(self, trial_csv, capsys, label):
+        rows = trial_csv.read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0] + "," + label
+        trial_csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 2, column subgroup: label ")
+        assert "outside the 64-bit range" in err
+
     @pytest.mark.parametrize("method", ["rt", "random_split", "adasplit"])
     @pytest.mark.parametrize("cell,column,cause", [
         ("y=inf", "y", "non-finite"),

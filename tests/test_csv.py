@@ -144,3 +144,10 @@ class TestWrite:
         write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
         write_csv_reference(tmp_path / "b.csv", ds.x, ds.y, ds.z, labels)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_wrong_number_of_labels(self, tmp_path, count):
+        ds = self.dataset()
+        with pytest.raises(ValidationError, match=f"^{count} subgroup labels for 6 rows$"):
+            write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=list(range(count)))
+        assert not (tmp_path / "a.csv").exists()

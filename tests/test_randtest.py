@@ -284,6 +284,49 @@ class TestReferenceDrawLoop:
             got = mc_pvalue(spec, ds, fold, m_draws, make(i), subgroup_id=i)
             assert got == PValue(value, m_draws, t_obs, i), (i, got, value)
 
+    @pytest.mark.parametrize("m", [1000, 3000])
+    @pytest.mark.parametrize("pin_all", [True, False])
+    def test_large_cancellation_fold(self, m, pin_all):
+        # Four units of +2^52 lead and four of -2^52 close the fold, all
+        # pinned to treatment; 0.25 in between. A sum taken in index order
+        # loses the small terms against the large partial sums (by about
+        # m / 8 of them, past the tie floor), while the pairwise sum cancels
+        # the large terms early. Every draw ties the observed statistic
+        # exactly, so p = 1, and the product alone would count none of them.
+        y = np.full(m, 0.25)
+        y[:4], y[-4:] = 2.0**52, -2.0**52
+        z = (np.arange(m) % 2).astype(float)
+        z[:4] = z[-4:] = 1.0
+        e = np.where(z == 1.0, 1.0 - 1e-12, 1e-12)
+        if not pin_all:
+            e[4:-4] = 0.5
+        ds = Dataset(x=np.zeros((m, 1)), y=y, z=z, e=e)
+        fold = np.arange(m)
+        w, c = randtest._linear_coeffs(dm_spec(), ds, fold)
+        value, t_obs = mc_pvalue_reference(w, c, e, z, 200, rng.stream(32, m))
+        got = mc_pvalue(dm_spec(), ds, fold, 200, rng.stream(32, m))
+        assert got == PValue(value, 200, t_obs, 0) and value == 1.0
+
+    def test_binary_outcomes_reach_the_exact_recount(self, monkeypatch):
+        # Ties and near-ties fall between the product's certified bounds and
+        # are summed again pairwise; continuous outcomes almost never do.
+        rows = []
+        row_sums = randtest._row_sums
+        monkeypatch.setattr(randtest, "_row_sums",
+                            lambda v: rows.append(v.shape[0]) or row_sums(v))
+        gen = np.random.default_rng(33)
+        for kind in ("binary", "continuous"):
+            y = self.outcomes(kind, 200, gen)
+            z = (gen.random(200) < 0.5).astype(float)
+            ds = Dataset.from_arrays(np.zeros((200, 1)), y, z)
+            rows.clear()
+            mc_pvalue(dm_spec(), ds, np.arange(200), 2000, rng.stream(33, 0))
+            recounted = sum(rows) - 1  # the first call sums the observed row
+            if kind == "binary":
+                assert recounted > 0
+            else:
+                assert recounted <= 20
+
 
 class TestExactPValue:
     def test_single_unit(self):
