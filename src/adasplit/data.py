@@ -354,7 +354,7 @@ class AnalysisReport:
 # CSV ingestion ---------------------------------------------------------------
 
 # Rows are parsed this many at a time, which bounds the text held in memory.
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 1024
 _LABEL_RANGE = np.iinfo(int)
 
 

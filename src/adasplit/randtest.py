@@ -138,13 +138,13 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     so ``|t_blas - t_pair| <= gamma_{m+L+1} (W + |c|) <= (m + steps) eps
     (W + |c|)`` with steps = L + 2. Forming ``t_min +- slack`` rounds by at
     most ``u (|t_min| + slack)``. ``slack = 4 (m + steps + 2) eps (W + |c| +
-    |t_min|)`` exceeds both together more than twice over, which also covers
-    the rounding of ``W`` and of ``slack`` itself. Hence ``t_blas >= t_min +
-    slack`` implies ``t_pair >= t_min`` and ``t_blas <= t_min - slack``
-    implies ``t_pair < t_min``; the draws in between (ties and near-ties,
-    which binary and grid outcomes produce) and any non-finite statistic are
-    summed again exactly as the pairwise rule says. The count, and with it
-    the p-value, is the pairwise count whatever the BLAS kernel.
+    |t_min|)`` is about four times their sum, which also covers the rounding
+    of ``W`` and of ``slack`` itself. Hence ``t_blas >= t_min + slack``
+    implies ``t_pair >= t_min`` and ``t_blas <= t_min - slack`` implies
+    ``t_pair < t_min``. The draws in between (ties and near-ties, which
+    binary and grid outcomes produce) and any non-finite statistic are
+    summed again by :func:`_row_sums`. The count, and with it the p-value,
+    is the pairwise count whatever the BLAS kernel.
     """
     idx = np.asarray(subgroup, dtype=int)
     if m_draws < 1:

@@ -110,6 +110,12 @@ class TestRead:
         assert labels.tolist() == [7, 2]
         assert ds.x.flags.c_contiguous
 
+    def test_bad_cell_before_an_oversized_field_comes_first(self, tmp_path):
+        # csv.reader refuses a field over its size limit mid-block; the rows
+        # read before it are still checked first.
+        text = "x1,y,z\n1,2,1\n1,bad,0\n1," + "9" * 200000 + ",1\n"
+        assert error_of(csv_file(tmp_path, text)) == "row 2, column y: could not parse 'bad'"
+
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
         assert error_of(path) == "empty file: n >= 1 required"
