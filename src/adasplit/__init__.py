@@ -20,22 +20,13 @@ from .nuisance import (
     NuisanceModel,
     certainty,
     expected_beta_distance,
-    fit_bar_learner,
     fit_mu,
     fit_rlearner_weighted,
-    marginalized_residual,
     one_minus_c2_series,
     posterior_e,
     scaled_residual,
 )
-from .randtest import (
-    PValue,
-    TestStatisticSpec,
-    exact_pvalue,
-    gaussian_approx_pvalue,
-    mc_pvalue,
-    optimal_soft_inclusion,
-)
+from .randtest import PValue, TestStatisticSpec, exact_pvalue, mc_pvalue
 from .simlab import generate, reproduce_table, run_method
 
 __version__ = "0.1.0"
@@ -48,12 +39,10 @@ __all__ = [
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls", "predict",
     "closed_testing", "fisher_combine",
-    "NuisanceModel", "certainty", "expected_beta_distance",
-    "fit_bar_learner", "fit_mu", "fit_rlearner_weighted",
-    "marginalized_residual", "one_minus_c2_series", "posterior_e",
+    "NuisanceModel", "certainty", "expected_beta_distance", "fit_mu",
+    "fit_rlearner_weighted", "one_minus_c2_series", "posterior_e",
     "scaled_residual",
-    "PValue", "TestStatisticSpec", "exact_pvalue", "gaussian_approx_pvalue",
-    "mc_pvalue", "optimal_soft_inclusion",
+    "PValue", "TestStatisticSpec", "exact_pvalue", "mc_pvalue",
     "generate", "reproduce_table", "run_method",
     "__version__",
 ]

@@ -398,10 +398,10 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
             rows = []
             try:
                 rows.extend(itertools.islice(reader, _CSV_BLOCK))
-            except csv.Error:
+            except csv.Error as exc:
                 # A bad cell before the reader's own error is reported first.
                 _parse_block(rows, first, fields, len(header))
-                raise
+                raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
             if not rows:
                 break
             blocks.append(_parse_block(rows, first, fields, len(header)))
@@ -479,8 +479,14 @@ def write_dataset_csv(path, dataset, subgroup_labels=None):
     """Inverse of :func:`read_dataset_csv`, used by the simulation lab.
 
     Covariates and outcomes are written as the ``repr`` of each float, which
-    reads back bit for bit; assignments and labels as integers.
+    reads back bit for bit; assignments and labels as integers. A masked
+    (NaN) assignment has no integer form: it is an error naming its row, and
+    no file is written.
     """
+    masked = np.flatnonzero(np.isnan(dataset.z))
+    if masked.size:
+        raise ValidationError(
+            f"row {masked[0] + 1}: masked assignment cannot be written")
     header = [f"x{i + 1}" for i in range(dataset.d)] + ["y", "z"]
     columns = [map(repr, c) for c in dataset.x.T.tolist()]
     columns.append(map(repr, dataset.y.tolist()))

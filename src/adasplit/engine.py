@@ -46,6 +46,7 @@ from .nuisance import (
     fit_mu,
     noise_floor,
     posterior_e,
+    scaled_residual,
 )
 from .randtest import STAT_AIPW, TestStatisticSpec, test_folds
 
@@ -206,7 +207,7 @@ class _LoopState:
         z = self.zlog.take(units)
         self.z[units] = z
         # run requires the half design, so e(x) is the scalar 1/2.
-        self.r[units] = self.resid_y[units] / (z - 0.5)
+        self.r[units] = scaled_residual(self.y[units], z, self.mu_vals[units], 0.5)
 
     def rebuild(self):
         """Form the sums afresh over the whole fold."""
@@ -236,28 +237,24 @@ class _LoopState:
 
     def refit(self):
         """Bring the sums up to date with the moves since the last refit and
-        fit the weighted CATE model; returns its predictions, the posterior
-        and its scale. One move is added in place; the prune pass's batch,
-        a new ``kappa`` and ``knn_k >= n`` (every count moves) rebuild."""
+        fit the weighted CATE model; returns it, the posterior and its
+        scale. One move is added in place; the prune pass's batch, a new
+        ``kappa`` and ``knn_k >= n`` (every count moves) rebuild."""
         if self.g_w is None or self.rev is None or len(self.pending) > 1:
             self.rebuild()
         elif self.pending:
             self.add(self.pending[0])
         self.pending.clear()
-        coef = LinearModel(
-            _solve_spd(self.g_w + self.ridge_eye, self.b_w, self.ridge)
-        ).coef
-        tau_vals = self.xd @ coef
+        tau_w = LinearModel(_solve_spd(self.g_w + self.ridge_eye, self.b_w, self.ridge))
+        tau_vals = self.xd @ tau_w.coef
         resid = self.resid_y - self.z * tau_vals
         nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.floor)
-        return tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2), nu2
+        return tau_w, posterior_e(self.y, self.mu_vals, tau_vals, nu2), nu2
 
-    def step(self):
-        """Refit, then the pooled CATE fit: observed scaled residuals on the
-        fold, imputed ones ``2 (y - mu) (2 e_hat - 1)`` weighted by lambda
-        elsewhere. At lambda = 1 its Gram is X'X, factored once. Returns
-        the pooled model, the posterior and its scale."""
-        _, e_hat, nu2 = self.refit()
+    def pooled(self, e_hat):
+        """The pooled CATE fit after a refit: observed scaled residuals on
+        the fold, imputed ones ``2 (y - mu) (2 e_hat - 1)`` weighted by
+        lambda elsewhere. At lambda = 1 its Gram is X'X, factored once."""
         if self.lam == 1.0:
             if self.pooled_factor is None:
                 self.pooled_factor = _cho_factor(self.xtx + self.ridge_eye, self.ridge)
@@ -267,7 +264,7 @@ class _LoopState:
             factor = _cho_factor(gram + self.ridge_eye, self.ridge)
         imputed = self.imputed_scale * (2.0 * e_hat - 1.0)
         rhs = self.xd.T @ np.where(self.mask, self.r, imputed)
-        return LinearModel(_cho_solve(factor, rhs)), e_hat, nu2
+        return LinearModel(_cho_solve(factor, rhs))
 
 
 def run(dataset, partition, config, collect_trace=True):
@@ -293,7 +290,8 @@ def run(dataset, partition, config, collect_trace=True):
 
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
-    tau_prev_vals, e_hat, _ = state.refit()
+    tau_w, e_hat, _ = state.refit()
+    tau_prev_vals = state.xd @ tau_w.coef
 
     state.index(x, y, config.knn_k)
     labels = partition.labels()
@@ -320,7 +318,8 @@ def run(dataset, partition, config, collect_trace=True):
             avail[groups[k_star]] = False
         t += 1
 
-        tau_new, e_hat, _ = state.step()
+        _, e_hat, _ = state.refit()
+        tau_new = state.pooled(e_hat)
         tau_new_vals = state.xd @ tau_new.coef
         if held.size >= 2:
             l_t = convergence_metric(tau_new_vals[held], tau_prev_vals[held])
@@ -354,7 +353,8 @@ def run(dataset, partition, config, collect_trace=True):
             state.move(j)
             j_sizes[k] -= 1
 
-    tau_final, _, nu2 = state.step()
+    _, e_hat, nu2 = state.refit()
+    tau_final = state.pooled(e_hat)
 
     reads_before = [int(i) for i in zlog.reads()]
     stat = TestStatisticSpec(

@@ -1,30 +1,28 @@
 """Nuisance estimators: outcome model, residual regressions, selection
-probabilities, posterior assignment probabilities, and the imputation-based
-CATE estimator.
+probabilities and posterior assignment probabilities.
 
 The estimation stack mirrors how the adaptive split consumes it:
 
 * ``fit_mu`` fits the outcome regression E[Y | X] on all units without
   touching any treatment assignment.
 * Scaled residuals ``(y - mu(x)) / (z - e(x))`` turn the partially linear
-  outcome model into a regression problem whose target is the CATE; fitting
-  them by (weighted) least squares gives the residual-on-covariate CATE
-  estimators.
-* For units whose assignment is held out, the residual is *imputed* by
-  marginalizing z over the posterior assignment probability
-  ``e(x, y) = sigmoid((y - mu(x)) tau(x) / nu^2)``; feeding both observed and
-  imputed residuals into one regression gives ``fit_bar_learner``, which uses
-  every unit's covariates and outcome while reading assignments only from
-  the nuisance fold.
+  outcome model into a regression problem whose target is the CATE;
+  ``fit_rlearner_weighted`` fits them by least squares over one fold.
 * Because the nuisance fold is selected adaptively, plain least squares on
-  it is biased; ``fit_rlearner_weighted`` corrects this by inverse weighting
-  with the estimated selection probability ``p(x, y)``, a leave-one-out
-  k-nearest-neighbor vote on standardized (covariate, outcome) coordinates:
-  ``NeighborIndex`` holds the lists, the engine counts the votes. A KD-tree
-  proposes each unit's candidates, one fixed distance formula re-ranks them
-  exactly, and a rounding-error certificate shows no other unit is nearer or
-  tied; rows it cannot certify are scanned against every unit. The build
-  costs about O(n log n + n * kappa * d) rather than O(n^2 d).
+  it is biased; the selection loop (``engine._LoopState``) weights each fold
+  unit by the inverse of its estimated selection probability ``p(x, y)``, a
+  leave-one-out k-nearest-neighbor vote on standardized (covariate, outcome)
+  coordinates. ``NeighborIndex`` holds the lists, the engine counts the
+  votes. A KD-tree proposes each unit's candidates, one fixed distance
+  formula re-ranks them exactly, and a rounding-error certificate shows no
+  other unit is nearer or tied; rows it cannot certify are scanned against
+  every unit. The build costs about O(n log n + n * kappa * d) rather than
+  O(n^2 d).
+* For units whose assignment is held out, the loop's pooled CATE fit
+  imputes the residual by marginalizing z over the posterior assignment
+  probability ``e(x, y) = sigmoid((y - mu(x)) tau(x) / nu^2)`` from
+  ``posterior_e``, so it uses every unit's covariates and outcome while
+  reading assignments only from the nuisance fold.
 """
 
 import math
@@ -58,36 +56,18 @@ def scaled_residual(y, z, mu_vals, e):
     return (np.asarray(y, dtype=float) - mu_vals) / (np.asarray(z, dtype=float) - e)
 
 
-def marginalized_residual(y, mu_vals, e, e_hat):
-    """Assignment-free residual: z marginalized over the posterior ``e_hat``.
-
-    Equals ``e_hat * R(z=1) + (1 - e_hat) * R(z=0)``; under a half design
-    this reduces to ``2 (y - mu(x)) (2 e_hat - 1)``.
-    """
-    d = np.asarray(y, dtype=float) - mu_vals
-    return e_hat * d / (1.0 - e) + (1.0 - e_hat) * d / (0.0 - e)
-
-
-def fit_rlearner_weighted(x, y, z, e, mu_vals, p_vals=None, ridge=0.0):
-    """CATE regression of scaled residuals on covariates over one fold,
-    corrected for selection bias.
+def fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=0.0):
+    """CATE regression of scaled residuals on covariates over one fold, by
+    plain least squares.
 
     All array arguments are restricted to the fold; callers hand in exactly
-    the assignments they are allowed to read. Each unit is weighted by the
-    inverse of its estimated selection probability, restoring consistency
-    when the fold was chosen adaptively; ``p_vals=None`` means unit
-    probabilities, the plain least-squares fit.
+    the assignments they are allowed to read. The selection loop's
+    inverse-weighted fit is ``engine._LoopState.refit``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] < x.shape[1] + 1:
         raise ValidationError("fold too small for the residual regression")
-    r = scaled_residual(y, z, mu_vals, e)
-    if p_vals is None:
-        return fit_wls(x, r, ridge=ridge)
-    p_vals = np.asarray(p_vals, dtype=float).ravel()
-    if np.any(p_vals <= 0.0):
-        raise ValidationError("selection probabilities must be positive")
-    return fit_wls(x, r, w=1.0 / p_vals, ridge=ridge)
+    return fit_wls(x, scaled_residual(y, z, mu_vals, e), ridge=ridge)
 
 
 # Selection probability -------------------------------------------------------
@@ -267,42 +247,6 @@ class NuisanceModel:
 
     mu: LinearModel
     tau: LinearModel
-
-
-# Imputation-based CATE estimator ----------------------------------------------
-
-def fit_bar_learner(x, y, e, nuisance_mask, z_nuis, mu_vals, e_hat_vals,
-                    lam=1.0, ridge=0.0):
-    """CATE estimator pooling observed and imputed scaled residuals.
-
-    Nuisance-fold units contribute their observed scaled residual; every
-    other unit contributes the marginalized residual built from the posterior
-    ``e_hat_vals``. With ``lam=1`` under a half design the solution is the
-    plain least-squares fit of the pooled residuals on the covariates:
-
-        beta = (X'X)^{-1} (sum_I x_i r_i + sum_J x_j r_imputed_j)
-
-    with an intercept column in X and ridge stabilization of the Gram matrix.
-    ``lam`` rescales the imputed units' contribution; ``lam=0`` reduces to
-    :func:`fit_rlearner_weighted` with unit probabilities on the nuisance
-    fold alone.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    mask = np.asarray(nuisance_mask, dtype=bool)
-    if mask.sum() < 1:
-        raise ValidationError("nuisance fold is empty")
-    xd = _design(x)
-    r_i = scaled_residual(
-        np.asarray(y)[mask], z_nuis, np.asarray(mu_vals)[mask], np.asarray(e)[mask]
-    )
-    r_j = marginalized_residual(
-        np.asarray(y)[~mask], np.asarray(mu_vals)[~mask],
-        np.asarray(e)[~mask], np.asarray(e_hat_vals)[~mask],
-    )
-    xd_i, xd_j = xd[mask], xd[~mask]
-    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd.shape[1])
-    rhs = xd_i.T @ r_i + lam * (xd_j.T @ r_j)
-    return LinearModel(_solve_spd(gram, rhs, ridge))
 
 
 def expected_beta_distance(x, y, nuisance_mask, mu_vals, c_vals, ridge=0.0):

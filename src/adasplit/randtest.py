@@ -1,7 +1,5 @@
 """Randomization tests: statistics, Monte-Carlo and exact reference
-distributions, the testing stage all three methods share, a Gaussian
-approximation of the marginalized p-value, and the threshold solution of the
-soft inclusion problem.
+distributions, and the testing stage all three methods share.
 
 Both test statistics are linear in the assignment vector, so a draw of the
 reference distribution is a single dot product, and a chunk of draws is one
@@ -16,12 +14,11 @@ randomized assignments are exchangeable; ties, up to rounding
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from . import rng
 from .errors import ValidationError
 from .multtest import closed_testing
-from .nuisance import NuisanceModel, certainty, posterior_e
+from .nuisance import NuisanceModel
 
 STAT_DM = "difference-in-means"
 STAT_AIPW = "aipw"
@@ -249,75 +246,3 @@ def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
     else:
         value = float(np.sum(prob[hits]))
     return PValue(value, 1 << m, t_obs, subgroup_id)
-
-
-def gaussian_approx_pvalue(y, mu_vals, tau_vals, nu2, delta_clip=1e-6):
-    """Normal approximation of the assignment-marginalized p-value.
-
-    Diagnostic only. The mean gap and variance sum of the observed and
-    randomized statistics in their Gaussian limits are
-
-        mean = 2 * sum_j sign(tau_j) |y_j - mu_j| C_j
-        var  = 4 * sum_j (y_j - mu_j)^2 (2 - C_j^2)
-
-    and the p-value is ``1 - Phi(mean / sqrt(var))``. Posterior
-    probabilities are clipped to [delta, 1 - delta] before scoring.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    mu_vals = np.asarray(mu_vals, dtype=float).ravel()
-    tau_vals = np.asarray(tau_vals, dtype=float).ravel()
-    e_vals = np.clip(posterior_e(y, mu_vals, tau_vals, nu2), delta_clip, 1.0 - delta_clip)
-    c = certainty(e_vals)
-    d = y - mu_vals
-    mean = 2.0 * float(np.sum(np.sign(tau_vals) * np.abs(d) * c))
-    var = 4.0 * float(np.sum(d**2 * (2.0 - c**2)))
-    if var <= 0.0:
-        if mean == 0.0:
-            return 0.5
-        return 0.0 if mean > 0.0 else 1.0
-    return float(1.0 - norm.cdf(mean / np.sqrt(var)))
-
-
-def soft_inclusion_items(y, mu_vals, tau_vals, nu2):
-    """Per-unit gain and cost of soft inclusion in the inference fold.
-
-    The gain is the unit's contribution to the mean gap of the Gaussian
-    limit, the cost its contribution to the variance sum.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    mu_vals = np.asarray(mu_vals, dtype=float).ravel()
-    tau_vals = np.asarray(tau_vals, dtype=float).ravel()
-    c = certainty(posterior_e(y, mu_vals, tau_vals, nu2))
-    d = y - mu_vals
-    a = np.sign(tau_vals) * np.abs(d) * c
-    b = d**2 * (2.0 - c**2)
-    return a, b
-
-
-def optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, budget):
-    """Threshold solution of the soft inclusion problem.
-
-    Maximizes ``sum_j xi_j a_j`` subject to ``sum_j xi_j b_j <= budget`` and
-    ``xi in [0, 1]^m`` by greedily filling positive-gain items in decreasing
-    gain/cost ratio (ties toward the lower index), with at most one
-    fractional entry at the budget boundary. Units with nonpositive gain,
-    in particular every unit with ``tau(x) <= 0``, are excluded outright.
-    """
-    if not budget > 0.0:
-        raise ValidationError("budget must be positive")
-    a, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-    xi = np.zeros(a.size)
-    pos = np.flatnonzero(a > 0.0)
-    if pos.size == 0:
-        return xi
-    ratio = a[pos] / b[pos]
-    order = pos[np.lexsort((pos, -ratio))]
-    remaining = float(budget)
-    for j in order:
-        if b[j] <= remaining:
-            xi[j] = 1.0
-            remaining -= b[j]
-        else:
-            xi[j] = remaining / b[j]
-            break
-    return xi

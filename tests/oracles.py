@@ -10,6 +10,7 @@ import csv
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import chdtrc
 
 
@@ -154,6 +155,27 @@ def pooled_imputation_loss(beta, x, y, z, e, mask, mu_vals, e_hat, lam):
     return float(full + lam * np.sum(imp1 + imp0))
 
 
+def bar_learner_reference(x, y, e, mask, z_nuis, mu_vals, e_hat, lam, ridge):
+    """The pooled CATE fit on a general design: observed scaled residuals
+    ``(y - mu) / (z - e)`` on the fold ``mask``, and on the other units the
+    residual with z marginalized over the posterior ``e_hat``, ``e_hat (y -
+    mu) / (1 - e) - (1 - e_hat) (y - mu) / e``, weighted by lam. Solves
+    ``(X_I'X_I + lam X_J'X_J + ridge I) beta = X_I'r_I + lam X_J'r_J`` with
+    ``scipy.linalg.cho_factor`` / ``cho_solve``, intercept column first.
+    Returns the coefficients."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y, e, mu_vals = (np.asarray(a, dtype=float) for a in (y, e, mu_vals))
+    i = np.asarray(mask, dtype=bool)
+    j = ~i
+    xd = np.hstack([np.ones((x.shape[0], 1)), x])
+    r_i = (y[i] - mu_vals[i]) / (np.asarray(z_nuis, dtype=float) - e[i])
+    d_j = y[j] - mu_vals[j]
+    r_j = e_hat[j] * d_j / (1.0 - e[j]) + (1.0 - e_hat[j]) * d_j / (0.0 - e[j])
+    xd_i, xd_j = xd[i], xd[j]
+    gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd.shape[1])
+    return cho_solve(cho_factor(gram), xd_i.T @ r_i + lam * (xd_j.T @ r_j))
+
+
 def minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam, sweeps=2000):
     """Coordinate descent on :func:`pooled_imputation_loss` from a zero
     start, run until the loss change falls below 1e-12."""
@@ -183,23 +205,6 @@ def minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam, sweeps=2000):
             break
         last = loss
     return beta
-
-
-def knapsack_grid(a, b, budget, step=0.1):
-    """Best objective over the grid {0, step, ..., 1}^m subject to the
-    budget; exhaustive, so m must stay small."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = a.size
-    if m > 6:
-        raise ValueError("too many items for the exhaustive grid")
-    vals = np.arange(0.0, 1.0 + step / 2, step)
-    grids = np.meshgrid(*([vals] * m), indexing="ij")
-    xi = np.stack([g.ravel() for g in grids])
-    feasible = b @ xi <= budget + 1e-12
-    if not np.any(feasible):
-        return 0.0
-    return float(np.max((a @ xi)[feasible]))
 
 
 def knn_lists(x, y, kappa):
@@ -277,14 +282,14 @@ def closed_testing_bruteforce(pvals, q):
 # Reference selection loop ------------------------------------------------------
 #
 # The engine loop as it stood before the per-run loop state: every step
-# refits through the public fitting functions, rebuilding the intercept
-# design, and votes as the mean of the fold indicator over each unit's
-# leave-one-out lists from ``knn_lists`` (over all units when kappa >= n).
-# The engine keeps running sums instead, so its reports must match these
-# exactly in every decision and to 1e-9 in the fitted numbers
-# (``test_engine.assert_matches_reference``). This oracle pins the loop
-# and the vote, not the fitting functions, so it runs on the package's: the
-# caller passes the package in as ``pkg`` and nothing here imports it.
+# refits from scratch, rebuilding the intercept design, and votes as the
+# mean of the fold indicator over each unit's leave-one-out lists from
+# ``knn_lists`` (over all units when kappa >= n). The engine keeps running
+# sums instead, so its reports must match these exactly in every decision
+# and to 1e-9 in the fitted numbers (``test_engine.assert_matches_reference``).
+# The pooled fit is ``bar_learner_reference``; the weighted fit, the outcome
+# model and the testing stage are the package's public functions, which the
+# caller passes in as ``pkg``, so nothing here imports the package.
 
 
 def reference_convergence_metric(pkg, tau_new, tau_old, x_j):
@@ -303,24 +308,24 @@ def _reference_refit(pkg, x, y, e, mask, p_all, zlog, mu_vals, floor, ridge):
     nuis_idx = np.flatnonzero(mask)
     z_i = zlog.take(nuis_idx)
     p_i = p_all[nuis_idx]
-    tau_w = pkg.nuisance.fit_rlearner_weighted(
-        x[nuis_idx], y[nuis_idx], z_i, e[nuis_idx], mu_vals[nuis_idx], p_i,
-        ridge=ridge,
-    )
+    r_i = pkg.nuisance.scaled_residual(y[nuis_idx], z_i, mu_vals[nuis_idx], e[nuis_idx])
+    tau_w = pkg.linmodel.fit_wls(x[nuis_idx], r_i, w=1.0 / p_i, ridge=ridge)
     resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_w.predict(x[nuis_idx])
     nu2 = max(float(np.sum(resid**2 / p_i)) / x.shape[0], floor)
     e_hat = pkg.nuisance.posterior_e(y, mu_vals, tau_w.predict(x), nu2)
     return z_i, tau_w, e_hat, nu2
 
 
-def _reference_selection_prob(lists, mask):
+def reference_selection_prob(lists, mask):
+    """Each unit's vote, the mean of the fold indicator over its neighbor
+    list, clipped to [1 / (2 kappa), 1]."""
     b = mask.astype(float)
     return np.clip(b[lists].mean(axis=1), 1.0 / (2.0 * lists.shape[1]), 1.0)
 
 
 def reference_run(pkg, dataset, partition, config, collect_trace=True):
-    """The engine's ``run`` with a full refit through the public fitting
-    functions of ``pkg`` (the package) at every step."""
+    """The engine's ``run`` with a full refit at every step; ``pkg`` is
+    the package."""
     nuisance = pkg.nuisance
     if dataset.n != partition.n:
         raise pkg.errors.ValidationError("dataset and partition sizes differ")
@@ -370,12 +375,11 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
         t += 1
 
         z_i, _, e_hat, _ = _reference_refit(
-            pkg, x, y, e, mask, _reference_selection_prob(lists, mask), zlog,
+            pkg, x, y, e, mask, reference_selection_prob(lists, mask), zlog,
             mu_vals, floor, ridge,
         )
-        tau_new = nuisance.fit_bar_learner(
-            x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
-        )
+        tau_new = pkg.linmodel.LinearModel(
+            bar_learner_reference(x, y, e, mask, z_i, mu_vals, e_hat, lam, ridge))
         x_j = x[~mask]
         if x_j.shape[0] >= 2:
             l_t = reference_convergence_metric(pkg, tau_new, tau_prev, x_j)
@@ -408,12 +412,11 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
             j_sizes[k] -= 1
 
     z_i, _, e_hat, nu2 = _reference_refit(
-        pkg, x, y, e, mask, _reference_selection_prob(lists, mask), zlog,
+        pkg, x, y, e, mask, reference_selection_prob(lists, mask), zlog,
         mu_vals, floor, ridge,
     )
-    tau_final = nuisance.fit_bar_learner(
-        x, y, e, mask, z_i, mu_vals, e_hat, lam=lam, ridge=ridge,
-    )
+    tau_final = pkg.linmodel.LinearModel(
+        bar_learner_reference(x, y, e, mask, z_i, mu_vals, e_hat, lam, ridge))
 
     reads_before = [int(i) for i in zlog.reads()]
     stat = pkg.randtest.TestStatisticSpec(

@@ -17,10 +17,9 @@ from adasplit import (
     NuisanceModel,
     SubgroupPartition,
     TestStatisticSpec,
+    engine,
     exact_pvalue,
     expected_beta_distance,
-    fit_bar_learner,
-    fit_rlearner_weighted,
     mc_pvalue,
     one_minus_c2_series,
     run,
@@ -37,7 +36,9 @@ from oracles import (
     aipw_statistic,
     dm_statistic,
     enumerate_pvalue,
+    knn_lists,
     minimize_bar_loss,
+    reference_selection_prob,
     wls_solve,
 )
 
@@ -155,7 +156,11 @@ def test_criterion_5_monte_carlo_vs_enumeration():
 
 
 def test_criterion_6_closed_form_vs_optimizer():
+    # The selection loop's own solves: the pooled fit at the instance's
+    # posterior, and after the index the weighted R-learner, which weights
+    # each fold unit by the inverse of its clipped neighbor vote.
     gen = np.random.default_rng(6)
+    cfg = AdaSplitConfig(lambda_imputed=1.0, ridge_lambda=1e-10)
     bar_ok = True
     wls_ok = True
     for i in range(20):
@@ -170,21 +175,23 @@ def test_criterion_6_closed_form_vs_optimizer():
         e_hat = posterior_e(y, mu_vals, tau, 1.0)
         mask = np.zeros(n, dtype=bool)
         mask[gen.permutation(n)[: n // 2]] = True
-        closed = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, e_hat,
-                                 lam=1.0, ridge=1e-10).coef
+        ds = Dataset.from_arrays(x, y, z)
+        state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
+        state.refit()
+        closed = state.pooled(e_hat).coef
         numeric = minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam=1.0)
         bar_ok &= bool(np.linalg.norm(closed - numeric) <= 1e-6)
 
-        p_vals = gen.uniform(0.2, 1.0, size=int(mask.sum()))
-        ours = fit_rlearner_weighted(x[mask], y[mask], z[mask], e[mask],
-                                     mu_vals[mask], p_vals).coef
-        ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask],
-                                                 mu_vals[mask], e[mask]),
-                        w=1.0 / p_vals)
+        state.index(x, y, cfg.knn_k)
+        ours = state.refit()[0].coef
+        p = reference_selection_prob(knn_lists(x, y, cfg.knn_k)[1], mask)[mask]
+        ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask], mu_vals[mask], e[mask]),
+                        w=1.0 / p, ridge=cfg.ridge_lambda)
         wls_ok &= bool(np.linalg.norm(ours - ref) <= 1e-10)
-    report(6, "pooled-residual closed form matches coordinate descent within "
-              "1e-6 and the weighted residual regression matches the generic "
-              "WLS oracle within 1e-10 (20 instances)", bar_ok and wls_ok)
+    report(6, "the selection loop's pooled closed form matches coordinate "
+              "descent within 1e-6 and its vote-weighted residual regression "
+              "matches the generic WLS oracle within 1e-10 (20 instances)",
+           bar_ok and wls_ok)
 
 
 def test_criterion_7_series_identity():

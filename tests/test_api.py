@@ -1,5 +1,9 @@
 """The public API of the package."""
 
+import os
+import subprocess
+import sys
+
 import adasplit
 
 
@@ -12,6 +16,19 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_not_exported():
     for name in ("SelectionModel", "fit_selection_prob", "estimate_noise_var",
                  "FoldState", "RejectionSet", "holm", "validate_dataset",
-                 "t_dm", "phi_aipw", "fit_rlearner_ols"):
+                 "t_dm", "phi_aipw", "fit_rlearner_ols", "fit_bar_learner",
+                 "marginalized_residual", "gaussian_approx_pvalue",
+                 "optimal_soft_inclusion"):
         assert name not in adasplit.__all__
         assert not hasattr(adasplit, name)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # Loading scipy.stats about doubles the package's import time; the
+    # package needs only scipy.special, scipy.linalg and scipy.spatial.
+    src = os.path.dirname(os.path.dirname(adasplit.__file__))
+    code = "import sys, adasplit; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -100,6 +100,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "row 1" in err and "column y" in err
 
+    def test_oversized_field_exit_2(self, trial_csv, capsys):
+        # A y cell of 200000 digits is over the csv module's field limit.
+        rows = trial_csv.read_text().splitlines()
+        header = rows[0].split(",")
+        cells = rows[4].split(",")
+        cells[header.index("y")] = "9" * 200000
+        rows[4] = ",".join(cells)
+        trial_csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 4: field larger than field limit")
+
     @pytest.mark.parametrize("label", ["100000000000000000000000", "-9223372036854775809",
                                        "1" + "0" * 400])
     def test_out_of_range_label_exit_2(self, trial_csv, capsys, label):

@@ -116,6 +116,11 @@ class TestRead:
         text = "x1,y,z\n1,2,1\n1,bad,0\n1," + "9" * 200000 + ",1\n"
         assert error_of(csv_file(tmp_path, text)) == "row 2, column y: could not parse 'bad'"
 
+    def test_oversized_field_names_its_row(self, tmp_path):
+        text = "x1,y,z\n1,2,1\n\n1," + "9" * 200000 + ",1\n3,4,0\n"
+        assert error_of(csv_file(tmp_path, text)) == (
+            "row 3: field larger than field limit (131072)")
+
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
         assert error_of(path) == "empty file: n >= 1 required"
@@ -150,6 +155,13 @@ class TestWrite:
         write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
         write_csv_reference(tmp_path / "b.csv", ds.x, ds.y, ds.z, labels)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_masked_assignment_writes_no_file(self, tmp_path):
+        ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0],
+                                 [1.0, np.nan, np.nan])
+        with pytest.raises(ValidationError, match="^row 2: masked assignment"):
+            write_dataset_csv(tmp_path / "a.csv", ds)
+        assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_wrong_number_of_labels(self, tmp_path, count):

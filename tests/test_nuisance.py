@@ -1,5 +1,6 @@
 """Nuisance estimators: outcome model, residuals, selection probability,
-posterior assignment probability, pooled CATE estimator."""
+posterior assignment probability, and the selection loop's pooled CATE
+solve."""
 
 import tracemalloc
 
@@ -11,11 +12,9 @@ from adasplit import (
     ValidationError,
     certainty,
     expected_beta_distance,
-    fit_bar_learner,
     fit_mu,
     fit_rlearner_weighted,
     fit_wls,
-    marginalized_residual,
     one_minus_c2_series,
     posterior_e,
     scaled_residual,
@@ -25,7 +24,7 @@ from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import (draw_covariates, generate, get_scenario,
                              scenario_with_size)
 from adasplit import rng
-from oracles import knn_lists, knn_rows, minimize_bar_loss, wls_solve
+from oracles import knn_lists, knn_rows, minimize_bar_loss
 
 
 class TestOutcomeModel:
@@ -67,18 +66,6 @@ class TestResiduals:
         assert scaled_residual(2.0, 1.0, 1.0, 0.5) == 2.0
         assert scaled_residual(2.0, 0.0, 1.0, 0.5) == -2.0
 
-    def test_marginalized_values(self):
-        assert marginalized_residual(1.0, 0.0, 0.5, 0.5) == 0.0
-        assert marginalized_residual(2.0, 1.0, 0.5, 1.0) == scaled_residual(2.0, 1.0, 1.0, 0.5)
-        assert marginalized_residual(2.0, 1.0, 0.5, 0.75) == pytest.approx(1.0)
-
-    def test_marginalized_is_conditional_mean(self):
-        gen = np.random.default_rng(2)
-        y, mu, e_hat = gen.normal(size=3)
-        e = 0.5
-        mean = e_hat * scaled_residual(y, 1.0, mu, e) + (1 - e_hat) * scaled_residual(y, 0.0, mu, e)
-        assert marginalized_residual(y, mu, e, e_hat) == pytest.approx(mean, abs=1e-14)
-
 
 class TestResidualRegressions:
     def test_noiseless_recovery(self):
@@ -100,7 +87,7 @@ class TestResidualRegressions:
         mu_vals = gen.normal(size=30)
         e = np.full(30, 0.5)
         r = scaled_residual(y, z, mu_vals, e)
-        # unit probabilities take the unweighted least-squares path exactly
+        # the fit is plain least squares on the scaled residuals, bit for bit
         assert np.array_equal(
             fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9).coef,
             fit_wls(x, r, ridge=1e-9).coef,
@@ -110,30 +97,6 @@ class TestResidualRegressions:
         with pytest.raises(ValidationError, match="fold too small"):
             fit_rlearner_weighted(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0],
                                   np.full(2, 0.5), np.zeros(2))
-
-    def test_weighted_constant_weights_match_ols(self):
-        gen = np.random.default_rng(5)
-        x = gen.normal(size=(25, 2))
-        y = gen.normal(size=25)
-        z = (gen.random(25) < 0.5).astype(float)
-        e = np.full(25, 0.5)
-        mu_vals = gen.normal(size=25)
-        ols = fit_rlearner_weighted(x, y, z, e, mu_vals).coef
-        for const in (1.0, 0.3):
-            w = fit_rlearner_weighted(x, y, z, e, mu_vals, np.full(25, const)).coef
-            assert np.allclose(w, ols, atol=1e-9)
-
-    def test_weighted_matches_wls_oracle(self):
-        gen = np.random.default_rng(6)
-        x = gen.normal(size=(30, 3))
-        y = gen.normal(size=30)
-        z = (gen.random(30) < 0.5).astype(float)
-        e = np.full(30, 0.5)
-        mu_vals = gen.normal(size=30)
-        p = gen.uniform(0.2, 1.0, size=30)
-        ours = fit_rlearner_weighted(x, y, z, e, mu_vals, p).coef
-        ref = wls_solve(x, scaled_residual(y, z, mu_vals, e), w=1.0 / p)
-        assert np.allclose(ours, ref, atol=1e-10)
 
 
 def clipped(vote, kappa):
@@ -366,6 +329,8 @@ class TestPosterior:
 
 
 class TestBarLearner:
+    """The selection loop's pooled solve, ``engine._LoopState.pooled``."""
+
     @staticmethod
     def _instance(seed, n=40, d=3):
         gen = np.random.default_rng(seed)
@@ -381,39 +346,34 @@ class TestBarLearner:
         mask[gen.permutation(n)[: n // 2]] = True
         return x, y, z, e, mask, mu_vals, e_hat
 
-    def test_full_fold_equals_rlearner(self):
-        x, y, z, e, _, mu_vals, e_hat = self._instance(0)
-        mask = np.ones(len(y), dtype=bool)
-        bar = fit_bar_learner(x, y, e, mask, z, mu_vals, e_hat, lam=1.0, ridge=1e-9)
-        ols = fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9)
-        assert np.allclose(bar.coef, ols.coef, atol=1e-10)
+    @staticmethod
+    def _pooled(x, y, z, mask, mu_vals, e_hat, lam, ridge):
+        ds = Dataset.from_arrays(x, y, z)
+        cfg = AdaSplitConfig(lambda_imputed=lam, ridge_lambda=ridge)
+        state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
+        state.refit()
+        return state.pooled(e_hat).coef
 
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, e, mask, mu_vals, _ = self._instance(1)
-        bar = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, z, lam=1.0, ridge=1e-9)
+        bar = self._pooled(x, y, z, mask, mu_vals, z, lam=1.0, ridge=1e-9)
         full = fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9)
-        assert np.allclose(bar.coef, full.coef, atol=1e-10)
+        assert np.allclose(bar, full.coef, atol=1e-10)
 
     def test_lam_zero_restricts_to_fold(self):
+        # lambda = 0 takes the fold's running Gram, not the factored X'X.
         x, y, z, e, mask, mu_vals, e_hat = self._instance(2)
-        bar = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, e_hat, lam=0.0, ridge=1e-9)
+        bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=0.0, ridge=1e-9)
         ols = fit_rlearner_weighted(x[mask], y[mask], z[mask], e[mask], mu_vals[mask],
                                     ridge=1e-9)
-        assert np.allclose(bar.coef, ols.coef, atol=1e-10)
+        assert np.allclose(bar, ols.coef, atol=1e-10)
 
     def test_matches_coordinate_descent(self):
         for seed in range(3):
             x, y, z, e, mask, mu_vals, e_hat = self._instance(10 + seed)
-            bar = fit_bar_learner(x, y, e, mask, z[mask], mu_vals, e_hat,
-                                  lam=1.0, ridge=1e-10)
+            bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=1.0, ridge=1e-10)
             ref = minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam=1.0)
-            assert np.allclose(bar.coef, ref, atol=1e-6)
-
-    def test_empty_fold_error(self):
-        x, y, z, e, _, mu_vals, e_hat = self._instance(3)
-        with pytest.raises(ValidationError, match="empty"):
-            fit_bar_learner(x, y, e, np.zeros(len(y), bool), np.array([]),
-                            mu_vals, e_hat)
+            assert np.allclose(bar, ref, atol=1e-6)
 
 
 class TestExpectedBetaDistance:

@@ -1,5 +1,4 @@
-"""Test statistics, Monte-Carlo and exact p-values, the Gaussian
-approximation, and the soft inclusion solver."""
+"""Test statistics and Monte-Carlo and exact p-values."""
 
 import tracemalloc
 
@@ -14,16 +13,13 @@ from adasplit import (
     TestStatisticSpec,
     ValidationError,
     exact_pvalue,
-    gaussian_approx_pvalue,
     mc_pvalue,
-    optimal_soft_inclusion,
 )
-from adasplit.nuisance import fit_mu, posterior_e
-from adasplit.randtest import STAT_AIPW, STAT_DM, soft_inclusion_items
+from adasplit.nuisance import fit_mu
+from adasplit.randtest import STAT_AIPW, STAT_DM
 from adasplit import randtest, rng
 from oracles import (
-    aipw_statistic, dm_statistic, enumerate_pvalue, integer_pvalue, knapsack_grid,
-    mc_pvalue_reference,
+    aipw_statistic, dm_statistic, enumerate_pvalue, integer_pvalue, mc_pvalue_reference,
 )
 
 
@@ -432,106 +428,3 @@ class TestTies:
             got = mc_pvalue(spec, ds, np.arange(m), 500, np.random.default_rng(i)).value
             draws = np.random.default_rng(i).random((500, m)) < 0.5
             assert got == integer_pvalue(ints, z, draws)
-
-
-class TestGaussianApproximation:
-    def test_zero_certainty_gives_half(self):
-        gen = np.random.default_rng(10)
-        y = gen.normal(size=40)
-        p = gaussian_approx_pvalue(y, np.zeros(40), np.zeros(40), 1.0)
-        assert p == pytest.approx(0.5)
-
-    def test_high_certainty_positive_effect(self):
-        y = np.full(50, 5.0)
-        p = gaussian_approx_pvalue(y, np.zeros(50), np.ones(50), 0.01)
-        assert p < 1e-6
-
-    def test_degenerate_variance_branches(self):
-        y = np.zeros(5)
-        assert gaussian_approx_pvalue(y, np.zeros(5), np.ones(5), 1.0) == 0.5
-
-    def test_matches_nested_monte_carlo(self):
-        # marginalized p-value: outer draws of the observed assignments from
-        # the true posterior, inner draws of the reference from the design
-        from adasplit.simlab import generate
-
-        diffs = []
-        for rep in range(50):
-            seed = rng.child_seed(5, 13, rep)
-            ds, part, truth = generate("default", seed)
-            sub = part.groups[rep % 5]
-            xj, yj = ds.x[sub], ds.y[sub]
-            mu_vals = truth.mu(xj)
-            tau_vals = truth.tau(xj)
-            approx = gaussian_approx_pvalue(yj, mu_vals, tau_vals, truth.nu2)
-            gen = rng.stream(seed, 14)
-            e_post = posterior_e(yj, mu_vals, tau_vals, truth.nu2)
-            w = 4.0 * (yj - mu_vals)
-            inner = np.sort((gen.random((4000, sub.size)) < 0.5) @ w)
-            outer = (gen.random((2000, sub.size)) < e_post) @ w
-            frac = 1.0 - np.searchsorted(inner, outer, side="left") / inner.size
-            diffs.append(abs(approx - frac.mean()))
-        assert np.mean(diffs) < 0.1
-
-
-class TestSoftInclusion:
-    @staticmethod
-    def _items(seed, m=6):
-        gen = np.random.default_rng(seed)
-        y = gen.normal(size=m) * 2.0
-        mu_vals = np.zeros(m)
-        tau_vals = gen.normal(size=m)
-        return y, mu_vals, tau_vals, 1.0
-
-    def test_nonpositive_effects_excluded(self):
-        y, mu_vals, _, nu2 = self._items(0)
-        xi = optimal_soft_inclusion(y, mu_vals, -np.abs(np.ones(6)), nu2, 5.0)
-        assert np.all(xi == 0.0)
-
-    def test_slack_budget_includes_all_positive(self):
-        y, mu_vals, tau_vals, nu2 = self._items(1)
-        a, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-        xi = optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, b.sum() + 1.0)
-        assert np.all(xi[a > 0] == 1.0) and np.all(xi[a <= 0] == 0.0)
-
-    def test_at_most_one_fractional(self):
-        for seed in range(10):
-            y, mu_vals, tau_vals, nu2 = self._items(seed)
-            _, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-            xi = optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, 0.4 * b.sum())
-            fractional = np.sum((xi > 0.0) & (xi < 1.0))
-            assert fractional <= 1
-
-    def test_matches_grid_search(self):
-        for seed in range(5):
-            y, mu_vals, tau_vals, nu2 = self._items(20 + seed)
-            a, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-            budget = 0.5 * b.sum()
-            xi = optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, budget)
-            best_grid = knapsack_grid(a, b, budget)
-            assert a @ xi >= best_grid - 1e-9
-
-    def test_beats_random_feasible_points(self):
-        y, mu_vals, tau_vals, nu2 = self._items(33, m=12)
-        a, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-        budget = 0.5 * b.sum()
-        xi = optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, budget)
-        ours = a @ xi
-        gen = np.random.default_rng(34)
-        for _ in range(1000):
-            cand = gen.uniform(size=12)
-            if b @ cand <= budget:
-                assert a @ cand <= ours + 1e-12
-
-    def test_budget_validation(self):
-        y, mu_vals, tau_vals, nu2 = self._items(2)
-        with pytest.raises(ValidationError):
-            optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, 0.0)
-
-    def test_respects_budget(self):
-        for seed in range(5):
-            y, mu_vals, tau_vals, nu2 = self._items(40 + seed)
-            _, b = soft_inclusion_items(y, mu_vals, tau_vals, nu2)
-            budget = 0.3 * b.sum()
-            xi = optimal_soft_inclusion(y, mu_vals, tau_vals, nu2, budget)
-            assert b @ xi <= budget + 1e-9
