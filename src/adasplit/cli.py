@@ -44,7 +44,8 @@ def _build_parser():
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker cap for replication loops (default: ADASPLIT_THREADS or 1)",
+        help="worker process cap for replication loops only; p-values use every "
+             "available CPU regardless (default: ADASPLIT_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

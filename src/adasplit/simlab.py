@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, rng
+from . import engine, randtest, rng
 from .data import (
     AdaSplitConfig,
     AnalysisReport,
@@ -253,7 +253,10 @@ def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS
         for rep in range(reps)
     ]
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # The worker processes already fill the CPUs, so each computes its
+        # p-values serially.
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=threads, initializer=randtest._serial_pvalues) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
                                    chunksize=max(1, reps // (4 * threads))))
     else:

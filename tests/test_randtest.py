@@ -1,11 +1,15 @@
-"""Test statistics and Monte-Carlo and exact p-values."""
+"""Test statistics, Monte-Carlo and exact p-values, and the testing stage."""
 
+import concurrent.futures
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adasplit import (
+    AdaSplitConfig,
     Dataset,
     LinearModel,
     NuisanceModel,
@@ -322,6 +326,106 @@ class TestReferenceDrawLoop:
                 assert recounted > 0
             else:
                 assert recounted <= 20
+
+
+class TestPooledStage:
+    """``test_folds`` gives the same output, error included, with the calling
+    thread alone (one worker) and with one helper thread (two workers), and
+    both equal a serial loop over ``mc_pvalue``."""
+
+    CONFIG = AdaSplitConfig(mc_draws=300, seed=5)
+
+    @staticmethod
+    def trial(k, seed):
+        gen = np.random.default_rng(seed)
+        n = 40 * k
+        x = gen.normal(size=(n, 2))
+        y = x[:, 0] + gen.normal(size=n)
+        z = (gen.random(n) < 0.5).astype(float)
+        folds = [np.sort(f) for f in np.array_split(gen.permutation(n), k)]
+        return x, y, z, folds
+
+    @staticmethod
+    def run(monkeypatch, workers, spec, ds, folds):
+        """``test_folds`` with ``workers`` threads; a ``ValidationError`` it
+        raises is returned as its repr."""
+        with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            monkeypatch.setattr(randtest, "_pvalue_pool", lambda: (pool, workers - 1))
+            try:
+                return randtest.test_folds(spec, ds, folds, TestPooledStage.CONFIG)
+            except ValidationError as exc:
+                return repr(exc)
+
+    def both(self, monkeypatch, spec, ds, folds):
+        one = self.run(monkeypatch, 1, spec, ds, folds)
+        assert self.run(monkeypatch, 2, spec, ds, folds) == one
+        return one
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 14])
+    @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
+    def test_worker_count_does_not_change_the_output(self, monkeypatch, k, stat):
+        x, y, z, folds = self.trial(k, k)
+        spec = dm_spec() if stat == STAT_DM else aipw_spec(x, y, seed=k)
+        ds = Dataset.from_arrays(x, y, z)
+        values, _, flags = self.both(monkeypatch, spec, ds, folds)
+        assert values == tuple(
+            mc_pvalue(spec, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j)).value
+            for j, fold in enumerate(folds))
+        assert flags == {}
+
+    def test_empty_fold_keeps_its_flag(self, monkeypatch):
+        x, y, z, folds = self.trial(3, 40)
+        folds[1] = folds[1][:0]
+        values, _, flags = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z),
+                                     folds)
+        assert values[1] == 1.0 and flags == {"1": "empty-inference-fold"}
+
+    def test_masked_assignment_raises_the_serial_error(self, monkeypatch):
+        x, y, z, folds = self.trial(3, 41)
+        z[folds[1][0]] = np.nan
+        got = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z), folds)
+        assert got == repr(ValidationError("masked assignment in the inference fold"))
+
+    def test_first_failing_subgroup_in_order_raises(self, monkeypatch):
+        # Subgroups 1 and 2 both fail, and subgroup 1 fails later in time,
+        # so a helper may see subgroup 2's error first.
+        x, y, z, folds = self.trial(3, 42)
+        z[folds[1][0]] = z[folds[2][0]] = np.nan
+        plain = randtest.mc_pvalue
+
+        def tagged(spec, ds, fold, m_draws, gen, k):
+            if k == 1:
+                time.sleep(0.05)
+            try:
+                return plain(spec, ds, fold, m_draws, gen, k)
+            except ValidationError as exc:
+                raise ValidationError(f"{exc} (subgroup {k})") from None
+
+        monkeypatch.setattr(randtest, "mc_pvalue", tagged)
+        got = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z), folds)
+        assert got == repr(ValidationError(
+            "masked assignment in the inference fold (subgroup 1)"))
+
+    def test_more_threads_than_cores_with_short_switches(self, monkeypatch):
+        # Threads switched every microsecond race for the next fold and the
+        # result slots; a fold taken twice, skipped or stored at another
+        # index changes the output.
+        x, y, z, folds = self.trial(14, 43)
+        ds = Dataset.from_arrays(x, y, z)
+        serial = self.run(monkeypatch, 1, dm_spec(), ds, folds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self.run(monkeypatch, 6, dm_spec(), ds, folds) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_default_pool_is_made_once(self):
+        pool, count = randtest._pvalue_pool()
+        assert count == randtest._available_cpus() - 1
+        assert (pool is None) == (count == 0)
+        assert randtest._pvalue_pool() == (pool, count)
 
 
 class TestExactPValue:

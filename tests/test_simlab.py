@@ -1,5 +1,11 @@
 """Synthetic generators and the experiment harness."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -147,6 +153,36 @@ class TestHarness:
         threaded = run_replications("default", 4, 7, AdaSplitConfig(mc_draws=100, n0=5),
                                     threads=2)
         assert serial == threaded
+
+    def test_process_workers_after_the_pvalue_pool_is_up(self):
+        # A serial run in the parent starts the p-value pool; forked process
+        # workers must not submit to the copy of it that has no threads.
+        # Run in a subprocess so that a deadlock fails instead of hanging.
+        script = textwrap.dedent("""
+            from adasplit import randtest
+            from adasplit.data import AdaSplitConfig
+            from adasplit.simlab import run_replications
+            cfg = AdaSplitConfig(mc_draws=100, n0=5)
+            serial = run_replications("default", 4, 11, cfg, threads=1)
+            pool, count = randtest._pvalue_pool()
+            assert count == 0 or pool._threads, "the pool has not started"
+            print(run_replications("default", 4, 11, cfg, threads=2) == serial)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        # Its own session, so a timeout also ends the process workers.
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_replications(threads=2) hung after the pool was used")
+        assert proc.returncode == 0, err
+        assert out.split() == ["True"]
 
     def test_summarize_cells(self):
         cfg = AdaSplitConfig(mc_draws=100, n0=5)
