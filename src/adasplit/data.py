@@ -227,9 +227,17 @@ class AdaSplitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Integral values of the integer fields become ints; others fail
+        # here, naming the key, rather than deep inside a run.
         for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite")
+            v = getattr(self, f.name)
+            if type(f.default) is float:
+                if not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite")
+            elif isinstance(v, numbers.Integral) or float(v).is_integer():
+                object.__setattr__(self, f.name, int(v))
+            else:
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
         if not 0.0 < self.p_init < 1.0:
             raise ConfigError("p_init must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:
@@ -265,12 +273,7 @@ class AdaSplitConfig:
                 # JSON numbers only: a string or a boolean is never coerced.
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise TypeError
-                if type(f.default) is int:
-                    if not float(v).is_integer():
-                        raise ValueError
-                    kwargs[f.name] = int(v)
-                else:
-                    kwargs[f.name] = float(v)
+                kwargs[f.name] = v if type(f.default) is int else float(v)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"config key {f.name!r}: bad value {v!r} (must be a number)"

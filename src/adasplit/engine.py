@@ -26,9 +26,11 @@ n = 500, 0.29 ms at n = 3000 and 1.8 ms at n = 20000 (0.28, 0.72 and 5.7 ms
 summing afresh).
 
 Validity rests on a single structural property: no assignment outside the
-nuisance fold is ever read before the p-value stage. The engine therefore
-routes every assignment access through an :class:`_AssignmentLog`, and the
-set of units read before inference is reported for auditing.
+nuisance fold is ever read before the p-value stage. Every method (``rt``,
+``random_split`` and this engine) therefore routes its assignment reads
+through an :class:`_AssignmentLog` and ends with :func:`finish`, which
+records the units read before inference for auditing, tests the inference
+folds and builds the report.
 """
 
 import csv
@@ -355,33 +357,38 @@ def run(dataset, partition, config, collect_trace=True):
 
     _, e_hat, nu2 = state.refit()
     tau_final = state.pooled(e_hat)
-
-    reads_before = [int(i) for i in zlog.reads()]
     stat = TestStatisticSpec(
         kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau_final),
     )
-    folds = [g[~mask[g]] for g in groups]
-    pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
-
-    diagnostics = {
-        "l": l_hist,
-        "converged": converged,
-        "stop_reason": stop_reason,
-        "nu2": nu2,
-        "z_reads_before_pvalues": reads_before,
-        "pvalue_flags": flags,
-    }
+    diagnostics = {"l": l_hist, "converged": converged,
+                   "stop_reason": stop_reason, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
+    return finish("adasplit", dataset, partition, config, zlog, stat, mask=mask,
+                  iterations=t, coef=tau_final.coef, diagnostics=diagnostics)
 
+
+def finish(method, dataset, partition, config, zlog, stat, mask=None,
+           iterations=0, coef=None, diagnostics=None):
+    """The stage every method ends with: record the assignments ``zlog``
+    has handed out, test each subgroup's inference fold (the units off the
+    nuisance ``mask``, or the whole subgroup when there is no mask) with
+    :func:`test_folds`, and build the report. ``diagnostics`` gains
+    ``z_reads_before_pvalues`` and ``pvalue_flags``."""
+    diagnostics = dict(diagnostics or {})
+    diagnostics["z_reads_before_pvalues"] = [int(i) for i in zlog.reads()]
+    groups = partition.groups
+    folds = groups if mask is None else [g[~mask[g]] for g in groups]
+    pvalues, rejected, diagnostics["pvalue_flags"] = test_folds(
+        stat, dataset, folds, config)
     return AnalysisReport(
         pvalues=pvalues,
         rejected=rejected,
-        folds=FoldSnapshot.from_mask(partition, mask),
-        iterations=t,
-        cate_coefficients=tuple(float(c) for c in tau_final.coef),
+        folds=None if mask is None else FoldSnapshot.from_mask(partition, mask),
+        iterations=iterations,
+        cate_coefficients=None if coef is None else tuple(float(c) for c in coef),
         diagnostics=diagnostics,
-        method="adasplit",
+        method=method,
         config=config,
     )
 
@@ -392,7 +399,7 @@ def write_trace_csv(report, path):
     trace = report.diagnostics.get("trace")
     if trace is None:
         raise ValidationError("report carries no trace")
-    k = len(trace[0]["proportions"]) if trace else 0
+    k = len(report.pvalues)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

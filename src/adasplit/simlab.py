@@ -26,18 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, randtest, rng
-from .data import (
-    AdaSplitConfig,
-    AnalysisReport,
-    Dataset,
-    FoldSnapshot,
-    SubgroupPartition,
-    partition_by_quantiles,
-)
+from .data import AdaSplitConfig, Dataset, SubgroupPartition, partition_by_quantiles
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel
 from .nuisance import NuisanceModel, fit_mu, fit_rlearner_weighted
-from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec, test_folds
+from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec
 
 METHOD_RT = "rt"
 METHOD_RANDOM_SPLIT = "random_split"
@@ -84,9 +77,6 @@ class TrueNuisances:
 
     def mu0(self, x):
         return self._affine(self.mu0_coef, x)
-
-    def mu(self, x):
-        return self.mu0(x) + 0.5 * self.tau(x)
 
 
 # The control-arm intercept fixes the outcome scale; only the uncentered
@@ -155,8 +145,10 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     """Run one of the three procedures and return its report.
 
     The methods differ only in how they choose the inference folds and fit
-    the nuisances; all three test the folds with :func:`test_folds`. ``rt``
-    tests each full subgroup with the difference-in-means statistic;
+    the nuisances; all three read assignments through one
+    ``engine._AssignmentLog`` and end with :func:`engine.finish`, so every
+    report lists the assignments read before the p-values. ``rt`` tests each
+    full subgroup with the difference-in-means statistic and reads none;
     ``random_split`` keeps a seeded random part of each subgroup for
     inference, at the floor ``rho`` the adaptive engine stops at, fits the
     nuisances on the rest and tests with the AIPW statistic; ``adasplit``
@@ -167,45 +159,31 @@ def run_method(method, dataset, partition, config, collect_trace=False):
         raise ValidationError("dataset and partition sizes differ")
     if method == METHOD_ADASPLIT:
         return engine.run(dataset, partition, config, collect_trace=collect_trace)
+    zlog = engine._AssignmentLog(dataset.z)
     if method == METHOD_RT:
-        stat = TestStatisticSpec(kind=STAT_DM)
-        folds = partition.groups
-        snapshot = None
-        coef = None
-    else:
-        mask = np.zeros(dataset.n, dtype=bool)
-        for k, g in enumerate(partition.groups):
-            gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
-            # The smallest inference count j with j >= rho * s, by the same
-            # comparison as the engine's eligibility test.
-            m_k = g.size - math.ceil(config.rho * g.size)
-            mask[gen.permutation(g)[:m_k]] = True
-        nuis_idx = np.flatnonzero(mask)
-        if nuis_idx.size < dataset.d + 1:
-            raise ConfigError(
-                f"rho={config.rho} leaves a nuisance fold of {nuis_idx.size} units, "
-                f"fewer than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
-                "lower rho or use a larger sample"
-            )
-        x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
-        mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
-        tau = fit_rlearner_weighted(x_i, y_i, dataset.z[nuis_idx], dataset.e[nuis_idx],
-                                    mu.predict(x_i), ridge=config.ridge_lambda)
-        stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
-        folds = [g[~mask[g]] for g in partition.groups]
-        snapshot = FoldSnapshot.from_mask(partition, mask)
-        coef = tuple(float(c) for c in tau.coef)
-    pvalues, rejected, flags = test_folds(stat, dataset, folds, config)
-    return AnalysisReport(
-        pvalues=pvalues,
-        rejected=rejected,
-        folds=snapshot,
-        iterations=0,
-        cate_coefficients=coef,
-        diagnostics={"pvalue_flags": flags},
-        method=method,
-        config=config,
-    )
+        return engine.finish(method, dataset, partition, config, zlog,
+                             TestStatisticSpec(kind=STAT_DM))
+    mask = np.zeros(dataset.n, dtype=bool)
+    for k, g in enumerate(partition.groups):
+        gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
+        # The smallest inference count j with j >= rho * s, by the same
+        # comparison as the engine's eligibility test.
+        m_k = g.size - math.ceil(config.rho * g.size)
+        mask[gen.permutation(g)[:m_k]] = True
+    nuis_idx = np.flatnonzero(mask)
+    if nuis_idx.size < dataset.d + 1:
+        raise ConfigError(
+            f"rho={config.rho} leaves a nuisance fold of {nuis_idx.size} units, "
+            f"fewer than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
+            "lower rho or use a larger sample"
+        )
+    x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
+    mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
+    tau = fit_rlearner_weighted(x_i, y_i, zlog.take(nuis_idx), dataset.e[nuis_idx],
+                                mu.predict(x_i), ridge=config.ridge_lambda)
+    stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
+    return engine.finish(method, dataset, partition, config, zlog, stat,
+                         mask=mask, coef=tau.coef)
 
 
 # Replication harness ----------------------------------------------------------

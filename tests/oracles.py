@@ -418,31 +418,14 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     tau_final = pkg.linmodel.LinearModel(
         bar_learner_reference(x, y, e, mask, z_i, mu_vals, e_hat, lam, ridge))
 
-    reads_before = [int(i) for i in zlog.reads()]
     stat = pkg.randtest.TestStatisticSpec(
         kind=pkg.randtest.STAT_AIPW,
         nuisances=nuisance.NuisanceModel(mu=mu, tau=tau_final),
     )
-    folds = [g[~mask[g]] for g in groups]
-    pvalues, rejected, flags = pkg.randtest.test_folds(stat, dataset, folds, config)
-
-    diagnostics = {
-        "l": l_hist,
-        "converged": converged,
-        "nu2": nu2,
-        "z_reads_before_pvalues": reads_before,
-        "pvalue_flags": flags,
-    }
+    diagnostics = {"l": l_hist, "converged": converged, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
-
-    return pkg.data.AnalysisReport(
-        pvalues=pvalues,
-        rejected=rejected,
-        folds=pkg.data.FoldSnapshot.from_mask(partition, mask),
-        iterations=t,
-        cate_coefficients=tuple(float(c) for c in tau_final.coef),
-        diagnostics=diagnostics,
-        method=pkg.simlab.METHOD_ADASPLIT,
-        config=config,
+    return pkg.engine.finish(
+        pkg.simlab.METHOD_ADASPLIT, dataset, partition, config, zlog, stat,
+        mask=mask, iterations=t, coef=tau_final.coef, diagnostics=diagnostics,
     )

@@ -193,10 +193,20 @@ class TestConfig:
         ("n0", 0), ("mc_draws", 0), ("alpha", 1.0), ("q", 0.0),
         ("knn_k", 0), ("ridge_lambda", -1.0),
         ("ridge_lambda", float("inf")), ("lambda_imputed", float("nan")),
+        ("n0", 1.5), ("mc_draws", 10.5), ("knn_k", 2.5), ("seed", 0.5),
+        ("n0", float("nan")), ("seed", float("inf")), ("mc_draws", np.float64(2.5)),
     ])
     def test_bounds(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             AdaSplitConfig(**{field: value})
+
+    def test_integer_fields_become_ints(self):
+        cfg = AdaSplitConfig(n0=20.0, mc_draws=np.float64(300.0),
+                             knn_k=np.int64(5), seed=7.0)
+        assert (cfg.n0, cfg.mc_draws, cfg.knn_k, cfg.seed) == (20, 300, 5, 7)
+        for key in ("n0", "mc_draws", "knn_k", "seed"):
+            assert type(getattr(cfg, key)) is int
+        assert cfg == AdaSplitConfig(n0=20, mc_draws=300, knn_k=5, seed=7)
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

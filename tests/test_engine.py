@@ -200,6 +200,20 @@ class TestRun:
         assert rows[0][:5] == ["t", "unit", "subgroup", "criterion", "l"]
         assert len(rows) - 1 == report.iterations
 
+    def test_trace_csv_of_a_zero_step_run(self, tmp_path):
+        # At rho = 0.96 no subgroup can donate a unit, so the loop stops at
+        # the floor before its first step; the header still has pi_1..pi_K.
+        ds, part = small_problem(13)
+        report = run(ds, part, small_config(rho=0.96))
+        assert report.iterations == 0
+        assert report.diagnostics["stop_reason"] == "floor"
+        path = tmp_path / "trace.csv"
+        write_trace_csv(report, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["t", "unit", "subgroup", "criterion", "l",
+                         "pi_1", "pi_2", "pi_3"]]
+
     def test_trace_replay_matches(self):
         ds, part = small_problem(14)
         r1 = run(ds, part, small_config())

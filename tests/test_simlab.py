@@ -146,6 +146,30 @@ class TestRunMethod:
             report = run_method(method, ds, part, cfg)
             assert all(p == 1.0 for p in report.pvalues), method
 
+    @pytest.mark.parametrize("method", ["rt", "random_split", "adasplit"])
+    def test_every_report_audits_its_assignment_reads(self, method):
+        ds, part, _ = generate("default", 3)
+        report = run_method(method, ds, part, AdaSplitConfig(seed=3, mc_draws=100))
+        reads = report.diagnostics["z_reads_before_pvalues"]
+        nuisance = [] if report.folds is None else list(report.folds.nuisance)
+        assert set(reads) <= set(nuisance)
+        if method == "rt":
+            assert reads == []
+        elif method == "random_split":
+            assert reads == nuisance
+
+    @pytest.mark.parametrize("method", ["random_split", "adasplit"])
+    def test_masked_nuisance_assignment_names_the_cause(self, method):
+        ds, part, _ = generate("default", 3)
+        cfg = AdaSplitConfig(seed=3, mc_draws=100)
+        nuisance = run_method(method, ds, part, cfg).folds.nuisance
+        z = ds.z.copy()
+        z[nuisance[len(nuisance) // 2]] = np.nan
+        masked = Dataset.from_arrays(ds.x, ds.y, z)
+        with pytest.raises(ValidationError,
+                           match="masked assignment read in the nuisance fold"):
+            run_method(method, masked, part, cfg)
+
 
 class TestHarness:
     def test_replications_deterministic_and_parallel_equivalent(self):
