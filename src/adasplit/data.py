@@ -177,14 +177,8 @@ def partition_by_quantiles(dataset, column, cuts):
 
 
 def _cut_rank(c, n):
-    """The smallest k with ``k / n >= c``, for 0 < c < 1. ``ceil(c * n)`` is
-    within one of it, since ``c * n`` is off by at most an ulp."""
-    k = math.ceil(c * n)
-    while k > 1 and (k - 1) / n >= c:
-        k -= 1
-    while k / n < c:
-        k += 1
-    return k
+    """The smallest k with ``k / n >= c``, for 0 < c < 1."""
+    return int(np.searchsorted(np.arange(1, n + 1) / n, c)) + 1
 
 
 @dataclass(frozen=True)
@@ -227,17 +221,27 @@ class AdaSplitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Integral values of the integer fields become ints; others fail
-        # here, naming the key, rather than deep inside a run.
+        # Numbers only: a string or a boolean is never coerced. Float fields
+        # become floats and integral values of the integer fields ints;
+        # anything else fails here, naming the key, not deep inside a run.
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if type(f.default) is float:
-                if not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite")
-            elif isinstance(v, numbers.Integral) or float(v).is_integer():
-                object.__setattr__(self, f.name, int(v))
-            else:
-                raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+            raw = getattr(self, f.name)
+            is_int = type(f.default) is int
+            try:
+                if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                    raise TypeError
+                v = int(raw) if is_int and isinstance(raw, numbers.Integral) else float(raw)
+            except (TypeError, OverflowError):
+                raise ConfigError(
+                    f"config key {f.name!r}: bad value {raw!r} (must be a number)"
+                )
+            if not is_int and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite")
+            if is_int and isinstance(v, float):
+                if not v.is_integer():
+                    raise ConfigError(f"{f.name} must be an integer, got {raw!r}")
+                v = int(v)
+            object.__setattr__(self, f.name, v)
         if not 0.0 < self.p_init < 1.0:
             raise ConfigError("p_init must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:
@@ -264,21 +268,7 @@ class AdaSplitConfig:
         unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in values:
-                continue
-            v = values[f.name]
-            try:
-                # JSON numbers only: a string or a boolean is never coerced.
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise TypeError
-                kwargs[f.name] = v if type(f.default) is int else float(v)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    f"config key {f.name!r}: bad value {v!r} (must be a number)"
-                )
-        return cls(**kwargs)
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path):
@@ -365,50 +355,63 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     """Strictly parse a trial CSV into a dataset plus optional subgroup labels.
 
     Expected header: ``x1,...,xd,y,z`` with an optional integer subgroup
-    column (named ``subgroup`` unless overridden). A non-numeric or
-    non-finite cell, a ``z`` other than 0 or 1, or a label outside the
-    64-bit range is an error naming the offending row and column; nothing
-    is coerced silently. A row of blank cells is skipped but keeps its
-    number. Rows are parsed in blocks of ``_CSV_BLOCK``, a column at a time,
-    so memory holds one block of text whatever the file's length.
+    column (named ``subgroup`` unless overridden; a covariate may serve, but
+    not ``y`` or ``z``). The file is UTF-8 text, optionally starting with a
+    byte-order mark. A non-numeric or non-finite cell, a ``z`` other than 0
+    or 1, or a label outside the 64-bit range is an error naming the
+    offending row and column; nothing is coerced silently. A row of blank
+    cells is skipped but keeps its number. Rows are parsed in blocks of
+    ``_CSV_BLOCK``, a column at a time, so memory holds one block of text
+    whatever the file's length.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty file: n >= 1 required")
-        header = [h.strip() for h in header]
-        names = _covariate_names(header)
-        required = set(names) | {"y", "z"}
-        missing = required - set(header)
-        if missing:
-            raise ValidationError(f"missing column(s): {sorted(missing)}")
-        extra = set(header) - required - {subgroup_column}
-        if extra:
-            raise ValidationError(f"unexpected column(s): {sorted(extra)}")
-        if len(set(header)) != len(header):
-            raise ValidationError("duplicate column names")
-        col = {name: header.index(name) for name in header}
-        # (column index, name, type) in the order a row's cells are checked.
-        fields = [(col[c], c, float) for c in names + ["y", "z"]]
-        if subgroup_column in col:
-            fields.append((col[subgroup_column], subgroup_column, int))
-
-        blocks = []
-        first = 1
-        while True:
-            rows = []
+    if subgroup_column in ("y", "z"):
+        raise ValidationError(
+            f"subgroup column cannot be {subgroup_column!r}: subgroups must be "
+            "fixed before treatment, and the outcome and the assignment are not"
+        )
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.extend(itertools.islice(reader, _CSV_BLOCK))
-            except csv.Error as exc:
-                # A bad cell before the reader's own error is reported first.
-                _parse_block(rows, first, fields, len(header))
-                raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
-            if not rows:
-                break
-            blocks.append(_parse_block(rows, first, fields, len(header)))
-            first += len(rows)
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError("empty file: n >= 1 required")
+            header = [h.strip() for h in header]
+            names = _covariate_names(header)
+            required = set(names) | {"y", "z"}
+            missing = required - set(header)
+            if missing:
+                raise ValidationError(f"missing column(s): {sorted(missing)}")
+            extra = set(header) - required - {subgroup_column}
+            if extra:
+                raise ValidationError(f"unexpected column(s): {sorted(extra)}")
+            if len(set(header)) != len(header):
+                raise ValidationError("duplicate column names")
+            col = {name: header.index(name) for name in header}
+            # (column index, name, type) in the order a row's cells are checked.
+            fields = [(col[c], c, float) for c in names + ["y", "z"]]
+            if subgroup_column in col:
+                fields.append((col[subgroup_column], subgroup_column, int))
+
+            blocks = []
+            first = 1
+            while True:
+                rows = []
+                try:
+                    rows.extend(itertools.islice(reader, _CSV_BLOCK))
+                except csv.Error as exc:
+                    # A bad cell before the reader's own error is reported first.
+                    _parse_block(rows, first, fields, len(header))
+                    raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
+                if not rows:
+                    break
+                blocks.append(_parse_block(rows, first, fields, len(header)))
+                first += len(rows)
+    except UnicodeDecodeError as exc:
+        # The file is decoded in chunks, so this can surface at any row.
+        raise ValidationError(
+            f"not a UTF-8 file: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
+        ) from exc
     columns = [np.concatenate(c) for c in zip(*blocks)]
     if not columns or columns[0].size == 0:
         raise ValidationError("empty file: n >= 1 required")
@@ -500,7 +503,7 @@ def write_dataset_csv(path, dataset, subgroup_labels=None):
                 f"{len(subgroup_labels)} subgroup labels for {dataset.n} rows")
         header.append("subgroup")
         columns.append(map(str, map(int, subgroup_labels)))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*columns))

@@ -5,10 +5,11 @@ the unit whose selection score ``sign(tau_hat(x)) * |2 e_hat(x, y) - 1|`` is
 smallest into the nuisance fold (first exhausting units with negative
 estimated CATEs, then the least predictable ones), refits the nuisance
 estimators, and stops once the CATE predictions have stabilized or no
-subgroup can donate without dropping its inference share below the floor
-``rho``. A final pruning pass evicts negative-CATE units from the inference
-folds (never crossing the floor), and only then are the held-out assignments
-read to compute one Monte-Carlo randomization p-value per subgroup.
+subgroup can donate without dropping below its floor (:func:`inference_floor`,
+which the seed split must respect too). A final pruning pass evicts
+negative-CATE units from the inference folds (never crossing the floor), and
+only then are the held-out assignments read to compute one Monte-Carlo
+randomization p-value per subgroup.
 
 A loop state built once per run holds the design, ``y - mu(x)``, each
 unit's neighbor vote as an integer count, and the weighted R-learner's Gram
@@ -70,6 +71,12 @@ class _AssignmentLog:
 
     def reads(self):
         return np.flatnonzero(self._read)
+
+
+def inference_floor(size, rho):
+    """The fewest units a subgroup of ``size`` may keep to test: the
+    smallest count j with j >= rho * size."""
+    return math.ceil(rho * size)
 
 
 def split_init(dataset, partition, p_init, ridge=0.0):
@@ -285,10 +292,16 @@ def run(dataset, partition, config, collect_trace=True):
 
     mu = fit_mu(x, y, ridge=config.ridge_lambda)
     mask = split_init(dataset, partition, config.p_init, ridge=config.ridge_lambda)
-    state = _LoopState(dataset, mu.predict(x), mask, zlog, config)
     groups = partition.groups
     s_sizes = np.array([g.size for g in groups])
     j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
+    floor = np.array([inference_floor(s, config.rho) for s in s_sizes])
+    short = np.flatnonzero(j_sizes < floor)
+    if short.size:
+        k = short[0]
+        raise ConfigError(f"p_init={config.p_init} leaves {j_sizes[k]} of the {s_sizes[k]} units of "
+                          f"subgroup {k} to test, below the floor rho={config.rho} sets ({floor[k]})")
+    state = _LoopState(dataset, mu.predict(x), mask, zlog, config)
 
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
@@ -298,7 +311,7 @@ def run(dataset, partition, config, collect_trace=True):
     state.index(x, y, config.knn_k)
     labels = partition.labels()
     # Candidates: held-out units of subgroups that can still donate one.
-    avail = ~mask & ((j_sizes - 1) >= config.rho * s_sizes)[labels]
+    avail = ~mask & (j_sizes > floor)[labels]
     held = np.flatnonzero(~mask)
 
     l_hist = []
@@ -316,7 +329,7 @@ def run(dataset, partition, config, collect_trace=True):
         avail[j_star] = False
         held = held[held != j_star]
         j_sizes[k_star] -= 1
-        if (j_sizes[k_star] - 1) < config.rho * s_sizes[k_star]:
+        if j_sizes[k_star] == floor[k_star]:
             avail[groups[k_star]] = False
         t += 1
 
@@ -343,17 +356,12 @@ def run(dataset, partition, config, collect_trace=True):
             break
 
     # Prune: evict negative-CATE units from each inference fold, most
-    # negative first, stopping before the inference share would cross rho.
+    # negative first, down to the floor at most.
     for k, g in enumerate(groups):
         j_units = g[~mask[g]]
         order = j_units[np.lexsort((j_units, tau_prev_vals[j_units]))]
-        for j in order:
-            if tau_prev_vals[j] >= 0.0:
-                break
-            if (j_sizes[k] - 1) < config.rho * s_sizes[k]:
-                break
+        for j in order[tau_prev_vals[order] < 0.0][:j_sizes[k] - floor[k]]:
             state.move(j)
-            j_sizes[k] -= 1
 
     _, e_hat, nu2 = state.refit()
     tau_final = state.pooled(e_hat)

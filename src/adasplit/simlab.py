@@ -5,7 +5,9 @@ centered Bernoulli at rates 0.25 and 0.75), a Bernoulli(1/2) design,
 Gaussian outcome noise, and affine outcome/CATE surfaces; subgroups are the
 quintiles of the first covariate. Named scenarios vary the sample size, the
 noise level, or null out the CATE. A one-covariate toy family reproduces the
-illustrative example with Y = Z * X + noise.
+illustrative example with Y = Z * X + noise. A :class:`Scenario` carries
+its own true surfaces ``mu0(x)`` and ``tau(x)``, and :func:`generate`
+returns it with each sample.
 
 The harness runs the three competing procedures on shared per-replication
 datasets (the plain subgroup randomization test ``rt``, the random-split
@@ -20,7 +22,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +49,17 @@ def canonical_method(name):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named simulation setting."""
+    """One named simulation setting; its affine surfaces ``mu0`` and ``tau``
+    and noise variance ``nu2`` are the truth oracles and quality metrics
+    compare against."""
 
     name: str
     family: str
     n: int
-    d: int
     nu2: float
     mu0_coef: tuple
     tau_coef: tuple
     cuts: tuple
-
-
-@dataclass(frozen=True)
-class TrueNuisances:
-    """Generative outcome surfaces, for oracles and quality metrics."""
-
-    mu0_coef: tuple
-    tau_coef: tuple
-    nu2: float
 
     def _affine(self, coef, x):
         c = np.asarray(coef, dtype=float)
@@ -87,11 +80,11 @@ _TRIAL_TAU = (0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
 _TRIAL_CUTS = (0.2, 0.4, 0.6, 0.8)
 
 SCENARIOS = {
-    "default": Scenario("default", "trial", 500, 5, 1.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
-    "larger_n": Scenario("larger_n", "trial", 1000, 5, 1.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
-    "high_noise": Scenario("high_noise", "trial", 500, 5, 2.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
-    "null": Scenario("null", "trial", 500, 5, 1.0, _TRIAL_MU0, (0.0,) * 6, _TRIAL_CUTS),
-    "toy_fig3": Scenario("toy_fig3", "toy", 200, 1, 1.0, (0.0, 0.0), (0.0, 1.0), ()),
+    "default": Scenario("default", "trial", 500, 1.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
+    "larger_n": Scenario("larger_n", "trial", 1000, 1.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
+    "high_noise": Scenario("high_noise", "trial", 500, 2.0, _TRIAL_MU0, _TRIAL_TAU, _TRIAL_CUTS),
+    "null": Scenario("null", "trial", 500, 1.0, _TRIAL_MU0, (0.0,) * 6, _TRIAL_CUTS),
+    "toy_fig3": Scenario("toy_fig3", "toy", 200, 1.0, (0.0, 0.0), (0.0, 1.0), ()),
 }
 
 
@@ -122,7 +115,9 @@ def draw_covariates(scenario, m, gen):
 
 
 def generate(scenario_name, seed):
-    """Generate one dataset plus its partition and true nuisances.
+    """Generate one dataset plus its partition; returns ``(dataset,
+    partition, scenario)``, the scenario (a name resolved to its
+    :class:`Scenario`) carrying the true surfaces.
 
     Reproducible: the same (scenario, seed) pair yields an identical sample.
     """
@@ -131,14 +126,13 @@ def generate(scenario_name, seed):
     x = draw_covariates(scenario, scenario.n, gen)
     z = (gen.random(scenario.n) < 0.5).astype(float)
     eps = gen.normal(0.0, np.sqrt(scenario.nu2), size=scenario.n)
-    truth = TrueNuisances(scenario.mu0_coef, scenario.tau_coef, scenario.nu2)
-    y = truth.mu0(x) + z * truth.tau(x) + eps
+    y = scenario.mu0(x) + z * scenario.tau(x) + eps
     dataset = Dataset.from_arrays(x, y, z)
     if scenario.cuts:
         partition = partition_by_quantiles(dataset, 0, scenario.cuts)
     else:
         partition = SubgroupPartition((np.arange(scenario.n),))
-    return dataset, partition, truth
+    return dataset, partition, scenario
 
 
 def run_method(method, dataset, partition, config, collect_trace=False):
@@ -150,9 +144,10 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     report lists the assignments read before the p-values. ``rt`` tests each
     full subgroup with the difference-in-means statistic and reads none;
     ``random_split`` keeps a seeded random part of each subgroup for
-    inference, at the floor ``rho`` the adaptive engine stops at, fits the
-    nuisances on the rest and tests with the AIPW statistic; ``adasplit``
-    delegates to the adaptive engine.
+    inference, at the floor the adaptive engine stops at
+    (:func:`engine.inference_floor`), fits the nuisances on the rest and
+    tests with the AIPW statistic; ``adasplit`` delegates to the adaptive
+    engine.
     """
     method = canonical_method(method)
     if dataset.n != partition.n:
@@ -166,9 +161,7 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     mask = np.zeros(dataset.n, dtype=bool)
     for k, g in enumerate(partition.groups):
         gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
-        # The smallest inference count j with j >= rho * s, by the same
-        # comparison as the engine's eligibility test.
-        m_k = g.size - math.ceil(config.rho * g.size)
+        m_k = g.size - engine.inference_floor(g.size, config.rho)
         mask[gen.permutation(g)[:m_k]] = True
     nuis_idx = np.flatnonzero(mask)
     if nuis_idx.size < dataset.d + 1:
@@ -256,7 +249,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
     rows = []
     for rep in range(reps):
         rep_seed = rng.child_seed(seed, rng.REPLICATION, rep)
-        dataset, partition, truth = generate(scenario_name, rep_seed)
+        dataset, partition, _ = generate(scenario, rep_seed)
         report = engine.run(
             dataset, partition, config.replace(seed=rep_seed), collect_trace=False
         )
@@ -273,7 +266,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
         )
         gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
         x_new = draw_covariates(scenario, holdout, gen)
-        tau_true = truth.tau(x_new)
+        tau_true = scenario.tau(x_new)
         denom = float(np.sum((tau_true - tau_true.mean()) ** 2))
         r2 = {
             "bar_learner": 1.0 - float(np.sum((tau_true - bar.predict(x_new)) ** 2)) / denom,
@@ -299,12 +292,12 @@ def consistency_experiment(sizes, reps, seed, config=None):
         errors = []
         for rep in range(reps):
             rep_seed = rng.child_seed(seed, rng.REPLICATION, n, rep)
-            dataset, partition, truth = generate(scenario, rep_seed)
+            dataset, partition, _ = generate(scenario, rep_seed)
             report = engine.run(
                 dataset, partition, config.replace(seed=rep_seed),
                 collect_trace=False,
             )
-            beta = np.asarray(truth.tau_coef, dtype=float)
+            beta = np.asarray(scenario.tau_coef, dtype=float)
             beta_hat = np.asarray(report.cate_coefficients, dtype=float)
             errors.append(
                 float(np.linalg.norm(beta_hat - beta) / np.linalg.norm(beta))
@@ -345,28 +338,19 @@ class ExperimentSummary:
                 )
 
     def write_raw_csv(self, path):
-        keys = []
-        for row in self.raw:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
+        keys = list(dict.fromkeys(key for row in self.raw for key in row))
         with open(path, "w", newline="") as fh:
             fh.write(f"# config: {json.dumps(self.config.to_dict(), sort_keys=True)}\n")
             writer = csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
             for row in self.raw:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
+                writer.writerow({k: repr(v) if isinstance(v, float) else v
+                                 for k, v in row.items()})
 
     def render_text(self):
         """Grid rendering with mean (se) entries, methods as columns."""
-        methods = []
-        rows = []
-        for c in self.cells:
-            if c.method not in methods:
-                methods.append(c.method)
-            key = (c.scenario, c.cell)
-            if key not in rows:
-                rows.append(key)
+        methods = list(dict.fromkeys(c.method for c in self.cells))
+        rows = list(dict.fromkeys((c.scenario, c.cell) for c in self.cells))
         grid = {(c.scenario, c.cell, c.method): f"{c.mean:.3f} ({c.se:.3f})"
                 for c in self.cells}
         out = io.StringIO()
@@ -379,12 +363,6 @@ class ExperimentSummary:
             ]
             out.write("  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n")
         return out.getvalue()
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _mean_se(values):
@@ -418,8 +396,6 @@ def summarize_replications(scenario_name, results, config, name="simulate"):
                      key=lambda m: ALL_METHODS.index(m))
     for method in methods:
         sub = [res for res in results if res.method == method]
-        if not sub:
-            continue
         k = len(sub[0].pvalues)
         for g in range(k):
             mean, se = _mean_se([res.pvalues[g] <= config.alpha for res in sub])

@@ -173,6 +173,37 @@ class TestAnalyze:
         assert "p_init=0.999" in err and "subgroup 0" in err
         assert "100 units" in err
 
+    def test_seed_split_below_the_floor_exit_3(self, trial_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p_init": 0.6}))
+        assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+        err = capsys.readouterr().err
+        assert "p_init=0.6 leaves 40 of the 100 units of subgroup 0" in err
+        assert "rho=0.5 sets (50)" in err
+
+    @pytest.mark.parametrize("column", ["y", "z"])
+    def test_subgroups_by_outcome_or_assignment_exit_2(self, trial_csv, capsys, column):
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--subgroup-column", column) == 2
+        err = capsys.readouterr().err
+        assert f"subgroup column cannot be {column!r}" in err
+        assert "fixed before treatment" in err
+
+    def test_byte_order_mark_gives_the_same_report(self, trial_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + trial_csv.read_bytes())
+        for path, out in ((trial_csv, "plain.json"), (bom, "bom.json")):
+            assert run_cli("analyze", "--data", path, "--method", "rt",
+                           "--out", tmp_path / out) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_non_utf8_byte_exit_2(self, trial_csv, capsys):
+        text = trial_csv.read_bytes()
+        trial_csv.write_bytes(text[:-20] + b"\xff" + text[-19:])
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt") == 2
+        err = capsys.readouterr().err
+        assert err == "error: not a UTF-8 file: byte 0xff cannot be decoded\n"
+
     def test_random_split_rho_too_high_exit_3(self, trial_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rho": 0.99}))

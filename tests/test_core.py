@@ -208,6 +208,26 @@ class TestConfig:
             assert type(getattr(cfg, key)) is int
         assert cfg == AdaSplitConfig(n0=20, mc_draws=300, knn_k=5, seed=7)
 
+    @pytest.mark.parametrize("key,value", [
+        ("n0", "5"), ("n0", True), ("seed", False), ("rho", "0.3"),
+        ("rho", None), ("rho", np.bool_(True)),
+        pytest.param("eps_l", 10**400, id="eps_l-int-past-float"),
+        pytest.param("lambda_imputed", -(10**400), id="lambda_imputed-int-past-float"),
+    ])
+    def test_direct_construction_follows_the_json_rules(self, key, value):
+        want = f"config key {key!r}: bad value {value!r} (must be a number)"
+        for build in (lambda: AdaSplitConfig(**{key: value}),
+                      lambda: AdaSplitConfig.from_dict({key: value})):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value) == want
+
+    def test_float_fields_become_floats(self):
+        cfg = AdaSplitConfig(eps_l=1, rho=np.float32(0.25), ridge_lambda=0)
+        assert (type(cfg.eps_l), type(cfg.rho), type(cfg.ridge_lambda)) == (float,) * 3
+        same = AdaSplitConfig.from_dict({"eps_l": 1, "rho": 0.25, "ridge_lambda": 0})
+        assert json.dumps(cfg.to_dict()) == json.dumps(same.to_dict())
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             AdaSplitConfig.from_dict({"nope": 1})

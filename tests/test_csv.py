@@ -121,6 +121,33 @@ class TestRead:
         assert error_of(csv_file(tmp_path, text)) == (
             "row 3: field larger than field limit (131072)")
 
+    @pytest.mark.parametrize("column", ["y", "z"])
+    def test_subgroups_by_outcome_or_assignment_are_rejected(self, tmp_path, column):
+        path = csv_file(tmp_path, "x1,x2,y,z\n0.5,1,1,1\n0.25,2,0,0\n")
+        with pytest.raises(ValidationError, match=f"^subgroup column cannot be {column!r}: "):
+            read_dataset_csv(path, subgroup_column=column)
+        # An integer covariate may still define the subgroups.
+        ds, labels = read_dataset_csv(path, subgroup_column="x2")
+        assert labels.tolist() == [1, 2] and ds.d == 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text, _ = big_trial_text(5)
+        plain, _ = read_dataset_csv(csv_file(tmp_path, text))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds, labels = read_dataset_csv(bom)
+        assert ds.equals(plain) and labels.tolist() == [1, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("row", [0, 1, 2000])
+    def test_non_utf8_byte(self, tmp_path, row):
+        # Row 2000 lies past the first 8 KB the reader decodes at once.
+        lines, _ = big_trial_text(2500)
+        lines = lines.encode().split(b"\n")
+        lines[row] = lines[row][:3] + b"\xff" + lines[row][3:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines))
+        assert error_of(path) == "not a UTF-8 file: byte 0xff cannot be decoded"
+
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
         assert error_of(path) == "empty file: n >= 1 required"

@@ -84,11 +84,35 @@ class TestSplitInit:
             run(ds, part, AdaSplitConfig())
         assert split_init(ds, part, 0.1).sum() == 10
 
+    def test_seed_split_below_the_floor(self):
+        # Subgroups of 100: p_init = 0.6 seeds 60 units and leaves 40 to
+        # test, under the 50 that rho = 0.5 keeps.
+        ds, part, _ = generate("default", 1)
+        pattern = (r"^p_init=0\.6 leaves 40 of the 100 units of subgroup 0 to test, "
+                   r"below the floor rho=0\.5 sets \(50\)$")
+        with pytest.raises(ConfigError, match=pattern):
+            run(ds, part, AdaSplitConfig(seed=1, p_init=0.6))
+        # Exactly at the floor is allowed: the loop has nothing to move.
+        report = run(ds, part, AdaSplitConfig(seed=1, p_init=0.5, mc_draws=50))
+        assert report.iterations == 0 and report.folds.proportions == (0.5,) * 5
+
     def test_deterministic(self):
         ds, part = small_problem(3)
         a = split_init(ds, part, 0.07)
         b = split_init(ds, part, 0.07)
         assert np.array_equal(a, b)
+
+
+class TestInferenceFloor:
+    def test_smallest_count_reaching_rho_times_size(self):
+        gen = np.random.default_rng(12)
+        rhos = [0.5, 0.95, 0.96, 0.3, 0.1, 0.7] + list(gen.uniform(size=50))
+        for size in (1, 2, 3, 37, 40, 41, 100, 1000):
+            for rho in rhos:
+                want = next(j for j in range(size + 1) if j >= rho * size)
+                assert engine.inference_floor(size, rho) == want, (size, rho)
+        assert engine.inference_floor(40, 0.95) == 38
+        assert engine.inference_floor(40, 0.96) == 39
 
 
 class TestSelectionCriterion:
@@ -201,10 +225,11 @@ class TestRun:
         assert len(rows) - 1 == report.iterations
 
     def test_trace_csv_of_a_zero_step_run(self, tmp_path):
-        # At rho = 0.96 no subgroup can donate a unit, so the loop stops at
-        # the floor before its first step; the header still has pi_1..pi_K.
+        # At rho = 0.95 the seed split leaves each subgroup of 40 at its
+        # floor of 38, so the loop stops there before its first step; the
+        # header still has pi_1..pi_K.
         ds, part = small_problem(13)
-        report = run(ds, part, small_config(rho=0.96))
+        report = run(ds, part, small_config(rho=0.95))
         assert report.iterations == 0
         assert report.diagnostics["stop_reason"] == "floor"
         path = tmp_path / "trace.csv"

@@ -7,12 +7,16 @@ and the convergence history ``l`` to 1e-9. The ``config`` block is not
 compared, so removing a configuration key does not move a case.
 
 The fixtures were written once, from the code before the shared testing
-stage landed, with ``PYTHONPATH=src python tests/test_golden.py --write``.
-They are never rewritten to make a change pass: a case that moves is a
-behaviour change to explain, not a fixture to refresh.
+stage landed. ``PYTHONPATH=src python tests/test_golden.py --write CASE
+[CASE ...]`` rewrites the named cases only, so a deliberate behaviour change
+refreshes the cases it moves and leaves the others byte for byte. They are
+never rewritten to make a change pass: a case that moves is a behaviour
+change to explain, not a fixture to refresh.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,11 +78,29 @@ def test_golden_report(case):
         assert close(got["diagnostics"].get(key), want["diagnostics"].get(key)), key
 
 
+USAGE = ("usage: PYTHONPATH=src python tests/test_golden.py --write CASE [CASE ...]\n"
+         "cases: " + " ".join(sorted(CASES)))
+
+
+def test_write_names_the_cases(tmp_path):
+    # Only refusals run here: no fixture is written.
+    script = Path(__file__).resolve()
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    for args, error in (([], USAGE), (["nope"], "unknown case(s): nope")):
+        done = subprocess.run([sys.executable, script, "--write", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1 and done.stderr == error + "\n"
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--write"] or not names:
+        sys.exit(USAGE)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    for name in names:
         text = json.dumps(report_payload(name), sort_keys=True, indent=2)
         (GOLDEN / f"{name}.json").write_text(text + "\n")
         print(f"wrote {name}")

@@ -63,6 +63,13 @@ class TestGenerate:
         assert np.all(ds.x >= 0.0) and np.all(ds.x <= 5.0)
         assert np.allclose(truth.tau(ds.x), ds.x[:, 0])
 
+    def test_returns_the_scenario_as_truth(self):
+        scenario = scenario_with_size("default", 300)
+        assert generate(scenario, 0)[2] is scenario
+        assert generate("null", 0)[2] is get_scenario("null")
+        x = np.array([[0.5, -0.5, 0.0, 0.5, 0.5]])
+        assert scenario.mu0(x).tolist() == [3.0] and scenario.tau(x).tolist() == [1.5]
+
     def test_unknown_scenario(self):
         with pytest.raises(ValidationError, match="unknown scenario"):
             generate("mystery", 0)
