@@ -44,8 +44,9 @@ def _build_parser():
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker process cap for replication loops only; p-values use every "
-             "available CPU regardless (default: ADASPLIT_THREADS or 1)",
+        help="worker process cap for replication loops only; worker processes "
+             "compute p-values serially, a lone process on one thread per available "
+             "CPU (default: ADASPLIT_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,7 +195,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -272,11 +272,14 @@ class AdaSplitConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed config JSON: {exc}")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8: byte "
+                                  f"0x{exc.object[exc.start]:02x} cannot be decoded") from exc
         if not isinstance(values, dict):
             raise ConfigError("config JSON must be an object")
         return cls.from_dict(values)

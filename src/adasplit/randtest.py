@@ -11,13 +11,14 @@ randomized assignments are exchangeable; ties, up to rounding
 (``_tie_floor``), count toward the numerator.
 
 Each subgroup draws from its own stream, so :func:`test_folds` computes the
-p-values on one thread per available CPU. The draw fill, the comparison and
-the BLAS product release the GIL, and the certified count does not depend
-on the BLAS kernel, so the p-values are those of the serial stage whatever
-the thread count.
+p-values on one thread per available CPU: helper threads started and joined
+within each call, none in a ``multiprocessing`` child (a replication worker
+process). The draw fill, the comparison and the BLAS product release the
+GIL, and the certified count does not depend on the BLAS kernel, so the
+p-values are those of the serial stage whatever the thread count.
 """
 
-import concurrent.futures
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
@@ -195,45 +196,16 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 
-# The process's p-value helper threads, as (executor, count): made on first
-# use, then reused (a fresh pool per call costs about 0.2 ms, a fifth of a
-# 50-unit fold's p-value). (None, 0) means serial: one CPU, or a replication
-# worker process, whose siblings already fill the other CPUs.
-_pool = None
-
-
-def _available_cpus():
+def _helper_count():
+    """How many helper threads :func:`test_folds` may start: one per
+    available CPU beyond the calling thread's, and none in a
+    ``multiprocessing`` child, whose siblings already fill the other CPUs."""
+    if multiprocessing.parent_process() is not None:
+        return 0
     try:
-        return len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) - 1
     except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pvalue_pool():
-    """The helper threads :func:`test_folds` shares its folds with: one per
-    available CPU beyond the calling thread's."""
-    global _pool
-    if _pool is None:
-        count = _available_cpus() - 1
-        _pool = (concurrent.futures.ThreadPoolExecutor(
-            count, thread_name_prefix="adasplit-pvalue") if count else None, count)
-    return _pool
-
-
-def _serial_pvalues():
-    """Compute this process's p-values serially (a process pool initializer)."""
-    global _pool
-    _pool = (None, 0)
-
-
-def _drop_pool():
-    # A forked child inherits the executor but none of its threads; work
-    # submitted to it would never run.
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_drop_pool)
+        return (os.cpu_count() or 1) - 1
 
 
 def test_folds(stat, dataset, folds, config):
@@ -245,13 +217,15 @@ def test_folds(stat, dataset, folds, config):
     the rejected subgroups and the flags of degenerate folds, keyed by the
     subgroup index as a string.
 
-    The calling thread and the helper threads of :func:`_pvalue_pool`, one
-    thread per available CPU, take the folds in subgroup order; with one
-    CPU or one fold the caller computes them all. A failing fold stops the
-    taking, and the error of the first failing subgroup is raised, so the
-    output, error included, is that of a serial loop whatever the thread
-    count. The caller keeps working rather than waiting for a helper to
-    wake, so small folds cost no more than serially.
+    The calling thread and the helper threads this call starts, one per
+    available CPU beyond the caller's (:func:`_helper_count`), take the
+    folds in subgroup order, and the helpers are joined before it returns;
+    with one CPU, one fold or in a ``multiprocessing`` child the caller
+    computes them all. A failing fold stops the taking, and the error of the
+    first failing subgroup is raised, so the output, error included, is that
+    of a serial loop whatever the thread count. The caller keeps working
+    rather than waiting for a helper to start, so small folds cost no more
+    than serially.
     """
     jobs = [(fold, config.mc_draws, rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
             for k, fold in enumerate(folds)]
@@ -274,11 +248,13 @@ def test_folds(stat, dataset, folds, config):
                 with lock:
                     failed[k] = exc
 
-    pool, count = _pvalue_pool()
-    helpers = [pool.submit(work) for _ in range(min(count, len(jobs) - 1))]
+    helpers = [threading.Thread(target=work, name="adasplit-pvalue")
+               for _ in range(min(_helper_count(), len(jobs) - 1))]
+    for helper in helpers:
+        helper.start()
     work()
     for helper in helpers:
-        helper.result()
+        helper.join()
     if failed:
         raise failed[min(failed)]
     values = tuple(pv.value for pv in pvalues)

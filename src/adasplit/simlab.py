@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, randtest, rng
+from . import engine, rng
 from .data import AdaSplitConfig, Dataset, SubgroupPartition, partition_by_quantiles
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel
@@ -194,9 +194,9 @@ class RepResult:
 
 
 def _rep_worker(args):
-    scenario_name, rep, master_seed, config_values, methods = args
+    scenario_name, rep, master_seed, config, methods = args
     rep_seed = rng.child_seed(master_seed, rng.REPLICATION, rep)
-    config = AdaSplitConfig.from_dict(config_values).replace(seed=rep_seed)
+    config = config.replace(seed=rep_seed)
     dataset, partition, _ = generate(scenario_name, rep_seed)
     out = []
     for method in methods:
@@ -219,15 +219,11 @@ def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS
     get_scenario(scenario_name)
     config = config or AdaSplitConfig()
     methods = tuple(canonical_method(m) for m in methods)
-    jobs = [
-        (scenario_name, rep, seed, config.to_dict(), methods)
-        for rep in range(reps)
-    ]
+    jobs = [(scenario_name, rep, seed, config, methods) for rep in range(reps)]
     if threads > 1:
         # The worker processes already fill the CPUs, so each computes its
-        # p-values serially.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=threads, initializer=randtest._serial_pvalues) as pool:
+        # p-values serially (randtest._helper_count).
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
                                    chunksize=max(1, reps // (4 * threads))))
     else:

@@ -204,6 +204,31 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err == "error: not a UTF-8 file: byte 0xff cannot be decoded\n"
 
+    def test_config_byte_order_mark_gives_the_same_report(self, trial_csv, tmp_path):
+        text = json.dumps({"mc_draws": 200, "seed": 3}).encode()
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            (tmp_path / f"{name}.cfg").write_bytes(data)
+            assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                           "--config", tmp_path / f"{name}.cfg",
+                           "--out", tmp_path / f"{name}.json") == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_config_non_utf8_byte_exit_3(self, trial_csv, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"rho": 0.4, "x": "\xff"}')
+        assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
+        err = capsys.readouterr().err
+        assert err == "config error: config is not UTF-8: byte 0xff cannot be decoded\n"
+
+    @pytest.mark.parametrize("flag", ["--data", "--config", "--out"])
+    def test_directory_path_exit_2(self, trial_csv, tmp_path, capsys, flag):
+        paths = {"--data": trial_csv, "--out": tmp_path / "report.json"}
+        paths[flag] = tmp_path
+        args = [arg for item in paths.items() for arg in item]
+        assert run_cli("analyze", "--method", "rt", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and str(tmp_path) in err
+
     def test_random_split_rho_too_high_exit_3(self, trial_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"rho": 0.99}))

@@ -1,7 +1,9 @@
 """Test statistics, Monte-Carlo and exact p-values, and the testing stage."""
 
 import concurrent.futures
+import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -349,12 +351,11 @@ class TestPooledStage:
     def run(monkeypatch, workers, spec, ds, folds):
         """``test_folds`` with ``workers`` threads; a ``ValidationError`` it
         raises is returned as its repr."""
-        with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            monkeypatch.setattr(randtest, "_pvalue_pool", lambda: (pool, workers - 1))
-            try:
-                return randtest.test_folds(spec, ds, folds, TestPooledStage.CONFIG)
-            except ValidationError as exc:
-                return repr(exc)
+        monkeypatch.setattr(randtest, "_helper_count", lambda: workers - 1)
+        try:
+            return randtest.test_folds(spec, ds, folds, TestPooledStage.CONFIG)
+        except ValidationError as exc:
+            return repr(exc)
 
     def both(self, monkeypatch, spec, ds, folds):
         one = self.run(monkeypatch, 1, spec, ds, folds)
@@ -421,11 +422,36 @@ class TestPooledStage:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_default_pool_is_made_once(self):
-        pool, count = randtest._pvalue_pool()
-        assert count == randtest._available_cpus() - 1
-        assert (pool is None) == (count == 0)
-        assert randtest._pvalue_pool() == (pool, count)
+    def test_one_helper_per_available_cpu_beyond_the_caller(self):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        assert randtest._helper_count() == cpus - 1
+
+    def test_no_helpers_in_a_process_worker(self):
+        with concurrent.futures.ProcessPoolExecutor(1) as pool:
+            assert pool.submit(randtest._helper_count).result() == 0
+
+    @pytest.mark.parametrize("failing", [None, 13])
+    def test_helper_threads_are_joined(self, monkeypatch, failing):
+        x, y, z, folds = self.trial(14, 44)
+        if failing is not None:
+            z[folds[failing][0]] = np.nan
+        plain = randtest.mc_pvalue
+        during = []
+
+        def counted(*args):
+            during.append(threading.active_count())
+            time.sleep(0.001)
+            return plain(*args)
+
+        monkeypatch.setattr(randtest, "mc_pvalue", counted)
+        before = threading.active_count()
+        got = self.run(monkeypatch, 4, dm_spec(), Dataset.from_arrays(x, y, z), folds)
+        assert threading.active_count() == before
+        assert max(during) > before
+        assert isinstance(got, str) == (failing is not None)
 
 
 class TestExactPValue:
