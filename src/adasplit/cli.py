@@ -44,9 +44,8 @@ def _build_parser():
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker process cap for replication loops only; worker processes "
-             "compute p-values serially, a lone process on one thread per available "
-             "CPU (default: ADASPLIT_THREADS or 1)",
+        help="worker process cap for replication loops only; every process "
+             "computes its p-values on one thread (default: ADASPLIT_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

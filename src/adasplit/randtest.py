@@ -4,23 +4,18 @@ distributions, and the testing stage all three methods share.
 Both test statistics are linear in the assignment vector, so a draw of the
 reference distribution is a single dot product, and a chunk of draws is one
 matrix-vector product (certified against a fixed-order sum where rounding
-could decide; see :func:`mc_pvalue`). The Monte-Carlo p-value uses
-the add-one correction ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is
-finite-sample valid for any number of draws because the observed and
-randomized assignments are exchangeable; ties, up to rounding
-(``_tie_floor``), count toward the numerator.
+could decide; see :func:`mc_pvalue`). Under the Bernoulli(1/2) design, the
+design of every pipeline input, each assignment is one random bit
+(:func:`_fair_coins`). The Monte-Carlo p-value uses the add-one correction
+``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is finite-sample valid for
+any number of draws because the observed and randomized assignments are
+exchangeable; ties, up to rounding (``_tie_floor``), count toward the
+numerator.
 
-Each subgroup draws from its own stream, so :func:`test_folds` computes the
-p-values on one thread per available CPU: helper threads started and joined
-within each call, none in a ``multiprocessing`` child (a replication worker
-process). The draw fill, the comparison and the BLAS product release the
-GIL, and the certified count does not depend on the BLAS kernel, so the
-p-values are those of the serial stage whatever the thread count.
+:func:`test_folds` computes the subgroup p-values one after another, each
+from its own stream, on the calling thread.
 """
 
-import multiprocessing
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,15 +114,36 @@ def _row_sums(v):
     return v[:, 0]
 
 
+def _fair_coins(gen, out):
+    """Fill ``out``, rows x m, with independent fair coins (0.0 or 1.0).
+
+    Each row takes ceil(m / 64) whole 64-bit words from ``gen``, so a row's
+    coins do not depend on how many rows one call draws. The words are read
+    as little-endian bytes and each byte least significant bit first, so
+    the coins do not depend on the platform either. The words come from
+    ``Generator.integers`` over the full 64-bit range, not from
+    ``bit_generator.random_raw``, whose words carry only 32 random bits
+    under ``MT19937``.
+    """
+    m = out.shape[1]
+    words = gen.integers(0, 2**64, size=(out.shape[0], -(-m // 64)), dtype=np.uint64)
+    out[...] = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=m, bitorder="little")
+
+
 def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     """Monte-Carlo randomization p-value on one subgroup's inference fold.
 
     Draws ``m_draws`` i.i.d. assignment vectors from the design
     (independent Bernoulli with the stored per-unit probabilities),
     recomputes the statistic on each, and applies the add-one correction.
-    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles
-    into one reused buffer, so memory does not grow with ``m_draws``. An
-    empty fold yields p = 1 with a flag rather than an error.
+    Under the half design each assignment is one random bit
+    (:func:`_fair_coins`); otherwise unit j is treated when a uniform draw
+    falls below its probability. The draws are made in chunks of rows of
+    about ``_DRAW_ELEMENTS`` doubles into one reused buffer, so memory does
+    not grow with ``m_draws``, and both draws consume the stream as one
+    ``m_draws`` x m draw would, whatever the chunk size. An empty fold
+    yields p = 1 with a flag rather than an error.
 
     A draw counts when its statistic, summed by :func:`_row_sums` and plus
     ``c``, reaches ``t_min`` (``_tie_floor``). Each chunk's statistics come
@@ -176,15 +192,18 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     slack = 4 * (m + steps + 2) * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_min))
     # A non-finite bound certifies nothing: every draw is summed pairwise.
     hi, lo = (t_min + slack, t_min - slack) if np.isfinite(slack) else (np.nan, np.nan)
+    half = bool(np.all(e == 0.5))
     rows = max(1, _DRAW_ELEMENTS // m)
     buf = np.empty((min(rows, m_draws), m))
     count = 0
     for start in range(0, m_draws, rows):
         draws = buf[:min(rows, m_draws - start)]
-        # Generator.random fills in C order, so the chunks consume the
-        # stream exactly as one m_draws x m draw would.
-        rng.random(out=draws)
-        np.less(draws, e, out=draws)
+        if half:
+            _fair_coins(rng, draws)
+        else:
+            # Generator.random fills in C order.
+            rng.random(out=draws)
+            np.less(draws, e, out=draws)
         t = draws @ w
         t += c
         above = t >= hi
@@ -196,67 +215,19 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 
-def _helper_count():
-    """How many helper threads :func:`test_folds` may start: one per
-    available CPU beyond the calling thread's, and none in a
-    ``multiprocessing`` child, whose siblings already fill the other CPUs."""
-    if multiprocessing.parent_process() is not None:
-        return 0
-    try:
-        return len(os.sched_getaffinity(0)) - 1
-    except AttributeError:
-        return (os.cpu_count() or 1) - 1
-
-
 def test_folds(stat, dataset, folds, config):
     """The testing stage every method shares.
 
     Computes one Monte-Carlo p-value per subgroup inference fold (``folds[k]``
-    for subgroup k, each from its own draw stream) and runs closed testing
-    with Fisher's combination at level ``config.q``. Returns the p-values,
-    the rejected subgroups and the flags of degenerate folds, keyed by the
-    subgroup index as a string.
-
-    The calling thread and the helper threads this call starts, one per
-    available CPU beyond the caller's (:func:`_helper_count`), take the
-    folds in subgroup order, and the helpers are joined before it returns;
-    with one CPU, one fold or in a ``multiprocessing`` child the caller
-    computes them all. A failing fold stops the taking, and the error of the
-    first failing subgroup is raised, so the output, error included, is that
-    of a serial loop whatever the thread count. The caller keeps working
-    rather than waiting for a helper to start, so small folds cost no more
-    than serially.
+    for subgroup k, drawn from the stream ``(config.seed, PVALUE_DRAWS, k)``),
+    in subgroup order, so a failing fold raises the error of the first
+    failing subgroup. Then runs closed testing with Fisher's combination at
+    level ``config.q``. Returns the p-values, the rejected subgroups and the
+    flags of degenerate folds, keyed by the subgroup index as a string.
     """
-    jobs = [(fold, config.mc_draws, rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
-            for k, fold in enumerate(folds)]
-    pvalues = [None] * len(jobs)
-    failed = {}
-    order = iter(range(len(jobs)))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                k = None if failed else next(order, None)
-            if k is None:
-                return
-            try:
-                # The module-global name, so a wrapper swapped in for
-                # mc_pvalue (a tracer) sees every call.
-                pvalues[k] = mc_pvalue(stat, dataset, *jobs[k])
-            except Exception as exc:
-                with lock:
-                    failed[k] = exc
-
-    helpers = [threading.Thread(target=work, name="adasplit-pvalue")
-               for _ in range(min(_helper_count(), len(jobs) - 1))]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if failed:
-        raise failed[min(failed)]
+    pvalues = [mc_pvalue(stat, dataset, fold, config.mc_draws,
+                         rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
+               for k, fold in enumerate(folds)]
     values = tuple(pv.value for pv in pvalues)
     flags = {str(pv.subgroup): pv.flag for pv in pvalues if pv.flag}
     return values, closed_testing(values, config.q), flags

@@ -221,8 +221,6 @@ def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS
     methods = tuple(canonical_method(m) for m in methods)
     jobs = [(scenario_name, rep, seed, config, methods) for rep in range(reps)]
     if threads > 1:
-        # The worker processes already fill the CPUs, so each computes its
-        # p-values serially (randtest._helper_count).
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
                                    chunksize=max(1, reps // (4 * threads))))

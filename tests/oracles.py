@@ -68,14 +68,26 @@ def integer_pvalue(scores, z_obs, draws=None):
     return (1.0 + int(np.count_nonzero(sums >= t_obs))) / (len(sums) + 1.0)
 
 
+def fair_coins_reference(gen, rows, m):
+    """A rows x m matrix of fair coins (0.0 or 1.0): each row takes ceil(m /
+    64) whole 64-bit words from ``gen``, in order, and unit j of a row is
+    bit j % 64 of its word j // 64, counted from the least significant, read
+    off with integer shifts."""
+    words = gen.integers(0, 2**64, size=(rows, -(-m // 64)), dtype=np.uint64)
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(rows, -1)[:, :m].astype(float)
+
+
 def mc_pvalue_reference(w, c, e, z_obs, m_draws, gen):
     """The Monte-Carlo p-value of the statistic ``w @ z + c``, drawn and
     summed as the package did before its matrix-vector product: draws from
-    ``gen`` in row chunks of about 2^16 doubles (C order, so the chunking
-    does not change the stream), each row summed in a fixed pairwise order,
-    and a draw counted when its statistic reaches the tie floor ``t_obs -
-    steps * eps * (sum |w| + |c| + |t_obs|)``, steps = ceil(log2 m) + 2.
-    Returns ``(p-value, observed statistic)``."""
+    ``gen`` in row chunks of about 2^16 doubles, each row summed in a fixed
+    pairwise order, and a draw counted when its statistic reaches the tie
+    floor ``t_obs - steps * eps * (sum |w| + |c| + |t_obs|)``, steps =
+    ceil(log2 m) + 2. Under the half design the draws are
+    :func:`fair_coins_reference`; otherwise unit j is treated when a uniform
+    ``gen.random`` draw (C order) falls below ``e[j]``. Neither draw depends
+    on the chunking. Returns ``(p-value, observed statistic)``."""
     w = np.asarray(w, dtype=float)
     e = np.asarray(e, dtype=float)
     m = w.size
@@ -92,11 +104,16 @@ def mc_pvalue_reference(w, c, e, z_obs, m_draws, gen):
     steps = (m - 1).bit_length() + 2
     eps = np.finfo(float).eps
     t_min = t_obs - steps * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_obs))
+    half = bool(np.all(e == 0.5))
     rows = max(1, (1 << 16) // m)
     count = 0
     for start in range(0, m_draws, rows):
-        draws = gen.random((min(rows, m_draws - start), m))
-        np.less(draws, e, out=draws)
+        size = min(rows, m_draws - start)
+        if half:
+            draws = fair_coins_reference(gen, size, m)
+        else:
+            draws = gen.random((size, m))
+            np.less(draws, e, out=draws)
         draws *= w
         count += int(np.count_nonzero(row_sums(draws) + c >= t_min))
     return (1.0 + count) / (m_draws + 1.0), t_obs

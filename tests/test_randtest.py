@@ -1,10 +1,5 @@
 """Test statistics, Monte-Carlo and exact p-values, and the testing stage."""
 
-import concurrent.futures
-import os
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +20,8 @@ from adasplit.nuisance import fit_mu
 from adasplit.randtest import STAT_AIPW, STAT_DM
 from adasplit import randtest, rng
 from oracles import (
-    aipw_statistic, dm_statistic, enumerate_pvalue, integer_pvalue, mc_pvalue_reference,
+    aipw_statistic, dm_statistic, enumerate_pvalue, fair_coins_reference, integer_pvalue,
+    mc_pvalue_reference,
 )
 
 
@@ -109,7 +105,7 @@ class TestMonteCarloPValue:
         ds = Dataset.from_arrays(gen.normal(size=(12, 1)), y, np.ones(12))
         pv = mc_pvalue(dm_spec(), ds, np.arange(12), 200, rng.stream(0, 1))
         # replay the identical stream: only an all-ones draw can tie
-        draws = (rng.stream(0, 1).random((200, 12)) < 0.5).all(axis=1).sum()
+        draws = fair_coins_reference(rng.stream(0, 1), 200, 12).all(axis=1).sum()
         assert pv.value == pytest.approx((1.0 + draws) / 201.0)
 
     def test_constant_statistic_gives_one(self):
@@ -200,6 +196,56 @@ class TestMonteCarloPValue:
             m = ds.y.size
             monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
             assert mc_pvalue(spec, ds, np.arange(m), 1001, rng.stream(9, j)) == base
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_fair_coins_across_word_boundaries(self, monkeypatch, m, rows):
+        # Each row takes whole 64-bit words, so the coins, and the p-value,
+        # are those of one draw of all 1001 rows whatever one chunk holds.
+        gen = np.random.default_rng(12)
+        y = gen.normal(size=m)
+        z = (gen.random(m) < 0.5).astype(float)
+        ds = Dataset.from_arrays(gen.normal(size=(m, 1)), y, z)
+        if rows is not None:
+            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
+        chunk = max(1, randtest._DRAW_ELEMENTS // m)
+        coins = np.empty((1001, m))
+        stream = rng.stream(12, m)
+        for start in range(0, 1001, chunk):
+            randtest._fair_coins(stream, coins[start:start + chunk])
+        assert np.array_equal(coins, fair_coins_reference(rng.stream(12, m), 1001, m))
+        w, c = randtest._linear_coeffs(dm_spec(), ds, np.arange(m))
+        value, t_obs = mc_pvalue_reference(w, c, ds.e, z, 1001, rng.stream(12, m))
+        got = mc_pvalue(dm_spec(), ds, np.arange(m), 1001, rng.stream(12, m))
+        assert got == PValue(value, 1001, t_obs, 0)
+
+    def test_fair_coins_first_row_is_pinned(self):
+        # Unit j is bit j % 64 of word j // 64, least significant first, on
+        # every platform; a byte-order or bit-order change moves this row.
+        # The stream's first word is 0x9b7c56721dc8cd50: 0x50 gives 00001010.
+        want = ("0000101010110011000100111011100001001110011010100011111011011001"
+                "110001")
+        coins = np.empty((1, 70))
+        randtest._fair_coins(rng.stream(0, rng.PVALUE_DRAWS, 0), coins)
+        oracle = fair_coins_reference(rng.stream(0, rng.PVALUE_DRAWS, 0), 1, 70)
+        for row in (coins[0], oracle[0]):
+            assert "".join(str(int(b)) for b in row) == want
+
+    @pytest.mark.parametrize("make", [
+        lambda: rng.stream(0, rng.PVALUE_DRAWS, 0),
+        lambda: np.random.default_rng(0),
+        lambda: np.random.Generator(np.random.MT19937(0)),
+    ], ids=["Philox", "PCG64", "MT19937"])
+    def test_fair_coins_are_fair_and_independent(self, make):
+        # Every column's mean, and the rate at which the last bit of one
+        # word agrees with the first of the next, are within 4 standard
+        # errors of 1/2 (MT19937's raw words carry 32 bits; a draw from them
+        # would leave half of each word's columns at 0).
+        coins = np.empty((20000, 130))
+        randtest._fair_coins(make(), coins)
+        bound = 4.0 * np.sqrt(0.25 / coins.shape[0])
+        assert np.all(np.abs(coins.mean(axis=0) - 0.5) <= bound)
+        assert abs(np.mean(coins[:, 63] == coins[:, 64]) - 0.5) <= bound
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_replicated_assignment_ties_exactly(self, monkeypatch, rows):
@@ -331,9 +377,8 @@ class TestReferenceDrawLoop:
 
 
 class TestPooledStage:
-    """``test_folds`` gives the same output, error included, with the calling
-    thread alone (one worker) and with one helper thread (two workers), and
-    both equal a serial loop over ``mc_pvalue``."""
+    """``test_folds``, the stage all three methods share, equals a loop over
+    ``mc_pvalue`` in subgroup order, error included."""
 
     CONFIG = AdaSplitConfig(mc_draws=300, seed=5)
 
@@ -348,110 +393,57 @@ class TestPooledStage:
         return x, y, z, folds
 
     @staticmethod
-    def run(monkeypatch, workers, spec, ds, folds):
-        """``test_folds`` with ``workers`` threads; a ``ValidationError`` it
-        raises is returned as its repr."""
-        monkeypatch.setattr(randtest, "_helper_count", lambda: workers - 1)
+    def run(spec, ds, folds):
+        """``test_folds``; a ``ValidationError`` it raises is returned as its
+        repr."""
         try:
             return randtest.test_folds(spec, ds, folds, TestPooledStage.CONFIG)
         except ValidationError as exc:
             return repr(exc)
 
-    def both(self, monkeypatch, spec, ds, folds):
-        one = self.run(monkeypatch, 1, spec, ds, folds)
-        assert self.run(monkeypatch, 2, spec, ds, folds) == one
-        return one
-
     @pytest.mark.parametrize("k", [1, 2, 5, 14])
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
-    def test_worker_count_does_not_change_the_output(self, monkeypatch, k, stat):
+    def test_worker_count_does_not_change_the_output(self, k, stat):
         x, y, z, folds = self.trial(k, k)
         spec = dm_spec() if stat == STAT_DM else aipw_spec(x, y, seed=k)
         ds = Dataset.from_arrays(x, y, z)
-        values, _, flags = self.both(monkeypatch, spec, ds, folds)
+        values, _, flags = self.run(spec, ds, folds)
         assert values == tuple(
             mc_pvalue(spec, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j)).value
             for j, fold in enumerate(folds))
         assert flags == {}
 
-    def test_empty_fold_keeps_its_flag(self, monkeypatch):
+    def test_empty_fold_keeps_its_flag(self):
         x, y, z, folds = self.trial(3, 40)
         folds[1] = folds[1][:0]
-        values, _, flags = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z),
-                                     folds)
+        values, _, flags = self.run(dm_spec(), Dataset.from_arrays(x, y, z), folds)
         assert values[1] == 1.0 and flags == {"1": "empty-inference-fold"}
 
-    def test_masked_assignment_raises_the_serial_error(self, monkeypatch):
+    def test_masked_assignment_raises_the_serial_error(self):
         x, y, z, folds = self.trial(3, 41)
         z[folds[1][0]] = np.nan
-        got = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z), folds)
+        got = self.run(dm_spec(), Dataset.from_arrays(x, y, z), folds)
         assert got == repr(ValidationError("masked assignment in the inference fold"))
 
     def test_first_failing_subgroup_in_order_raises(self, monkeypatch):
-        # Subgroups 1 and 2 both fail, and subgroup 1 fails later in time,
-        # so a helper may see subgroup 2's error first.
+        # Subgroups 1 and 2 both fail; subgroup 2's fold is never drawn.
         x, y, z, folds = self.trial(3, 42)
         z[folds[1][0]] = z[folds[2][0]] = np.nan
         plain = randtest.mc_pvalue
+        called = []
 
         def tagged(spec, ds, fold, m_draws, gen, k):
-            if k == 1:
-                time.sleep(0.05)
+            called.append(k)
             try:
                 return plain(spec, ds, fold, m_draws, gen, k)
             except ValidationError as exc:
                 raise ValidationError(f"{exc} (subgroup {k})") from None
 
         monkeypatch.setattr(randtest, "mc_pvalue", tagged)
-        got = self.both(monkeypatch, dm_spec(), Dataset.from_arrays(x, y, z), folds)
+        got = self.run(dm_spec(), Dataset.from_arrays(x, y, z), folds)
         assert got == repr(ValidationError(
             "masked assignment in the inference fold (subgroup 1)"))
-
-    def test_more_threads_than_cores_with_short_switches(self, monkeypatch):
-        # Threads switched every microsecond race for the next fold and the
-        # result slots; a fold taken twice, skipped or stored at another
-        # index changes the output.
-        x, y, z, folds = self.trial(14, 43)
-        ds = Dataset.from_arrays(x, y, z)
-        serial = self.run(monkeypatch, 1, dm_spec(), ds, folds)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert self.run(monkeypatch, 6, dm_spec(), ds, folds) == serial
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_one_helper_per_available_cpu_beyond_the_caller(self):
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cpus = os.cpu_count() or 1
-        assert randtest._helper_count() == cpus - 1
-
-    def test_no_helpers_in_a_process_worker(self):
-        with concurrent.futures.ProcessPoolExecutor(1) as pool:
-            assert pool.submit(randtest._helper_count).result() == 0
-
-    @pytest.mark.parametrize("failing", [None, 13])
-    def test_helper_threads_are_joined(self, monkeypatch, failing):
-        x, y, z, folds = self.trial(14, 44)
-        if failing is not None:
-            z[folds[failing][0]] = np.nan
-        plain = randtest.mc_pvalue
-        during = []
-
-        def counted(*args):
-            during.append(threading.active_count())
-            time.sleep(0.001)
-            return plain(*args)
-
-        monkeypatch.setattr(randtest, "mc_pvalue", counted)
-        before = threading.active_count()
-        got = self.run(monkeypatch, 4, dm_spec(), Dataset.from_arrays(x, y, z), folds)
-        assert threading.active_count() == before
-        assert max(during) > before
-        assert isinstance(got, str) == (failing is not None)
+        assert called == [0, 1]
 
 
 class TestExactPValue:
@@ -556,5 +548,5 @@ class TestTies:
             spec, ints = self.spec_and_scores(stat, y, scores, kind)
             ds = Dataset.from_arrays(np.zeros((m, 1)), y, z)
             got = mc_pvalue(spec, ds, np.arange(m), 500, np.random.default_rng(i)).value
-            draws = np.random.default_rng(i).random((500, m)) < 0.5
+            draws = fair_coins_reference(np.random.default_rng(i), 500, m)
             assert got == integer_pvalue(ints, z, draws)

@@ -186,8 +186,8 @@ class TestHarness:
         assert serial == threaded
 
     def test_process_workers_after_the_pvalue_pool_is_up(self):
-        # A serial run in the parent starts p-value helper threads first;
-        # forked process workers, which inherit none of them, must still
+        # A run in the parent first draws p-values and fills BLAS buffers
+        # in this process; process workers forked after it must still
         # finish. Run in a subprocess so that a deadlock fails instead of
         # hanging.
         script = textwrap.dedent("""
