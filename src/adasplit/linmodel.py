@@ -23,7 +23,7 @@ class LinearModel:
 
     def __post_init__(self):
         coef = np.asarray(self.coef, dtype=float).ravel()
-        if not np.isfinite(coef).all():
+        if not _finite(coef):
             raise ValidationError("non-finite coefficient")
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
@@ -41,6 +41,12 @@ def _design(x):
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def _finite(a):
+    """Whether every entry of ``a`` is finite, in one reduction rather than
+    the wrapper chain behind ``ndarray.all``."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def _solve_spd(a, b, ridge):
     """``scipy.linalg.cho_solve(cho_factor(a), b)``, checks and errors
     included, without wrappers that cost more than a solve this small."""
@@ -49,7 +55,7 @@ def _solve_spd(a, b, ridge):
 
 def _cho_factor(a, ridge):
     """The Cholesky factor of :func:`_solve_spd`, with its errors."""
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(a, lower=0, clean=0)
     if info > 0:
@@ -63,7 +69,7 @@ def _cho_factor(a, ridge):
 
 def _cho_solve(c, b):
     """Solve with a factor from :func:`_cho_factor`."""
-    if not np.isfinite(b).all():
+    if not _finite(b):
         raise ValueError("array must not contain infs or NaNs")
     return dpotrs(c, b, lower=0)[0]
 

@@ -178,12 +178,12 @@ def test_criterion_6_closed_form_vs_optimizer():
         ds = Dataset.from_arrays(x, y, z)
         state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
-        closed = state.pooled(e_hat).coef
+        closed = state.pooled(e_hat)
         numeric = minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam=1.0)
         bar_ok &= bool(np.linalg.norm(closed - numeric) <= 1e-6)
 
         state.index(x, y, cfg.knn_k)
-        ours = state.refit()[0].coef
+        ours = state.refit()[0]
         p = reference_selection_prob(knn_lists(x, y, cfg.knn_k)[1], mask)[mask]
         ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask], mu_vals[mask], e[mask]),
                         w=1.0 / p, ridge=cfg.ridge_lambda)

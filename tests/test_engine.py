@@ -1,9 +1,11 @@
 """The adaptive selection engine: initialization, criterion, convergence,
 the full loop, and its structural guarantees."""
 
+import cProfile
 import csv
 import functools
 import json
+import pstats
 import tracemalloc
 
 import numpy as np
@@ -492,6 +494,26 @@ class TestRunningSums:
                                      + report.iterations)
         assert pruned > 1
         assert_sums_fresh(state, ds)
+
+
+class TestStepCost:
+    def test_python_calls_per_step(self):
+        # At n = 500 a step's cost is per-call overhead, not arithmetic, so
+        # count the calls cProfile sees, per step, over 20 whole runs: the
+        # index, the p-values and the report are spread over the steps.
+        # This is about 42 (108 when every solve built a model and the
+        # posterior, key and right-hand side went through numpy's Python
+        # wrappers); numpy < 1.25, whose array functions dispatch through
+        # two more Python-level calls each, adds about 7.
+        cases = [generate("default", seed) for seed in range(20)]
+        profile = cProfile.Profile()
+        steps = 0
+        profile.enable()
+        for seed, (ds, part, _) in enumerate(cases):
+            steps += run(ds, part, AdaSplitConfig(seed=seed), collect_trace=False).iterations
+        profile.disable()
+        assert steps > 2000
+        assert pstats.Stats(profile).total_calls / steps <= 55
 
 
 class TestStopReason:

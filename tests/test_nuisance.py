@@ -352,7 +352,7 @@ class TestBarLearner:
         cfg = AdaSplitConfig(lambda_imputed=lam, ridge_lambda=ridge)
         state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
-        return state.pooled(e_hat).coef
+        return state.pooled(e_hat)
 
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, e, mask, mu_vals, _ = self._instance(1)
