@@ -1,9 +1,9 @@
 """Domain data model: trial data, subgroup partitions, fold snapshots,
 configuration.
 
-A :class:`Dataset` holds the covariate matrix ``x``, observed outcomes ``y``,
-binary treatment assignments ``z`` and the per-unit design probabilities
-``e`` (all 1/2 for the standard Bernoulli design). Assignments may be masked
+A :class:`Dataset` holds the covariate matrix ``x``, observed outcomes ``y``
+and binary treatment assignments ``z``, drawn under the Bernoulli(1/2)
+design, the only design the package supports. Assignments may be masked
 (NaN) for units whose treatment is unknown; every other field must be finite.
 
 Every type here is immutable after construction and safe to share across
@@ -33,25 +33,22 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class Dataset:
-    """One experimental sample: covariates, outcomes, assignments, design."""
+    """One experimental sample: covariates, outcomes, assignments."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    e: np.ndarray
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         y = np.asarray(self.y, dtype=float).ravel()
         z = np.asarray(self.z, dtype=float).ravel()
-        e = np.asarray(self.e, dtype=float).ravel()
         n = x.shape[0]
         if n < 1 or x.shape[1] < 1:
             raise ValidationError("n >= 1 and d >= 1 required")
-        if y.shape[0] != n or z.shape[0] != n or e.shape[0] != n:
+        if y.shape[0] != n or z.shape[0] != n:
             raise ValidationError(
-                f"length mismatch: x has {n} rows, y {y.shape[0]}, "
-                f"z {z.shape[0]}, e {e.shape[0]}"
+                f"length mismatch: x has {n} rows, y {y.shape[0]}, z {z.shape[0]}"
             )
         if not np.all(np.isfinite(x)):
             raise ValidationError("non-finite covariate value")
@@ -60,12 +57,9 @@ class Dataset:
         observed = ~np.isnan(z)
         if not np.all(np.isin(z[observed], (0.0, 1.0))):
             raise ValidationError("non-binary assignment")
-        if not np.all((e > 0.0) & (e < 1.0)):
-            raise ValidationError("design probability outside (0, 1)")
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "e", _readonly(e))
 
     @property
     def n(self):
@@ -75,19 +69,11 @@ class Dataset:
     def d(self):
         return self.x.shape[1]
 
-    @classmethod
-    def from_arrays(cls, x, y, z, e=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if e is None:
-            e = np.full(x.shape[0], 0.5)
-        return cls(x=x, y=y, z=z, e=e)
-
     def equals(self, other):
         return (
             np.array_equal(self.x, other.x)
             and np.array_equal(self.y, other.y)
             and np.array_equal(self.z, other.z, equal_nan=True)
-            and np.array_equal(self.e, other.e)
         )
 
 
@@ -419,7 +405,7 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     if not columns or columns[0].size == 0:
         raise ValidationError("empty file: n >= 1 required")
     d = len(names)
-    dataset = Dataset.from_arrays(np.column_stack(columns[:d]), columns[d], columns[d + 1])
+    dataset = Dataset(np.column_stack(columns[:d]), columns[d], columns[d + 1])
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
 
 

@@ -232,8 +232,7 @@ class _LoopState:
         nuis = np.flatnonzero(self.mask)
         units = nuis[self.w[nuis] == 0.0]
         z = self.z[units] = self.zlog.take(units)
-        # run requires the half design, so e(x) is the scalar 1/2.
-        self.r[units] = scaled_residual(self.y[units], z, self.mu_vals[units], 0.5)
+        self.r[units] = scaled_residual(self.y[units], z, self.mu_vals[units])
         w = self.w[nuis] = self.weight[self.counts[nuis]]
         xd_i = self.xd[nuis]
         self.g_w = xd_i.T @ (xd_i * w[:, None])
@@ -305,13 +304,12 @@ class _LoopState:
 def run(dataset, partition, config, collect_trace=True):
     """Run the full adaptive splitting analysis and return a report.
 
-    Deterministic: identical inputs produce identical reports. Requires the
-    Bernoulli(1/2) design (the posterior model is derived under it).
+    Deterministic: identical inputs produce identical reports. The posterior
+    model is derived under the Bernoulli(1/2) design, the package's only
+    design.
     """
     if dataset.n != partition.n:
         raise ValidationError("dataset and partition sizes differ")
-    if not np.all(dataset.e == 0.5):
-        raise ValidationError("adaptive splitting requires the Bernoulli(1/2) design")
 
     x, y = dataset.x, dataset.y
     zlog = _AssignmentLog(dataset.z)

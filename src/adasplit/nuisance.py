@@ -5,9 +5,10 @@ The estimation stack mirrors how the adaptive split consumes it:
 
 * ``fit_mu`` fits the outcome regression E[Y | X] on all units without
   touching any treatment assignment.
-* Scaled residuals ``(y - mu(x)) / (z - e(x))`` turn the partially linear
-  outcome model into a regression problem whose target is the CATE;
-  ``fit_rlearner_weighted`` fits them by least squares over one fold.
+* Scaled residuals ``(y - mu(x)) / (z - 1/2)`` turn the partially linear
+  outcome model into a regression problem whose target is the CATE under
+  the Bernoulli(1/2) design; ``fit_rlearner_weighted`` fits them by least
+  squares over one fold.
 * Because the nuisance fold is selected adaptively, plain least squares on
   it is biased; the selection loop (``engine._LoopState``) weights each fold
   unit by the inverse of its estimated selection probability ``p(x, y)``, a
@@ -53,13 +54,13 @@ def fit_mu(x, y, ridge=0.0):
     return fit_wls(x, y, ridge=ridge)
 
 
-def scaled_residual(y, z, mu_vals, e):
-    """Residual ``(y - mu(x)) / (z - e(x))``; the regression target whose
-    conditional mean is the CATE. The denominator is -e or 1-e, never 0."""
-    return (np.asarray(y, dtype=float) - mu_vals) / (np.asarray(z, dtype=float) - e)
+def scaled_residual(y, z, mu_vals):
+    """Residual ``(y - mu(x)) / (z - 1/2)``; the regression target whose
+    conditional mean is the CATE. The denominator is -1/2 or 1/2."""
+    return (np.asarray(y, dtype=float) - mu_vals) / (np.asarray(z, dtype=float) - 0.5)
 
 
-def fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=0.0):
+def fit_rlearner_weighted(x, y, z, mu_vals, ridge=0.0):
     """CATE regression of scaled residuals on covariates over one fold, by
     plain least squares.
 
@@ -70,7 +71,7 @@ def fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=0.0):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] < x.shape[1] + 1:
         raise ValidationError("fold too small for the residual regression")
-    return fit_wls(x, scaled_residual(y, z, mu_vals, e), ridge=ridge)
+    return fit_wls(x, scaled_residual(y, z, mu_vals), ridge=ridge)
 
 
 # Selection probability -------------------------------------------------------

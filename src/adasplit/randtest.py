@@ -5,7 +5,7 @@ Both test statistics are linear in the assignment vector, so a draw of the
 reference distribution is a single dot product, and a chunk of draws is one
 matrix-vector product (certified against a fixed-order sum where rounding
 could decide; see :func:`mc_pvalue`). Under the Bernoulli(1/2) design, the
-design of every pipeline input, each assignment is one random bit
+only design the package supports, each assignment is one random bit
 (:func:`_fair_coins`). The Monte-Carlo p-value uses the add-one correction
 ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is finite-sample valid for
 any number of draws because the observed and randomized assignments are
@@ -63,18 +63,27 @@ def _linear_coeffs(stat, dataset, subgroup):
 
     Difference in means is ``2/m (sum_treated y - sum_control y)``. AIPW is
     the mean over the m units of ``z/e (y - mu_1) - (1-z)/(1-e) (y - mu_0)
-    + tau``, with arm models ``mu_z(x) = mu(x) + (z - e(x)) tau(x)``.
+    + tau`` with e = 1/2, the treatment probability of the design, and arm
+    models ``mu_z(x) = mu(x) + (z - e) tau(x)``.
+
+    In exact arithmetic the fitted CATE drops out of AIPW at e = 1/2:
+    ``mu_1 = mu + tau/2`` and ``mu_0 = mu - tau/2`` give ``w = 4 (y - mu) /
+    m`` and ``c = -2 sum (y - mu) / m``, so tau reaches the p-value only
+    through rounding (w is within 3e-15 of ``4 (y - mu) / m`` on a
+    ``default`` subgroup with tau scaled up to 1000 times). The form above
+    is kept all the same: it rounds as the package always has, so p-values
+    stay byte-identical, and a simplified formula could move them.
     """
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
     y = dataset.y[idx]
-    e = dataset.e[idx]
     if stat.kind == STAT_DM:
         return 4.0 * y / m, -2.0 * float(np.sum(y)) / m
     nuis = stat.nuisances
     x = dataset.x[idx]
     mu_vals = nuis.mu.predict(x)
     tau_vals = nuis.tau.predict(x)
+    e = 0.5
     mu1 = mu_vals + (1.0 - e) * tau_vals
     mu0 = mu_vals - e * tau_vals
     w = ((y - mu1) / e + (y - mu0) / (1.0 - e)) / m
@@ -134,16 +143,14 @@ def _fair_coins(gen, out):
 def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     """Monte-Carlo randomization p-value on one subgroup's inference fold.
 
-    Draws ``m_draws`` i.i.d. assignment vectors from the design
-    (independent Bernoulli with the stored per-unit probabilities),
+    Draws ``m_draws`` i.i.d. assignment vectors from the Bernoulli(1/2)
+    design, each assignment one random bit (:func:`_fair_coins`),
     recomputes the statistic on each, and applies the add-one correction.
-    Under the half design each assignment is one random bit
-    (:func:`_fair_coins`); otherwise unit j is treated when a uniform draw
-    falls below its probability. The draws are made in chunks of rows of
-    about ``_DRAW_ELEMENTS`` doubles into one reused buffer, so memory does
-    not grow with ``m_draws``, and both draws consume the stream as one
-    ``m_draws`` x m draw would, whatever the chunk size. An empty fold
-    yields p = 1 with a flag rather than an error.
+    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles
+    into one reused buffer, so memory does not grow with ``m_draws``, and
+    they consume the stream as one ``m_draws`` x m draw would, whatever the
+    chunk size. An empty fold yields p = 1 with a flag rather than an
+    error.
 
     A draw counts when its statistic, summed by :func:`_row_sums` and plus
     ``c``, reaches ``t_min`` (``_tie_floor``). Each chunk's statistics come
@@ -179,7 +186,6 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     z_obs = dataset.z[idx]
     if np.any(np.isnan(z_obs)):
         raise ValidationError("masked assignment in the inference fold")
-    e = dataset.e[idx]
     m = idx.size
     # The observed statistic is summed exactly as each draw's is, so a draw
     # replicating the observed assignment ties exactly (ties carry real
@@ -192,18 +198,12 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     slack = 4 * (m + steps + 2) * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_min))
     # A non-finite bound certifies nothing: every draw is summed pairwise.
     hi, lo = (t_min + slack, t_min - slack) if np.isfinite(slack) else (np.nan, np.nan)
-    half = bool(np.all(e == 0.5))
     rows = max(1, _DRAW_ELEMENTS // m)
     buf = np.empty((min(rows, m_draws), m))
     count = 0
     for start in range(0, m_draws, rows):
         draws = buf[:min(rows, m_draws - start)]
-        if half:
-            _fair_coins(rng, draws)
-        else:
-            # Generator.random fills in C order.
-            rng.random(out=draws)
-            np.less(draws, e, out=draws)
+        _fair_coins(rng, draws)
         t = draws @ w
         t += c
         above = t >= hi
@@ -236,9 +236,9 @@ def test_folds(stat, dataset, folds, config):
 def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
     """Exact randomization p-value by enumerating all 2^m assignments.
 
-    Each assignment vector is weighted by its design probability; under the
-    half design this is the plain proportion of assignments whose statistic
-    is at least the observed one. No add-one correction (the reference
+    The p-value is the proportion of assignments whose statistic is at least
+    the observed one, each assignment having probability 2^-m under the
+    Bernoulli(1/2) design. No add-one correction (the reference
     distribution is complete). A statistic is ``c`` plus m terms added in
     sequence, so two equal in exact arithmetic differ by at most ``2 gamma_m
     (sum |w| + |c|)``, ``gamma_m = m u / (1 - m u)``, ``u = eps / 2``; for
@@ -256,21 +256,11 @@ def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
         raise ValidationError("masked assignment in the inference fold")
     codes = np.arange(1 << m, dtype=np.int64)
     t_ref = np.full(codes.size, c)
-    e = dataset.e[idx]
-    half = bool(np.all(e == 0.5))
-    prob = None if half else np.ones(codes.size)
     for j in range(m):
-        bit = (codes >> j) & 1
-        t_ref += np.where(bit == 1, w[j], 0.0)
-        if prob is not None:
-            prob = prob * np.where(bit == 1, e[j], 1.0 - e[j])
+        t_ref += np.where((codes >> j) & 1, w[j], 0.0)
     # The observed assignment is one of the enumerated codes; reading its
     # statistic off the same table makes the self-tie exact.
     obs_code = int(sum(1 << j for j in range(m) if z_obs[j] == 1.0))
     t_obs = float(t_ref[obs_code])
-    hits = t_ref >= _tie_floor(t_obs, w, c, m + 1)
-    if half:
-        value = int(np.sum(hits)) / float(1 << m)
-    else:
-        value = float(np.sum(prob[hits]))
-    return PValue(value, 1 << m, t_obs, subgroup_id)
+    hits = int(np.count_nonzero(t_ref >= _tie_floor(t_obs, w, c, m + 1)))
+    return PValue(hits / float(1 << m), 1 << m, t_obs, subgroup_id)

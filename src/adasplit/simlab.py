@@ -127,7 +127,7 @@ def generate(scenario_name, seed):
     z = (gen.random(scenario.n) < 0.5).astype(float)
     eps = gen.normal(0.0, np.sqrt(scenario.nu2), size=scenario.n)
     y = scenario.mu0(x) + z * scenario.tau(x) + eps
-    dataset = Dataset.from_arrays(x, y, z)
+    dataset = Dataset(x, y, z)
     if scenario.cuts:
         partition = partition_by_quantiles(dataset, 0, scenario.cuts)
     else:
@@ -172,8 +172,8 @@ def run_method(method, dataset, partition, config, collect_trace=False):
         )
     x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
     mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
-    tau = fit_rlearner_weighted(x_i, y_i, zlog.take(nuis_idx), dataset.e[nuis_idx],
-                                mu.predict(x_i), ridge=config.ridge_lambda)
+    tau = fit_rlearner_weighted(x_i, y_i, zlog.take(nuis_idx), mu.predict(x_i),
+                                ridge=config.ridge_lambda)
     stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
     return engine.finish(method, dataset, partition, config, zlog, stat,
                          mask=mask, coef=tau.coef)
@@ -255,8 +255,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
         mu = fit_mu(dataset.x, dataset.y, ridge=config.ridge_lambda)
         rl = fit_rlearner_weighted(
             dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
-            dataset.e[nuis_idx], mu.predict(dataset.x[nuis_idx]),
-            ridge=config.ridge_lambda,
+            mu.predict(dataset.x[nuis_idx]), ridge=config.ridge_lambda,
         )
         gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
         x_new = draw_covariates(scenario, holdout, gen)

@@ -20,34 +20,27 @@ def dm_statistic(y, z):
     return 2.0 / y.size * (np.sum(y[z == 1.0]) - np.sum(y[z == 0.0]))
 
 
-def aipw_statistic(y, z, e, mu_vals, tau_vals):
+def aipw_statistic(y, z, mu_vals, tau_vals):
+    """The AIPW statistic under the Bernoulli(1/2) design: the mean of
+    ``z/e (y - mu_1) - (1-z)/(1-e) (y - mu_0) + tau`` at e = 1/2."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    e = 0.5
     mu1 = mu_vals + (1.0 - e) * tau_vals
     mu0 = mu_vals - e * tau_vals
     phi = z / e * (y - mu1) - (1.0 - z) / (1.0 - e) * (y - mu0) + tau_vals
     return float(np.mean(phi))
 
 
-def enumerate_pvalue(stat_fn, z_obs, e):
-    """Exact randomization p-value: weight every assignment vector by its
-    design probability and sum the mass where the statistic reaches the
-    observed one. ``stat_fn`` maps an assignment vector to the statistic."""
+def enumerate_pvalue(stat_fn, z_obs):
+    """Exact randomization p-value under the Bernoulli(1/2) design: the share
+    of all 2^m assignment vectors whose statistic reaches the observed one.
+    ``stat_fn`` maps an assignment vector to the statistic."""
     z_obs = np.asarray(z_obs, dtype=float)
-    e = np.asarray(e, dtype=float)
-    m = z_obs.size
     t_obs = stat_fn(z_obs)
-    half = bool(np.all(e == 0.5))
-    hits = 0
-    mass = 0.0
-    for bits in itertools.product((0.0, 1.0), repeat=m):
-        z = np.array(bits)
-        if stat_fn(z) >= t_obs:
-            if half:
-                hits += 1
-            else:
-                mass += float(np.prod(np.where(z == 1.0, e, 1.0 - e)))
-    return hits / float(2**m) if half else mass
+    hits = sum(stat_fn(np.array(bits)) >= t_obs
+               for bits in itertools.product((0.0, 1.0), repeat=z_obs.size))
+    return hits / float(2**z_obs.size)
 
 
 def integer_pvalue(scores, z_obs, draws=None):
@@ -78,18 +71,16 @@ def fair_coins_reference(gen, rows, m):
     return bits.reshape(rows, -1)[:, :m].astype(float)
 
 
-def mc_pvalue_reference(w, c, e, z_obs, m_draws, gen):
+def mc_pvalue_reference(w, c, z_obs, m_draws, gen):
     """The Monte-Carlo p-value of the statistic ``w @ z + c``, drawn and
     summed as the package did before its matrix-vector product: draws from
     ``gen`` in row chunks of about 2^16 doubles, each row summed in a fixed
     pairwise order, and a draw counted when its statistic reaches the tie
     floor ``t_obs - steps * eps * (sum |w| + |c| + |t_obs|)``, steps =
-    ceil(log2 m) + 2. Under the half design the draws are
-    :func:`fair_coins_reference`; otherwise unit j is treated when a uniform
-    ``gen.random`` draw (C order) falls below ``e[j]``. Neither draw depends
-    on the chunking. Returns ``(p-value, observed statistic)``."""
+    ceil(log2 m) + 2. The draws are :func:`fair_coins_reference`, which
+    do not depend on the chunking. Returns ``(p-value, observed
+    statistic)``."""
     w = np.asarray(w, dtype=float)
-    e = np.asarray(e, dtype=float)
     m = w.size
 
     def row_sums(v):
@@ -104,16 +95,10 @@ def mc_pvalue_reference(w, c, e, z_obs, m_draws, gen):
     steps = (m - 1).bit_length() + 2
     eps = np.finfo(float).eps
     t_min = t_obs - steps * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_obs))
-    half = bool(np.all(e == 0.5))
     rows = max(1, (1 << 16) // m)
     count = 0
     for start in range(0, m_draws, rows):
-        size = min(rows, m_draws - start)
-        if half:
-            draws = fair_coins_reference(gen, size, m)
-        else:
-            draws = gen.random((size, m))
-            np.less(draws, e, out=draws)
+        draws = fair_coins_reference(gen, min(rows, m_draws - start), m)
         draws *= w
         count += int(np.count_nonzero(row_sums(draws) + c >= t_min))
     return (1.0 + count) / (m_draws + 1.0), t_obs
@@ -157,57 +142,59 @@ def wls_solve(x, y, w=None, ridge=0.0):
     return coef
 
 
-def pooled_imputation_loss(beta, x, y, z, e, mask, mu_vals, e_hat, lam):
-    """The pooled objective: squared outcome-model error with observed
-    assignments on the selected fold plus the assignment-marginalized
-    squared error, weighted by lam, on the rest."""
+def pooled_imputation_loss(beta, x, y, z, mask, mu_vals, e_hat, lam):
+    """The pooled objective under the Bernoulli(1/2) design: squared
+    outcome-model error with observed assignments on the selected fold plus
+    the assignment-marginalized squared error, weighted by lam, on the
+    rest."""
     beta = np.asarray(beta, dtype=float)
     xd = np.hstack([np.ones((x.shape[0], 1)), x])
     tau = xd @ beta
     i = np.asarray(mask, dtype=bool)
     j = ~i
-    full = np.sum((y[i] - mu_vals[i] - (z[i] - e[i]) * tau[i]) ** 2)
-    imp1 = e_hat[j] * (y[j] - mu_vals[j] - (1.0 - e[j]) * tau[j]) ** 2
-    imp0 = (1.0 - e_hat[j]) * (y[j] - mu_vals[j] - (0.0 - e[j]) * tau[j]) ** 2
+    full = np.sum((y[i] - mu_vals[i] - (z[i] - 0.5) * tau[i]) ** 2)
+    imp1 = e_hat[j] * (y[j] - mu_vals[j] - 0.5 * tau[j]) ** 2
+    imp0 = (1.0 - e_hat[j]) * (y[j] - mu_vals[j] + 0.5 * tau[j]) ** 2
     return float(full + lam * np.sum(imp1 + imp0))
 
 
-def bar_learner_reference(x, y, e, mask, z_nuis, mu_vals, e_hat, lam, ridge):
-    """The pooled CATE fit on a general design: observed scaled residuals
-    ``(y - mu) / (z - e)`` on the fold ``mask``, and on the other units the
-    residual with z marginalized over the posterior ``e_hat``, ``e_hat (y -
-    mu) / (1 - e) - (1 - e_hat) (y - mu) / e``, weighted by lam. Solves
+def bar_learner_reference(x, y, mask, z_nuis, mu_vals, e_hat, lam, ridge):
+    """The pooled CATE fit under the Bernoulli(1/2) design: observed scaled
+    residuals ``(y - mu) / (z - 1/2)`` on the fold ``mask``, and on the
+    other units the residual with z marginalized over the posterior
+    ``e_hat``, ``e_hat (y - mu) / (1/2) - (1 - e_hat) (y - mu) / (1/2)``,
+    weighted by lam. Solves
     ``(X_I'X_I + lam X_J'X_J + ridge I) beta = X_I'r_I + lam X_J'r_J`` with
     ``scipy.linalg.cho_factor`` / ``cho_solve``, intercept column first.
     Returns the coefficients."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y, e, mu_vals = (np.asarray(a, dtype=float) for a in (y, e, mu_vals))
+    y, mu_vals = (np.asarray(a, dtype=float) for a in (y, mu_vals))
     i = np.asarray(mask, dtype=bool)
     j = ~i
     xd = np.hstack([np.ones((x.shape[0], 1)), x])
-    r_i = (y[i] - mu_vals[i]) / (np.asarray(z_nuis, dtype=float) - e[i])
+    r_i = (y[i] - mu_vals[i]) / (np.asarray(z_nuis, dtype=float) - 0.5)
     d_j = y[j] - mu_vals[j]
-    r_j = e_hat[j] * d_j / (1.0 - e[j]) + (1.0 - e_hat[j]) * d_j / (0.0 - e[j])
+    r_j = e_hat[j] * d_j / 0.5 + (1.0 - e_hat[j]) * d_j / -0.5
     xd_i, xd_j = xd[i], xd[j]
     gram = xd_i.T @ xd_i + lam * (xd_j.T @ xd_j) + ridge * np.eye(xd.shape[1])
     return cho_solve(cho_factor(gram), xd_i.T @ r_i + lam * (xd_j.T @ r_j))
 
 
-def minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam, sweeps=2000):
+def minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam, sweeps=2000):
     """Coordinate descent on :func:`pooled_imputation_loss` from a zero
     start, run until the loss change falls below 1e-12."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     p = x.shape[1] + 1
     beta = np.zeros(p)
-    last = pooled_imputation_loss(beta, x, y, z, e, mask, mu_vals, e_hat, lam)
+    last = pooled_imputation_loss(beta, x, y, z, mask, mu_vals, e_hat, lam)
     xd = np.hstack([np.ones((x.shape[0], 1)), x])
     i = np.asarray(mask, dtype=bool)
     j = ~i
     # Per-term (coefficient, target, weight) triples: each term is
-    # weight * (target - coeff_row @ beta)^2 with coeff_row = (z - e) * xd.
-    rows = [(z[i] - e[i])[:, None] * xd[i], y[i] - mu_vals[i], np.ones(int(i.sum()))]
-    rows1 = [(1.0 - e[j])[:, None] * xd[j], y[j] - mu_vals[j], lam * e_hat[j]]
-    rows0 = [(0.0 - e[j])[:, None] * xd[j], y[j] - mu_vals[j], lam * (1.0 - e_hat[j])]
+    # weight * (target - coeff_row @ beta)^2 with coeff_row = (z - 1/2) * xd.
+    rows = [(z[i] - 0.5)[:, None] * xd[i], y[i] - mu_vals[i], np.ones(int(i.sum()))]
+    rows1 = [0.5 * xd[j], y[j] - mu_vals[j], lam * e_hat[j]]
+    rows0 = [-0.5 * xd[j], y[j] - mu_vals[j], lam * (1.0 - e_hat[j])]
     a = np.vstack([rows[0], rows1[0], rows0[0]])
     t = np.concatenate([rows[1], rows1[1], rows0[1]])
     w = np.concatenate([rows[2], rows1[2], rows0[2]])
@@ -217,7 +204,7 @@ def minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam, sweeps=2000):
             denom = np.sum(w * a[:, c] ** 2)
             if denom > 0.0:
                 beta[c] = np.sum(w * a[:, c] * resid) / denom
-        loss = pooled_imputation_loss(beta, x, y, z, e, mask, mu_vals, e_hat, lam)
+        loss = pooled_imputation_loss(beta, x, y, z, mask, mu_vals, e_hat, lam)
         if abs(last - loss) < 1e-12:
             break
         last = loss
@@ -321,11 +308,11 @@ def reference_convergence_metric(pkg, tau_new, tau_old, x_j):
     return float(np.sum((new - old) ** 2)) / denom
 
 
-def _reference_refit(pkg, x, y, e, mask, p_all, zlog, mu_vals, floor, ridge):
+def _reference_refit(pkg, x, y, mask, p_all, zlog, mu_vals, floor, ridge):
     nuis_idx = np.flatnonzero(mask)
     z_i = zlog.take(nuis_idx)
     p_i = p_all[nuis_idx]
-    r_i = pkg.nuisance.scaled_residual(y[nuis_idx], z_i, mu_vals[nuis_idx], e[nuis_idx])
+    r_i = pkg.nuisance.scaled_residual(y[nuis_idx], z_i, mu_vals[nuis_idx])
     tau_w = pkg.linmodel.fit_wls(x[nuis_idx], r_i, w=1.0 / p_i, ridge=ridge)
     resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_w.predict(x[nuis_idx])
     nu2 = max(float(np.sum(resid**2 / p_i)) / x.shape[0], floor)
@@ -346,11 +333,8 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     nuisance = pkg.nuisance
     if dataset.n != partition.n:
         raise pkg.errors.ValidationError("dataset and partition sizes differ")
-    if not np.all(dataset.e == 0.5):
-        raise pkg.errors.ValidationError(
-            "adaptive splitting requires the Bernoulli(1/2) design")
 
-    x, y, e = dataset.x, dataset.y, dataset.e
+    x, y = dataset.x, dataset.y
     n = dataset.n
     zlog = pkg.engine._AssignmentLog(dataset.z)
     lam = config.lambda_imputed
@@ -366,7 +350,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
 
     _, tau_prev, e_hat, _ = _reference_refit(
-        pkg, x, y, e, mask, np.ones(n), zlog, mu_vals, floor, ridge,
+        pkg, x, y, mask, np.ones(n), zlog, mu_vals, floor, ridge,
     )
     tau_prev_vals = tau_prev.predict(x)
 
@@ -392,11 +376,11 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
         t += 1
 
         z_i, _, e_hat, _ = _reference_refit(
-            pkg, x, y, e, mask, reference_selection_prob(lists, mask), zlog,
+            pkg, x, y, mask, reference_selection_prob(lists, mask), zlog,
             mu_vals, floor, ridge,
         )
         tau_new = pkg.linmodel.LinearModel(
-            bar_learner_reference(x, y, e, mask, z_i, mu_vals, e_hat, lam, ridge))
+            bar_learner_reference(x, y, mask, z_i, mu_vals, e_hat, lam, ridge))
         x_j = x[~mask]
         if x_j.shape[0] >= 2:
             l_t = reference_convergence_metric(pkg, tau_new, tau_prev, x_j)
@@ -429,11 +413,11 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
             j_sizes[k] -= 1
 
     z_i, _, e_hat, nu2 = _reference_refit(
-        pkg, x, y, e, mask, reference_selection_prob(lists, mask), zlog,
+        pkg, x, y, mask, reference_selection_prob(lists, mask), zlog,
         mu_vals, floor, ridge,
     )
     tau_final = pkg.linmodel.LinearModel(
-        bar_learner_reference(x, y, e, mask, z_i, mu_vals, e_hat, lam, ridge))
+        bar_learner_reference(x, y, mask, z_i, mu_vals, e_hat, lam, ridge))
 
     stat = pkg.randtest.TestStatisticSpec(
         kind=pkg.randtest.STAT_AIPW,

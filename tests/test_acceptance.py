@@ -133,10 +133,10 @@ def test_criterion_5_monte_carlo_vs_enumeration():
         x = gen.normal(size=(m, 2))
         y = gen.normal(size=m)
         z = (gen.random(m) < 0.5).astype(float)
-        ds = Dataset.from_arrays(x, y, z)
+        ds = Dataset(x, y, z)
         if i % 2 == 0:
             spec = TestStatisticSpec(STAT_DM)
-            oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z, ds.e)
+            oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z)
         else:
             mu = fit_mu(x, y, ridge=1e-8)
             nuis = NuisanceModel(mu=mu, tau=LinearModel(gen.normal(size=3)))
@@ -144,7 +144,7 @@ def test_criterion_5_monte_carlo_vs_enumeration():
             mu_vals = nuis.mu.predict(x)
             tau_vals = nuis.tau.predict(x)
             oracle = enumerate_pvalue(
-                lambda zz: aipw_statistic(y, zz, 0.5, mu_vals, tau_vals), z, ds.e)
+                lambda zz: aipw_statistic(y, zz, mu_vals, tau_vals), z)
         exact = exact_pvalue(spec, ds, np.arange(m)).value
         exact_bitwise &= exact == oracle
         mc = mc_pvalue(spec, ds, np.arange(m), m_draws, rng.stream(42, 50, i)).value
@@ -171,21 +171,20 @@ def test_criterion_6_closed_form_vs_optimizer():
         z = (gen.random(n) < 0.5).astype(float)
         mu_vals = gen.normal(size=n)
         y = mu_vals + (z - 0.5) * tau + gen.normal(0, 0.7, n)
-        e = np.full(n, 0.5)
         e_hat = posterior_e(y, mu_vals, tau, 1.0)
         mask = np.zeros(n, dtype=bool)
         mask[gen.permutation(n)[: n // 2]] = True
-        ds = Dataset.from_arrays(x, y, z)
+        ds = Dataset(x, y, z)
         state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
         closed = state.pooled(e_hat)
-        numeric = minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam=1.0)
+        numeric = minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam=1.0)
         bar_ok &= bool(np.linalg.norm(closed - numeric) <= 1e-6)
 
         state.index(x, y, cfg.knn_k)
         ours = state.refit()[0]
         p = reference_selection_prob(knn_lists(x, y, cfg.knn_k)[1], mask)[mask]
-        ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask], mu_vals[mask], e[mask]),
+        ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask], mu_vals[mask]),
                         w=1.0 / p, ridge=cfg.ridge_lambda)
         wls_ok &= bool(np.linalg.norm(ours - ref) <= 1e-10)
     report(6, "the selection loop's pooled closed form matches coordinate "
@@ -241,7 +240,7 @@ def test_criterion_9_determinism_and_blindness():
         z = (gen.random(n) < 0.5).astype(float)
         tau = 0.5 + x.sum(axis=1)
         y = 1.0 + x.sum(axis=1) + z * tau + gen.normal(size=n)
-        ds = Dataset.from_arrays(x, y, z)
+        ds = Dataset(x, y, z)
         part = SubgroupPartition.from_labels(np.repeat(np.arange(3), n // 3))
         cfg = AdaSplitConfig(seed=900 + i, mc_draws=200, n0=10, knn_k=5)
         rep = run(ds, part, cfg)

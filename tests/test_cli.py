@@ -395,7 +395,7 @@ class TestLargeTrialShape:
         labels = gen.integers(0, 8, size=n)
         from adasplit import Dataset
 
-        ds = Dataset.from_arrays(x, y, z)
+        ds = Dataset(x, y, z)
         path = tmp_path / "big.csv"
         write_dataset_csv(path, ds, subgroup_labels=labels)
         back, lab = read_dataset_csv(path)
@@ -413,7 +413,7 @@ class TestLargeTrialShape:
         from adasplit import Dataset
 
         path = tmp_path / "big.csv"
-        write_dataset_csv(path, Dataset.from_arrays(x, y, z), subgroup_labels=labels)
+        write_dataset_csv(path, Dataset(x, y, z), subgroup_labels=labels)
         out = tmp_path / "r.json"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"mc_draws": 200}))

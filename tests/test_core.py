@@ -23,34 +23,29 @@ class TestValidateDataset:
     """The checks ``Dataset`` makes on construction."""
 
     def test_well_formed_rows(self):
-        ds = Dataset.from_arrays([[0.1], [0.2], [0.3]], [1, 2, 3], [0, 1, 0])
+        ds = Dataset([[0.1], [0.2], [0.3]], [1, 2, 3], [0, 1, 0])
         assert ds.n == 3 and ds.d == 1
-        assert np.all(ds.e == 0.5)
 
     def test_non_binary_assignment(self):
         with pytest.raises(ValidationError, match="non-binary assignment"):
-            Dataset.from_arrays([[0.1]], [1.0], [2.0])
+            Dataset([[0.1]], [1.0], [2.0])
 
     def test_empty_input(self):
         with pytest.raises(ValidationError, match="n >= 1"):
-            Dataset.from_arrays(np.empty((0, 1)), [], [])
+            Dataset(np.empty((0, 1)), [], [])
 
     def test_nan_covariate_and_outcome(self):
         with pytest.raises(ValidationError, match="covariate"):
-            Dataset.from_arrays([[np.nan]], [1.0], [1.0])
+            Dataset([[np.nan]], [1.0], [1.0])
         with pytest.raises(ValidationError, match="outcome"):
-            Dataset.from_arrays([[1.0]], [np.inf], [1.0])
+            Dataset([[1.0]], [np.inf], [1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="length mismatch"):
-            Dataset.from_arrays([[1.0], [2.0]], [1.0], [1.0, 0.0])
-
-    def test_design_probability_range(self):
-        with pytest.raises(ValidationError, match="design probability"):
-            Dataset.from_arrays([[1.0]], [1.0], [1.0], e=[1.0])
+            Dataset([[1.0], [2.0]], [1.0], [1.0, 0.0])
 
     def test_masked_assignments_allowed(self):
-        ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0], [1.0, np.nan])
+        ds = Dataset([[1.0], [2.0]], [1.0, 2.0], [1.0, np.nan])
         assert np.isnan(ds.z[1])
 
     def test_oracles_are_independent_of_the_package(self):
@@ -60,20 +55,20 @@ class TestValidateDataset:
         assert "adasplit" not in source
 
     def test_immutable_arrays(self):
-        ds = Dataset.from_arrays([[1.0]], [1.0], [1.0])
+        ds = Dataset([[1.0]], [1.0], [1.0])
         with pytest.raises(ValueError):
             ds.y[0] = 2.0
 
 
 class TestPartition:
     def test_no_cuts_single_group(self):
-        ds = Dataset.from_arrays(np.arange(6.0)[:, None], np.zeros(6), np.zeros(6))
+        ds = Dataset(np.arange(6.0)[:, None], np.zeros(6), np.zeros(6))
         part = partition_by_quantiles(ds, 0, ())
         assert part.k == 1 and part.groups[0].size == 6
 
     def test_median_cut_on_1_to_10(self):
         x = np.arange(1.0, 11.0)[:, None]
-        ds = Dataset.from_arrays(x, np.zeros(10), np.zeros(10))
+        ds = Dataset(x, np.zeros(10), np.zeros(10))
         part = partition_by_quantiles(ds, 0, (0.5,))
         assert sorted(part.groups[0]) == [0, 1, 2, 3, 4]
         assert sorted(part.groups[1]) == [5, 6, 7, 8, 9]
@@ -81,19 +76,19 @@ class TestPartition:
     def test_quintiles_even_split(self):
         gen = np.random.default_rng(0)
         x = gen.uniform(size=(500, 1))
-        ds = Dataset.from_arrays(x, np.zeros(500), np.zeros(500))
+        ds = Dataset(x, np.zeros(500), np.zeros(500))
         part = partition_by_quantiles(ds, 0, (0.2, 0.4, 0.6, 0.8))
         assert [g.size for g in part.groups] == [100] * 5
 
     def test_tie_goes_to_lower_group(self):
         x = np.array([1.0, 1.0, 2.0, 3.0])[:, None]
-        ds = Dataset.from_arrays(x, np.zeros(4), np.zeros(4))
+        ds = Dataset(x, np.zeros(4), np.zeros(4))
         part = partition_by_quantiles(ds, 0, (0.5,))
         # the 0.5-quantile is 1.0 (second order statistic); both ties go low
         assert sorted(part.groups[0]) == [0, 1]
 
     def test_cut_errors(self):
-        ds = Dataset.from_arrays(np.arange(4.0)[:, None], np.zeros(4), np.zeros(4))
+        ds = Dataset(np.arange(4.0)[:, None], np.zeros(4), np.zeros(4))
         with pytest.raises(ValidationError, match="strictly in"):
             partition_by_quantiles(ds, 0, (0.0,))
         with pytest.raises(ValidationError, match="strictly increasing"):
@@ -102,7 +97,7 @@ class TestPartition:
             partition_by_quantiles(ds, 3, (0.5,))
 
     def test_empty_group_error(self):
-        ds = Dataset.from_arrays(np.ones((5, 1)), np.zeros(5), np.zeros(5))
+        ds = Dataset(np.ones((5, 1)), np.zeros(5), np.zeros(5))
         with pytest.raises(ValidationError, match="empty subgroup"):
             partition_by_quantiles(ds, 0, (0.2, 0.8))
 
@@ -110,7 +105,7 @@ class TestPartition:
         gen = np.random.default_rng(7)
         for _ in range(25):
             n = int(gen.integers(10, 80))
-            ds = Dataset.from_arrays(gen.normal(size=(n, 2)), np.zeros(n), np.zeros(n))
+            ds = Dataset(gen.normal(size=(n, 2)), np.zeros(n), np.zeros(n))
             k = int(gen.integers(1, 5))
             cuts = tuple(sorted(gen.uniform(0.05, 0.95, size=k)))
             if len(set(cuts)) < k:
@@ -132,7 +127,7 @@ class TestPartition:
         # yet low / n >= cut already holds.
         assert math.ceil(cut * n) == low + 1
         x = np.arange(1.0, n + 1.0)[::-1, None]
-        ds = Dataset.from_arrays(x, np.zeros(n), np.zeros(n))
+        ds = Dataset(x, np.zeros(n), np.zeros(n))
         part = partition_by_quantiles(ds, 0, (cut,))
         assert part.groups[0].size == low
         assert x[part.groups[0], 0].max() == low

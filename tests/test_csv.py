@@ -162,7 +162,7 @@ class TestWrite:
         x[1] = [2.2250738585072014e-308, -1e308, 0.1]
         y = np.array([-0.0, 5e-324, 1e308, -1.7976931348623157e308, 1 / 3, 12.0])
         z = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        return Dataset.from_arrays(x, y, z)
+        return Dataset(x, y, z)
 
     @pytest.mark.parametrize("labels", [None, [0, 3, -2, 10**12, 1, 1]])
     def test_bytes_match_the_row_writer(self, tmp_path, labels):
@@ -184,8 +184,7 @@ class TestWrite:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_masked_assignment_writes_no_file(self, tmp_path):
-        ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0],
-                                 [1.0, np.nan, np.nan])
+        ds = Dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], [1.0, np.nan, np.nan])
         with pytest.raises(ValidationError, match="^row 2: masked assignment"):
             write_dataset_csv(tmp_path / "a.csv", ds)
         assert not (tmp_path / "a.csv").exists()

@@ -62,9 +62,9 @@ class TestOutcomeModel:
 
 class TestResiduals:
     def test_scaled_residual_values(self):
-        assert scaled_residual(1.0, 1.0, 1.0, 0.5) == 0.0
-        assert scaled_residual(2.0, 1.0, 1.0, 0.5) == 2.0
-        assert scaled_residual(2.0, 0.0, 1.0, 0.5) == -2.0
+        assert scaled_residual(1.0, 1.0, 1.0) == 0.0
+        assert scaled_residual(2.0, 1.0, 1.0) == 2.0
+        assert scaled_residual(2.0, 0.0, 1.0) == -2.0
 
 
 class TestResidualRegressions:
@@ -76,7 +76,7 @@ class TestResidualRegressions:
         z = (gen.random(30) < 0.5).astype(float)
         mu_vals = np.zeros(30)
         y = (z - 0.5) * tau  # mu0 chosen so mu(x) = 0, no noise
-        model = fit_rlearner_weighted(x, y, z, np.full(30, 0.5), mu_vals)
+        model = fit_rlearner_weighted(x, y, z, mu_vals)
         assert np.allclose(model.coef, beta, atol=1e-9)
 
     def test_matches_wls(self):
@@ -85,18 +85,16 @@ class TestResidualRegressions:
         y = gen.normal(size=30)
         z = (gen.random(30) < 0.5).astype(float)
         mu_vals = gen.normal(size=30)
-        e = np.full(30, 0.5)
-        r = scaled_residual(y, z, mu_vals, e)
+        r = scaled_residual(y, z, mu_vals)
         # the fit is plain least squares on the scaled residuals, bit for bit
         assert np.array_equal(
-            fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9).coef,
+            fit_rlearner_weighted(x, y, z, mu_vals, ridge=1e-9).coef,
             fit_wls(x, r, ridge=1e-9).coef,
         )
 
     def test_fold_too_small(self):
         with pytest.raises(ValidationError, match="fold too small"):
-            fit_rlearner_weighted(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0],
-                                  np.full(2, 0.5), np.zeros(2))
+            fit_rlearner_weighted(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0], np.zeros(2))
 
 
 def clipped(vote, kappa):
@@ -109,7 +107,7 @@ def loop_vote(x, y, b, knn_k):
     """The selection probability the engine's loop state gives each unit when
     the nuisance fold is ``b``: its vote count over kappa, clipped."""
     mask = np.asarray(b, dtype=bool)
-    ds = Dataset.from_arrays(x, y, np.zeros(mask.size))
+    ds = Dataset(x, y, np.zeros(mask.size))
     state = engine._LoopState(ds, np.zeros(mask.size), mask.copy(), None,
                               AdaSplitConfig())
     state.index(ds.x, ds.y, knn_k)
@@ -340,39 +338,37 @@ class TestBarLearner:
         z = (gen.random(n) < 0.5).astype(float)
         mu_vals = gen.normal(size=n)
         y = mu_vals + (z - 0.5) * tau + gen.normal(0, 0.5, n)
-        e = np.full(n, 0.5)
         e_hat = posterior_e(y, mu_vals, tau, 1.0)
         mask = np.zeros(n, dtype=bool)
         mask[gen.permutation(n)[: n // 2]] = True
-        return x, y, z, e, mask, mu_vals, e_hat
+        return x, y, z, mask, mu_vals, e_hat
 
     @staticmethod
     def _pooled(x, y, z, mask, mu_vals, e_hat, lam, ridge):
-        ds = Dataset.from_arrays(x, y, z)
+        ds = Dataset(x, y, z)
         cfg = AdaSplitConfig(lambda_imputed=lam, ridge_lambda=ridge)
         state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
         return state.pooled(e_hat)
 
     def test_degenerate_imputation_equals_full_rlearner(self):
-        x, y, z, e, mask, mu_vals, _ = self._instance(1)
+        x, y, z, mask, mu_vals, _ = self._instance(1)
         bar = self._pooled(x, y, z, mask, mu_vals, z, lam=1.0, ridge=1e-9)
-        full = fit_rlearner_weighted(x, y, z, e, mu_vals, ridge=1e-9)
+        full = fit_rlearner_weighted(x, y, z, mu_vals, ridge=1e-9)
         assert np.allclose(bar, full.coef, atol=1e-10)
 
     def test_lam_zero_restricts_to_fold(self):
         # lambda = 0 takes the fold's running Gram, not the factored X'X.
-        x, y, z, e, mask, mu_vals, e_hat = self._instance(2)
+        x, y, z, mask, mu_vals, e_hat = self._instance(2)
         bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=0.0, ridge=1e-9)
-        ols = fit_rlearner_weighted(x[mask], y[mask], z[mask], e[mask], mu_vals[mask],
-                                    ridge=1e-9)
+        ols = fit_rlearner_weighted(x[mask], y[mask], z[mask], mu_vals[mask], ridge=1e-9)
         assert np.allclose(bar, ols.coef, atol=1e-10)
 
     def test_matches_coordinate_descent(self):
         for seed in range(3):
-            x, y, z, e, mask, mu_vals, e_hat = self._instance(10 + seed)
+            x, y, z, mask, mu_vals, e_hat = self._instance(10 + seed)
             bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=1.0, ridge=1e-10)
-            ref = minimize_bar_loss(x, y, z, e, mask, mu_vals, e_hat, lam=1.0)
+            ref = minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam=1.0)
             assert np.allclose(bar, ref, atol=1e-6)
 
 

@@ -121,7 +121,7 @@ class TestRunMethod:
         n = 120
         x = gen.uniform(-0.5, 0.5, size=(n, 3))
         z = (gen.random(n) < 0.5).astype(float)
-        ds = Dataset.from_arrays(x, x.sum(axis=1) * (1.0 + z) + gen.normal(size=n), z)
+        ds = Dataset(x, x.sum(axis=1) * (1.0 + z) + gen.normal(size=n), z)
         part = SubgroupPartition.from_labels(np.repeat(np.arange(3), [37, 41, 42]))
         cfg = AdaSplitConfig(seed=6, mc_draws=50, n0=10, knn_k=5, rho=0.3,
                              eps_l=1e-300)
@@ -145,8 +145,8 @@ class TestRunMethod:
     def test_constant_outcomes_give_p_one(self):
         n = 90
         gen = np.random.default_rng(5)
-        ds = Dataset.from_arrays(gen.uniform(-0.5, 0.5, size=(n, 2)),
-                                 np.zeros(n), (gen.random(n) < 0.5).astype(float))
+        ds = Dataset(gen.uniform(-0.5, 0.5, size=(n, 2)),
+                     np.zeros(n), (gen.random(n) < 0.5).astype(float))
         part = SubgroupPartition.from_labels(np.repeat(np.arange(3), n // 3))
         cfg = AdaSplitConfig(seed=5, mc_draws=50, n0=5, knn_k=5)
         for method in ("rt", "random_split", "adasplit"):
@@ -172,7 +172,7 @@ class TestRunMethod:
         nuisance = run_method(method, ds, part, cfg).folds.nuisance
         z = ds.z.copy()
         z[nuisance[len(nuisance) // 2]] = np.nan
-        masked = Dataset.from_arrays(ds.x, ds.y, z)
+        masked = Dataset(ds.x, ds.y, z)
         with pytest.raises(ValidationError,
                            match="masked assignment read in the nuisance fold"):
             run_method(method, masked, part, cfg)
