@@ -100,11 +100,10 @@ class SubgroupPartition:
         for g in groups:
             if g.size == 0:
                 raise ValidationError("empty subgroup")
-        n = sum(g.size for g in groups)
-        merged = np.concatenate(groups)
-        if np.unique(merged).size != merged.size:
+        merged = np.sort(np.concatenate(groups))
+        if (merged[1:] == merged[:-1]).any():
             raise ValidationError("subgroups overlap")
-        if not np.array_equal(np.sort(merged), np.arange(n)):
+        if not np.array_equal(merged, np.arange(merged.size)):
             raise ValidationError("subgroups do not cover all units exactly")
         for g in groups:
             g.setflags(write=False)
@@ -335,7 +334,8 @@ class AnalysisReport:
 
 # CSV ingestion ---------------------------------------------------------------
 
-# Rows are parsed this many at a time, which bounds the text held in memory.
+# Lines (records, from the first quote on) are read this many at a time,
+# which bounds the text held in memory.
 _CSV_BLOCK = 1024
 _LABEL_RANGE = np.iinfo(int)
 
@@ -349,9 +349,15 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     byte-order mark. A non-numeric or non-finite cell, a ``z`` other than 0
     or 1, or a label outside the 64-bit range is an error naming the
     offending row and column; nothing is coerced silently. A row of blank
-    cells is skipped but keeps its number. Rows are parsed in blocks of
-    ``_CSV_BLOCK``, a column at a time, so memory holds one block of text
-    whatever the file's length.
+    cells is skipped but keeps its number.
+
+    Lines are read in blocks of ``_CSV_BLOCK``, so memory holds one block of
+    text whatever the file's length. numpy's C reader converts each block;
+    its float parser is the one ``float`` uses, so values are bit-identical.
+    A block it cannot take (underscores, non-ASCII digits, whitespace-only
+    rows, any bad cell) goes through the strict per-cell path, which accepts
+    it or raises the first bad cell's error. From the first block holding a
+    quote or an over-long line on, records are read with ``csv.reader``.
     """
     if subgroup_column in ("y", "z"):
         raise ValidationError(
@@ -360,9 +366,8 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
         )
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise ValidationError("empty file: n >= 1 required")
             header = [h.strip() for h in header]
@@ -381,21 +386,24 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
             fields = [(col[c], c, float) for c in names + ["y", "z"]]
             if subgroup_column in col:
                 fields.append((col[subgroup_column], subgroup_column, int))
+            # numpy's reader takes every column as floats but the label's, which
+            # it leaves as text for int() (its own integer parsing of text such
+            # as "1.0" has changed between releases).
+            dtype = np.dtype(",".join(
+                "O" if i == col.get(subgroup_column) else "f8" for i in range(len(header))))
 
             blocks = []
             first = 1
-            while True:
-                rows = []
-                try:
-                    rows.extend(itertools.islice(reader, _CSV_BLOCK))
-                except csv.Error as exc:
-                    # A bad cell before the reader's own error is reported first.
-                    _parse_block(rows, first, fields, len(header))
-                    raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
-                if not rows:
+            limit = csv.field_size_limit()
+            while lines := list(itertools.islice(fh, _CSV_BLOCK)):
+                # Without quotes or over-long fields a line is one record.
+                if '"' in "".join(lines) or max(map(len, lines)) > limit:
                     break
-                blocks.append(_parse_block(rows, first, fields, len(header)))
-                first += len(rows)
+                blocks.append(_load_block(lines, first, dtype, fields))
+                first += len(lines)
+            # Every earlier block was quote-free, so a record starts here.
+            reader = csv.reader(itertools.chain(lines, fh))
+            blocks.extend(_record_blocks(reader, first, fields, len(header)))
     except UnicodeDecodeError as exc:
         # The file is decoded in chunks, so this can surface at any row.
         raise ValidationError(
@@ -407,6 +415,37 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     d = len(names)
     dataset = Dataset(np.column_stack(columns[:d]), columns[d], columns[d + 1])
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
+
+
+def _load_block(lines, first, dtype, fields):
+    """One array per field over a quote-free block of lines, the first of
+    which is row ``first``: converted by one ``np.loadtxt`` call when every
+    cell passes the checks of :func:`_convert`, else by the strict path."""
+    if any(map(str.strip, lines)):  # np.loadtxt warns on a block with no data
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            # Copies, so no label text outlives the block.
+            return _convert([table[c].copy() for c in dtype.names], fields)
+        except (ValueError, OverflowError):
+            pass
+    return next(_record_blocks(csv.reader(lines), first, fields, len(dtype)))
+
+
+def _record_blocks(reader, first, fields, width):
+    """One array list per block of ``_CSV_BLOCK`` records from ``reader``,
+    the first of which is row ``first``."""
+    while True:
+        rows = []
+        try:
+            rows.extend(itertools.islice(reader, _CSV_BLOCK))
+        except csv.Error as exc:
+            # A bad cell before the reader's own error is reported first.
+            _parse_block(rows, first, fields, width)
+            raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
+        if not rows:
+            return
+        yield _parse_block(rows, first, fields, width)
+        first += len(rows)
 
 
 def _parse_block(rows, first, fields, width):
@@ -441,11 +480,14 @@ def _parse_block(rows, first, fields, width):
 
 def _convert(text, fields):
     """Each field's column of ``text`` as an array, checked as :func:`_cell`
-    checks a cell; raises ``ValueError`` or ``OverflowError`` otherwise."""
+    checks a cell; raises ``ValueError`` or ``OverflowError`` otherwise. A
+    float array (a column numpy's reader converted) is only checked."""
     n = len(text[0])
     out = []
     for idx, name, kind in fields:
-        values = np.fromiter(map(kind, text[idx]), kind, count=n)
+        values = text[idx]
+        if getattr(values, "dtype", None) != kind:
+            values = np.fromiter(map(kind, values), kind, count=n)
         if kind is float and not np.isfinite(values).all():
             raise ValueError(f"non-finite {name}")
         if name == "z" and not ((values == 0.0) | (values == 1.0)).all():

@@ -8,6 +8,7 @@ agreement with the library is meaningful evidence rather than tautology.
 
 import csv
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -122,6 +123,55 @@ def write_csv_reference(path, x, y, z, labels=None):
             if labels is not None:
                 row.append(str(int(labels[i])))
             writer.writerow(row)
+
+
+def read_csv_reference(path, label_column="subgroup"):
+    """A trial CSV read record by record with ``csv.reader``, each cell
+    through ``float`` (covariates, ``y``, ``z``) or ``int`` (labels), retried
+    on its ``str.strip`` text. Returns ``(x, y, z, labels)``, ``labels`` None
+    without a label column. Rows of blank cells are skipped but counted; a
+    bad row raises ``ValueError`` with the message of the package's reader
+    (row numbers from 1 after the header; cells checked covariates first,
+    then ``y``, ``z`` and the label)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *records = csv.reader(fh)
+    header = [h.strip() for h in header]
+    d = sum(1 for h in header if h[:1] == "x" and h[1:].isdigit())
+    fields = [(f"x{i + 1}", float) for i in range(d)] + [("y", float), ("z", float)]
+    if label_column in header:
+        fields.append((label_column, int))
+    rows = []
+    for r, record in enumerate(records, start=1):
+        if not "".join(record).strip():
+            continue
+        if len(record) != len(header):
+            raise ValueError(f"row {r}: expected {len(header)} cells, got {len(record)}")
+        row = []
+        for name, kind in fields:
+            raw = record[header.index(name)]
+            text = raw.strip()
+            try:
+                value = kind(raw)
+            except ValueError:
+                try:
+                    value = kind(text)
+                except ValueError:
+                    raise ValueError(
+                        f"row {r}, column {name}: could not parse {text!r}") from None
+            if kind is int and not -2**63 <= value < 2**63:
+                raise ValueError(
+                    f"row {r}, column {name}: label {text!r} is outside the 64-bit range")
+            if not math.isfinite(value):
+                raise ValueError(f"row {r}, column {name}: non-finite value {text!r}")
+            if name == "z" and value not in (0.0, 1.0):
+                raise ValueError(f"row {r}, column z: assignment {text!r} is not 0 or 1")
+            row.append(value)
+        rows.append(row)
+    values = np.array([row[:d + 2] for row in rows], dtype=float).reshape(-1, d + 2)
+    labels = None
+    if len(fields) > d + 2:
+        labels = np.array([row[d + 2] for row in rows], dtype=np.int64)
+    return values[:, :d], values[:, d], values[:, d + 1], labels
 
 
 def wls_solve(x, y, w=None, ridge=0.0):

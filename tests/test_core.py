@@ -156,6 +156,16 @@ class TestPartition:
         with pytest.raises(ValidationError, match="empty"):
             SubgroupPartition(([0, 1], []))
 
+    @pytest.mark.parametrize("groups, message", [
+        (([0, 0], [5]), "subgroups overlap"),
+        (([0, 1], [-1]), "subgroups do not cover all units exactly"),
+        (([0, 1], [3]), "subgroups do not cover all units exactly"),
+        (([2, 7], [7, -3]), "subgroups overlap"),
+    ])
+    def test_overlap_is_reported_before_cover(self, groups, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SubgroupPartition(groups)
+
 
 class TestFoldState:
     """Fold snapshots built from a boolean nuisance mask."""

@@ -1,11 +1,13 @@
 """Trial CSV files: which cells parse and to what, which error a bad file
 reports first, and the bytes the writer produces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from adasplit import Dataset, ValidationError, read_dataset_csv, write_dataset_csv
-from oracles import write_csv_reference
+from adasplit import Dataset, ValidationError, data, read_dataset_csv, write_dataset_csv
+from oracles import read_csv_reference, write_csv_reference
 
 
 def csv_file(tmp_path, text, name="trial.csv"):
@@ -32,6 +34,118 @@ def big_trial_text(n, d=3, edit=None):
     for r, text in (edit or {}).items():
         lines[r] = text
     return "\n".join(lines) + "\n", x
+
+
+def outcome(read, path):
+    """``(x, y, z, labels)`` as bytes, or the error message."""
+    try:
+        got = read(path)
+    except (ValidationError, ValueError) as exc:
+        return str(exc)
+    if len(got) == 2:
+        got = (got[0].x, got[0].y, got[0].z, got[1])
+    x, y, z, labels = got
+    return (x.tobytes(), y.tobytes(), z.tobytes(),
+            None if labels is None else (labels.dtype, labels.tolist()))
+
+
+def assert_matches_reference(path):
+    want = outcome(read_csv_reference, path)
+    assert outcome(read_dataset_csv, path) == want
+    return want
+
+
+# Cell text a generated trial draws from besides plain ``repr``.
+EXTREMES = ["0.0", "-0.0", "0", "-0", "1e308", "-1e308", "1.7976931348623157e308",
+            "-1.7976931348623157e308", "5e-324", "-5e-324", "2.2250738585072014e-308",
+            "1e-310", "-2.5e-320", "4.9406564584124654e-324"]
+PADDING = [" ", "  ", "\t", "\xa0", "\u2003", "\x0b", "\x0c", "\x1c", "\x1f", "\x85"]
+
+
+def generated_trial(seed, n=2600, d=3, newline="\n", bom=False, pad=0.0,
+                    blank=0.0, labels=("+3", "0003", " 3 ", "-7")):
+    """A trial CSV as text: covariates and outcomes are doubles of random
+    bit pattern written with 1 to 17 significant digits or as ``repr``,
+    among them subnormals, signed zeros and values near the largest double.
+    ``pad``
+    is the share of number cells padded with whitespace, ``blank`` the
+    share of rows written blank or as whitespace-only cells."""
+    gen = np.random.default_rng(seed)
+    lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y", "z", "subgroup"])]
+    for _ in range(n):
+        if gen.random() < blank:
+            lines.append(["", " , , ,\t, ,", ",,,,,", "\t"][gen.integers(4)])
+            continue
+        cells = []
+        for _ in range(d + 1):
+            # A random bit pattern: every exponent is equally likely.
+            v = float(gen.integers(-2**63, 2**63, dtype=np.int64).view(np.float64))
+            v = v if np.isfinite(v) else 0.5
+            digits = int(gen.integers(1, 19))
+            text = repr(v) if digits == 18 else f"{v:.{digits}g}"
+            if not np.isfinite(float(text)):  # rounded past the largest double
+                text = repr(v)
+            if gen.random() < 0.05:
+                text = EXTREMES[gen.integers(len(EXTREMES))]
+            cells.append(text)
+        cells.append(str(gen.integers(2)))
+        for i in range(len(cells)):
+            if gen.random() < pad:
+                cells[i] = (PADDING[gen.integers(len(PADDING))] + cells[i]
+                            + PADDING[gen.integers(len(PADDING))])
+        cells.append(labels[gen.integers(len(labels))])
+        lines.append(",".join(cells))
+    return ("\ufeff" if bom else "") + newline.join(lines) + newline
+
+
+class TestAgainstReference:
+    """The reader gives what the record-by-record oracle gives, bit for bit,
+    and the same message where a file is bad."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("newline, bom", [("\n", False), ("\r\n", True), ("\r", False)])
+    def test_generated_values(self, tmp_path, seed, newline, bom):
+        path = tmp_path / "t.csv"
+        path.write_bytes(generated_trial(seed, newline=newline, bom=bom).encode())
+        want = assert_matches_reference(path)
+        assert isinstance(want, tuple) and len(want[1]) == 8 * 2600
+
+    @pytest.mark.parametrize("pad, blank", [(0.2, 0.0), (0.0, 0.05), (0.01, 0.001)])
+    def test_padded_cells_and_blank_rows(self, tmp_path, pad, blank):
+        path = tmp_path / "t.csv"
+        path.write_bytes(generated_trial(2, newline="\r\n", pad=pad, blank=blank).encode())
+        assert isinstance(assert_matches_reference(path), tuple)
+
+    def test_label_spellings(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(generated_trial(3, n=1500, labels=("+3", "0003", " 3 ", "3_0", "-7"))
+                         .encode())
+        _, _, _, (dtype, labels) = assert_matches_reference(path)
+        assert dtype == np.int64 and set(labels) == {3, 30, -7}
+
+    @pytest.mark.parametrize("column, cell", [
+        (0, "1_000.5"), (1, "\u0663.25"), (3, "+\u0661e3"), (4, "\x1c1\x1f"),
+        (5, "\x1f7\x1c"), (5, "\u0663"), (5, "\u20033 ")])
+    def test_unusual_spellings(self, tmp_path, column, cell):
+        # Underscores, non-ASCII digits and separator padding: numpy's reader
+        # refuses some of these, and the block holding one goes cell by cell.
+        lines = generated_trial(5).split("\n")
+        cells = lines[1500].split(",")
+        cells[column] = cell
+        lines[1500] = ",".join(cells)
+        path = tmp_path / "t.csv"
+        path.write_bytes("\n".join(lines).encode())
+        assert isinstance(assert_matches_reference(path), tuple)
+
+    @pytest.mark.parametrize("row", [1, 1024, 1025, 2600])
+    def test_fractional_label_is_rejected(self, tmp_path, row):
+        lines = generated_trial(4).split("\n")
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:-1] + ["1.0"])
+        path = tmp_path / "t.csv"
+        path.write_bytes("\n".join(lines).encode())
+        assert assert_matches_reference(path) == (
+            f"row {row}, column subgroup: could not parse '1.0'")
 
 
 class TestRead:
@@ -147,6 +261,67 @@ class TestRead:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\n".join(lines))
         assert error_of(path) == "not a UTF-8 file: byte 0xff cannot be decoded"
+
+    def test_first_quote_after_row_5000(self, tmp_path):
+        # Row 7000's label is quoted across two lines; later rows keep their numbers.
+        n = 9000
+        text, x = big_trial_text(n)
+        lines = text.split("\n")
+        lines[5001] = ",".join(f'"{c}"' for c in lines[5001].split(","))
+        lines[7000] = lines[7000][:lines[7000].rindex(",") + 1] + '" 1\n"'
+        path = csv_file(tmp_path, "\n".join(lines))
+        assert assert_matches_reference(path)[0] == x.tobytes()
+        lines[8000] = "0.1,0.2,0.3,4,1,x"
+        path = csv_file(tmp_path, "\n".join(lines), "b.csv")
+        assert assert_matches_reference(path) == "row 8000, column subgroup: could not parse 'x'"
+
+    def test_first_bad_cell_in_a_later_block(self, tmp_path):
+        # Blocks 1 and 2 go through the strict path and are accepted; the
+        # row number of the bad cell in block 3 still counts every line.
+        n = 4000
+        text, _ = big_trial_text(n, edit={3: " , , , , , ", 1500: "1_0.5,2,3,4,1,5",
+                                          2049: "", 2100: "0.1,0.2,0.3,4,0,x"})
+        path = csv_file(tmp_path, text)
+        assert error_of(path) == "row 2100, column subgroup: could not parse 'x'"
+        assert assert_matches_reference(path) == error_of(path)
+
+    def test_every_row_has_one_extra_column(self, tmp_path):
+        n = 1500
+        text, x = big_trial_text(n)
+        lines = text.split("\n")[:-1]
+        path = csv_file(tmp_path, "\n".join(line + ",-0.25" for line in lines) + "\n")
+        assert error_of(path) == "unexpected column(s): ['-0.25']"
+        lines[0] += ",x4"
+        lines[1:] = [line + ",-0.25" for line in lines[1:]]
+        ds, labels = read_dataset_csv(csv_file(tmp_path, "\n".join(lines) + "\n", "b.csv"))
+        assert ds.x[:, :3].tobytes() == x.tobytes() and ds.x[:, 3].tolist() == [-0.25] * n
+        assert labels.tolist() == [r % 3 for r in range(1, n + 1)]
+        path = csv_file(tmp_path, text.replace("\n", ",\n"), "c.csv")
+        assert error_of(path) == "unexpected column(s): ['']"
+
+    def test_blank_blocks_read_without_warning(self, tmp_path):
+        text = "x1,y,z\n1,2,1\n" + "\n" * 2048 + "3,4,0\n" + "\r\n" * 1500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds, _ = read_dataset_csv(csv_file(tmp_path, text))
+        assert ds.x.tolist() == [[1.0], [3.0]]
+        bad = csv_file(tmp_path, text + "5,oops,1\n", "bad.csv")
+        assert error_of(bad) == "row 3551, column y: could not parse 'oops'"
+
+    def test_written_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        from adasplit.simlab import generate, scenario_with_size
+
+        ds, part, _ = generate(scenario_with_size("default", 3000), 5)
+        labels = part.labels()
+        write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
+
+        def strict_path(*args):
+            raise AssertionError("a written trial reached the per-cell path")
+
+        monkeypatch.setattr(data, "_parse_block", strict_path)
+        back, got = read_dataset_csv(tmp_path / "a.csv")
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert back.z.tobytes() == ds.z.tobytes() and got.tolist() == labels.tolist()
 
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
