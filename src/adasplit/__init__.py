@@ -17,7 +17,6 @@ from .errors import AdaSplitError, ConfigError, ValidationError
 from .linmodel import LinearModel, diversity_scores, fit_wls, predict
 from .multtest import closed_testing, fisher_combine
 from .nuisance import (
-    NuisanceModel,
     certainty,
     expected_beta_distance,
     fit_mu,
@@ -26,7 +25,7 @@ from .nuisance import (
     posterior_e,
     scaled_residual,
 )
-from .randtest import PValue, TestStatisticSpec, exact_pvalue, mc_pvalue
+from .randtest import PValue, exact_pvalue, mc_pvalue
 from .simlab import generate, reproduce_table, run_method
 
 __version__ = "0.1.0"
@@ -39,10 +38,10 @@ __all__ = [
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls", "predict",
     "closed_testing", "fisher_combine",
-    "NuisanceModel", "certainty", "expected_beta_distance", "fit_mu",
+    "certainty", "expected_beta_distance", "fit_mu",
     "fit_rlearner_weighted", "one_minus_c2_series", "posterior_e",
     "scaled_residual",
-    "PValue", "TestStatisticSpec", "exact_pvalue", "mc_pvalue",
+    "PValue", "exact_pvalue", "mc_pvalue",
     "generate", "reproduce_table", "run_method",
     "__version__",
 ]

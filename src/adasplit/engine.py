@@ -9,7 +9,10 @@ subgroup can donate without dropping below its floor (:func:`inference_floor`,
 which the seed split must respect too). A final pruning pass evicts
 negative-CATE units from the inference folds (never crossing the floor), and
 only then are the held-out assignments read to compute one Monte-Carlo
-randomization p-value per subgroup.
+randomization p-value per subgroup, of the difference in means of
+``y - mu(x)`` with the outcome model fitted on all units. The CATE fit acts
+on the test through the folds it chooses and prunes; at e = 1/2 it would
+cancel out of an AIPW statistic (see :mod:`adasplit.randtest`).
 
 A loop state built once per run holds the design, ``y - mu(x)``, each
 unit's neighbor vote as an integer count, and the weighted R-learner's Gram
@@ -25,8 +28,9 @@ iterations, p-values, the audited reads) and to 1e-9 in the CATE
 coefficients, ``nu2`` and ``l``. The solves return bare coefficient arrays,
 and the posterior, selection key and pooled right-hand side are computed in
 buffers the loop state owns, so at small n a step makes about 40
-Python-level calls, whose overhead, not arithmetic, is most of its cost. On a 2-core Xeon a run takes 0.20 ms per step at
-n = 500, and floor runs 0.35 ms at n = 3000 and 0.95 ms at n = 20000.
+Python-level calls, whose overhead, not arithmetic, is most of its cost. On
+a 2-core Xeon a run takes 0.20 ms per step at n = 500, and floor runs
+0.35 ms at n = 3000 and 0.95 ms at n = 20000.
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -43,17 +47,16 @@ import numpy as np
 
 from .data import AnalysisReport, FoldSnapshot
 from .errors import ConfigError, ValidationError
-from .linmodel import LinearModel, _cho_factor, _cho_solve, _design, _finite, _solve_spd, diversity_scores
+from .linmodel import _cho_factor, _cho_solve, _design, _finite, _solve_spd, diversity_scores
 from .nuisance import (
     NeighborIndex,
-    NuisanceModel,
     certainty,
     fit_mu,
     noise_floor,
     posterior_e,
     scaled_residual,
 )
-from .randtest import STAT_AIPW, TestStatisticSpec, test_folds
+from .randtest import test_folds
 
 
 class _AssignmentLog:
@@ -388,31 +391,28 @@ def run(dataset, partition, config, collect_trace=True):
             state.move(j)
 
     _, e_hat, nu2 = state.refit()
-    tau_final = LinearModel(state.pooled(e_hat))
-    stat = TestStatisticSpec(
-        kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau_final),
-    )
     diagnostics = {"l": l_hist, "converged": converged,
                    "stop_reason": stop_reason, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
-    return finish("adasplit", dataset, partition, config, zlog, stat, mask=mask,
-                  iterations=t, coef=tau_final.coef, diagnostics=diagnostics)
+    return finish("adasplit", dataset, partition, config, zlog, mu, mask=mask,
+                  iterations=t, coef=state.pooled(e_hat), diagnostics=diagnostics)
 
 
-def finish(method, dataset, partition, config, zlog, stat, mask=None,
+def finish(method, dataset, partition, config, zlog, mu, mask=None,
            iterations=0, coef=None, diagnostics=None):
     """The stage every method ends with: record the assignments ``zlog``
     has handed out, test each subgroup's inference fold (the units off the
     nuisance ``mask``, or the whole subgroup when there is no mask) with
-    :func:`test_folds`, and build the report. ``diagnostics`` gains
+    :func:`test_folds` on the residuals of the outcome model ``mu`` (None:
+    the outcomes), and build the report. ``diagnostics`` gains
     ``z_reads_before_pvalues`` and ``pvalue_flags``."""
     diagnostics = dict(diagnostics or {})
     diagnostics["z_reads_before_pvalues"] = [int(i) for i in zlog.reads()]
     groups = partition.groups
     folds = groups if mask is None else [g[~mask[g]] for g in groups]
     pvalues, rejected, diagnostics["pvalue_flags"] = test_folds(
-        stat, dataset, folds, config)
+        mu, dataset, folds, config)
     return AnalysisReport(
         pvalues=pvalues,
         rejected=rejected,

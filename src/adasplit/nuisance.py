@@ -4,7 +4,9 @@ probabilities and posterior assignment probabilities.
 The estimation stack mirrors how the adaptive split consumes it:
 
 * ``fit_mu`` fits the outcome regression E[Y | X] on all units without
-  touching any treatment assignment.
+  touching any treatment assignment. It is the one nuisance the
+  randomization test takes: its statistic is the difference in means of
+  ``y - mu(x)`` (``randtest``), in which a fitted CATE would cancel.
 * Scaled residuals ``(y - mu(x)) / (z - 1/2)`` turn the partially linear
   outcome model into a regression problem whose target is the CATE under
   the Bernoulli(1/2) design; ``fit_rlearner_weighted`` fits them by least
@@ -27,13 +29,12 @@ The estimation stack mirrors how the adaptive split consumes it:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .linmodel import LinearModel, fit_wls, _design, _solve_spd
+from .linmodel import fit_wls, _design, _solve_spd
 
 # Sigmoid arguments beyond this magnitude saturate to exactly 0.0 or 1.0 in
 # IEEE double precision; clipping here keeps every probability strictly
@@ -246,14 +247,6 @@ def certainty(e_val, out=None):
     """How predictable an assignment is: 0 at e=1/2, 1 at e in {0, 1}.
     Written to ``out`` when given."""
     return np.abs(np.subtract(np.multiply(2.0, e_val, out=out), 1.0, out=out), out=out)
-
-
-@dataclass(frozen=True)
-class NuisanceModel:
-    """Bundle of fitted nuisances: outcome model and CATE model."""
-
-    mu: LinearModel
-    tau: LinearModel
 
 
 def expected_beta_distance(x, y, nuisance_mask, mu_vals, c_vals, ridge=0.0):

@@ -1,16 +1,19 @@
-"""Randomization tests: statistics, Monte-Carlo and exact reference
+"""Randomization tests: the test statistic, Monte-Carlo and exact reference
 distributions, and the testing stage all three methods share.
 
-Both test statistics are linear in the assignment vector, so a draw of the
-reference distribution is a single dot product, and a chunk of draws is one
-matrix-vector product (certified against a fixed-order sum where rounding
-could decide; see :func:`mc_pvalue`). Under the Bernoulli(1/2) design, the
-only design the package supports, each assignment is one random bit
-(:func:`_fair_coins`). The Monte-Carlo p-value uses the add-one correction
-``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is finite-sample valid for
-any number of draws because the observed and randomized assignments are
-exchangeable; ties, up to rounding (``_tie_floor``), count toward the
-numerator.
+There is one statistic, the difference in means of ``y - mu(x)`` for a
+fitted outcome model ``mu`` (of ``y`` itself for ``rt``, which fits none;
+see :func:`_fold_statistic`). Under the Bernoulli(1/2) design, the only
+design the package supports, it equals the AIPW statistic whatever CATE
+model that would use. It is linear in the assignment vector, so a draw of
+the reference distribution is a single dot product, and a chunk of draws is
+one matrix-vector product (certified against a fixed-order sum where
+rounding could decide; see :func:`mc_pvalue`). Each assignment of a draw is
+one random bit (:func:`_fair_coins`). The Monte-Carlo p-value uses the
+add-one correction ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is
+finite-sample valid for any number of draws because the observed and
+randomized assignments are exchangeable; ties, up to rounding
+(``_tie_floor``), count toward the numerator.
 
 :func:`test_folds` computes the subgroup p-values one after another, each
 from its own stream, on the calling thread.
@@ -23,26 +26,6 @@ import numpy as np
 from . import rng
 from .errors import ValidationError
 from .multtest import closed_testing
-from .nuisance import NuisanceModel
-
-STAT_DM = "difference-in-means"
-STAT_AIPW = "aipw"
-
-
-@dataclass(frozen=True)
-class TestStatisticSpec:
-    """Which statistic to use, plus fitted nuisances when required."""
-
-    __test__ = False  # looks like a pytest class to collectors; it is not
-
-    kind: str
-    nuisances: NuisanceModel | None = None
-
-    def __post_init__(self):
-        if self.kind not in (STAT_DM, STAT_AIPW):
-            raise ValidationError(f"unknown statistic kind {self.kind!r}")
-        if self.kind == STAT_AIPW and self.nuisances is None:
-            raise ValidationError("the AIPW statistic requires a nuisance model")
 
 
 @dataclass(frozen=True)
@@ -58,37 +41,26 @@ class PValue:
             raise ValidationError("p-value must lie in (0, 1]")
 
 
-def _linear_coeffs(stat, dataset, subgroup):
-    """Coefficients (w, c) with T(z) = w @ z + c on the subgroup.
+def _fold_statistic(mu, dataset, idx):
+    """The statistic on the fold ``idx`` as coefficients (w, c) with
+    ``T(z) = w @ z + c``, and the fold's observed assignment.
 
-    Difference in means is ``2/m (sum_treated y - sum_control y)``. AIPW is
-    the mean over the m units of ``z/e (y - mu_1) - (1-z)/(1-e) (y - mu_0)
-    + tau`` with e = 1/2, the treatment probability of the design, and arm
-    models ``mu_z(x) = mu(x) + (z - e) tau(x)``.
-
-    In exact arithmetic the fitted CATE drops out of AIPW at e = 1/2:
-    ``mu_1 = mu + tau/2`` and ``mu_0 = mu - tau/2`` give ``w = 4 (y - mu) /
-    m`` and ``c = -2 sum (y - mu) / m``, so tau reaches the p-value only
-    through rounding (w is within 3e-15 of ``4 (y - mu) / m`` on a
-    ``default`` subgroup with tau scaled up to 1000 times). The form above
-    is kept all the same: it rounds as the package always has, so p-values
-    stay byte-identical, and a simplified formula could move them.
+    T is the difference in means of the residual ``r = y - mu(x)``
+    (``r = y`` when ``mu`` is None), ``2/m (sum_treated r - sum_control r)``,
+    so ``w = 4 r / m`` and ``c = -2 sum r / m``. It equals the AIPW
+    statistic under the Bernoulli(1/2) design: the mean of ``z/e (y - mu_1)
+    - (1-z)/(1-e) (y - mu_0) + tau`` with e = 1/2 and arm models ``mu_z(x) =
+    mu(x) + (z - e) tau(x)`` is T whatever the CATE tau is, so a fitted CATE
+    acts on the test only through the folds (and ``adasplit``'s pruning).
     """
-    idx = np.asarray(subgroup, dtype=int)
     m = idx.size
-    y = dataset.y[idx]
-    if stat.kind == STAT_DM:
-        return 4.0 * y / m, -2.0 * float(np.sum(y)) / m
-    nuis = stat.nuisances
-    x = dataset.x[idx]
-    mu_vals = nuis.mu.predict(x)
-    tau_vals = nuis.tau.predict(x)
-    e = 0.5
-    mu1 = mu_vals + (1.0 - e) * tau_vals
-    mu0 = mu_vals - e * tau_vals
-    w = ((y - mu1) / e + (y - mu0) / (1.0 - e)) / m
-    c = float(np.sum(tau_vals - (y - mu0) / (1.0 - e))) / m
-    return w, c
+    r = dataset.y[idx]
+    if mu is not None:
+        r = r - mu.predict(dataset.x[idx])
+    z_obs = dataset.z[idx]
+    if np.any(np.isnan(z_obs)):
+        raise ValidationError("masked assignment in the inference fold")
+    return 4.0 * r / m, -2.0 * float(np.sum(r)) / m, z_obs
 
 
 # Monte-Carlo draws are made and scored about this many doubles at a time
@@ -140,8 +112,9 @@ def _fair_coins(gen, out):
                              axis=1, count=m, bitorder="little")
 
 
-def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
-    """Monte-Carlo randomization p-value on one subgroup's inference fold.
+def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
+    """Monte-Carlo randomization p-value on one subgroup's inference fold,
+    for the statistic of :func:`_fold_statistic` with outcome model ``mu``.
 
     Draws ``m_draws`` i.i.d. assignment vectors from the Bernoulli(1/2)
     design, each assignment one random bit (:func:`_fair_coins`),
@@ -182,10 +155,7 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     if idx.size == 0:
         return PValue(1.0, m_draws, float("nan"), subgroup_id,
                       flag="empty-inference-fold")
-    w, c = _linear_coeffs(stat, dataset, idx)
-    z_obs = dataset.z[idx]
-    if np.any(np.isnan(z_obs)):
-        raise ValidationError("masked assignment in the inference fold")
+    w, c, z_obs = _fold_statistic(mu, dataset, idx)
     m = idx.size
     # The observed statistic is summed exactly as each draw's is, so a draw
     # replicating the observed assignment ties exactly (ties carry real
@@ -215,17 +185,18 @@ def mc_pvalue(stat, dataset, subgroup, m_draws, rng, subgroup_id=0):
     return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
 
 
-def test_folds(stat, dataset, folds, config):
+def test_folds(mu, dataset, folds, config):
     """The testing stage every method shares.
 
-    Computes one Monte-Carlo p-value per subgroup inference fold (``folds[k]``
-    for subgroup k, drawn from the stream ``(config.seed, PVALUE_DRAWS, k)``),
-    in subgroup order, so a failing fold raises the error of the first
-    failing subgroup. Then runs closed testing with Fisher's combination at
-    level ``config.q``. Returns the p-values, the rejected subgroups and the
+    Computes one Monte-Carlo p-value of the residual statistic with outcome
+    model ``mu`` per subgroup inference fold (``folds[k]`` for subgroup k,
+    drawn from the stream ``(config.seed, PVALUE_DRAWS, k)``), in subgroup
+    order, so a failing fold raises the error of the first failing
+    subgroup. Then runs closed testing with Fisher's combination at level
+    ``config.q``. Returns the p-values, the rejected subgroups and the
     flags of degenerate folds, keyed by the subgroup index as a string.
     """
-    pvalues = [mc_pvalue(stat, dataset, fold, config.mc_draws,
+    pvalues = [mc_pvalue(mu, dataset, fold, config.mc_draws,
                          rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
                for k, fold in enumerate(folds)]
     values = tuple(pv.value for pv in pvalues)
@@ -233,8 +204,9 @@ def test_folds(stat, dataset, folds, config):
     return values, closed_testing(values, config.q), flags
 
 
-def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
-    """Exact randomization p-value by enumerating all 2^m assignments.
+def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
+    """Exact randomization p-value of the residual statistic with outcome
+    model ``mu``, by enumerating all 2^m assignments.
 
     The p-value is the proportion of assignments whose statistic is at least
     the observed one, each assignment having probability 2^-m under the
@@ -250,10 +222,7 @@ def exact_pvalue(stat, dataset, subgroup, subgroup_id=0):
         return PValue(1.0, 0, float("nan"), subgroup_id, flag="empty-inference-fold")
     if m > 20:
         raise ValidationError("subgroup too large for exact enumeration")
-    w, c = _linear_coeffs(stat, dataset, idx)
-    z_obs = dataset.z[idx]
-    if np.any(np.isnan(z_obs)):
-        raise ValidationError("masked assignment in the inference fold")
+    w, c, z_obs = _fold_statistic(mu, dataset, idx)
     codes = np.arange(1 << m, dtype=np.int64)
     t_ref = np.full(codes.size, c)
     for j in range(m):

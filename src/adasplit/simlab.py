@@ -11,7 +11,7 @@ returns it with each sample.
 
 The harness runs the three competing procedures on shared per-replication
 datasets (the plain subgroup randomization test ``rt``, the random-split
-AIPW test ``random_split``, and the adaptive split ``adasplit``) and
+residual test ``random_split``, and the adaptive split ``adasplit``) and
 aggregates rejection rates, family-wise error, power, and CATE estimation
 quality into summary tables. Every replication derives its own seed from the
 master seed, so runs are reproducible and trivially parallelizable.
@@ -30,8 +30,7 @@ from . import engine, rng
 from .data import AdaSplitConfig, Dataset, SubgroupPartition, partition_by_quantiles
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel
-from .nuisance import NuisanceModel, fit_mu, fit_rlearner_weighted
-from .randtest import STAT_AIPW, STAT_DM, TestStatisticSpec
+from .nuisance import fit_mu, fit_rlearner_weighted
 
 METHOD_RT = "rt"
 METHOD_RANDOM_SPLIT = "random_split"
@@ -142,12 +141,13 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     the nuisances; all three read assignments through one
     ``engine._AssignmentLog`` and end with :func:`engine.finish`, so every
     report lists the assignments read before the p-values. ``rt`` tests each
-    full subgroup with the difference-in-means statistic and reads none;
+    full subgroup with the difference in means of ``y`` and reads none;
     ``random_split`` keeps a seeded random part of each subgroup for
     inference, at the floor the adaptive engine stops at
-    (:func:`engine.inference_floor`), fits the nuisances on the rest and
-    tests with the AIPW statistic; ``adasplit`` delegates to the adaptive
-    engine.
+    (:func:`engine.inference_floor`), fits the outcome model and the CATE on
+    the rest, and tests with the difference in means of ``y - mu(x)`` (the
+    AIPW statistic at e = 1/2; the CATE fit gives the report's
+    coefficients); ``adasplit`` delegates to the adaptive engine.
     """
     method = canonical_method(method)
     if dataset.n != partition.n:
@@ -156,8 +156,7 @@ def run_method(method, dataset, partition, config, collect_trace=False):
         return engine.run(dataset, partition, config, collect_trace=collect_trace)
     zlog = engine._AssignmentLog(dataset.z)
     if method == METHOD_RT:
-        return engine.finish(method, dataset, partition, config, zlog,
-                             TestStatisticSpec(kind=STAT_DM))
+        return engine.finish(method, dataset, partition, config, zlog, None)
     mask = np.zeros(dataset.n, dtype=bool)
     for k, g in enumerate(partition.groups):
         gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
@@ -174,8 +173,7 @@ def run_method(method, dataset, partition, config, collect_trace=False):
     mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
     tau = fit_rlearner_weighted(x_i, y_i, zlog.take(nuis_idx), mu.predict(x_i),
                                 ridge=config.ridge_lambda)
-    stat = TestStatisticSpec(kind=STAT_AIPW, nuisances=NuisanceModel(mu=mu, tau=tau))
-    return engine.finish(method, dataset, partition, config, zlog, stat,
+    return engine.finish(method, dataset, partition, config, zlog, mu,
                          mask=mask, coef=tau.coef)
 
 

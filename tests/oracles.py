@@ -469,14 +469,10 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     tau_final = pkg.linmodel.LinearModel(
         bar_learner_reference(x, y, mask, z_i, mu_vals, e_hat, lam, ridge))
 
-    stat = pkg.randtest.TestStatisticSpec(
-        kind=pkg.randtest.STAT_AIPW,
-        nuisances=nuisance.NuisanceModel(mu=mu, tau=tau_final),
-    )
     diagnostics = {"l": l_hist, "converged": converged, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
     return pkg.engine.finish(
-        pkg.simlab.METHOD_ADASPLIT, dataset, partition, config, zlog, stat,
+        pkg.simlab.METHOD_ADASPLIT, dataset, partition, config, zlog, mu,
         mask=mask, iterations=t, coef=tau_final.coef, diagnostics=diagnostics,
     )

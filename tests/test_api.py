@@ -18,9 +18,14 @@ def test_removed_names_are_not_exported():
                  "FoldState", "RejectionSet", "holm", "validate_dataset",
                  "t_dm", "phi_aipw", "fit_rlearner_ols", "fit_bar_learner",
                  "marginalized_residual", "gaussian_approx_pvalue",
-                 "optimal_soft_inclusion"):
+                 "optimal_soft_inclusion", "TestStatisticSpec",
+                 "NuisanceModel", "STAT_DM", "STAT_AIPW"):
         assert name not in adasplit.__all__
         assert not hasattr(adasplit, name)
+    # The statistic is one formula with one argument, the outcome model.
+    for name in ("TestStatisticSpec", "STAT_DM", "STAT_AIPW", "_linear_coeffs"):
+        assert not hasattr(adasplit.randtest, name)
+    assert not hasattr(adasplit.nuisance, "NuisanceModel")
 
 
 def test_import_leaves_scipy_stats_unloaded():

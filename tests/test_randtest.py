@@ -9,15 +9,12 @@ from adasplit import (
     AdaSplitConfig,
     Dataset,
     LinearModel,
-    NuisanceModel,
     PValue,
-    TestStatisticSpec,
     ValidationError,
     exact_pvalue,
     mc_pvalue,
 )
 from adasplit.nuisance import fit_mu
-from adasplit.randtest import STAT_AIPW, STAT_DM
 from adasplit import randtest, rng
 from oracles import (
     aipw_statistic, dm_statistic, enumerate_pvalue, fair_coins_reference, integer_pvalue,
@@ -25,65 +22,67 @@ from oracles import (
 )
 
 
-def dm_spec():
-    return TestStatisticSpec(STAT_DM)
+# The two ways the statistic is used, named as the test ids name them: the
+# difference in means of y (no outcome model, as ``rt``), and of y - mu(x),
+# the AIPW statistic at e = 1/2 (as ``random_split`` and ``adasplit``).
+STAT_DM, STAT_AIPW = "difference-in-means", "aipw"
 
 
-def aipw_spec(x, y, tau_coef=None, seed=0):
-    gen = np.random.default_rng(seed)
-    mu = fit_mu(x, y, ridge=1e-8)
-    coef = gen.normal(size=x.shape[1] + 1) if tau_coef is None else np.asarray(tau_coef)
-    return TestStatisticSpec(STAT_AIPW, NuisanceModel(mu=mu, tau=LinearModel(coef)))
+def outcome_model(x, y):
+    """A fitted outcome model, the statistic's ``mu``."""
+    return fit_mu(x, y, ridge=1e-8)
 
 
-def observed(spec, y, z, x=None):
+def model_for(stat, x, y):
+    return None if stat == STAT_DM else outcome_model(x, y)
+
+
+def observed(mu, y, z, x=None):
     """The pipeline's statistic on the observed assignment of the whole fold."""
     y = np.asarray(y, dtype=float)
     x = np.zeros((y.size, 1)) if x is None else x
     ds = Dataset(x, y, z)
-    return exact_pvalue(spec, ds, np.arange(y.size)).observed
+    return exact_pvalue(mu, ds, np.arange(y.size)).observed
 
 
-def constant_aipw_spec(mu, tau):
-    """AIPW with constant outcome model ``mu`` and constant CATE ``tau``."""
-    return TestStatisticSpec(
-        STAT_AIPW, NuisanceModel(mu=LinearModel([mu, 0.0]), tau=LinearModel([tau, 0.0]))
-    )
+def constant_mu(mu):
+    """The constant outcome model ``mu``."""
+    return LinearModel([mu, 0.0])
 
 
 class TestStatistics:
     def test_dm_balanced_constant(self):
-        assert observed(dm_spec(), [3.0, 3.0, 3.0, 3.0], [1.0, 0.0, 1.0, 0.0]) == 0.0
+        assert observed(None, [3.0, 3.0, 3.0, 3.0], [1.0, 0.0, 1.0, 0.0]) == 0.0
 
     def test_dm_single_unit(self):
-        assert observed(dm_spec(), [1.0], [1.0]) == 2.0
+        assert observed(None, [1.0], [1.0]) == 2.0
 
     def test_dm_hand_case(self):
-        assert observed(dm_spec(), [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == pytest.approx(4.0 / 3.0)
+        assert observed(None, [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == pytest.approx(4.0 / 3.0)
 
     def test_dm_empty(self):
         # an empty fold has no statistic: p = 1 with a flag, never an error
         ds = Dataset([[0.0]], [1.0], [1.0])
-        pv = exact_pvalue(dm_spec(), ds, np.array([], dtype=int))
+        pv = exact_pvalue(None, ds, np.array([], dtype=int))
         assert pv.value == 1.0 and np.isnan(pv.observed)
         assert pv.flag == "empty-inference-fold"
 
     def test_aipw_zero_augmentation(self):
-        # y equal to the arm-specific outcome model returns tau exactly
+        # y equal to the arm-specific outcome model mu + (z - e) tau: AIPW
+        # returns tau exactly, and so does the residual statistic
         tau = 0.7
         mu = 1.0
         e = 0.5
-        spec = constant_aipw_spec(mu, tau)
         y1 = mu + (1.0 - e) * tau
-        assert observed(spec, [y1], [1.0]) == pytest.approx(tau)
+        assert observed(constant_mu(mu), [y1], [1.0]) == pytest.approx(tau)
         y0 = mu - e * tau
-        assert observed(spec, [y0], [0.0]) == pytest.approx(tau)
+        assert observed(constant_mu(mu), [y0], [0.0]) == pytest.approx(tau)
 
     def test_aipw_direct_value(self):
-        # e=1/2, z=1, y - mu1 = 1, tau = 1 -> 2*1 + 1 = 3
+        # e=1/2, z=1, y - mu1 = 1, tau = 1 -> AIPW 2*1 + 1 = 3 = 2 (y - mu)
         mu, tau, e = 0.0, 1.0, 0.5
         y = mu + (1.0 - e) * tau + 1.0
-        assert observed(constant_aipw_spec(mu, tau), [y], [1.0]) == pytest.approx(3.0)
+        assert observed(constant_mu(mu), [y], [1.0]) == pytest.approx(3.0)
 
     def test_aipw_arm_difference_identity(self):
         gen = np.random.default_rng(0)
@@ -91,8 +90,7 @@ class TestStatistics:
         e = 0.5
         mu1 = mu + (1.0 - e) * tau
         mu0 = mu - e * tau
-        spec = constant_aipw_spec(mu, tau)
-        diff = observed(spec, [y], [1.0]) - observed(spec, [y], [0.0])
+        diff = observed(constant_mu(mu), [y], [1.0]) - observed(constant_mu(mu), [y], [0.0])
         assert diff == pytest.approx(2.0 * (y - mu1) + 2.0 * (y - mu0), abs=1e-12)
 
 
@@ -103,19 +101,19 @@ class TestMonteCarloPValue:
         gen = np.random.default_rng(1)
         y = np.abs(gen.normal(size=12)) + 1.0
         ds = Dataset(gen.normal(size=(12, 1)), y, np.ones(12))
-        pv = mc_pvalue(dm_spec(), ds, np.arange(12), 200, rng.stream(0, 1))
+        pv = mc_pvalue(None, ds, np.arange(12), 200, rng.stream(0, 1))
         # replay the identical stream: only an all-ones draw can tie
         draws = fair_coins_reference(rng.stream(0, 1), 200, 12).all(axis=1).sum()
         assert pv.value == pytest.approx((1.0 + draws) / 201.0)
 
     def test_constant_statistic_gives_one(self):
         ds = Dataset(np.ones((6, 1)), np.zeros(6), np.array([1.0, 0, 1, 0, 1, 0]))
-        pv = mc_pvalue(dm_spec(), ds, np.arange(6), 99, rng.stream(0, 2))
+        pv = mc_pvalue(None, ds, np.arange(6), 99, rng.stream(0, 2))
         assert pv.value == 1.0
 
     def test_empty_fold_flag(self):
         ds = Dataset(np.ones((3, 1)), np.ones(3), np.ones(3))
-        pv = mc_pvalue(dm_spec(), ds, np.array([], dtype=int), 10, rng.stream(0, 3))
+        pv = mc_pvalue(None, ds, np.array([], dtype=int), 10, rng.stream(0, 3))
         assert pv.value == 1.0 and pv.flag == "empty-inference-fold"
 
     def test_matches_exact_on_small_folds(self):
@@ -125,8 +123,8 @@ class TestMonteCarloPValue:
             y = gen.normal(size=m)
             z = (gen.random(m) < 0.5).astype(float)
             ds = Dataset(gen.normal(size=(m, 2)), y, z)
-            exact = exact_pvalue(dm_spec(), ds, np.arange(m)).value
-            mc = mc_pvalue(dm_spec(), ds, np.arange(m), 100000, rng.stream(4, i)).value
+            exact = exact_pvalue(None, ds, np.arange(m)).value
+            mc = mc_pvalue(None, ds, np.arange(m), 100000, rng.stream(4, i)).value
             tol = 3.0 * np.sqrt(exact * (1 - exact) / 100000) + 2e-5
             assert abs(mc - exact) <= tol
 
@@ -137,24 +135,21 @@ class TestMonteCarloPValue:
         y = gen.normal(size=10)
         z = (gen.random(10) < 0.5).astype(float)
         x = gen.normal(size=(10, 1))
-        p1 = mc_pvalue(dm_spec(), Dataset(x, y, z),
+        p1 = mc_pvalue(None, Dataset(x, y, z),
                        np.arange(10), 500, rng.stream(5, 0)).value
-        p2 = mc_pvalue(dm_spec(), Dataset(x, 3.0 * y, z),
+        p2 = mc_pvalue(None, Dataset(x, 3.0 * y, z),
                        np.arange(10), 500, rng.stream(5, 0)).value
         assert p1 == p2
 
     def test_aipw_scale_invariance(self):
         # any positive rescaling of the statistic's linear coefficients
         # leaves every comparison, hence the p-value, unchanged
-        from adasplit.randtest import _linear_coeffs
-
         gen = np.random.default_rng(6)
         x = gen.normal(size=(12, 2))
         y = gen.normal(size=12)
         z = (gen.random(12) < 0.5).astype(float)
         ds = Dataset(x, y, z)
-        spec = aipw_spec(x, y)
-        w, c = _linear_coeffs(spec, ds, np.arange(12))
+        w, c, _ = randtest._fold_statistic(outcome_model(x, y), ds, np.arange(12))
         draws = (rng.stream(6, 1).random((2000, 12)) < 0.5).astype(float)
         for scale in (1.0, 12.0, 1e-3):
             t_all = randtest._row_sums(np.vstack([draws, z[None]]) * (scale * w)) + scale * c
@@ -168,7 +163,7 @@ class TestMonteCarloPValue:
         y = gen.normal(size=8)
         z = (gen.random(8) < 0.5).astype(float)
         ds = Dataset(gen.normal(size=(8, 1)), y, z)
-        pv = mc_pvalue(dm_spec(), ds, np.arange(8), 999, rng.stream(8, 0))
+        pv = mc_pvalue(None, ds, np.arange(8), 999, rng.stream(8, 0))
         assert 1.0 / 1000.0 <= pv.value <= 1.0
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -187,14 +182,14 @@ class TestMonteCarloPValue:
                 y = y * gen.choice([1e-3, 1.0, 1e3], size=m)
             z = (gen.random(m) < 0.5).astype(float)
             ds = Dataset(x, y, z)
-            for spec in (dm_spec(), aipw_spec(x, y, seed=i)):
-                cases.append((spec, ds, mc_pvalue(spec, ds, np.arange(m), 1001,
-                                                  rng.stream(9, len(cases)))))
+            for mu in (None, outcome_model(x, y)):
+                cases.append((mu, ds, mc_pvalue(mu, ds, np.arange(m), 1001,
+                                                rng.stream(9, len(cases)))))
         assert randtest._DRAW_ELEMENTS // 130 < 1001 < randtest._DRAW_ELEMENTS // 7
-        for j, (spec, ds, base) in enumerate(cases):
+        for j, (mu, ds, base) in enumerate(cases):
             m = ds.y.size
             monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
-            assert mc_pvalue(spec, ds, np.arange(m), 1001, rng.stream(9, j)) == base
+            assert mc_pvalue(mu, ds, np.arange(m), 1001, rng.stream(9, j)) == base
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("rows", [1, 3, None])
@@ -213,9 +208,9 @@ class TestMonteCarloPValue:
         for start in range(0, 1001, chunk):
             randtest._fair_coins(stream, coins[start:start + chunk])
         assert np.array_equal(coins, fair_coins_reference(rng.stream(12, m), 1001, m))
-        w, c = randtest._linear_coeffs(dm_spec(), ds, np.arange(m))
+        w, c, _ = randtest._fold_statistic(None, ds, np.arange(m))
         value, t_obs = mc_pvalue_reference(w, c, z, 1001, rng.stream(12, m))
-        got = mc_pvalue(dm_spec(), ds, np.arange(m), 1001, rng.stream(12, m))
+        got = mc_pvalue(None, ds, np.arange(m), 1001, rng.stream(12, m))
         assert got == PValue(value, 1001, t_obs, 0)
 
     def test_fair_coins_first_row_is_pinned(self):
@@ -263,7 +258,7 @@ class TestMonteCarloPValue:
             assert np.count_nonzero(draws @ scores == scores @ z) > 0
             if rows is not None:
                 monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
-            got = mc_pvalue(dm_spec(), ds, np.arange(m), 200, rng.stream(11, m)).value
+            got = mc_pvalue(None, ds, np.arange(m), 200, rng.stream(11, m)).value
             assert got == integer_pvalue(scores, z, draws)
 
     def test_draw_memory_is_bounded(self):
@@ -274,7 +269,7 @@ class TestMonteCarloPValue:
                      (gen.random(50) < 0.5).astype(float))
         tracemalloc.start()
         try:
-            pv = mc_pvalue(dm_spec(), ds, np.arange(50), 200000, rng.stream(10, 0))
+            pv = mc_pvalue(None, ds, np.arange(50), 200000, rng.stream(10, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,7 +308,8 @@ class TestReferenceDrawLoop:
 
     @staticmethod
     def case(i, gen):
-        """One seeded fold: (spec, dataset, fold indices, draws, stream)."""
+        """One seeded fold: (outcome model, dataset, fold indices, draws,
+        stream)."""
         kind = TestReferenceDrawLoop.KINDS[i % 5]
         m = int(gen.choice([1, 2, 3, 7, 33, 130, 400]))
         n = m + int(gen.integers(0, 5))
@@ -321,18 +317,18 @@ class TestReferenceDrawLoop:
         y = TestReferenceDrawLoop.outcomes(kind, n, gen)
         z = (gen.random(n) < 0.5).astype(float)
         ds = Dataset(x, y, z)
-        spec = dm_spec() if i % 3 else aipw_spec(x, y, seed=i)
+        mu = None if i % 3 else outcome_model(x, y)
         fold = np.sort(gen.choice(n, size=m, replace=False))
         m_draws = int(gen.choice([1, 10, 999, 3000]))
-        return spec, ds, fold, m_draws, TestReferenceDrawLoop.GENERATORS[i % 3]
+        return mu, ds, fold, m_draws, TestReferenceDrawLoop.GENERATORS[i % 3]
 
     def test_sweep_matches_reference(self):
         gen = np.random.default_rng(30)
         for i in range(90):
-            spec, ds, fold, m_draws, make = self.case(i, gen)
-            w, c = randtest._linear_coeffs(spec, ds, fold)
+            mu, ds, fold, m_draws, make = self.case(i, gen)
+            w, c, _ = randtest._fold_statistic(mu, ds, fold)
             value, t_obs = mc_pvalue_reference(w, c, ds.z[fold], m_draws, make(i))
-            got = mc_pvalue(spec, ds, fold, m_draws, make(i), subgroup_id=i)
+            got = mc_pvalue(mu, ds, fold, m_draws, make(i), subgroup_id=i)
             assert got == PValue(value, m_draws, t_obs, i), (i, got, value)
 
     @pytest.mark.parametrize("m", [1000, 3000])
@@ -352,13 +348,13 @@ class TestReferenceDrawLoop:
         z[:4] = z[-4:] = float(bigs_treated)
         ds = Dataset(np.zeros((m, 1)), y, z)
         fold = np.arange(m)
-        w, c = randtest._linear_coeffs(dm_spec(), ds, fold)
+        w, c, _ = randtest._fold_statistic(None, ds, fold)
         value, t_obs = mc_pvalue_reference(w, c, z, 200, rng.stream(32, m))
         t_min = randtest._tie_floor(t_obs, w, c, (m - 1).bit_length() + 2)
         in_order = np.cumsum(fair_coins_reference(rng.stream(32, m), 200, m) * w,
                              axis=1)[:, -1] + c
         assert np.count_nonzero(in_order >= t_min) != round(value * 201) - 1
-        got = mc_pvalue(dm_spec(), ds, fold, 200, rng.stream(32, m))
+        got = mc_pvalue(None, ds, fold, 200, rng.stream(32, m))
         assert got == PValue(value, 200, t_obs, 0)
 
     def test_binary_outcomes_reach_the_exact_recount(self, monkeypatch):
@@ -374,7 +370,7 @@ class TestReferenceDrawLoop:
             z = (gen.random(200) < 0.5).astype(float)
             ds = Dataset(np.zeros((200, 1)), y, z)
             rows.clear()
-            mc_pvalue(dm_spec(), ds, np.arange(200), 2000, rng.stream(33, 0))
+            mc_pvalue(None, ds, np.arange(200), 2000, rng.stream(33, 0))
             recounted = sum(rows) - 1  # the first call sums the observed row
             if kind == "binary":
                 assert recounted > 0
@@ -399,11 +395,11 @@ class TestPooledStage:
         return x, y, z, folds
 
     @staticmethod
-    def run(spec, ds, folds):
+    def run(mu, ds, folds):
         """``test_folds``; a ``ValidationError`` it raises is returned as its
         repr."""
         try:
-            return randtest.test_folds(spec, ds, folds, TestPooledStage.CONFIG)
+            return randtest.test_folds(mu, ds, folds, TestPooledStage.CONFIG)
         except ValidationError as exc:
             return repr(exc)
 
@@ -411,24 +407,24 @@ class TestPooledStage:
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
     def test_worker_count_does_not_change_the_output(self, k, stat):
         x, y, z, folds = self.trial(k, k)
-        spec = dm_spec() if stat == STAT_DM else aipw_spec(x, y, seed=k)
+        mu = model_for(stat, x, y)
         ds = Dataset(x, y, z)
-        values, _, flags = self.run(spec, ds, folds)
+        values, _, flags = self.run(mu, ds, folds)
         assert values == tuple(
-            mc_pvalue(spec, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j)).value
+            mc_pvalue(mu, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j)).value
             for j, fold in enumerate(folds))
         assert flags == {}
 
     def test_empty_fold_keeps_its_flag(self):
         x, y, z, folds = self.trial(3, 40)
         folds[1] = folds[1][:0]
-        values, _, flags = self.run(dm_spec(), Dataset(x, y, z), folds)
+        values, _, flags = self.run(None, Dataset(x, y, z), folds)
         assert values[1] == 1.0 and flags == {"1": "empty-inference-fold"}
 
     def test_masked_assignment_raises_the_serial_error(self):
         x, y, z, folds = self.trial(3, 41)
         z[folds[1][0]] = np.nan
-        got = self.run(dm_spec(), Dataset(x, y, z), folds)
+        got = self.run(None, Dataset(x, y, z), folds)
         assert got == repr(ValidationError("masked assignment in the inference fold"))
 
     def test_first_failing_subgroup_in_order_raises(self, monkeypatch):
@@ -438,15 +434,15 @@ class TestPooledStage:
         plain = randtest.mc_pvalue
         called = []
 
-        def tagged(spec, ds, fold, m_draws, gen, k):
+        def tagged(mu, ds, fold, m_draws, gen, k):
             called.append(k)
             try:
-                return plain(spec, ds, fold, m_draws, gen, k)
+                return plain(mu, ds, fold, m_draws, gen, k)
             except ValidationError as exc:
                 raise ValidationError(f"{exc} (subgroup {k})") from None
 
         monkeypatch.setattr(randtest, "mc_pvalue", tagged)
-        got = self.run(dm_spec(), Dataset(x, y, z), folds)
+        got = self.run(None, Dataset(x, y, z), folds)
         assert got == repr(ValidationError(
             "masked assignment in the inference fold (subgroup 1)"))
         assert called == [0, 1]
@@ -455,19 +451,21 @@ class TestPooledStage:
 class TestExactPValue:
     def test_single_unit(self):
         ds = Dataset([[0.0]], [1.0], [1.0])
-        pv = exact_pvalue(dm_spec(), ds, np.array([0]))
+        pv = exact_pvalue(None, ds, np.array([0]))
         assert pv.value == 0.5
 
     def test_constant_outcomes(self):
         ds = Dataset(np.ones((4, 1)), np.zeros(4), np.ones(4))
-        assert exact_pvalue(dm_spec(), ds, np.arange(4)).value == 1.0
+        assert exact_pvalue(None, ds, np.arange(4)).value == 1.0
 
     def test_too_large(self):
         ds = Dataset(np.ones((21, 1)), np.zeros(21), np.ones(21))
         with pytest.raises(ValidationError, match="too large"):
-            exact_pvalue(dm_spec(), ds, np.arange(21))
+            exact_pvalue(None, ds, np.arange(21))
 
     def test_matches_independent_enumeration_bitforbit(self):
+        # The residual statistic against AIPW with a random CATE, at its
+        # scale and up to 1000 times it: at e = 1/2 the CATE cancels.
         gen = np.random.default_rng(8)
         for i in range(25):
             m = int(gen.integers(2, 11))
@@ -476,16 +474,17 @@ class TestExactPValue:
             z = (gen.random(m) < 0.5).astype(float)
             ds = Dataset(x, y, z)
             if i % 2 == 0:
-                spec = dm_spec()
                 oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z)
-            else:
-                spec = aipw_spec(x, y, seed=i)
-                nuis = spec.nuisances
-                mu_vals = nuis.mu.predict(x)
-                tau_vals = nuis.tau.predict(x)
+                assert exact_pvalue(None, ds, np.arange(m)).value == oracle
+                continue
+            mu = outcome_model(x, y)
+            mu_vals = mu.predict(x)
+            tau_vals = LinearModel(np.random.default_rng(i).normal(size=3)).predict(x)
+            got = exact_pvalue(mu, ds, np.arange(m)).value
+            for scale in (1.0, 10.0, 1000.0):
                 oracle = enumerate_pvalue(
-                    lambda zz: aipw_statistic(y, zz, mu_vals, tau_vals), z)
-            assert exact_pvalue(spec, ds, np.arange(m)).value == oracle
+                    lambda zz: aipw_statistic(y, zz, mu_vals, scale * tau_vals), z)
+                assert got == oracle, (i, scale)
 
 
 class TestTies:
@@ -508,16 +507,16 @@ class TestTies:
         return scores * 2.0**-18, scores
 
     @staticmethod
-    def spec_and_scores(stat, y, scores, kind):
-        """The statistic, and the integer scores its coefficients are a
-        positive multiple of. Under the half design AIPW's coefficient is
-        4 (y - mu(x)) / m whatever tau is; mu = 0.5 is on every grid here
+    def model_and_scores(stat, y, scores, kind):
+        """The outcome model, and the integer scores the statistic's
+        coefficients are a positive multiple of. With an outcome model the
+        coefficient is 4 (y - mu(x)) / m; mu = 0.5 is on every grid here
         (on the binary and dyadic ones as 1/2, on the 0.1 grid as 5/10)."""
         if stat == STAT_DM:
-            return dm_spec(), scores
+            return None, scores
         shift = {"binary": 0.5, "grid": 5, "replicated": 2**17}[kind]
         ints = 2 * scores - 1 if kind == "binary" else scores - shift
-        return constant_aipw_spec(0.5, 0.7), ints
+        return constant_mu(0.5), ints
 
     @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
@@ -527,9 +526,9 @@ class TestTies:
             m = int(gen.integers(2, 13))
             y, scores = self.folds(kind, m, gen)
             z = (gen.random(m) < 0.5).astype(float)
-            spec, ints = self.spec_and_scores(stat, y, scores, kind)
+            mu, ints = self.model_and_scores(stat, y, scores, kind)
             ds = Dataset(np.zeros((m, 1)), y, z)
-            got = exact_pvalue(spec, ds, np.arange(m)).value
+            got = exact_pvalue(mu, ds, np.arange(m)).value
             assert got == integer_pvalue(ints, z)
 
     @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
@@ -540,8 +539,8 @@ class TestTies:
             m = int(gen.integers(20, 200))
             y, scores = self.folds(kind, m, gen)
             z = (gen.random(m) < 0.5).astype(float)
-            spec, ints = self.spec_and_scores(stat, y, scores, kind)
+            mu, ints = self.model_and_scores(stat, y, scores, kind)
             ds = Dataset(np.zeros((m, 1)), y, z)
-            got = mc_pvalue(spec, ds, np.arange(m), 500, np.random.default_rng(i)).value
+            got = mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value
             draws = fair_coins_reference(np.random.default_rng(i), 500, m)
             assert got == integer_pvalue(ints, z, draws)
