@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .data import AnalysisReport, FoldSnapshot
+from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
 from .linmodel import _cho_factor, _cho_solve, _design, _finite, _solve_spd, diversity_scores
 from .nuisance import (
@@ -88,8 +88,8 @@ class _AssignmentLog:
 
 def inference_floor(size, rho):
     """The fewest units a subgroup of ``size`` may keep to test: the
-    smallest count j with j >= rho * size."""
-    return math.ceil(rho * size)
+    smallest count j with j / size >= rho, the rule of quantile cuts."""
+    return _cut_rank(rho, size)
 
 
 def split_init(dataset, partition, p_init, ridge=0.0):

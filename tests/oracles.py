@@ -413,7 +413,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     converged = False
     t = 0
     while True:
-        eligible = (j_sizes - 1) >= config.rho * s_sizes
+        eligible = (j_sizes - 1) / s_sizes >= config.rho
         cand = np.flatnonzero(~mask & eligible[labels])
         if cand.size == 0:
             break
@@ -457,7 +457,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
         for j in order:
             if tau_prev_vals[j] >= 0.0:
                 break
-            if (j_sizes[k] - 1) < config.rho * s_sizes[k]:
+            if (j_sizes[k] - 1) / s_sizes[k] < config.rho:
                 break
             mask[j] = True
             j_sizes[k] -= 1

@@ -108,13 +108,15 @@ class TestSplitInit:
 class TestInferenceFloor:
     def test_smallest_count_reaching_rho_times_size(self):
         gen = np.random.default_rng(12)
-        rhos = [0.5, 0.95, 0.96, 0.3, 0.1, 0.7] + list(gen.uniform(size=50))
+        rhos = [0.5, 0.95, 0.96, 0.3, 0.1, 0.7, 0.55] + list(gen.uniform(size=50))
         for size in (1, 2, 3, 37, 40, 41, 100, 1000):
             for rho in rhos:
-                want = next(j for j in range(size + 1) if j >= rho * size)
+                want = next(j for j in range(size + 1) if j / size >= rho)
                 assert engine.inference_floor(size, rho) == want, (size, rho)
         assert engine.inference_floor(40, 0.95) == 38
         assert engine.inference_floor(40, 0.96) == 39
+        # 0.55 * 100 rounds above 55, yet 55 / 100 already reaches 0.55.
+        assert engine.inference_floor(100, 0.55) == 55
 
 
 class TestSelectionCriterion:
@@ -526,4 +528,4 @@ class TestStopReason:
         assert report.diagnostics["stop_reason"] == "floor"
         sizes = np.array([g.size for g in part.groups])
         held = np.array([len(j) for j in report.folds.inference])
-        assert np.all(held - 1 < report.config.rho * sizes)
+        assert np.all((held - 1) / sizes < report.config.rho)

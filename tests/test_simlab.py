@@ -114,9 +114,10 @@ class TestRunMethod:
             assert set(report.folds.inference[k]) <= set(g)
 
     def test_random_split_rho_is_the_inference_floor(self):
-        # Uneven subgroups: at rho = 0.3 the inference counts are
-        # ceil(0.3 * s) = 12, 13, 13, where the adaptive loop stops when it
-        # runs to the floor (eps_l this small never converges).
+        # Uneven subgroups: at rho = 0.3 the inference counts are the
+        # smallest with count / s >= 0.3, 12, 13, 13, where the adaptive
+        # loop stops when it runs to the floor (eps_l this small never
+        # converges).
         gen = np.random.default_rng(6)
         n = 120
         x = gen.uniform(-0.5, 0.5, size=(n, 3))
