@@ -370,6 +370,8 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
                 header = next(csv.reader(fh))
             except StopIteration:
                 raise ValidationError("empty file: n >= 1 required")
+            except csv.Error as exc:
+                raise ValidationError(f"header: {exc}") from exc
             header = [h.strip() for h in header]
             names = _covariate_names(header)
             required = set(names) | {"y", "z"}

@@ -111,6 +111,12 @@ class TestAnalyze:
         assert run_cli("analyze", "--data", trial_csv, "--method", "rt") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: row 4: field larger than field limit")
+        # A column name of 200000 characters, in the header.
+        rows[0] += "," + "w" * 200000
+        trial_csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: header: field larger than field limit")
 
     @pytest.mark.parametrize("label", ["100000000000000000000000", "-9223372036854775809",
                                        "1" + "0" * 400])

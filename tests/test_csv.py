@@ -234,6 +234,10 @@ class TestRead:
         text = "x1,y,z\n1,2,1\n\n1," + "9" * 200000 + ",1\n3,4,0\n"
         assert error_of(csv_file(tmp_path, text)) == (
             "row 3: field larger than field limit (131072)")
+        # In the header, the error names the header.
+        text = "x1,y,z," + "w" * 200000 + "\n1,2,1\n"
+        assert error_of(csv_file(tmp_path, text)) == (
+            "header: field larger than field limit (131072)")
 
     @pytest.mark.parametrize("column", ["y", "z"])
     def test_subgroups_by_outcome_or_assignment_are_rejected(self, tmp_path, column):
