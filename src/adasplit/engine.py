@@ -10,9 +10,7 @@ which the seed split must respect too). A final pruning pass evicts
 negative-CATE units from the inference folds (never crossing the floor), and
 only then are the held-out assignments read to compute one Monte-Carlo
 randomization p-value per subgroup, of the difference in means of
-``y - mu(x)`` with the outcome model fitted on all units. The CATE fit acts
-on the test through the folds it chooses and prunes; at e = 1/2 it would
-cancel out of an AIPW statistic (see :mod:`adasplit.randtest`).
+``y - mu(x)``: the CATE acts on the test through the folds alone.
 
 A loop state built once per run holds the design, ``y - mu(x)``, each
 unit's neighbor vote as an integer count, and the weighted R-learner's Gram

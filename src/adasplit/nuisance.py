@@ -4,9 +4,8 @@ probabilities and posterior assignment probabilities.
 The estimation stack mirrors how the adaptive split consumes it:
 
 * ``fit_mu`` fits the outcome regression E[Y | X] on all units without
-  touching any treatment assignment. It is the one nuisance the
-  randomization test takes: its statistic is the difference in means of
-  ``y - mu(x)`` (``randtest``), in which a fitted CATE would cancel.
+  touching any treatment assignment; the test statistic is the difference
+  in means of its residuals ``y - mu(x)`` (``randtest``).
 * Scaled residuals ``(y - mu(x)) / (z - 1/2)`` turn the partially linear
   outcome model into a regression problem whose target is the CATE under
   the Bernoulli(1/2) design; ``fit_rlearner_weighted`` fits them by least

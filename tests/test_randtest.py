@@ -33,10 +33,6 @@ def outcome_model(x, y):
     return fit_mu(x, y, ridge=1e-8)
 
 
-def model_for(stat, x, y):
-    return None if stat == STAT_DM else outcome_model(x, y)
-
-
 def observed(mu, y, z, x=None):
     """The pipeline's statistic on the observed assignment of the whole fold."""
     y = np.asarray(y, dtype=float)
@@ -407,7 +403,7 @@ class TestPooledStage:
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
     def test_worker_count_does_not_change_the_output(self, k, stat):
         x, y, z, folds = self.trial(k, k)
-        mu = model_for(stat, x, y)
+        mu = None if stat == STAT_DM else outcome_model(x, y)
         ds = Dataset(x, y, z)
         values, _, flags = self.run(mu, ds, folds)
         assert values == tuple(
