@@ -39,7 +39,6 @@ folds and builds the report.
 """
 
 import csv
-import math
 
 import numpy as np
 
@@ -91,9 +90,10 @@ def inference_floor(size, rho):
 
 
 def split_init(dataset, partition, p_init, ridge=0.0):
-    """Deterministic initial split: from each subgroup, the ceil(p_init * size)
-    units with the largest diversity scores seed the nuisance fold (score
-    ties break toward the lower unit index). Returns the boolean nuisance mask.
+    """Deterministic initial split: from each subgroup, the smallest count m
+    with m / size >= p_init (the rule of quantile cuts) of units with the
+    largest diversity scores seed the nuisance fold (score ties break toward
+    the lower unit index). Returns the boolean nuisance mask.
 
     The seed fold must hold at least d + 1 units, the smallest fold the
     residual regression can fit, and must leave every subgroup at least one
@@ -104,7 +104,7 @@ def split_init(dataset, partition, p_init, ridge=0.0):
     scores = diversity_scores(dataset.x, ridge=ridge)
     mask = np.zeros(dataset.n, dtype=bool)
     for k, g in enumerate(partition.groups):
-        m = math.ceil(p_init * g.size)
+        m = _cut_rank(p_init, g.size)
         if m >= g.size:
             raise ConfigError(
                 f"p_init={p_init} seeds all {g.size} units of subgroup {k} into "

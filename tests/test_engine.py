@@ -67,7 +67,8 @@ class TestSplitInit:
             assert scores[taken].min() >= scores[left].max() - 1e-12
 
     def test_degenerate_proportion(self):
-        # Subgroups of 40: ceil(0.999 * 40) = 40 leaves no unit to test.
+        # Subgroups of 40: 40 / 40 is the first share reaching 0.999, which
+        # leaves no unit to test.
         ds, part = small_problem(2)
         pattern = r"p_init=0\.999 seeds all 40 units of subgroup 0"
         with pytest.raises(ConfigError, match=pattern):
@@ -76,7 +77,7 @@ class TestSplitInit:
             run(ds, part, small_config(p_init=0.999))
 
     def test_seed_fold_smaller_than_d_plus_one(self):
-        # n = 60 in five subgroups of 12: ceil(0.05 * 12) = 1 unit each, so
+        # n = 60 in five subgroups of 12: 1 / 12 reaches 0.05, 1 unit each, so
         # the seed fold holds 5 units while the residual regression needs 6.
         ds, part, _ = generate(scenario_with_size("default", 60), 0)
         pattern = r"p_init=0\.05 seeds a nuisance fold of 5 units.*n=60, d=5"
@@ -97,6 +98,13 @@ class TestSplitInit:
         # Exactly at the floor is allowed: the loop has nothing to move.
         report = run(ds, part, AdaSplitConfig(seed=1, p_init=0.5, mc_draws=50))
         assert report.iterations == 0 and report.folds.proportions == (0.5,) * 5
+
+    def test_seed_count_is_the_cut_rank(self):
+        # 7 / 100 reaches 0.07 although 0.07 * 100 rounds above 7, so a
+        # 100-unit subgroup seeds 7 units, not ceil(0.07 * 100) = 8.
+        ds, part = small_problem(4, n=100, k=1)
+        assert split_init(ds, part, 0.07).sum() == 7
+        assert split_init(ds, part, 0.05).sum() == 5
 
     def test_deterministic(self):
         ds, part = small_problem(3)
