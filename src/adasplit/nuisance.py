@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .linmodel import fit_wls, _design, _solve_spd
+from .linmodel import _design, diversity_scores, fit_wls
 
 # Sigmoid arguments beyond this magnitude saturate to exactly 0.0 or 1.0 in
 # IEEE double precision; clipping here keeps every probability strictly
@@ -256,18 +256,14 @@ def expected_beta_distance(x, y, nuisance_mask, mu_vals, c_vals, ridge=0.0):
 
         4 * sum_j  x_j' (X'X)^{-2} x_j  *  (y_j - mu(x_j))^2  *  (1 - C_j^2)
 
-    where X is the intercept-augmented design and C_j the certainty score.
-    Perfectly certain units (C=1) cost nothing to hold out.
+    where X is the intercept-augmented design, whose ``diversity_scores``
+    are the leverage terms, and C_j the certainty score. Perfectly certain
+    units (C=1) cost nothing to hold out.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    mask = np.asarray(nuisance_mask, dtype=bool)
-    xd = _design(x)
-    gram = xd.T @ xd + ridge * np.eye(xd.shape[1])
-    held = ~mask
+    held = ~np.asarray(nuisance_mask, dtype=bool)
     if not np.any(held):
         return 0.0
-    half = _solve_spd(gram, xd[held].T, ridge)
-    lev = np.einsum("ji,ji->i", half, half)
+    lev = diversity_scores(_design(x), ridge)[held]
     d2 = (np.asarray(y, dtype=float)[held] - np.asarray(mu_vals)[held]) ** 2
     c2 = np.asarray(c_vals, dtype=float)[held] ** 2
     return 4.0 * float(np.sum(lev * d2 * (1.0 - c2)))
