@@ -12,12 +12,14 @@ only then are the held-out assignments read to compute one Monte-Carlo
 randomization p-value per subgroup, of the difference in means of
 ``y - mu(x)``: the CATE acts on the test through the folds alone.
 
-A loop state built once per run holds the design, ``y - mu(x)``, each
-unit's neighbor vote as an integer count, and the weighted R-learner's Gram
-and right-hand side as running sums. A move changes the counts only at the
-mover's reverse neighbors, so the sums take the mover and the weight change
-of those neighbors in the fold, O(kappa d^2); the prune pass's batch is
-applied in one rebuild. At lambda = 1 the pooled fit's Gram is X'X, factored
+A loop state built once per run holds the subgroup bookkeeping (held-out
+counts, floors and the units blocked from moving), the design,
+``y - mu(x)``, each unit's neighbor vote as an integer count, and the
+weighted R-learner's Gram and right-hand side as running sums. Loop and
+prune moves go through one :meth:`_LoopState.move`. A move changes the
+counts only at the mover's reverse neighbors, so the sums take the mover and
+the weight change of those neighbors in the fold, O(kappa d^2); the prune
+pass's batch is applied in one rebuild. At lambda = 1 the pooled fit's Gram is X'X, factored
 once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d) passes: two
 predictions, the pooled right-hand side and the posterior. Running sums round
 differently from fresh ones, so reports agree with refitting from scratch
@@ -25,10 +27,11 @@ differently from fresh ones, so reports agree with refitting from scratch
 iterations, p-values, the audited reads) and to 1e-9 in the CATE
 coefficients, ``nu2`` and ``l``. The solves return bare coefficient arrays,
 and the posterior, selection key and pooled right-hand side are computed in
-buffers the loop state owns, so at small n a step makes about 40
+buffers the loop state owns, so at small n a step makes about 42
 Python-level calls, whose overhead, not arithmetic, is most of its cost. On
-a 2-core Xeon a run takes 0.20 ms per step at n = 500, and floor runs
-0.35 ms at n = 3000 and 0.95 ms at n = 20000.
+a 2-core Xeon a run takes about 0.1 ms per step at n = 500, and floor runs
+0.15-0.2 ms at n = 3000 and 0.3-0.35 ms at n = 8000 (whole-run time over
+steps, median of 10, 3 and 1 seeds).
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -45,14 +48,7 @@ import numpy as np
 from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
 from .linmodel import _cho_factor, _cho_solve, _design, _finite, _solve_spd, diversity_scores
-from .nuisance import (
-    NeighborIndex,
-    certainty,
-    fit_mu,
-    noise_floor,
-    posterior_e,
-    scaled_residual,
-)
+from .nuisance import NeighborIndex, certainty, fit_mu, noise_floor, posterior_e
 from .randtest import test_folds
 
 
@@ -152,8 +148,13 @@ def convergence_metric(new, old):
 class _LoopState:
     """What the selection loop keeps across steps (see the module doc).
 
-    ``mask`` is the nuisance fold, changed only through :meth:`move`. The
-    weighted R-learner lives in running sums over the fold: ``g_w`` and
+    ``mask`` is the nuisance fold, changed only through :meth:`move`, which
+    also keeps each subgroup's held-out count ``j_sizes`` (of ``s_sizes``
+    units) and ``blocked``: the fold, plus every unit of a subgroup at its
+    ``floor`` (:func:`inference_floor`). The loop picks only unblocked units
+    and :meth:`prune` stops each subgroup at its floor.
+
+    The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
     probability ``w``, and ``g_i`` is the unweighted Gram (the pooled fit's).
     A unit's assignment ``z`` and scaled residual ``r`` are read once, when
@@ -167,11 +168,17 @@ class _LoopState:
     locking onto an overconfident fixed point early in the loop.
     """
 
-    def __init__(self, dataset, mu_vals, mask, zlog, config):
+    def __init__(self, dataset, partition, mu_vals, mask, zlog, config):
         self.y, self.mu_vals, self.mask, self.zlog = dataset.y, mu_vals, mask, zlog
+        self.groups, self.labels = partition.groups, partition.labels()
+        self.s_sizes = np.array([g.size for g in self.groups])
+        self.j_sizes = np.array([int((~mask[g]).sum()) for g in self.groups])
+        self.floor = np.array([inference_floor(s, config.rho) for s in self.s_sizes])
+        # Blocked: all but the held-out units of subgroups that can still donate one.
+        self.blocked = mask | (self.j_sizes <= self.floor)[self.labels]
         self.xd = _design(dataset.x)
         self.resid_y = dataset.y - mu_vals
-        self.floor = noise_floor(dataset.y)
+        self.nu2_floor = noise_floor(dataset.y)
         self.lam, self.ridge = config.lambda_imputed, config.ridge_lambda
         self.imputed_scale = (2.0 * self.lam) * self.resid_y
         n, m = self.xd.shape
@@ -218,8 +225,13 @@ class _LoopState:
         self.counts = np.count_nonzero(self.mask[lists], axis=1)
 
     def move(self, j):
-        """Put unit j in the fold; the sums take it at the next refit."""
-        self.mask[j] = True
+        """Put unit j in the fold, blocking its whole subgroup once that
+        reaches its floor; the sums take j at the next refit."""
+        self.mask[j] = self.blocked[j] = True
+        k = self.labels[j]
+        self.j_sizes[k] -= 1
+        if self.j_sizes[k] == self.floor[k]:
+            self.blocked[self.groups[k]] = True
         self.moves += 1
         self.last = j
         if self.rev is None:
@@ -227,13 +239,22 @@ class _LoopState:
         else:
             self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
 
+    def prune(self, tau_vals):
+        """Evict negative-CATE units from each inference fold, most negative
+        first, down to the floor at most."""
+        for k, g in enumerate(self.groups):
+            j_units = g[~self.mask[g]]
+            order = j_units[np.lexsort((j_units, tau_vals[j_units]))]
+            for j in order[tau_vals[order] < 0.0][:self.j_sizes[k] - self.floor[k]]:
+                self.move(j)
+
     def rebuild(self):
         """Form the sums afresh over the whole fold, reading the assignments
         of the units entering them."""
         nuis = np.flatnonzero(self.mask)
         units = nuis[self.w[nuis] == 0.0]
         z = self.z[units] = self.zlog.take(units)
-        self.r[units] = scaled_residual(self.y[units], z, self.mu_vals[units])
+        self.r[units] = self.resid_y[units] / (z - 0.5)
         w = self.w[nuis] = self.weight[self.counts[nuis]]
         xd_i = self.xd[nuis]
         self.g_w = xd_i.T @ (xd_i * w[:, None])
@@ -245,7 +266,7 @@ class _LoopState:
         change of the fold members among its reverse neighbors, the only
         units whose counts the move changed."""
         z = self.z[j] = self.zlog.take_one(j)
-        self.r[j] = self.resid_y[j] / (z - 0.5)   # scaled_residual's bits
+        self.r[j] = self.resid_y[j] / (z - 0.5)
         nb = self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]
         inside = nb[self.mask[nb]]
         units = self.units[:inside.size + 1]
@@ -277,7 +298,7 @@ class _LoopState:
             raise ValidationError("non-finite coefficient")
         tau_vals = self.xd @ coef
         resid = self.resid_y - self.z * tau_vals
-        nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.floor)
+        nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.nu2_floor)
         return coef, posterior_e(self.y, self.mu_vals, tau_vals, nu2, out=self.e_hat), nu2
 
     def pooled(self, e_hat):
@@ -317,16 +338,13 @@ def run(dataset, partition, config, collect_trace=True):
 
     mu = fit_mu(x, y, ridge=config.ridge_lambda)
     mask = split_init(dataset, partition, config.p_init, ridge=config.ridge_lambda)
-    groups = partition.groups
-    s_sizes = np.array([g.size for g in groups])
-    j_sizes = np.array([int((~mask[g]).sum()) for g in groups])
-    floor = np.array([inference_floor(s, config.rho) for s in s_sizes])
-    short = np.flatnonzero(j_sizes < floor)
+    state = _LoopState(dataset, partition, mu.predict(x), mask, zlog, config)
+    short = np.flatnonzero(state.j_sizes < state.floor)
     if short.size:
         k = short[0]
-        raise ConfigError(f"p_init={config.p_init} leaves {j_sizes[k]} of the {s_sizes[k]} units of "
-                          f"subgroup {k} to test, below the floor rho={config.rho} sets ({floor[k]})")
-    state = _LoopState(dataset, mu.predict(x), mask, zlog, config)
+        raise ConfigError(f"p_init={config.p_init} leaves {state.j_sizes[k]} of the "
+                          f"{state.s_sizes[k]} units of subgroup {k} to test, below the "
+                          f"floor rho={config.rho} sets ({state.floor[k]})")
 
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
@@ -334,31 +352,20 @@ def run(dataset, partition, config, collect_trace=True):
     tau_prev_vals = state.xd @ coef
 
     state.index(x, y, config.knn_k)
-    labels = partition.labels()
-    # Blocked: all but the held-out units of subgroups that can still donate one.
-    blocked = mask | (j_sizes <= floor)[labels]
     held = np.flatnonzero(~mask)
 
     l_hist = []
     trace = []
-    converged = False
     streak = 0   # trailing steps with l <= eps_l
-    t = 0
     while True:
         crit = selection_criterion(tau_prev_vals, e_hat, out=state.key)
-        np.putmask(crit, blocked, np.inf)
+        np.putmask(crit, state.blocked, np.inf)
         j_star = int(crit.argmin())   # the first minimum: lowest index
-        if blocked[j_star]:
+        if state.blocked[j_star]:
             stop_reason = "floor"
             break
-        k_star = int(labels[j_star])
         state.move(j_star)
-        blocked[j_star] = True
         held = held[held != j_star]
-        j_sizes[k_star] -= 1
-        if j_sizes[k_star] == floor[k_star]:
-            blocked[groups[k_star]] = True
-        t += 1
 
         _, e_hat, _ = state.refit()
         tau_new_vals = state.xd @ state.pooled(e_hat)
@@ -370,31 +377,23 @@ def run(dataset, partition, config, collect_trace=True):
         tau_prev_vals = tau_new_vals
         if collect_trace:
             trace.append({
-                "t": t, "unit": j_star, "subgroup": k_star,
+                "t": len(l_hist), "unit": j_star, "subgroup": int(state.labels[j_star]),
                 "criterion": float(crit[j_star]), "l": l_t,
-                "proportions": [float(v) for v in j_sizes / s_sizes],
+                "proportions": [float(v) for v in state.j_sizes / state.s_sizes],
             })
         streak = streak + 1 if l_t <= config.eps_l else 0
-        converged = t > config.n0 and streak >= config.n0
-        if converged:
+        if len(l_hist) > config.n0 and streak >= config.n0:
             stop_reason = "converged"
             break
 
-    # Prune: evict negative-CATE units from each inference fold, most
-    # negative first, down to the floor at most.
-    for k, g in enumerate(groups):
-        j_units = g[~mask[g]]
-        order = j_units[np.lexsort((j_units, tau_prev_vals[j_units]))]
-        for j in order[tau_prev_vals[order] < 0.0][:j_sizes[k] - floor[k]]:
-            state.move(j)
-
+    state.prune(tau_prev_vals)
     _, e_hat, nu2 = state.refit()
-    diagnostics = {"l": l_hist, "converged": converged,
+    diagnostics = {"l": l_hist, "converged": stop_reason == "converged",
                    "stop_reason": stop_reason, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
     return finish("adasplit", dataset, partition, config, zlog, mu, mask=mask,
-                  iterations=t, coef=state.pooled(e_hat), diagnostics=diagnostics)
+                  iterations=len(l_hist), coef=state.pooled(e_hat), diagnostics=diagnostics)
 
 
 def finish(method, dataset, partition, config, zlog, mu, mask=None,

@@ -172,7 +172,8 @@ def test_criterion_6_closed_form_vs_optimizer():
         mask = np.zeros(n, dtype=bool)
         mask[gen.permutation(n)[: n // 2]] = True
         ds = Dataset(x, y, z)
-        state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
+        one = SubgroupPartition.from_labels(np.zeros(n, dtype=int))
+        state = engine._LoopState(ds, one, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
         closed = state.pooled(e_hat)
         numeric = minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam=1.0)

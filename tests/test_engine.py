@@ -253,6 +253,23 @@ class TestRun:
         seq2 = [(row["unit"], row["subgroup"]) for row in r2.diagnostics["trace"]]
         assert seq1 == seq2
 
+    @pytest.mark.parametrize("seed,kwargs,stop_reason", [
+        (8, {}, "converged"),
+        (8, {"eps_l": 1e-12}, "floor"),
+        (8, {"knn_k": 120}, "converged"),
+        (6, {"knn_k": 120}, "floor"),
+    ])
+    def test_trace_leaves_the_report_alone(self, seed, kwargs, stop_reason):
+        # Collecting the trace changes nothing else in the report.
+        ds, part = small_problem(seed)
+        cfg = small_config(**kwargs)
+        traced = json.loads(run(ds, part, cfg, collect_trace=True).to_json())
+        bare = json.loads(run(ds, part, cfg, collect_trace=False).to_json())
+        assert traced["diagnostics"]["stop_reason"] == stop_reason
+        assert len(traced["diagnostics"].pop("trace")) == traced["iterations"] > 0
+        assert "trace" not in bare["diagnostics"]
+        assert json.dumps(traced) == json.dumps(bare)
+
     def test_masked_inference_assignments_fail_cleanly(self):
         ds, part = small_problem(16)
         z = ds.z.copy()
@@ -279,7 +296,8 @@ class TestLoopState:
     def test_vote_counts_track_neighbor_index(self, kappa, monkeypatch):
         # After every move, loop and prune moves alike, the incremental
         # counts give exactly the mean of the mask over each unit's oracle
-        # leave-one-out list, or over all units when kappa >= n.
+        # leave-one-out list, or over all units when kappa >= n, and each
+        # subgroup's held-out count is exact and never below its floor.
         ds, part = duplicated_problem()
         neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
         lists = neighbors if loo_neighbors is None else loo_neighbors
@@ -291,9 +309,13 @@ class TestLoopState:
             moves.append(j)
             expected = state.mask.astype(float)[lists].mean(axis=1)
             assert np.array_equal(state.counts / state.kappa, expected)
+            held = [np.count_nonzero(~state.mask[g]) for g in part.groups]
+            assert np.array_equal(state.j_sizes, held)
+            assert np.all(state.j_sizes >= state.floor)
 
         monkeypatch.setattr(engine._LoopState, "move", checked_move)
-        cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5)
+        # At rho = 0.7 the prune pass stops at the floor of 28 in most runs.
+        cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5, rho=0.7)
         report = run(ds, part, cfg)
         # Both kinds of move happened: the loop's and the prune pass's.
         assert 0 < report.iterations < len(moves)

@@ -19,7 +19,7 @@ from adasplit import (
     posterior_e,
     scaled_residual,
 )
-from adasplit import AdaSplitConfig, Dataset, engine, nuisance
+from adasplit import AdaSplitConfig, Dataset, SubgroupPartition, engine, nuisance
 from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import (draw_covariates, generate, get_scenario,
                              scenario_with_size)
@@ -108,7 +108,8 @@ def loop_vote(x, y, b, knn_k):
     the nuisance fold is ``b``: its vote count over kappa, clipped."""
     mask = np.asarray(b, dtype=bool)
     ds = Dataset(x, y, np.zeros(mask.size))
-    state = engine._LoopState(ds, np.zeros(mask.size), mask.copy(), None,
+    one = SubgroupPartition.from_labels(np.zeros(mask.size, dtype=int))
+    state = engine._LoopState(ds, one, np.zeros(mask.size), mask.copy(), None,
                               AdaSplitConfig())
     state.index(ds.x, ds.y, knn_k)
     return clipped(state.counts / state.kappa, state.kappa)
@@ -347,7 +348,8 @@ class TestBarLearner:
     def _pooled(x, y, z, mask, mu_vals, e_hat, lam, ridge):
         ds = Dataset(x, y, z)
         cfg = AdaSplitConfig(lambda_imputed=lam, ridge_lambda=ridge)
-        state = engine._LoopState(ds, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
+        one = SubgroupPartition.from_labels(np.zeros(ds.n, dtype=int))
+        state = engine._LoopState(ds, one, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
         return state.pooled(e_hat)
 
