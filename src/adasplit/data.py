@@ -352,12 +352,11 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     cells is skipped but keeps its number.
 
     Lines are read in blocks of ``_CSV_BLOCK``, so memory holds one block of
-    text whatever the file's length. numpy's C reader converts each block;
-    its float parser is the one ``float`` uses, so values are bit-identical.
-    A block it cannot take (underscores, non-ASCII digits, whitespace-only
-    rows, any bad cell) goes through the strict per-cell path, which accepts
-    it or raises the first bad cell's error. From the first block holding a
-    quote or an over-long line on, records are read with ``csv.reader``.
+    text whatever the file's length; from the first block holding a quote or
+    an over-long line on, records are read with ``csv.reader``. numpy's C
+    reader converts each block (see :func:`_parse_block`), with the float
+    parser ``float`` uses, so values are bit-identical. A block it refuses
+    goes cell by cell, which accepts it or raises the first bad cell's error.
     """
     if subgroup_column in ("y", "z"):
         raise ValidationError(
@@ -401,11 +400,14 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
                 # Without quotes or over-long fields a line is one record.
                 if '"' in "".join(lines) or max(map(len, lines)) > limit:
                     break
-                blocks.append(_load_block(lines, first, dtype, fields))
+                try:
+                    blocks.append(_loadtxt(lines, dtype, fields))
+                except (ValueError, OverflowError):
+                    blocks.extend(_record_blocks(csv.reader(lines), first, dtype, fields))
                 first += len(lines)
             # Every earlier block was quote-free, so a record starts here.
             reader = csv.reader(itertools.chain(lines, fh))
-            blocks.extend(_record_blocks(reader, first, fields, len(header)))
+            blocks.extend(_record_blocks(reader, first, dtype, fields))
     except UnicodeDecodeError as exc:
         # The file is decoded in chunks, so this can surface at any row.
         raise ValidationError(
@@ -419,21 +421,7 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
 
 
-def _load_block(lines, first, dtype, fields):
-    """One array per field over a quote-free block of lines, the first of
-    which is row ``first``: converted by one ``np.loadtxt`` call when every
-    cell passes the checks of :func:`_convert`, else by the strict path."""
-    if any(map(str.strip, lines)):  # np.loadtxt warns on a block with no data
-        try:
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            # Copies, so no label text outlives the block.
-            return _convert([table[c].copy() for c in dtype.names], fields)
-        except (ValueError, OverflowError):
-            pass
-    return next(_record_blocks(csv.reader(lines), first, fields, len(dtype)))
-
-
-def _record_blocks(reader, first, fields, width):
+def _record_blocks(reader, first, dtype, fields):
     """One array list per block of ``_CSV_BLOCK`` records from ``reader``,
     the first of which is row ``first``."""
     while True:
@@ -442,54 +430,58 @@ def _record_blocks(reader, first, fields, width):
             rows.extend(itertools.islice(reader, _CSV_BLOCK))
         except csv.Error as exc:
             # A bad cell before the reader's own error is reported first.
-            _parse_block(rows, first, fields, width)
+            _parse_block(rows, first, dtype, fields)
             raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
         if not rows:
             return
-        yield _parse_block(rows, first, fields, width)
+        yield _parse_block(rows, first, dtype, fields)
         first += len(rows)
 
 
-def _parse_block(rows, first, fields, width):
-    """One array per field over the block's non-blank rows; ``first`` is the
-    number of the block's first row.
+def _parse_block(rows, first, dtype, fields):
+    """One array per field over the block's non-blank records; ``first`` is
+    the number of the block's first row.
 
-    ``float`` and ``int`` strip whitespace themselves, except the separators
-    U+001C..U+001F that ``str.strip`` (and so :func:`_cell`) also removes,
-    so a block that fails on its raw text is converted once more from
-    stripped text. A block that still fails is scanned row by row with
-    :func:`_cell`, which raises the error of the first bad cell.
+    When every such record has the header's width, they are joined back
+    into lines for numpy's reader. It refuses a cell holding a comma (the
+    column count changes) or a line break, an underscore, a non-ASCII digit,
+    U+001C..U+001F around a label and any bad cell; such a block is
+    converted cell by cell with :func:`_cell`, in row order, which raises
+    the first bad cell's error.
     """
     kept = [row for row in rows if "".join(row).strip()]
-    try:
-        if any(len(row) != width for row in kept):
-            raise ValueError("row width")
-        text = list(zip(*kept)) or [()] * width
+    if all(len(row) == len(dtype) for row in kept):
         try:
-            return _convert(text, fields)
+            return _loadtxt(list(map(",".join, kept)), dtype, fields)
         except (ValueError, OverflowError):
-            return _convert([tuple(map(str.strip, t)) for t in text], fields)
-    except (ValueError, OverflowError):
-        for r, row in enumerate(rows, start=first):
-            if not "".join(row).strip():
-                continue
-            if len(row) != width:
-                raise ValidationError(f"row {r}: expected {width} cells, got {len(row)}")
-            for idx, name, kind in fields:
-                _cell(row, idx, r, name, kind)
-        raise
+            pass
+    columns = [[] for _ in fields]
+    for r, row in enumerate(rows, start=first):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(dtype):
+            raise ValidationError(f"row {r}: expected {len(dtype)} cells, got {len(row)}")
+        for column, (idx, name, kind) in zip(columns, fields):
+            column.append(_cell(row, idx, r, name, kind))
+    return [np.array(c, dtype=kind) for c, (_, _, kind) in zip(columns, fields)]
 
 
-def _convert(text, fields):
-    """Each field's column of ``text`` as an array, checked as :func:`_cell`
-    checks a cell; raises ``ValueError`` or ``OverflowError`` otherwise. A
-    float array (a column numpy's reader converted) is only checked."""
-    n = len(text[0])
+def _loadtxt(lines, dtype, fields):
+    """Each field's column of ``lines`` as one ``np.loadtxt`` call converts
+    it, checked as :func:`_cell` checks a cell (labels through ``int``);
+    raises ``ValueError`` or ``OverflowError`` otherwise."""
+    if not any(map(str.strip, lines)):  # np.loadtxt warns on a block with no data
+        raise ValueError("no data")
+    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     out = []
     for idx, name, kind in fields:
-        values = text[idx]
-        if getattr(values, "dtype", None) != kind:
-            values = np.fromiter(map(kind, values), kind, count=n)
+        column = table[dtype.names[idx]]
+        if kind is int:
+            values = np.fromiter(map(int, column), int, count=column.size)
+        elif column.dtype == object:  # a covariate that also labels the subgroups
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, usecols=idx)
+        else:
+            values = column.copy()  # so no label text outlives the block
         if kind is float and not np.isfinite(values).all():
             raise ValueError(f"non-finite {name}")
         if name == "z" and not ((values == 0.0) | (values == 1.0)).all():
@@ -515,7 +507,7 @@ def _cell(row, idx, r, name, kind):
 
 
 def write_dataset_csv(path, dataset, subgroup_labels=None):
-    """Inverse of :func:`read_dataset_csv`, used by the simulation lab.
+    """Inverse of :func:`read_dataset_csv`, used by the benchmark and tests.
 
     Covariates and outcomes are written as the ``repr`` of each float, which
     reads back bit for bit; assignments and labels as integers. A masked

@@ -1,6 +1,7 @@
 """Trial CSV files: which cells parse and to what, which error a bad file
 reports first, and the bytes the writer produces."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -63,13 +64,14 @@ PADDING = [" ", "  ", "\t", "\xa0", "\u2003", "\x0b", "\x0c", "\x1c", "\x1f", "\
 
 
 def generated_trial(seed, n=2600, d=3, newline="\n", bom=False, pad=0.0,
-                    blank=0.0, labels=("+3", "0003", " 3 ", "-7")):
+                    blank=0.0, quoted=0.0, labels=("+3", "0003", " 3 ", "-7")):
     """A trial CSV as text: covariates and outcomes are doubles of random
     bit pattern written with 1 to 17 significant digits or as ``repr``,
     among them subnormals, signed zeros and values near the largest double.
-    ``pad``
-    is the share of number cells padded with whitespace, ``blank`` the
-    share of rows written blank or as whitespace-only cells."""
+    ``pad`` is the share of number cells padded with whitespace, ``blank``
+    the share of rows written blank or as whitespace-only cells and
+    ``quoted`` the share of number cells written in double quotes, half of
+    them padded inside the quotes and one in 500 ending in a line break."""
     gen = np.random.default_rng(seed)
     lines = [",".join([f"x{i + 1}" for i in range(d)] + ["y", "z", "subgroup"])]
     for _ in range(n):
@@ -93,6 +95,10 @@ def generated_trial(seed, n=2600, d=3, newline="\n", bom=False, pad=0.0,
             if gen.random() < pad:
                 cells[i] = (PADDING[gen.integers(len(PADDING))] + cells[i]
                             + PADDING[gen.integers(len(PADDING))])
+            if quoted and gen.random() < quoted:
+                inner = PADDING[gen.integers(len(PADDING))] if gen.random() < 0.5 else ""
+                end = "\n" if gen.random() < 0.002 else ""
+                cells[i] = f'"{inner}{cells[i]}{inner}{end}"'
         cells.append(labels[gen.integers(len(labels))])
         lines.append(",".join(cells))
     return ("\ufeff" if bom else "") + newline.join(lines) + newline
@@ -110,11 +116,19 @@ class TestAgainstReference:
         want = assert_matches_reference(path)
         assert isinstance(want, tuple) and len(want[1]) == 8 * 2600
 
-    @pytest.mark.parametrize("pad, blank", [(0.2, 0.0), (0.0, 0.05), (0.01, 0.001)])
-    def test_padded_cells_and_blank_rows(self, tmp_path, pad, blank):
+    @pytest.mark.parametrize("pad, blank, quoted", [
+        (0.2, 0.0, 0.0), (0.0, 0.05, 0.0), (0.01, 0.001, 0.0), (0.01, 0.01, 0.2)],
+        ids=["0.2-0.0", "0.0-0.05", "0.01-0.001", "0.01-0.01-quoted"])
+    def test_padded_cells_and_blank_rows(self, tmp_path, pad, blank, quoted):
+        text = generated_trial(2, newline="\r\n", pad=pad, blank=blank, quoted=quoted)
         path = tmp_path / "t.csv"
-        path.write_bytes(generated_trial(2, newline="\r\n", pad=pad, blank=blank).encode())
+        path.write_bytes(text.encode())
         assert isinstance(assert_matches_reference(path), tuple)
+        # A quoted cell holding a comma is one cell, which does not parse.
+        records = text.split("\r\n")
+        records[2000] = '0.5,"1,5",2.5,3.5,1,3'
+        path.write_bytes("\r\n".join(records).encode())
+        assert assert_matches_reference(path) == "row 2000, column x2: could not parse '1,5'"
 
     def test_label_spellings(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -326,6 +340,47 @@ class TestRead:
         back, got = read_dataset_csv(tmp_path / "a.csv")
         assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
         assert back.z.tobytes() == ds.z.tobytes() and got.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("edit", ["quote", "whitespace"])
+    def test_quoted_and_whitespace_rows_take_the_fast_path(self, tmp_path, monkeypatch, edit):
+        # A fully quoted trial, or one with whitespace-only rows, is still
+        # converted by numpy's reader, block by block, and never cell by cell.
+        from adasplit.simlab import generate, scenario_with_size
+
+        ds, part, _ = generate(scenario_with_size("default", 3000), 6)
+        write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=part.labels())
+        with open(tmp_path / "a.csv", newline="") as fh:
+            records = list(csv.reader(fh))
+        with open(tmp_path / "b.csv", "w", newline="") as fh:
+            if edit == "quote":
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(records)
+            else:
+                fh.writelines(",".join(r) + ("\n \t \n" if i % 700 == 5 else "\n")
+                              for i, r in enumerate(records))
+        loaded = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            loaded.append(table.size)
+            return table
+
+        def per_cell(*args):
+            raise AssertionError("a block went cell by cell")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(data, "_cell", per_cell)
+        back, labels = read_dataset_csv(tmp_path / "b.csv")
+        assert len(loaded) == 3 and sum(loaded) == 3000  # one table per block
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert back.z.tobytes() == ds.z.tobytes() and labels.tolist() == part.labels().tolist()
+
+    def test_cell_holding_commas_and_a_line_break(self, tmp_path):
+        # Joined back, the record would read as two valid lines; numpy's
+        # reader refuses it, and the cell does not parse.
+        path = csv_file(tmp_path, 'x1,y,z\n1,2,1\n3,"0,1\n5,6",1\n')
+        assert error_of(path) == "row 2, column y: could not parse '0,1\\n5,6'"
+        assert assert_matches_reference(path) == error_of(path)
 
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
