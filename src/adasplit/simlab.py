@@ -192,10 +192,10 @@ class RepResult:
 
 
 def _rep_worker(args):
-    scenario_name, rep, master_seed, config, methods = args
+    scenario, rep, master_seed, config, methods = args
     rep_seed = rng.child_seed(master_seed, rng.REPLICATION, rep)
     config = config.replace(seed=rep_seed)
-    dataset, partition, _ = generate(scenario_name, rep_seed)
+    dataset, partition, _ = generate(scenario, rep_seed)
     out = []
     for method in methods:
         report = run_method(method, dataset, partition, config)
@@ -203,7 +203,7 @@ def _rep_worker(args):
             report.folds.proportions if report.folds is not None else None
         )
         out.append(RepResult(
-            scenario=scenario_name, method=report.method, rep=rep,
+            scenario=scenario.name, method=report.method, rep=rep,
             pvalues=report.pvalues, rejected=report.rejected,
             proportions=proportions,
         ))
@@ -214,10 +214,10 @@ def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS
                      threads=1):
     """Run all requested methods on `reps` fresh datasets; deterministic in
     (scenario, reps, seed) regardless of the worker count."""
-    get_scenario(scenario_name)
+    scenario = get_scenario(scenario_name)
     config = config or AdaSplitConfig()
     methods = tuple(canonical_method(m) for m in methods)
-    jobs = [(scenario_name, rep, seed, config, methods) for rep in range(reps)]
+    jobs = [(scenario, rep, seed, config, methods) for rep in range(reps)]
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
@@ -377,11 +377,12 @@ def _pvalue_rows(results):
 
 
 def summarize_replications(scenario_name, results, config, name="simulate"):
-    """Aggregate per-subgroup rejection rates at alpha, the family-wise error
-    (any closed-testing rejection; meaningful on the null scenario), and the
-    realized power (average fraction of subgroups rejected by closed
-    testing; on the effect scenarios every subgroup carries a nonzero
-    effect, so all rejections count)."""
+    """Aggregate per-subgroup rejection rates at alpha, and the family-wise
+    error (any closed-testing rejection) of a scenario whose ``tau_coef`` are
+    all zero or else the realized power (average fraction of subgroups
+    rejected by closed testing; every subgroup of an effect scenario carries
+    a nonzero effect, so all rejections count)."""
+    scenario = get_scenario(scenario_name)
     cells = []
     methods = sorted({res.method for res in results},
                      key=lambda m: ALL_METHODS.index(m))
@@ -390,16 +391,16 @@ def summarize_replications(scenario_name, results, config, name="simulate"):
         k = len(sub[0].pvalues)
         for g in range(k):
             mean, se = _mean_se([res.pvalues[g] <= config.alpha for res in sub])
-            cells.append(SummaryCell(scenario_name, method, f"G{g + 1}",
+            cells.append(SummaryCell(scenario.name, method, f"G{g + 1}",
                                      mean, se, len(sub)))
-        if scenario_name == "null":
+        if not any(scenario.tau_coef):
             mean, se = _mean_se([len(res.rejected) > 0 for res in sub])
-            cells.append(SummaryCell(scenario_name, method, "fwer", mean, se, len(sub)))
+            cells.append(SummaryCell(scenario.name, method, "fwer", mean, se, len(sub)))
         else:
             mean, se = _mean_se(
                 [len(res.rejected) / len(res.pvalues) for res in sub]
             )
-            cells.append(SummaryCell(scenario_name, method, "power", mean, se, len(sub)))
+            cells.append(SummaryCell(scenario.name, method, "power", mean, se, len(sub)))
     return ExperimentSummary(
         name=name,
         cells=tuple(cells),

@@ -216,13 +216,18 @@ class TestHarness:
 
     def test_summarize_cells(self):
         cfg = AdaSplitConfig(mc_draws=100, n0=5)
-        results = run_replications("null", 4, 8, cfg)
-        summary = summarize_replications("null", results, cfg)
-        cells = {(c.method, c.cell) for c in summary.cells}
-        for method in ("rt", "random_split", "adasplit"):
-            assert (method, "fwer") in cells
-            assert (method, "G1") in cells and (method, "G5") in cells
-        assert len(summary.raw) == 12
+        # A resized null scenario is still a null: its summary reports the
+        # family-wise error, and every record carries the scenario's name.
+        for scenario, name in [("null", "null"), (scenario_with_size("null", 300), "null_n300")]:
+            results = run_replications(scenario, 4, 8, cfg)
+            summary = summarize_replications(scenario, results, cfg)
+            cells = {(c.method, c.cell) for c in summary.cells}
+            for method in ("rt", "random_split", "adasplit"):
+                assert (method, "fwer") in cells and (method, "power") not in cells
+                assert (method, "G1") in cells and (method, "G5") in cells
+            assert len(summary.raw) == 12
+            assert {c.scenario for c in summary.cells} == {name}
+            assert {res.scenario for res in results} == {name}
 
     def test_reproduce_table_validation(self):
         with pytest.raises(ConfigError, match="reps >= 10"):
