@@ -15,13 +15,17 @@ randomization p-value per subgroup, of the difference in means of
 A loop state built once per run holds the subgroup bookkeeping (held-out
 counts, floors and the units blocked from moving), the design,
 ``y - mu(x)``, each unit's neighbor vote as an integer count, and the
-weighted R-learner's Gram and right-hand side as running sums. Loop and
-prune moves go through one :meth:`_LoopState.move`. A move changes the
-counts only at the mover's reverse neighbors, so the sums take the mover and
-the weight change of those neighbors in the fold, O(kappa d^2); the prune
-pass's batch is applied in one rebuild. At lambda = 1 the pooled fit's Gram is X'X, factored
-once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d) passes: two
-predictions, the pooled right-hand side and the posterior. Running sums round
+weighted R-learner's Gram and right-hand side as running sums. The reverse
+neighbor lists (the units whose counts each unit enters) are the stable
+argsort of the neighbor lists, built by radix passes over 16-bit digits.
+Loop and prune moves go through one :meth:`_LoopState.move`: a loop step
+moves one unit, the prune pass one batch per subgroup. A move changes the
+counts only at the movers' reverse neighbors, so the sums take a single
+mover and the weight change of those neighbors in the fold, O(kappa d^2);
+the prune pass's batches are applied in one rebuild. At lambda = 1 the
+pooled fit's Gram is X'X, factored once per run, so a step is
+O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
+right-hand side and the posterior. Running sums round
 differently from fresh ones, so reports agree with refitting from scratch
 (``tests/oracles.reference_run``) exactly in every decision (folds,
 iterations, p-values, the audited reads) and to 1e-9 in the CATE
@@ -219,34 +223,53 @@ class _LoopState:
         index = NeighborIndex(x, y, knn_k)
         self.set_kappa(index.kappa)
         lists = index.loo_neighbors
-        self.rev = np.argsort(lists, axis=None, kind="stable") // self.kappa
+        # The stable argsort of the flat lists, by least-significant-digit
+        # radix passes over 16-bit digits: numpy radix-sorts 16-bit keys.
+        flat = lists.ravel()
+        perm = np.argsort(flat.astype(np.uint16), kind="stable")
+        if n > 1 << 16:
+            perm = perm[np.argsort((flat[perm] >> 16).astype(np.uint16), kind="stable")]
+        self.rev = perm // self.kappa
         self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(lists.ravel(), minlength=n), out=self.rev_ptr[1:])
+        np.cumsum(np.bincount(flat, minlength=n), out=self.rev_ptr[1:])
         self.counts = np.count_nonzero(self.mask[lists], axis=1)
 
-    def move(self, j):
-        """Put unit j in the fold, blocking its whole subgroup once that
-        reaches its floor; the sums take j at the next refit."""
+    def move(self, j, k=None):
+        """Put unit j in the fold or, given its subgroup ``k``, the nonempty
+        array j of held-out units of subgroup k, blocking the whole subgroup
+        once it reaches its floor. The sums take one unit at the next refit
+        and rebuild over a batch."""
         self.mask[j] = self.blocked[j] = True
-        k = self.labels[j]
-        self.j_sizes[k] -= 1
+        if k is None:
+            k, size, self.last = self.labels[j], 1, j
+        else:
+            size, self.last = j.size, j[-1]
+        self.j_sizes[k] -= size
         if self.j_sizes[k] == self.floor[k]:
             self.blocked[self.groups[k]] = True
-        self.moves += 1
-        self.last = j
+        self.moves += size
         if self.rev is None:
-            self.counts += 1
+            self.counts += size
+        elif size == 1:
+            u = self.last
+            self.counts[self.rev[self.rev_ptr[u]:self.rev_ptr[u + 1]]] += 1
         else:
-            self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
+            # The batch's reverse-list segments, gathered in one index array.
+            lo = self.rev_ptr[j]
+            lens = self.rev_ptr[j + 1] - lo
+            ends = np.cumsum(lens)
+            pos = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
+            self.counts += np.bincount(self.rev[pos], minlength=self.counts.size)
 
     def prune(self, tau_vals):
         """Evict negative-CATE units from each inference fold, most negative
-        first, down to the floor at most."""
+        first, down to the floor at most, one batch per subgroup."""
         for k, g in enumerate(self.groups):
             j_units = g[~self.mask[g]]
             order = j_units[np.lexsort((j_units, tau_vals[j_units]))]
-            for j in order[tau_vals[order] < 0.0][:self.j_sizes[k] - self.floor[k]]:
-                self.move(j)
+            evict = order[tau_vals[order] < 0.0][:self.j_sizes[k] - self.floor[k]]
+            if evict.size:
+                self.move(evict, k)
 
     def rebuild(self):
         """Form the sums afresh over the whole fold, reading the assignments

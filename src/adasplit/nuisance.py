@@ -27,8 +27,6 @@ The estimation stack mirrors how the adaptive split consumes it:
   reading assignments only from the nuisance fold.
 """
 
-import math
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -116,7 +114,12 @@ class NeighborIndex:
       differences, so its error is relative: (m + 4) eps t^2 with the square
       root and squaring; the box bounds it prunes with are updated one
       subtraction and one addition per level, another 2 L eps t^2 over the
-      L = ceil(log2 n) levels of a median-split tree.
+      levels of a root-to-leaf path. The tree splits each node at the
+      midpoint of its widest side, sliding the cut to the nearest point when
+      one side would be empty (``balanced_tree=False``); that tree answers
+      the queries here faster than a median split, but its depth has no
+      log2 n bound, so L is the node count ``tree.size``, which no path
+      exceeds.
 
     A unit the tree left out lies at tree distance t_i or more, so its D is
     at least ``t_i^2 - delta_i`` with
@@ -129,8 +132,10 @@ class NeighborIndex:
 
     Cost: about O(n (log n + kappa)) for the tree in low dimension and
     O(n * kappa * m) for the re-ranking, plus O(n * m) per fallback row;
-    memory O(n * kappa + block). At n = 20000 and kappa = 10 the build
-    takes about 0.25 s, against 5 s for scanning every row.
+    memory O(n * kappa + block). On ``default`` data with kappa = 10, on a
+    2-core Xeon, the build takes about 35 ms at n = 4000, 0.22 s at
+    n = 20000 and 2.0-2.4 s at n = 10^5, with no row sent to the scan;
+    scanning every row takes 5 s at n = 20000.
     """
 
     def __init__(self, x, y, kappa):
@@ -155,9 +160,9 @@ class NeighborIndex:
         m, width = cols.shape[0], kappa + 1
         k = min(width + 1, n)
         eps = np.finfo(float).eps
-        levels = math.ceil(math.log2(n))
         sq_max = sq.max()
-        tree = cKDTree(coords)
+        tree = cKDTree(coords, balanced_tree=False)
+        levels = tree.size
         order = np.empty((n, width), dtype=np.intp)
         fallback = [np.empty(0, dtype=np.intp)]
         rows = max(1, _BLOCK_ELEMENTS // k)

@@ -234,9 +234,15 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
     Per replication: run the adaptive split, read off the pooled estimator's
     coefficients, refit the plain residual regression on the same final
     nuisance fold, and score both by R^2 against the true CATE on a fresh
-    holdout sample of covariates.
+    holdout sample of covariates. A scenario whose CATE is constant has no
+    CATE variance to explain, so R^2 is undefined there: ValidationError.
     """
     scenario = get_scenario(scenario_name)
+    if not any(scenario.tau_coef[1:]):
+        raise ValidationError(
+            f"scenario {scenario.name!r} has a constant CATE, for which the "
+            "R^2 of a CATE fit is undefined"
+        )
     config = config or AdaSplitConfig()
     rows = []
     for rep in range(reps):

@@ -294,19 +294,20 @@ def duplicated_problem(seed=2, n=120, k=3):
 class TestLoopState:
     @pytest.mark.parametrize("kappa", [1, 10, 119, 120, 1000])
     def test_vote_counts_track_neighbor_index(self, kappa, monkeypatch):
-        # After every move, loop and prune moves alike, the incremental
-        # counts give exactly the mean of the mask over each unit's oracle
-        # leave-one-out list, or over all units when kappa >= n, and each
-        # subgroup's held-out count is exact and never below its floor.
+        # After every move, a loop step's unit and a prune batch alike, the
+        # incremental counts give exactly the mean of the mask over each
+        # unit's oracle leave-one-out list, or over all units when
+        # kappa >= n, and each subgroup's held-out count is exact and never
+        # below its floor.
         ds, part = duplicated_problem()
         neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
         lists = neighbors if loo_neighbors is None else loo_neighbors
-        moves = []
+        moved = []
         original = engine._LoopState.move
 
-        def checked_move(state, j):
-            original(state, j)
-            moves.append(j)
+        def checked_move(state, j, k=None):
+            original(state, j, k)
+            moved.extend(np.atleast_1d(j))
             expected = state.mask.astype(float)[lists].mean(axis=1)
             assert np.array_equal(state.counts / state.kappa, expected)
             held = [np.count_nonzero(~state.mask[g]) for g in part.groups]
@@ -317,8 +318,31 @@ class TestLoopState:
         # At rho = 0.7 the prune pass stops at the floor of 28 in most runs.
         cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5, rho=0.7)
         report = run(ds, part, cfg)
-        # Both kinds of move happened: the loop's and the prune pass's.
-        assert 0 < report.iterations < len(moves)
+        # Both kinds of move happened: more units moved than loop steps.
+        assert 0 < report.iterations < len(moved)
+
+    @pytest.mark.parametrize("n", [500, 70000])
+    def test_reverse_lists_are_the_stable_argsort(self, n, monkeypatch):
+        # Synthetic lists stand in for the index; above 2^16 units the
+        # reverse lists take a second radix pass over the high bits.
+        kappa = 7
+        lists = np.random.default_rng(n).integers(0, n, size=(n, kappa))
+
+        class Lists:
+            def __init__(self, x, y, knn_k):
+                self.kappa, self.loo_neighbors = knn_k, lists
+
+        monkeypatch.setattr(engine, "NeighborIndex", Lists)
+        x = np.arange(n, dtype=float)[:, None]
+        ds = Dataset(x, x[:, 0], np.zeros(n))
+        part = SubgroupPartition.from_labels(np.zeros(n, dtype=int))
+        mask = np.zeros(n, dtype=bool)
+        mask[:10] = True
+        state = engine._LoopState(ds, part, np.zeros(n), mask,
+                                  engine._AssignmentLog(ds.z), AdaSplitConfig())
+        state.index(ds.x, ds.y, kappa)
+        want = np.argsort(lists, axis=None, kind="stable") // kappa
+        assert np.array_equal(state.rev, want)
 
     def test_knn_k_at_least_n_builds_no_index(self, monkeypatch):
         def refuse(*args, **kwargs):

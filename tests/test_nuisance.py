@@ -202,9 +202,9 @@ class ReversedTree(cKDTree):
     valid as the plain tree's, but among tied units it tends to propose the
     highest indices rather than the lowest."""
 
-    def __init__(self, data):
+    def __init__(self, data, **kwargs):
         self.n_units = len(data)
-        super().__init__(np.ascontiguousarray(data[::-1]))
+        super().__init__(np.ascontiguousarray(data[::-1]), **kwargs)
 
     def query(self, points, k):
         dist, idx = super().query(points, k=k)
@@ -287,6 +287,16 @@ class TestNeighborIndex:
         index = NeighborIndex(ds.x, ds.y, 10)
         assert np.array_equal(index.loo_neighbors[rows],
                               knn_rows(ds.x, ds.y, 10, rows))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_fallback_rows_on_continuous_data(self, monkeypatch, seed):
+        # The certificate's slack grows with the tree's node count; it must
+        # stay small enough that continuous data never reaches the O(n^2)
+        # scan.
+        ds, _, _ = generate(scenario_with_size("default", 4000), seed)
+        counts = fallback_counts(monkeypatch)
+        NeighborIndex(ds.x, ds.y, AdaSplitConfig().knn_k)
+        assert counts == []
 
     def test_build_memory_is_linear_in_n(self):
         # The n x n distance matrix alone would take 8000^2 * 8 B = 512 MB.

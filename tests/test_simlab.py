@@ -12,6 +12,7 @@ import pytest
 from adasplit import ConfigError, Dataset, SubgroupPartition, ValidationError
 from adasplit.simlab import (
     canonical_method,
+    cate_quality_experiment,
     draw_covariates,
     generate,
     get_scenario,
@@ -177,6 +178,15 @@ class TestRunMethod:
         with pytest.raises(ValidationError,
                            match="masked assignment read in the nuisance fold"):
             run_method(method, masked, part, cfg)
+
+
+class TestCateQuality:
+    @pytest.mark.parametrize("scenario", ["null", scenario_with_size("null", 200)])
+    def test_constant_cate_is_refused(self, scenario):
+        # R^2 against a constant CATE divides by its zero spread.
+        with pytest.raises(ValidationError, match="constant CATE.*R\\^2") as err:
+            cate_quality_experiment(scenario, 1, 0, holdout=100)
+        assert repr(get_scenario(scenario).name) in str(err.value)
 
 
 class TestHarness:
