@@ -130,6 +130,8 @@ def _cmd_analyze(args):
             cuts = tuple(float(c) for c in args.quantile_cuts.split(",") if c.strip())
         except ValueError as exc:
             raise ValidationError(f"--quantile-cuts: {exc}")
+        if not cuts:
+            raise ValidationError(f"--quantile-cuts: no cut in {args.quantile_cuts!r}")
         column = _parse_column(args.on, dataset.d)
         partition = partition_by_quantiles(dataset, column, cuts)
     elif labels is not None:

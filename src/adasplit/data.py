@@ -202,7 +202,6 @@ class AdaSplitConfig:
     q: float = 0.2
     knn_k: int = 10
     ridge_lambda: float = 1e-8
-    lambda_imputed: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -245,8 +244,6 @@ class AdaSplitConfig:
             raise ConfigError("knn_k must be >= 1")
         if self.ridge_lambda < 0.0:
             raise ConfigError("ridge_lambda must be >= 0")
-        if self.lambda_imputed < 0.0:
-            raise ConfigError("lambda_imputed must be >= 0")
 
     @classmethod
     def from_dict(cls, values):

@@ -22,20 +22,19 @@ Loop and prune moves go through one :meth:`_LoopState.move`: a loop step
 moves one unit, the prune pass one batch per subgroup. A move changes the
 counts only at the movers' reverse neighbors, so the sums take a single
 mover and the weight change of those neighbors in the fold, O(kappa d^2);
-the prune pass's batches are applied in one rebuild. At lambda = 1 the
-pooled fit's Gram is X'X, factored once per run, so a step is
-O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
-right-hand side and the posterior. Running sums round
-differently from fresh ones, so reports agree with refitting from scratch
-(``tests/oracles.reference_run``) exactly in every decision (folds,
-iterations, p-values, the audited reads) and to 1e-9 in the CATE
-coefficients, ``nu2`` and ``l``. The solves return bare coefficient arrays,
-and the posterior, selection key and pooled right-hand side are computed in
-buffers the loop state owns, so at small n a step makes about 42
-Python-level calls, whose overhead, not arithmetic, is most of its cost. On
-a 2-core Xeon a run takes about 0.1 ms per step at n = 500, and floor runs
-0.15-0.2 ms at n = 3000 and 0.3-0.35 ms at n = 8000 (whole-run time over
-steps, median of 10, 3 and 1 seeds).
+the prune pass's batches are applied in one rebuild. The pooled fit's
+Gram is X'X, factored once per run, so a step is O(kappa d^2 + d^3) plus a
+few O(n d) passes: two predictions, the pooled right-hand side and the
+posterior. Running sums round differently from fresh ones, so reports
+agree with refitting from scratch (``tests/oracles.reference_run``)
+exactly in every decision (folds, iterations, p-values, the audited reads)
+and to 1e-9 in the CATE coefficients, ``nu2`` and ``l``. The solves
+return bare coefficient arrays, and the posterior, selection key and pooled
+right-hand side are computed in buffers the loop state owns, so at small n
+a step makes about 38 Python-level calls, whose overhead, not arithmetic,
+is most of its cost. On a 2-core Xeon a run takes about 0.1 ms per step at
+n = 500, and floor runs 0.15-0.2 ms at n = 3000 and 0.3-0.35 ms at
+n = 8000 (whole-run time over steps, median of 10, 3 and 1 seeds).
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -51,7 +50,7 @@ import numpy as np
 
 from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
-from .linmodel import _cho_factor, _cho_solve, _design, _finite, _solve_spd, diversity_scores
+from .linmodel import _cho_factor, _cho_solve, _design, _solve_spd, diversity_scores
 from .nuisance import NeighborIndex, certainty, fit_mu, noise_floor, posterior_e
 from .randtest import test_folds
 
@@ -160,10 +159,11 @@ class _LoopState:
 
     The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
-    probability ``w``, and ``g_i`` is the unweighted Gram (the pooled fit's).
-    A unit's assignment ``z`` and scaled residual ``r`` are read once, when
-    it enters the sums; ``z``, ``r`` and ``w`` are zero off them. The
-    posterior, selection key and pooled fit's terms are computed in buffers.
+    probability ``w``. The pooled fit needs no sums: its Gram is X'X,
+    factored once in ``pooled_factor``. A unit's assignment ``z`` and scaled
+    residual ``r`` are read once, when it enters the sums; ``z``, ``r`` and
+    ``w`` are zero off them. The posterior, selection key and pooled fit's
+    terms are computed in buffers.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
@@ -183,12 +183,10 @@ class _LoopState:
         self.xd = _design(dataset.x)
         self.resid_y = dataset.y - mu_vals
         self.nu2_floor = noise_floor(dataset.y)
-        self.lam, self.ridge = config.lambda_imputed, config.ridge_lambda
-        self.imputed_scale = (2.0 * self.lam) * self.resid_y
+        self.imputed_scale = 2.0 * self.resid_y
         n, m = self.xd.shape
-        self.ridge_eye = self.ridge * np.eye(m)
-        self.xtx = self.xd.T @ self.xd
-        self.pooled_factor = None
+        self.ridge_eye = config.ridge_lambda * np.eye(m)
+        self.pooled_factor = _cho_factor(self.xd.T @ self.xd + self.ridge_eye)
         self.z, self.r, self.w = np.zeros(n), np.zeros(n), np.zeros(n)
         self.e_hat, self.key, self.terms = np.empty(n), np.empty(n), np.empty(n)
         self.units = np.empty(n, dtype=np.intp)
@@ -282,7 +280,6 @@ class _LoopState:
         xd_i = self.xd[nuis]
         self.g_w = xd_i.T @ (xd_i * w[:, None])
         self.b_w = xd_i.T @ (self.r[nuis] * w)
-        self.g_i = xd_i.T @ xd_i
 
     def add(self, j):
         """Fold one move into the sums: unit j's own terms, and the weight
@@ -302,8 +299,6 @@ class _LoopState:
         xd_dw = xd_u * dw[:, None]
         self.g_w += xd_dw.T @ xd_u
         self.b_w += xd_dw.T @ self.r[units]
-        xj = xd_u[-1]
-        self.g_i += xj[:, None] * xj
 
     def refit(self):
         """Bring the sums up to date with the moves since the last refit and
@@ -316,9 +311,7 @@ class _LoopState:
         elif self.moves:
             self.add(self.last)
         self.moves = 0
-        coef = _solve_spd(self.g_w + self.ridge_eye, self.b_w, self.ridge)
-        if not _finite(coef):
-            raise ValidationError("non-finite coefficient")
+        coef = _solve_spd(self.g_w + self.ridge_eye, self.b_w)
         tau_vals = self.xd @ coef
         resid = self.resid_y - self.z * tau_vals
         nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.nu2_floor)
@@ -327,23 +320,13 @@ class _LoopState:
     def pooled(self, e_hat):
         """The pooled CATE fit's coefficients after a refit: observed scaled
         residuals on the fold, imputed ones ``2 (y - mu) (2 e_hat - 1)``
-        weighted by lambda elsewhere. At lambda = 1 its Gram is X'X,
-        factored once."""
-        if self.lam == 1.0:
-            if self.pooled_factor is None:
-                self.pooled_factor = _cho_factor(self.xtx + self.ridge_eye, self.ridge)
-            factor = self.pooled_factor
-        else:
-            gram = self.lam * self.xtx + (1.0 - self.lam) * self.g_i
-            factor = _cho_factor(gram + self.ridge_eye, self.ridge)
+        elsewhere. Every unit enters once, so its Gram is X'X, factored when
+        the state is built."""
         terms = np.multiply(2.0, e_hat, out=self.terms)
         terms -= 1.0
         terms *= self.imputed_scale
         np.putmask(terms, self.mask, self.r)
-        coef = _cho_solve(factor, self.xd.T @ terms)
-        if not _finite(coef):
-            raise ValidationError("non-finite coefficient")
-        return coef
+        return _cho_solve(self.pooled_factor, self.xd.T @ terms)
 
 
 def run(dataset, partition, config, collect_trace=True):

@@ -1,10 +1,9 @@
 """Dense least-squares machinery for the small designs used everywhere else.
 
-All regressions in this package are affine (an intercept column is prepended
-to the covariates), the number of columns is small, and the same model is
-refit hundreds of times inside the selection loop, so the solver goes
-through the regularized normal equations with a symmetric positive-definite
-factorization rather than an iterative method.
+All regressions in this package are affine (an intercept column is
+prepended), small, and refit hundreds of times inside the selection loop,
+so they go through the regularized normal equations and a Cholesky
+factorization. Every solver failure is a ValidationError naming its cause.
 """
 
 from dataclasses import dataclass
@@ -47,33 +46,33 @@ def _finite(a):
     return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
-def _solve_spd(a, b, ridge):
-    """``scipy.linalg.cho_solve(cho_factor(a), b)``, checks and errors
-    included, without wrappers that cost more than a solve this small."""
-    return _cho_solve(_cho_factor(a, ridge), b)
+def _solve_spd(a, b):
+    """``scipy.linalg.cho_solve(cho_factor(a), b)`` without wrappers that
+    cost more than a solve this small; each failure names its cause."""
+    return _cho_solve(_cho_factor(a), b)
 
 
-def _cho_factor(a, ridge):
-    """The Cholesky factor of :func:`_solve_spd`, with its errors."""
+def _cho_factor(a):
+    """The Cholesky factor of :func:`_solve_spd`."""
     if not _finite(a):
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValidationError("non-finite Gram: covariates too large to square; rescale them")
     c, info = dpotrf(a, lower=0, clean=0)
     if info > 0:
-        if ridge == 0.0:
-            raise ValidationError("singular design; increase ridge")
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
+        raise ValidationError("singular design: collinear or badly scaled covariates; "
+                              "drop or rescale them, or raise ridge_lambda")
     return c
 
 
 def _cho_solve(c, b):
-    """Solve with a factor from :func:`_cho_factor`."""
-    if not _finite(b):
-        raise ValueError("array must not contain infs or NaNs")
-    return dpotrs(c, b, lower=0)[0]
+    """Solve with a factor from :func:`_cho_factor`; a non-finite ``b`` fails too."""
+    coef = dpotrs(c, b, lower=0)[0]
+    if not _finite(coef):
+        raise ValidationError("non-finite coefficients: outcomes or covariates too "
+                              "large or badly scaled; rescale them")
+    return coef
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the solve rejects overflow
 def fit_wls(x, y, w=None, ridge=0.0):
     """Weighted least squares with an optional ridge penalty.
 
@@ -101,7 +100,7 @@ def fit_wls(x, y, w=None, ridge=0.0):
     xd = _design(x)
     xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
     gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
-    return LinearModel(_solve_spd(gram, xd.T @ yw, ridge))
+    return LinearModel(_solve_spd(gram, xd.T @ yw))
 
 
 def predict(model, x):
@@ -123,5 +122,5 @@ def diversity_scores(x, ridge=0.0):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     gram = x.T @ x + ridge * np.eye(x.shape[1])
-    half = _solve_spd(gram, x.T, ridge)
+    half = _solve_spd(gram, x.T)
     return np.einsum("ji,ji->i", half, half)

@@ -229,9 +229,15 @@ def _nearest(d2, width):
 
 # Posterior assignment probability --------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def noise_floor(y):
-    """Variance floor keeping the posterior's scale parameter positive."""
-    return max(1e-8 * float(np.var(np.asarray(y, dtype=float))), 1e-12)
+    """Variance floor keeping the posterior's scale parameter positive.
+    Outcomes too large to square fail here, before the loop squares them."""
+    var = float(np.var(y))
+    if not np.isfinite(var):
+        raise ValidationError(f"outcomes too large to square (|y| reaches "
+                              f"{np.max(np.abs(y)):.3g}); rescale them")
+    return max(1e-8 * var, 1e-12)
 
 
 def posterior_e(y, mu_vals, tau_vals, nu2, out=None):

@@ -387,7 +387,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     x, y = dataset.x, dataset.y
     n = dataset.n
     zlog = pkg.engine._AssignmentLog(dataset.z)
-    lam = config.lambda_imputed
+    lam = 1.0   # the pooled fit weighs imputed residuals as observed ones
     ridge = config.ridge_lambda
     floor = nuisance.noise_floor(y)
 

@@ -157,7 +157,7 @@ def test_criterion_6_closed_form_vs_optimizer():
     # posterior, and after the index the weighted R-learner, which weights
     # each fold unit by the inverse of its clipped neighbor vote.
     gen = np.random.default_rng(6)
-    cfg = AdaSplitConfig(lambda_imputed=1.0, ridge_lambda=1e-10)
+    cfg = AdaSplitConfig(ridge_lambda=1e-10)
     bar_ok = True
     wls_ok = True
     for i in range(20):

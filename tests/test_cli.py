@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adasplit import read_dataset_csv, write_dataset_csv
+from adasplit import Dataset, read_dataset_csv, write_dataset_csv
 from adasplit import cli
 from adasplit.cli import main
 from adasplit.simlab import generate, scenario_with_size
@@ -70,6 +70,41 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "--quantile-cuts" in err and "'abc'" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("cuts", ["", " , "])
+    def test_no_quantile_cut_exit_2(self, trial_csv, capsys, cuts):
+        # An unset shell variable must not analyze one subgroup.
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--quantile-cuts", cuts, "--on", "x1") == 2
+        assert "--quantile-cuts: no cut" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,message", [
+        ("collinear", "singular design: collinear or badly scaled covariates"),
+        ("covariates", "covariates too large to square"),
+        ("outcomes", "outcomes too large to square"),
+    ], ids=["collinear", "covariates", "outcomes"])
+    @pytest.mark.parametrize("method", ["adasplit", "random_split", "rt"])
+    def test_badly_scaled_trial_exit_2(self, tmp_path, capsys, case, message, method):
+        # Fitting mu(x) squares the covariates and the selection loop the
+        # outcomes; rt fits neither. Runs are under filterwarnings = error,
+        # so an overflow warning fails them too.
+        ds, part, _ = generate("default", 1)
+        x, y = ds.x.copy(), ds.y
+        if case == "collinear":
+            x[:, 1] = x[:, 0]
+            x *= 1e6
+        elif case == "covariates":
+            x *= 1e160
+        else:
+            y = y * 1e160
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(path, Dataset(x, y, ds.z), subgroup_labels=part.labels())
+        fails = method == "adasplit" or (method == "random_split" and case != "outcomes")
+        code = run_cli("analyze", "--data", path, "--method", method,
+                       "--out", tmp_path / "r.json")
+        assert code == (2 if fails else 0)
+        err = capsys.readouterr().err
+        assert (message in err) == fails and "internal error" not in err
 
     def test_more_than_twenty_subgroups(self, tmp_path):
         # 21 quantile slices of about 24 units each: past K = 20.
@@ -157,7 +192,8 @@ class TestAnalyze:
 
     def test_removed_config_keys_exit_3(self, trial_csv, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        for key, value in (("delta_clip", 1e-6), ("refit_every", 1)):
+        for key, value in (("delta_clip", 1e-6), ("refit_every", 1),
+                           ("lambda_imputed", 1.0)):
             config.write_text(json.dumps({key: value}))
             assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
             assert "unknown config keys" in capsys.readouterr().err

@@ -197,7 +197,7 @@ class TestConfig:
         ("p_init", 0.0), ("p_init", 1.0), ("rho", 0.0), ("eps_l", 0.0),
         ("n0", 0), ("mc_draws", 0), ("alpha", 1.0), ("q", 0.0),
         ("knn_k", 0), ("ridge_lambda", -1.0),
-        ("ridge_lambda", float("inf")), ("lambda_imputed", float("nan")),
+        ("ridge_lambda", float("inf")), ("q", float("nan")),
         ("n0", 1.5), ("mc_draws", 10.5), ("knn_k", 2.5), ("seed", 0.5),
         ("n0", float("nan")), ("seed", float("inf")), ("mc_draws", np.float64(2.5)),
     ])
@@ -217,7 +217,7 @@ class TestConfig:
         ("n0", "5"), ("n0", True), ("seed", False), ("rho", "0.3"),
         ("rho", None), ("rho", np.bool_(True)),
         pytest.param("eps_l", 10**400, id="eps_l-int-past-float"),
-        pytest.param("lambda_imputed", -(10**400), id="lambda_imputed-int-past-float"),
+        pytest.param("ridge_lambda", -(10**400), id="ridge_lambda-int-past-float"),
     ])
     def test_direct_construction_follows_the_json_rules(self, key, value):
         want = f"config key {key!r}: bad value {value!r} (must be a number)"
@@ -239,9 +239,9 @@ class TestConfig:
 
     def test_from_dict_key_set_is_the_fields(self):
         fields = AdaSplitConfig().to_dict()
-        assert len(fields) == 11
+        assert len(fields) == 10
         assert AdaSplitConfig.from_dict(fields) == AdaSplitConfig()
-        for key in ("delta_clip", "refit_every"):
+        for key in ("delta_clip", "refit_every", "lambda_imputed"):
             with pytest.raises(ConfigError, match="unknown config keys"):
                 AdaSplitConfig.from_dict({key: 1})
 

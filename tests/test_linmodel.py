@@ -52,7 +52,7 @@ def test_weight_validation():
 
 def test_singular_design_message():
     x = np.ones((5, 2))  # duplicate of the intercept column twice over
-    with pytest.raises(ValidationError, match="singular design; increase ridge"):
+    with pytest.raises(ValidationError, match="singular design: collinear"):
         fit_wls(x, np.arange(5.0), ridge=0.0)
     fit_wls(x, np.arange(5.0), ridge=1e-6)  # stabilized solve goes through
 
@@ -147,29 +147,35 @@ def test_solve_spd_matches_scipy_cholesky_bit_for_bit():
         w = gen.uniform(0.1, 2.0, size=3 * p)
         a = x.T @ (x * w[:, None]) + 1e-8 * np.eye(p)  # not exactly symmetric
         for b in (gen.normal(size=p), gen.normal(size=(p, 4)), x.T):
-            assert np.array_equal(_solve_spd(a, b, 1e-8), scipy_cholesky_solve(a, b))
+            assert np.array_equal(_solve_spd(a, b), scipy_cholesky_solve(a, b))
+
+
+NON_FINITE_SOLUTION = (ValidationError, "non-finite coefficients: outcomes or covariates "
+                                        "too large or badly scaled; rescale them")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_spd_non_finite_errors(bad):
     a = np.eye(3)
     a[1, 2] = bad
-    got = raised(_solve_spd, a, np.ones(3), 0.0)
-    assert got == (ValueError, "array must not contain infs or NaNs")
-    assert got == raised(scipy_cholesky_solve, a, np.ones(3))
+    assert raised(_solve_spd, a, np.ones(3)) == (
+        ValidationError, "non-finite Gram: covariates too large to square; rescale them")
     b = np.array([1.0, bad, 0.0])
-    assert raised(_solve_spd, np.eye(3), b, 0.0) == got
-    assert raised(scipy_cholesky_solve, np.eye(3), b) == got
+    # A non-finite right-hand side fails as a non-finite solution does.
+    assert raised(_solve_spd, np.eye(3), b) == NON_FINITE_SOLUTION
+
+
+def test_solve_spd_non_finite_solution_errors():
+    # A finite system whose solution overflows.
+    assert raised(_solve_spd, 1e-300 * np.eye(2), np.full(2, 1e300)) == NON_FINITE_SOLUTION
 
 
 def test_solve_spd_not_positive_definite_errors():
+    want = (ValidationError, "singular design: collinear or badly scaled "
+                             "covariates; drop or rescale them, or raise ridge_lambda")
     singular = np.ones((3, 3))
-    assert raised(_solve_spd, singular, np.ones(3), 0.0) == (
-        ValidationError, "singular design; increase ridge")
+    assert raised(_solve_spd, singular, np.ones(3)) == want
     indefinite = np.diag([1.0, -1.0, 1.0])
-    got = raised(_solve_spd, indefinite, np.ones(3), 1e-6)
-    assert got == (np.linalg.LinAlgError,
-                   "2-th leading minor of the array is not positive definite")
-    assert got == raised(scipy_cholesky_solve, indefinite, np.ones(3))
-    # The factor is checked before the right-hand side, as scipy does.
-    assert raised(_solve_spd, singular, np.full(3, np.nan), 0.0)[0] is ValidationError
+    assert raised(_solve_spd, indefinite, np.ones(3)) == want
+    # The factor is checked first, as scipy does.
+    assert raised(_solve_spd, singular, np.full(3, np.nan)) == want

@@ -355,9 +355,9 @@ class TestBarLearner:
         return x, y, z, mask, mu_vals, e_hat
 
     @staticmethod
-    def _pooled(x, y, z, mask, mu_vals, e_hat, lam, ridge):
+    def _pooled(x, y, z, mask, mu_vals, e_hat, ridge):
         ds = Dataset(x, y, z)
-        cfg = AdaSplitConfig(lambda_imputed=lam, ridge_lambda=ridge)
+        cfg = AdaSplitConfig(ridge_lambda=ridge)
         one = SubgroupPartition.from_labels(np.zeros(ds.n, dtype=int))
         state = engine._LoopState(ds, one, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
@@ -365,21 +365,14 @@ class TestBarLearner:
 
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, mask, mu_vals, _ = self._instance(1)
-        bar = self._pooled(x, y, z, mask, mu_vals, z, lam=1.0, ridge=1e-9)
+        bar = self._pooled(x, y, z, mask, mu_vals, z, ridge=1e-9)
         full = fit_rlearner_weighted(x, y, z, mu_vals, ridge=1e-9)
         assert np.allclose(bar, full.coef, atol=1e-10)
-
-    def test_lam_zero_restricts_to_fold(self):
-        # lambda = 0 takes the fold's running Gram, not the factored X'X.
-        x, y, z, mask, mu_vals, e_hat = self._instance(2)
-        bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=0.0, ridge=1e-9)
-        ols = fit_rlearner_weighted(x[mask], y[mask], z[mask], mu_vals[mask], ridge=1e-9)
-        assert np.allclose(bar, ols.coef, atol=1e-10)
 
     def test_matches_coordinate_descent(self):
         for seed in range(3):
             x, y, z, mask, mu_vals, e_hat = self._instance(10 + seed)
-            bar = self._pooled(x, y, z, mask, mu_vals, e_hat, lam=1.0, ridge=1e-10)
+            bar = self._pooled(x, y, z, mask, mu_vals, e_hat, ridge=1e-10)
             ref = minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam=1.0)
             assert np.allclose(bar, ref, atol=1e-6)
 
