@@ -1,4 +1,5 @@
-"""Golden reports: the full report of eight fixed cases, frozen as JSON.
+"""Golden reports and tables: the full report of eight fixed cases and the
+synthetic-study tables at a small size, frozen as JSON.
 
 Every refactor and speed-up must reproduce them: folds, p-values,
 rejections, iteration counts, convergence, the audited assignment reads and
@@ -13,6 +14,15 @@ fail the comparison above (:func:`merge`), so a deliberate behaviour change
 refreshes the fields it moves and leaves every other byte as it was. They
 are never rewritten to make a change pass: a case that moves is a behaviour
 change to explain, not a fixture to refresh.
+
+The table fixtures hold ``reproduce_table(N, 10, 3, TABLE_CONFIG)`` for N =
+1-4, and ``summary_null`` one ``summarize_replications`` on the ``null``
+scenario: the cells, the raw rows, the text rendering and both CSV files
+without their ``# config:`` line. Tables 2-4 and the summary must match
+exactly. Table 1's R^2 values come from least-squares fits whose last bits
+depend on the BLAS kernel, so its cells and raw rows match to 1e-9 and its
+text and CSV files are not compared. ``--write`` takes their names too and
+rewrites such a fixture whole.
 """
 
 import copy
@@ -20,12 +30,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
 from adasplit.data import AdaSplitConfig
-from adasplit.simlab import generate, run_method, scenario_with_size
+from adasplit.simlab import (
+    generate,
+    reproduce_table,
+    run_method,
+    run_replications,
+    scenario_with_size,
+    summarize_replications,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +65,9 @@ EXACT_DIAGNOSTICS = ("converged", "z_reads_before_pvalues", "pvalue_flags")
 CLOSE_DIAGNOSTICS = ("nu2", "l")
 TOL = 1e-9
 
+TABLES = ("table1", "table2", "table3", "table4", "summary_null")
+TABLE_CONFIG = AdaSplitConfig(mc_draws=100, n0=5)
+
 
 def report_payload(case):
     method, scenario, n, seed = CASES[case]
@@ -56,11 +78,31 @@ def report_payload(case):
     return json.loads(report.to_json())
 
 
+def table_payload(name):
+    if name == "summary_null":
+        results = run_replications("null", 10, 3, TABLE_CONFIG)
+        summary = summarize_replications("null", results, TABLE_CONFIG)
+    else:
+        summary = reproduce_table(int(name[-1]), 10, 3, TABLE_CONFIG)
+    header = f"# config: {json.dumps(TABLE_CONFIG.to_dict(), sort_keys=True)}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cells, raw = Path(tmp) / "cells.csv", Path(tmp) / "raw.csv"
+        summary.write_csv(cells)
+        summary.write_raw_csv(raw)
+        csv_text, raw_text = cells.read_text(), raw.read_text()
+    assert csv_text.startswith(header) and raw_text.startswith(header)
+    return {"cells": [list(astuple(c)) for c in summary.cells], "raw": list(summary.raw),
+            "text": summary.render_text(), "csv": csv_text[len(header):],
+            "raw_csv": raw_text[len(header):]}
+
+
 def close(a, b):
     """Equal structure, numbers within TOL (inf and NaN serialize as
     strings and null, so they must match exactly)."""
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(close(u, v) for u, v in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
     numbers = (int, float)
     if isinstance(a, numbers) and isinstance(b, numbers):
         return abs(a - b) <= TOL
@@ -101,6 +143,16 @@ def dump(payload):
 def test_golden_report(case):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
     assert moved(report_payload(case), want) == []
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_golden_table(name):
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    got = table_payload(name)
+    if name == "table1":
+        assert close(got["cells"], want["cells"]) and close(got["raw"], want["raw"])
+    else:
+        assert got == want
 
 
 def noisy(values):
@@ -148,7 +200,7 @@ class TestMerge:
 
 
 USAGE = ("usage: PYTHONPATH=src python tests/test_golden.py --write CASE [CASE ...]\n"
-         "cases: " + " ".join(sorted(CASES)))
+         "cases: " + " ".join(sorted(CASES) + list(TABLES)))
 
 
 def test_write_names_the_cases(tmp_path):
@@ -165,14 +217,17 @@ if __name__ == "__main__":
     names = sys.argv[2:]
     if sys.argv[1:2] != ["--write"] or not names:
         sys.exit(USAGE)
-    unknown = [name for name in names if name not in CASES]
+    unknown = [name for name in names if name not in CASES and name not in TABLES]
     if unknown:
         sys.exit(f"unknown case(s): {' '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     for name in names:
         path = GOLDEN / f"{name}.json"
-        payload = report_payload(name)
-        if path.exists():
+        if name in TABLES:
+            payload = table_payload(name)
+        else:
+            payload = report_payload(name)
+        if path.exists() and name in CASES:
             old = json.loads(path.read_text())
             print(f"{name}: moved {[key for _, key in moved(payload, old)]}")
             payload = merge(old, payload)
