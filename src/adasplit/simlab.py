@@ -191,23 +191,22 @@ class RepResult:
     proportions: tuple | None
 
 
+def _replicate(scenario, rep_seed, config, methods):
+    """One replication: the dataset drawn from ``rep_seed`` and each
+    method's report on it, run with the config seeded the same; returns
+    ``(dataset, reports)``."""
+    dataset, partition, _ = generate(scenario, rep_seed)
+    config = config.replace(seed=rep_seed)
+    return dataset, [run_method(m, dataset, partition, config) for m in methods]
+
+
 def _rep_worker(args):
     scenario, rep, master_seed, config, methods = args
-    rep_seed = rng.child_seed(master_seed, rng.REPLICATION, rep)
-    config = config.replace(seed=rep_seed)
-    dataset, partition, _ = generate(scenario, rep_seed)
-    out = []
-    for method in methods:
-        report = run_method(method, dataset, partition, config)
-        proportions = (
-            report.folds.proportions if report.folds is not None else None
-        )
-        out.append(RepResult(
-            scenario=scenario.name, method=report.method, rep=rep,
-            pvalues=report.pvalues, rejected=report.rejected,
-            proportions=proportions,
-        ))
-    return out
+    _, reports = _replicate(scenario, rng.child_seed(master_seed, rng.REPLICATION, rep),
+                            config, methods)
+    return [RepResult(scenario.name, report.method, rep, report.pvalues, report.rejected,
+                      None if report.folds is None else report.folds.proportions)
+            for report in reports]
 
 
 def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS,
@@ -235,7 +234,8 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
     coefficients, refit the plain residual regression on the same final
     nuisance fold, and score both by R^2 against the true CATE on a fresh
     holdout sample of covariates. A scenario whose CATE is constant has no
-    CATE variance to explain, so R^2 is undefined there: ValidationError.
+    CATE variance to explain, so R^2 is undefined there, as it is on fewer
+    than two holdout rows: ValidationError.
     """
     scenario = get_scenario(scenario_name)
     if not any(scenario.tau_coef[1:]):
@@ -243,14 +243,13 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
             f"scenario {scenario.name!r} has a constant CATE, for which the "
             "R^2 of a CATE fit is undefined"
         )
+    if holdout < 2:
+        raise ValidationError(f"holdout must be >= 2 rows for an R^2, got {holdout}")
     config = config or AdaSplitConfig()
     rows = []
     for rep in range(reps):
         rep_seed = rng.child_seed(seed, rng.REPLICATION, rep)
-        dataset, partition, _ = generate(scenario, rep_seed)
-        report = engine.run(
-            dataset, partition, config.replace(seed=rep_seed), collect_trace=False
-        )
+        dataset, (report,) = _replicate(scenario, rep_seed, config, (METHOD_ADASPLIT,))
         bar = LinearModel(np.asarray(report.cate_coefficients))
         # The fold-restricted baseline shares the engine's outcome model
         # (fit on all covariates and outcomes, which uses no assignments)
@@ -261,15 +260,13 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
             dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
             mu.predict(dataset.x[nuis_idx]), ridge=config.ridge_lambda,
         )
-        gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
-        x_new = draw_covariates(scenario, holdout, gen)
+        x_new = draw_covariates(scenario, holdout,
+                                rng.stream(rep_seed, rng.DATA_GENERATION, 1))
         tau_true = scenario.tau(x_new)
         denom = float(np.sum((tau_true - tau_true.mean()) ** 2))
-        r2 = {
-            "bar_learner": 1.0 - float(np.sum((tau_true - bar.predict(x_new)) ** 2)) / denom,
-            "r_learner": 1.0 - float(np.sum((tau_true - rl.predict(x_new)) ** 2)) / denom,
-        }
-        rows.append((rep, r2["bar_learner"], r2["r_learner"]))
+        r2 = [1.0 - float(np.sum((tau_true - model.predict(x_new)) ** 2)) / denom
+              for model in (bar, rl)]
+        rows.append((rep, *r2))
     return rows
 
 
@@ -283,22 +280,16 @@ def consistency_experiment(sizes, reps, seed, config=None):
     Returns ``{n: [error per rep]}``.
     """
     config = (config or AdaSplitConfig()).replace(eps_l=1e-12)
+    beta = np.asarray(get_scenario("default").tau_coef, dtype=float)
     out = {}
     for n in sizes:
         scenario = scenario_with_size("default", n)
         errors = []
         for rep in range(reps):
             rep_seed = rng.child_seed(seed, rng.REPLICATION, n, rep)
-            dataset, partition, _ = generate(scenario, rep_seed)
-            report = engine.run(
-                dataset, partition, config.replace(seed=rep_seed),
-                collect_trace=False,
-            )
-            beta = np.asarray(scenario.tau_coef, dtype=float)
+            _, (report,) = _replicate(scenario, rep_seed, config, (METHOD_ADASPLIT,))
             beta_hat = np.asarray(report.cate_coefficients, dtype=float)
-            errors.append(
-                float(np.linalg.norm(beta_hat - beta) / np.linalg.norm(beta))
-            )
+            errors.append(float(np.linalg.norm(beta_hat - beta) / np.linalg.norm(beta)))
         out[int(n)] = errors
     return out
 
@@ -319,28 +310,25 @@ class SummaryCell:
 class ExperimentSummary:
     """Aggregate cells plus the raw per-replication rows behind them."""
 
-    name: str
     cells: tuple
     raw: tuple
     config: AdaSplitConfig
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# config: {json.dumps(self.config.to_dict(), sort_keys=True)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "method", "cell", "mean", "se", "reps"])
-            for c in self.cells:
-                writer.writerow(
-                    [c.scenario, c.method, c.cell, repr(c.mean), repr(c.se), c.reps]
-                )
+        self._write(path, [field.name for field in dataclasses.fields(SummaryCell)],
+                    map(dataclasses.asdict, self.cells))
 
     def write_raw_csv(self, path):
-        keys = list(dict.fromkeys(key for row in self.raw for key in row))
+        self._write(path, list(dict.fromkeys(key for row in self.raw for key in row)),
+                    self.raw)
+
+    def _write(self, path, keys, rows):
+        """A ``# config:`` line, then the rows under ``keys``, floats as repr."""
         with open(path, "w", newline="") as fh:
             fh.write(f"# config: {json.dumps(self.config.to_dict(), sort_keys=True)}\n")
             writer = csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
-            for row in self.raw:
+            for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
 
@@ -355,9 +343,7 @@ class ExperimentSummary:
         widths = [max(len(h), 18) for h in header]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
         for scenario, cell in rows:
-            fields = [scenario, cell] + [
-                grid.get((scenario, cell, m), "-") for m in methods
-            ]
+            fields = [scenario, cell] + [grid.get((scenario, cell, m), "-") for m in methods]
             out.write("  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n")
         return out.getvalue()
 
@@ -382,7 +368,7 @@ def _pvalue_rows(results):
     return rows
 
 
-def summarize_replications(scenario_name, results, config, name="simulate"):
+def summarize_replications(scenario_name, results, config):
     """Aggregate per-subgroup rejection rates at alpha, and the family-wise
     error (any closed-testing rejection) of a scenario whose ``tau_coef`` are
     all zero or else the realized power (average fraction of subgroups
@@ -390,29 +376,27 @@ def summarize_replications(scenario_name, results, config, name="simulate"):
     a nonzero effect, so all rejections count)."""
     scenario = get_scenario(scenario_name)
     cells = []
-    methods = sorted({res.method for res in results},
-                     key=lambda m: ALL_METHODS.index(m))
-    for method in methods:
+    for method in sorted({res.method for res in results}, key=ALL_METHODS.index):
         sub = [res for res in results if res.method == method]
-        k = len(sub[0].pvalues)
-        for g in range(k):
-            mean, se = _mean_se([res.pvalues[g] <= config.alpha for res in sub])
-            cells.append(SummaryCell(scenario.name, method, f"G{g + 1}",
-                                     mean, se, len(sub)))
+        for g in range(len(sub[0].pvalues)):
+            cells.append(SummaryCell(scenario.name, method, f"G{g + 1}", *_mean_se(
+                [res.pvalues[g] <= config.alpha for res in sub]), len(sub)))
         if not any(scenario.tau_coef):
-            mean, se = _mean_se([len(res.rejected) > 0 for res in sub])
-            cells.append(SummaryCell(scenario.name, method, "fwer", mean, se, len(sub)))
+            cell, values = "fwer", [len(res.rejected) > 0 for res in sub]
         else:
-            mean, se = _mean_se(
-                [len(res.rejected) / len(res.pvalues) for res in sub]
-            )
-            cells.append(SummaryCell(scenario.name, method, "power", mean, se, len(sub)))
-    return ExperimentSummary(
-        name=name,
-        cells=tuple(cells),
-        raw=tuple(_pvalue_rows(results)),
-        config=config,
-    )
+            cell, values = "power", [len(res.rejected) / len(res.pvalues) for res in sub]
+        cells.append(SummaryCell(scenario.name, method, cell, *_mean_se(values), len(sub)))
+    return ExperimentSummary(tuple(cells), tuple(_pvalue_rows(results)), config)
+
+
+# table -> (the scenarios of its study, the prefix of the cells it keeps);
+# table 1 scores CATE fits instead, on the same effect scenarios as table 4
+_EFFECT_SCENARIOS = ("default", "larger_n", "high_noise")
+_TABLE_STUDIES = {
+    2: (("null",), "G"),
+    3: (("null",), "fwer"),
+    4: (_EFFECT_SCENARIOS, "power"),
+}
 
 
 def reproduce_table(table, reps, seed, config=None, threads=1):
@@ -429,34 +413,20 @@ def reproduce_table(table, reps, seed, config=None, threads=1):
         raise ConfigError("reps >= 10 required")
     config = config or AdaSplitConfig()
 
+    cells, raw = [], []
     if table == 1:
-        cells, raw = [], []
-        for scenario in ("default", "larger_n", "high_noise"):
+        for scenario in _EFFECT_SCENARIOS:
             rows = cate_quality_experiment(scenario, reps, seed, config)
             for method, col in (("r_learner", 2), ("bar_learner", 1)):
-                mean, se = _mean_se([row[col] for row in rows])
-                cells.append(SummaryCell(scenario, method, "r2", mean, se, reps))
-            raw.extend(
-                {"scenario": scenario, "rep": row[0],
-                 "r2_bar_learner": row[1], "r2_r_learner": row[2]}
-                for row in rows
-            )
-        return ExperimentSummary("table1", tuple(cells), tuple(raw), config)
-
-    if table in (2, 3):
-        results = run_replications("null", reps, seed, config, threads=threads)
-        summary = summarize_replications("null", results, config,
-                                         name=f"table{table}")
-        if table == 2:
-            cells = tuple(c for c in summary.cells if c.cell.startswith("G"))
-        else:
-            cells = tuple(c for c in summary.cells if c.cell == "fwer")
-        return ExperimentSummary(f"table{table}", cells, summary.raw, config)
-
-    cells, raw = [], []
-    for scenario in ("default", "larger_n", "high_noise"):
-        results = run_replications(scenario, reps, seed, config, threads=threads)
-        summary = summarize_replications(scenario, results, config, name="table4")
-        cells.extend(c for c in summary.cells if c.cell == "power")
-        raw.extend(summary.raw)
-    return ExperimentSummary("table4", tuple(cells), tuple(raw), config)
+                cells.append(SummaryCell(scenario, method, "r2",
+                                         *_mean_se([row[col] for row in rows]), reps))
+            raw.extend({"scenario": scenario, "rep": rep, "r2_bar_learner": bar,
+                        "r2_r_learner": rl} for rep, bar, rl in rows)
+    else:
+        scenarios, prefix = _TABLE_STUDIES[table]
+        for scenario in scenarios:
+            results = run_replications(scenario, reps, seed, config, threads=threads)
+            summary = summarize_replications(scenario, results, config)
+            cells.extend(c for c in summary.cells if c.cell.startswith(prefix))
+            raw.extend(summary.raw)
+    return ExperimentSummary(tuple(cells), tuple(raw), config)

@@ -188,6 +188,13 @@ class TestCateQuality:
             cate_quality_experiment(scenario, 1, 0, holdout=100)
         assert repr(get_scenario(scenario).name) in str(err.value)
 
+    @pytest.mark.parametrize("holdout", [0, 1])
+    def test_fewer_than_two_holdout_rows_are_refused(self, holdout):
+        # One row has no spread to explain; none has no mean.
+        with pytest.raises(ValidationError,
+                           match=rf"holdout must be >= 2 rows for an R\^2, got {holdout}"):
+            cate_quality_experiment("default", 1, 0, holdout=holdout)
+
 
 class TestHarness:
     def test_replications_deterministic_and_parallel_equivalent(self):
