@@ -122,6 +122,8 @@ def _cmd_analyze(args):
     method = canonical_method(args.method)
     if args.trace and method != "adasplit":
         raise ValidationError("--trace is only available for the adasplit method")
+    if args.on is not None and args.quantile_cuts is None:
+        raise ValidationError("--on requires --quantile-cuts")
     dataset, labels = read_dataset_csv(
         args.data, subgroup_column=args.subgroup_column or "subgroup"
     )

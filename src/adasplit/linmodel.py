@@ -112,6 +112,7 @@ def predict(model, x):
     return _design(x) @ model.coef
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the solve rejects overflow
 def diversity_scores(x, ridge=0.0):
     """Per-unit leverage-style scores ``x_i' (X'X + ridge I)^{-2} x_i``.
 

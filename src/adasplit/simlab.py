@@ -343,7 +343,9 @@ class ExperimentSummary:
         widths = [max(len(h), 18) for h in header]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
         for scenario, cell in rows:
-            fields = [scenario, cell] + [grid.get((scenario, cell, m), "-") for m in methods]
+            fields = [scenario, cell] + [
+                grid.get((scenario, cell, m), "-") for m in methods
+            ]
             out.write("  ".join(f.ljust(w) for f, w in zip(fields, widths)) + "\n")
         return out.getvalue()
 

@@ -78,6 +78,14 @@ class TestAnalyze:
                        "--quantile-cuts", cuts, "--on", "x1") == 2
         assert "--quantile-cuts: no cut" in capsys.readouterr().err
 
+    def test_on_without_quantile_cuts_exit_2(self, trial_csv, tmp_path, capsys):
+        # The CSV's labels must not stand in for the asked-for covariate.
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--on", "x2", "--out", out) == 2
+        assert "--on requires --quantile-cuts" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case,message", [
         ("collinear", "singular design: collinear or badly scaled covariates"),
         ("covariates", "covariates too large to square"),

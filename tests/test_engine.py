@@ -106,6 +106,12 @@ class TestSplitInit:
         assert split_init(ds, part, 0.07).sum() == 7
         assert split_init(ds, part, 0.05).sum() == 5
 
+    def test_covariates_too_large_to_square(self):
+        # The scores' solver error alone: no overflow warning comes before it.
+        ds, part, _ = generate("default", 1)
+        with pytest.raises(ValidationError, match="covariates too large to square"):
+            split_init(Dataset(ds.x * 1e160, ds.y, ds.z), part, 0.05)
+
     def test_deterministic(self):
         ds, part = small_problem(3)
         a = split_init(ds, part, 0.07)

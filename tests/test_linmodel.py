@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adasplit import ValidationError, diversity_scores, fit_wls, predict
+from adasplit import ValidationError, diversity_scores, fit_wls, generate, predict
 from adasplit.linmodel import _solve_spd
 from oracles import wls_solve
 
@@ -128,6 +128,13 @@ def test_diversity_matches_dense_inverse():
     expected = np.einsum("ij,jk,ik->i", x, inv2, x)
     assert np.allclose(diversity_scores(x), expected, atol=1e-10)
     assert np.all(diversity_scores(x) >= 0.0)
+
+
+def test_diversity_covariates_too_large_to_square():
+    # The solver's error alone: no overflow warning comes before it.
+    ds, _, _ = generate("default", 1)
+    assert raised(diversity_scores, ds.x * 1e160) == (
+        ValidationError, "non-finite Gram: covariates too large to square; rescale them")
 
 
 def scipy_cholesky_solve(a, b):
