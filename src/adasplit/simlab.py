@@ -260,8 +260,8 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
             dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
             mu.predict(dataset.x[nuis_idx]), ridge=config.ridge_lambda,
         )
-        x_new = draw_covariates(scenario, holdout,
-                                rng.stream(rep_seed, rng.DATA_GENERATION, 1))
+        gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
+        x_new = draw_covariates(scenario, holdout, gen)
         tau_true = scenario.tau(x_new)
         denom = float(np.sum((tau_true - tau_true.mean()) ** 2))
         r2 = [1.0 - float(np.sum((tau_true - model.predict(x_new)) ** 2)) / denom
