@@ -14,8 +14,8 @@ from .data import (
 )
 from .engine import run, split_init, write_trace_csv
 from .errors import AdaSplitError, ConfigError, ValidationError
-from .linmodel import LinearModel, diversity_scores, fit_wls, predict
-from .multtest import closed_testing, fisher_combine
+from .linmodel import LinearModel, diversity_scores, fit_wls
+from .multtest import closed_testing
 from .nuisance import (
     certainty,
     expected_beta_distance,
@@ -36,8 +36,8 @@ __all__ = [
     "write_dataset_csv",
     "run", "split_init", "write_trace_csv",
     "AdaSplitError", "ConfigError", "ValidationError",
-    "LinearModel", "diversity_scores", "fit_wls", "predict",
-    "closed_testing", "fisher_combine",
+    "LinearModel", "diversity_scores", "fit_wls",
+    "closed_testing",
     "certainty", "expected_beta_distance", "fit_mu",
     "fit_rlearner_weighted", "one_minus_c2_series", "posterior_e",
     "scaled_residual",

@@ -124,6 +124,9 @@ def _cmd_analyze(args):
         raise ValidationError("--trace is only available for the adasplit method")
     if args.on is not None and args.quantile_cuts is None:
         raise ValidationError("--on requires --quantile-cuts")
+    if args.subgroup_column is not None and args.quantile_cuts is not None:
+        raise ValidationError("--subgroup-column and --quantile-cuts both define the "
+                              "subgroups; pass one of them")
     dataset, labels = read_dataset_csv(
         args.data, subgroup_column=args.subgroup_column or "subgroup"
     )

@@ -3,8 +3,9 @@ configuration.
 
 A :class:`Dataset` holds the covariate matrix ``x``, observed outcomes ``y``
 and binary treatment assignments ``z``, drawn under the Bernoulli(1/2)
-design, the only design the package supports. Assignments may be masked
-(NaN) for units whose treatment is unknown; every other field must be finite.
+design, the only design the package supports. Every value must be finite
+and every assignment 0 or 1, since each method reads or tests every unit's
+assignment.
 
 Every type here is immutable after construction and safe to share across
 workers. A fold split is a boolean nuisance mask over the units; the
@@ -54,8 +55,9 @@ class Dataset:
             raise ValidationError("non-finite covariate value")
         if not np.all(np.isfinite(y)):
             raise ValidationError("non-finite outcome value")
-        observed = ~np.isnan(z)
-        if not np.all(np.isin(z[observed], (0.0, 1.0))):
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("non-finite assignment value")
+        if not np.all(np.isin(z, (0.0, 1.0))):
             raise ValidationError("non-binary assignment")
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
@@ -68,13 +70,6 @@ class Dataset:
     @property
     def d(self):
         return self.x.shape[1]
-
-    def equals(self, other):
-        return (
-            np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.z, other.z, equal_nan=True)
-        )
 
 
 def _covariate_names(keys):
@@ -108,10 +103,6 @@ class SubgroupPartition:
         for g in groups:
             g.setflags(write=False)
         object.__setattr__(self, "groups", groups)
-
-    @property
-    def k(self):
-        return len(self.groups)
 
     @property
     def n(self):
@@ -507,14 +498,8 @@ def write_dataset_csv(path, dataset, subgroup_labels=None):
     """Inverse of :func:`read_dataset_csv`, used by the benchmark and tests.
 
     Covariates and outcomes are written as the ``repr`` of each float, which
-    reads back bit for bit; assignments and labels as integers. A masked
-    (NaN) assignment has no integer form: it is an error naming its row, and
-    no file is written.
+    reads back bit for bit; assignments and labels as integers.
     """
-    masked = np.flatnonzero(np.isnan(dataset.z))
-    if masked.size:
-        raise ValidationError(
-            f"row {masked[0] + 1}: masked assignment cannot be written")
     header = [f"x{i + 1}" for i in range(dataset.d)] + ["y", "z"]
     columns = [map(repr, c) for c in dataset.x.T.tolist()]
     columns.append(map(repr, dataset.y.tolist()))

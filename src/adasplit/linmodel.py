@@ -32,7 +32,12 @@ class LinearModel:
         return self.coef.size - 1
 
     def predict(self, x):
-        return predict(self, x)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.n_features:
+            raise ValidationError(
+                f"expected {self.n_features} columns, got {x.shape[1]}"
+            )
+        return _design(x) @ self.coef
 
 
 def _design(x):
@@ -101,15 +106,6 @@ def fit_wls(x, y, w=None, ridge=0.0):
     xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
     gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
     return LinearModel(_solve_spd(gram, xd.T @ yw))
-
-
-def predict(model, x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.n_features:
-        raise ValidationError(
-            f"expected {model.n_features} columns, got {x.shape[1]}"
-        )
-    return _design(x) @ model.coef
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the solve rejects overflow

@@ -21,23 +21,11 @@ def _check_pvals(pvals):
     return p
 
 
-def fisher_combine(pvals):
-    """Fisher's combination of independent p-values.
-
-    The statistic ``-2 sum log p_i`` is chi-square with 2K degrees of
-    freedom under the global null; returns its upper-tail probability
-    (``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf``
-    evaluates, without loading ``scipy.stats``).
-    """
-    p = _check_pvals(pvals)
-    stat = -2.0 * float(np.sum(np.log(p)))
-    return float(chdtrc(2 * p.size, stat))
-
-
 def closed_testing(pvals, q):
     """Closed testing with Fisher's combination as the global test.
 
-    Rejects hypothesis k iff every subset containing k has a combined
+    A subset's combined p-value is the chi-square(2s) upper tail of ``-2 sum
+    log p_i`` over its s p-values (``scipy.special.chdtrc``). Rejects hypothesis k iff every subset containing k has a combined
     p-value at most q, which controls the family-wise error rate strongly.
     Returns the rejected hypotheses' 0-based indices as a tuple of ints.
 

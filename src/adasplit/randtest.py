@@ -31,8 +31,6 @@ from .multtest import closed_testing
 @dataclass(frozen=True)
 class PValue:
     value: float
-    draws: int
-    observed: float
     subgroup: int
     flag: str | None = None
 
@@ -57,10 +55,7 @@ def _fold_statistic(mu, dataset, idx):
     r = dataset.y[idx]
     if mu is not None:
         r = r - mu.predict(dataset.x[idx])
-    z_obs = dataset.z[idx]
-    if np.any(np.isnan(z_obs)):
-        raise ValidationError("masked assignment in the inference fold")
-    return 4.0 * r / m, -2.0 * float(np.sum(r)) / m, z_obs
+    return 4.0 * r / m, -2.0 * float(np.sum(r)) / m, dataset.z[idx]
 
 
 # Monte-Carlo draws are made and scored about this many doubles at a time
@@ -153,8 +148,7 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     if m_draws < 1:
         raise ValidationError("m_draws must be >= 1")
     if idx.size == 0:
-        return PValue(1.0, m_draws, float("nan"), subgroup_id,
-                      flag="empty-inference-fold")
+        return PValue(1.0, subgroup_id, flag="empty-inference-fold")
     w, c, z_obs = _fold_statistic(mu, dataset, idx)
     m = idx.size
     # The observed statistic is summed exactly as each draw's is, so a draw
@@ -182,7 +176,7 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
         if unsure.size:
             t_pair = _row_sums(draws[unsure] * w) + c
             count += int(np.count_nonzero(t_pair >= t_min))
-    return PValue((1.0 + count) / (m_draws + 1.0), m_draws, t_obs, subgroup_id)
+    return PValue((1.0 + count) / (m_draws + 1.0), subgroup_id)
 
 
 def test_folds(mu, dataset, folds, config):
@@ -219,7 +213,7 @@ def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
     if m == 0:
-        return PValue(1.0, 0, float("nan"), subgroup_id, flag="empty-inference-fold")
+        return PValue(1.0, subgroup_id, flag="empty-inference-fold")
     if m > 20:
         raise ValidationError("subgroup too large for exact enumeration")
     w, c, z_obs = _fold_statistic(mu, dataset, idx)
@@ -232,4 +226,4 @@ def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
     obs_code = int(sum(1 << j for j in range(m) if z_obs[j] == 1.0))
     t_obs = float(t_ref[obs_code])
     hits = int(np.count_nonzero(t_ref >= _tie_floor(t_obs, w, c, m + 1)))
-    return PValue(hits / float(1 << m), 1 << m, t_obs, subgroup_id)
+    return PValue(hits / float(1 << m), subgroup_id)

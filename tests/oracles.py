@@ -105,6 +105,12 @@ def mc_pvalue_reference(w, c, z_obs, m_draws, gen):
     return (1.0 + count) / (m_draws + 1.0), t_obs
 
 
+def datasets_equal(a, b):
+    """Whether two trials hold the same covariates, outcomes and
+    assignments, value for value."""
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in "xyz")
+
+
 def write_csv_reference(path, x, y, z, labels=None):
     """A trial CSV written one row at a time: header ``x1..xd,y,z`` plus
     ``subgroup`` with labels, each covariate and outcome as ``repr`` of the

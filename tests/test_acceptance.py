@@ -7,6 +7,8 @@ family-wise-error checks, and the 100-replication power study backs the
 power ordering plus the fold-proportion pattern.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,11 @@ from oracles import (
 )
 
 METHODS = ("rt", "random_split", "adasplit")
+# run_replications gives the same results for any worker count
+# (tests/test_simlab.py), so the two study fixtures use two workers where
+# two CPUs exist. They gain only with BLAS held to one thread per process,
+# as CI holds it; otherwise the workers' BLAS threads oversubscribe.
+STUDY_THREADS = min(2, os.cpu_count() or 1)
 
 
 def report(num, description, ok):
@@ -50,14 +57,14 @@ def report(num, description, ok):
 @pytest.fixture(scope="module")
 def null_study():
     """200 replications of the zero-effect scenario, all three methods."""
-    return run_replications("null", 200, 777)
+    return run_replications("null", 200, 777, threads=STUDY_THREADS)
 
 
 @pytest.fixture(scope="module")
 def power_study():
     """100 replications per effect scenario, all three methods."""
     return {
-        scenario: run_replications(scenario, 100, 1234)
+        scenario: run_replications(scenario, 100, 1234, threads=STUDY_THREADS)
         for scenario in ("default", "larger_n", "high_noise")
     }
 

@@ -1,5 +1,6 @@
 """The public API of the package."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,13 +20,21 @@ def test_removed_names_are_not_exported():
                  "t_dm", "phi_aipw", "fit_rlearner_ols", "fit_bar_learner",
                  "marginalized_residual", "gaussian_approx_pvalue",
                  "optimal_soft_inclusion", "TestStatisticSpec",
-                 "NuisanceModel", "STAT_DM", "STAT_AIPW"):
+                 "NuisanceModel", "STAT_DM", "STAT_AIPW", "fisher_combine",
+                 "predict"):
         assert name not in adasplit.__all__
         assert not hasattr(adasplit, name)
     # The statistic is one formula with one argument, the outcome model.
     for name in ("TestStatisticSpec", "STAT_DM", "STAT_AIPW", "_linear_coeffs"):
         assert not hasattr(adasplit.randtest, name)
     assert not hasattr(adasplit.nuisance, "NuisanceModel")
+    assert not hasattr(adasplit.multtest, "fisher_combine")
+    assert not hasattr(adasplit.linmodel, "predict")
+    # Names only tests read are gone; a p-value is (value, subgroup, flag).
+    assert not hasattr(adasplit.Dataset, "equals")
+    assert not hasattr(adasplit.SubgroupPartition, "k")
+    fields = [f.name for f in dataclasses.fields(adasplit.PValue)]
+    assert fields == ["value", "subgroup", "flag"]
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -10,6 +10,7 @@ from adasplit import Dataset, read_dataset_csv, write_dataset_csv
 from adasplit import cli
 from adasplit.cli import main
 from adasplit.simlab import generate, scenario_with_size
+from oracles import datasets_equal
 
 
 @pytest.fixture()
@@ -84,6 +85,16 @@ class TestAnalyze:
         assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
                        "--on", "x2", "--out", out) == 2
         assert "--on requires --quantile-cuts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subgroup_column_with_quantile_cuts_exit_2(self, trial_csv, tmp_path, capsys):
+        # Two definitions of the subgroups: the cuts must not silently win.
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--subgroup-column", "subgroup", "--quantile-cuts", "0.5",
+                       "--on", "x2", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--subgroup-column and --quantile-cuts" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case,message", [
@@ -451,7 +462,7 @@ class TestLargeTrialShape:
         back, lab = read_dataset_csv(path)
         assert back.n == n and back.d == d
         assert np.array_equal(lab, labels)
-        assert back.equals(ds)
+        assert datasets_equal(back, ds)
 
     def test_analyze_rt_on_sprint_shape(self, tmp_path):
         gen = np.random.default_rng(13)

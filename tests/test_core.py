@@ -44,9 +44,10 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match="length mismatch"):
             Dataset([[1.0], [2.0]], [1.0], [1.0, 0.0])
 
-    def test_masked_assignments_allowed(self):
-        ds = Dataset([[1.0], [2.0]], [1.0, 2.0], [1.0, np.nan])
-        assert np.isnan(ds.z[1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_assignment_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^non-finite assignment value$"):
+            Dataset([[1.0], [2.0]], [1.0, 2.0], [1.0, bad])
 
     def test_oracles_are_independent_of_the_package(self):
         import pathlib
@@ -64,7 +65,7 @@ class TestPartition:
     def test_no_cuts_single_group(self):
         ds = Dataset(np.arange(6.0)[:, None], np.zeros(6), np.zeros(6))
         part = partition_by_quantiles(ds, 0, ())
-        assert part.k == 1 and part.groups[0].size == 6
+        assert len(part.groups) == 1 and part.groups[0].size == 6
 
     def test_median_cut_on_1_to_10(self):
         x = np.arange(1.0, 11.0)[:, None]
@@ -145,7 +146,7 @@ class TestPartition:
 
     def test_labels_roundtrip(self):
         part = SubgroupPartition.from_labels([2, 0, 2, 1, 0])
-        assert part.k == 3
+        assert len(part.groups) == 3
         assert np.array_equal(part.labels(), [2, 0, 2, 1, 0])
 
     def test_partition_validation(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adasplit import Dataset, ValidationError, data, read_dataset_csv, write_dataset_csv
-from oracles import read_csv_reference, write_csv_reference
+from oracles import datasets_equal, read_csv_reference, write_csv_reference
 
 
 def csv_file(tmp_path, text, name="trial.csv"):
@@ -268,7 +268,7 @@ class TestRead:
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
         ds, labels = read_dataset_csv(bom)
-        assert ds.equals(plain) and labels.tolist() == [1, 2, 0, 1, 2]
+        assert datasets_equal(ds, plain) and labels.tolist() == [1, 2, 0, 1, 2]
 
     @pytest.mark.parametrize("row", [0, 1, 2000])
     def test_non_utf8_byte(self, tmp_path, row):
@@ -416,12 +416,6 @@ class TestWrite:
         write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
         write_csv_reference(tmp_path / "b.csv", ds.x, ds.y, ds.z, labels)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_masked_assignment_writes_no_file(self, tmp_path):
-        ds = Dataset([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], [1.0, np.nan, np.nan])
-        with pytest.raises(ValidationError, match="^row 2: masked assignment"):
-            write_dataset_csv(tmp_path / "a.csv", ds)
-        assert not (tmp_path / "a.csv").exists()
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_wrong_number_of_labels(self, tmp_path, count):

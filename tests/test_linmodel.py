@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adasplit import ValidationError, diversity_scores, fit_wls, generate, predict
+from adasplit import ValidationError, diversity_scores, fit_wls, generate
 from adasplit.linmodel import _solve_spd
 from oracles import wls_solve
 
@@ -61,17 +61,17 @@ def test_predict_cases():
     gen = np.random.default_rng(3)
     x = gen.normal(size=(5, 2))
     zero = fit_wls(x, np.zeros(5))
-    assert np.allclose(predict(zero, x), 0.0, atol=1e-9)
+    assert np.allclose(zero.predict(x), 0.0, atol=1e-9)
 
     y = 1.0 + x @ np.array([2.0, -1.0])
     exact = fit_wls(x, y)
-    assert np.allclose(predict(exact, x), y, atol=1e-9)
+    assert np.allclose(exact.predict(x), y, atol=1e-9)
 
     manual = exact.coef[0] + x @ exact.coef[1:]
-    assert np.allclose(predict(exact, x), manual)
+    assert np.allclose(exact.predict(x), manual)
 
     with pytest.raises(ValidationError, match="columns"):
-        predict(exact, np.ones((2, 3)))
+        exact.predict(np.ones((2, 3)))
 
 
 def test_ols_residual_orthogonality():
@@ -79,7 +79,7 @@ def test_ols_residual_orthogonality():
     x = gen.normal(size=(40, 4))
     y = gen.normal(size=40)
     model = fit_wls(x, y)
-    resid = y - predict(model, x)
+    resid = y - model.predict(x)
     xd = np.hstack([np.ones((40, 1)), x])
     assert np.all(np.abs(xd.T @ resid) < 1e-8)
 

@@ -1,10 +1,10 @@
-"""Fisher combination and closed testing."""
+"""Closed testing with Fisher's combination."""
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from adasplit import ValidationError, closed_testing, fisher_combine
+from adasplit import ValidationError, closed_testing
 from oracles import closed_testing_bruteforce
 
 
@@ -56,35 +56,57 @@ def random_pvalue_cases(n_cases, seed):
 
 
 class TestFisher:
+    """Fisher's combination as ``closed_testing`` applies it: a hypothesis
+    is rejected at q exactly when q reaches the largest combined p-value,
+    the chi-square(2s) tail of ``-2 sum log p``, over the subsets of size s
+    that hold it."""
+
     def test_all_ones(self):
-        assert fisher_combine([1.0, 1.0, 1.0]) == pytest.approx(1.0)
+        # -2 sum log 1 = 0, so every combined p-value is 1.
+        for q in (0.05, 0.2, 0.999):
+            assert closed_testing([1.0, 1.0, 1.0], q) == ()
 
     def test_single_p_identity(self):
+        # K = 1: the chi-square(2) tail of -2 log p is p itself.
         for p in (0.9, 0.3, 0.004):
-            assert fisher_combine([p]) == pytest.approx(p, abs=1e-12)
+            assert closed_testing([p], p * (1 + 1e-12)) == (0,)
+            assert closed_testing([p], p * (1 - 1e-12)) == ()
 
     def test_two_small_pvalues(self):
+        # The pair (0.05, 0.05) combines to 0.0175, below either p, so the
+        # singletons bind; paired with 0.9 instead, 0.05 is rejected only
+        # from the pair's combined p-value on.
         stat = -2.0 * (np.log(0.05) + np.log(0.05))
         assert stat == pytest.approx(11.9829, abs=1e-3)
-        assert fisher_combine([0.05, 0.05]) == pytest.approx(0.01747, abs=2e-4)
+        assert chi2.sf(stat, 4) == pytest.approx(0.01747, abs=2e-4)
+        assert closed_testing([0.05, 0.05], 0.0501) == (0, 1)
+        assert closed_testing([0.05, 0.05], 0.0499) == ()
+        pair = chi2.sf(-2.0 * (np.log(0.05) + np.log(0.9)), 4)
+        assert closed_testing([0.05, 0.9], pair * (1 + 1e-9)) == (0,)
+        assert closed_testing([0.05, 0.9], pair * (1 - 1e-9)) == ()
 
     def test_permutation_symmetry(self):
         gen = np.random.default_rng(0)
         p = gen.uniform(0.01, 1.0, size=6)
-        assert fisher_combine(p) == pytest.approx(fisher_combine(p[::-1]), abs=1e-15)
+        for q in (0.05, 0.2, 0.5, 0.9):
+            mirrored = tuple(sorted(5 - k for k in closed_testing(p, q)))
+            assert closed_testing(p[::-1], q) == mirrored
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            fisher_combine([])
-        with pytest.raises(ValidationError):
-            fisher_combine([0.0, 0.5])
+        with pytest.raises(ValidationError, match="at least one p-value"):
+            closed_testing([], 0.2)
+        with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+            closed_testing([0.0, 0.5], 0.2)
+        for q in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="q must lie"):
+                closed_testing([0.5], q)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValidationError, match=r"\(0, 1\]"):
-            fisher_combine([bad])
+            closed_testing([bad], 0.2)
         with pytest.raises(ValidationError, match=r"\(0, 1\]"):
-            fisher_combine([0.5, bad])
+            closed_testing([0.5, bad], 0.2)
 
 
 class TestClosedTesting:
