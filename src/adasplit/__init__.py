@@ -19,8 +19,6 @@ from .multtest import closed_testing
 from .nuisance import (
     certainty,
     expected_beta_distance,
-    fit_mu,
-    fit_rlearner_weighted,
     one_minus_c2_series,
     posterior_e,
     scaled_residual,
@@ -38,9 +36,8 @@ __all__ = [
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls",
     "closed_testing",
-    "certainty", "expected_beta_distance", "fit_mu",
-    "fit_rlearner_weighted", "one_minus_c2_series", "posterior_e",
-    "scaled_residual",
+    "certainty", "expected_beta_distance", "one_minus_c2_series",
+    "posterior_e", "scaled_residual",
     "PValue", "exact_pvalue", "mc_pvalue",
     "generate", "reproduce_table", "run_method",
     "__version__",

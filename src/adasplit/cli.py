@@ -22,7 +22,6 @@ from .data import AdaSplitConfig, SubgroupPartition, partition_by_quantiles, rea
 from .engine import write_trace_csv
 from .errors import ConfigError, ValidationError
 from .simlab import (
-    ALL_METHODS,
     canonical_method,
     get_scenario,
     reproduce_table,
@@ -44,8 +43,9 @@ def _build_parser():
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker process cap for replication loops only; every process "
-             "computes its p-values on one thread (default: ADASPLIT_THREADS or 1)",
+        help="worker process cap for replication loops only (default: "
+             "ADASPLIT_THREADS or 1); workers gain only with OPENBLAS_NUM_THREADS=1, "
+             "since OpenBLAS's default pool oversubscribes the cores",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -164,7 +164,7 @@ def _cmd_simulate(args, threads):
         raise ConfigError("reps >= 1 required")
     config = _load_config(args.config, seed=None)
     results = run_replications(args.scenario, args.reps, args.seed, config,
-                               methods=ALL_METHODS, threads=threads)
+                               threads=threads)
     summary = summarize_replications(args.scenario, results, config)
     out = Path(args.out)
     summary.write_raw_csv(out)

@@ -50,8 +50,9 @@ import numpy as np
 
 from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
-from .linmodel import _cho_factor, _cho_solve, _design, _solve_spd, diversity_scores
-from .nuisance import NeighborIndex, certainty, fit_mu, noise_floor, posterior_e
+from .linmodel import (_cho_factor, _cho_solve, _design, _solve_spd, diversity_scores,
+                       fit_wls)
+from .nuisance import NeighborIndex, certainty, noise_floor, posterior_e
 from .randtest import test_folds
 
 
@@ -336,7 +337,14 @@ def run(dataset, partition, config, collect_trace=True):
     x, y = dataset.x, dataset.y
     zlog = _AssignmentLog(dataset.z)
 
-    mu = fit_mu(x, y, ridge=config.ridge_lambda)
+    mu = fit_wls(x, y, ridge=config.ridge_lambda)
+    for k, g in enumerate(partition.groups):   # the seed takes one unit or more
+        if g.size < 2:
+            raise ValidationError(f"subgroup {k} has 1 unit; adasplit needs at least 2 "
+                                  "per subgroup, one to seed and one to test")
+        if inference_floor(g.size, config.rho) == g.size:
+            raise ConfigError(f"rho={config.rho} keeps all {g.size} units of subgroup "
+                              f"{k} to test, leaving none to seed; lower rho")
     mask = split_init(dataset, partition, config.p_init, ridge=config.ridge_lambda)
     state = _LoopState(dataset, partition, mu.predict(x), mask, zlog, config)
     short = np.flatnonzero(state.j_sizes < state.floor)

@@ -27,15 +27,11 @@ class LinearModel:
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)
 
-    @property
-    def n_features(self):
-        return self.coef.size - 1
-
     def predict(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.n_features:
+        if x.shape[1] != self.coef.size - 1:
             raise ValidationError(
-                f"expected {self.n_features} columns, got {x.shape[1]}"
+                f"expected {self.coef.size - 1} columns, got {x.shape[1]}"
             )
         return _design(x) @ self.coef
 
@@ -78,10 +74,11 @@ def _cho_solve(c, b):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the solve rejects overflow
-def fit_wls(x, y, w=None, ridge=0.0):
-    """Weighted least squares with an optional ridge penalty.
+def fit_wls(x, y, ridge=0.0):
+    """Least squares with an optional ridge penalty, the package's only
+    least-squares entry point.
 
-    Returns the minimizer of ``sum_i w_i (y_i - [1, x_i] @ beta)^2
+    Returns the minimizer of ``sum_i (y_i - [1, x_i] @ beta)^2
     + ridge * ||beta||^2`` (the intercept is penalized along with the
     slopes, which only matters at ridge values far above the stabilizing
     default).
@@ -94,18 +91,9 @@ def fit_wls(x, y, w=None, ridge=0.0):
         raise ValidationError("x and y length mismatch")
     if ridge < 0.0:
         raise ValidationError("ridge must be >= 0")
-    if w is not None:
-        w = np.asarray(w, dtype=float).ravel()
-        if w.size != y.size:
-            raise ValidationError("weight length mismatch")
-        if np.any(w < 0.0):
-            raise ValidationError("weights must be nonnegative")
-        if not np.any(w > 0.0):
-            raise ValidationError("at least one positive weight required")
     xd = _design(x)
-    xw, yw = (xd, y) if w is None else (xd * w[:, None], y * w)
-    gram = xd.T @ xw + ridge * np.eye(xd.shape[1])
-    return LinearModel(_solve_spd(gram, xd.T @ yw))
+    gram = xd.T @ xd + ridge * np.eye(xd.shape[1])
+    return LinearModel(_solve_spd(gram, xd.T @ y))
 
 
 @np.errstate(over="ignore", invalid="ignore")   # the solve rejects overflow

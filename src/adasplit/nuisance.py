@@ -1,15 +1,16 @@
-"""Nuisance estimators: outcome model, residual regressions, selection
-probabilities and posterior assignment probabilities.
+"""Nuisance estimators: residuals, selection probabilities and posterior
+assignment probabilities.
 
 The estimation stack mirrors how the adaptive split consumes it:
 
-* ``fit_mu`` fits the outcome regression E[Y | X] on all units without
-  touching any treatment assignment; the test statistic is the difference
-  in means of its residuals ``y - mu(x)`` (``randtest``).
+* The outcome regression E[Y | X] is ``linmodel.fit_wls`` on all units,
+  which touches no treatment assignment; the test statistic is the
+  difference in means of its residuals ``y - mu(x)`` (``randtest``).
 * Scaled residuals ``(y - mu(x)) / (z - 1/2)`` turn the partially linear
   outcome model into a regression problem whose target is the CATE under
-  the Bernoulli(1/2) design; ``fit_rlearner_weighted`` fits them by least
-  squares over one fold.
+  the Bernoulli(1/2) design, where the R-learner's weights ``(z - e)^2``
+  are the constant 1/4: the residual regression over one fold is
+  ``fit_wls`` on ``scaled_residual``.
 * Because the nuisance fold is selected adaptively, plain least squares on
   it is biased; the selection loop (``engine._LoopState``) weights each fold
   unit by the inverse of its estimated selection probability ``p(x, y)``, a
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .linmodel import _design, diversity_scores, fit_wls
+from .linmodel import _design, diversity_scores
 
 # Sigmoid arguments beyond this magnitude saturate to exactly 0.0 or 1.0 in
 # IEEE double precision; clipping here keeps every probability strictly
@@ -47,29 +48,10 @@ def sigmoid(t, out=None):
     return np.divide(1.0, np.add(1.0, s, out=out), out=out)
 
 
-def fit_mu(x, y, ridge=0.0):
-    """Fit the outcome model E[Y | X] on all units. Uses no assignments."""
-    return fit_wls(x, y, ridge=ridge)
-
-
 def scaled_residual(y, z, mu_vals):
     """Residual ``(y - mu(x)) / (z - 1/2)``; the regression target whose
     conditional mean is the CATE. The denominator is -1/2 or 1/2."""
     return (np.asarray(y, dtype=float) - mu_vals) / (np.asarray(z, dtype=float) - 0.5)
-
-
-def fit_rlearner_weighted(x, y, z, mu_vals, ridge=0.0):
-    """CATE regression of scaled residuals on covariates over one fold, by
-    plain least squares.
-
-    All array arguments are restricted to the fold; callers hand in exactly
-    the assignments they are allowed to read. The selection loop's
-    inverse-weighted fit is ``engine._LoopState.refit``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] < x.shape[1] + 1:
-        raise ValidationError("fold too small for the residual regression")
-    return fit_wls(x, scaled_residual(y, z, mu_vals), ridge=ridge)
 
 
 # Selection probability -------------------------------------------------------

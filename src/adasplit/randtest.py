@@ -198,7 +198,7 @@ def test_folds(mu, dataset, folds, config):
     return values, closed_testing(values, config.q), flags
 
 
-def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
+def exact_pvalue(mu, dataset, subgroup):
     """Exact randomization p-value of the residual statistic with outcome
     model ``mu``, by enumerating all 2^m assignments.
 
@@ -213,7 +213,7 @@ def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
     if m == 0:
-        return PValue(1.0, subgroup_id, flag="empty-inference-fold")
+        return PValue(1.0, 0, flag="empty-inference-fold")
     if m > 20:
         raise ValidationError("subgroup too large for exact enumeration")
     w, c, z_obs = _fold_statistic(mu, dataset, idx)
@@ -226,4 +226,4 @@ def exact_pvalue(mu, dataset, subgroup, subgroup_id=0):
     obs_code = int(sum(1 << j for j in range(m) if z_obs[j] == 1.0))
     t_obs = float(t_ref[obs_code])
     hits = int(np.count_nonzero(t_ref >= _tie_floor(t_obs, w, c, m + 1)))
-    return PValue(hits / float(1 << m), subgroup_id)
+    return PValue(hits / float(1 << m), 0)

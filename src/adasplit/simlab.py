@@ -29,8 +29,8 @@ import numpy as np
 from . import engine, rng
 from .data import AdaSplitConfig, Dataset, SubgroupPartition, partition_by_quantiles
 from .errors import ConfigError, ValidationError
-from .linmodel import LinearModel
-from .nuisance import fit_mu, fit_rlearner_weighted
+from .linmodel import LinearModel, fit_wls
+from .nuisance import scaled_residual
 
 METHOD_RT = "rt"
 METHOD_RANDOM_SPLIT = "random_split"
@@ -170,9 +170,9 @@ def run_method(method, dataset, partition, config, collect_trace=False):
             "lower rho or use a larger sample"
         )
     x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
-    mu = fit_mu(x_i, y_i, ridge=config.ridge_lambda)
-    tau = fit_rlearner_weighted(x_i, y_i, zlog.take(nuis_idx), mu.predict(x_i),
-                                ridge=config.ridge_lambda)
+    mu = fit_wls(x_i, y_i, ridge=config.ridge_lambda)
+    tau = fit_wls(x_i, scaled_residual(y_i, zlog.take(nuis_idx), mu.predict(x_i)),
+                  ridge=config.ridge_lambda)
     return engine.finish(method, dataset, partition, config, zlog, mu,
                          mask=mask, coef=tau.coef)
 
@@ -201,22 +201,20 @@ def _replicate(scenario, rep_seed, config, methods):
 
 
 def _rep_worker(args):
-    scenario, rep, master_seed, config, methods = args
+    scenario, rep, master_seed, config = args
     _, reports = _replicate(scenario, rng.child_seed(master_seed, rng.REPLICATION, rep),
-                            config, methods)
+                            config, ALL_METHODS)
     return [RepResult(scenario.name, report.method, rep, report.pvalues, report.rejected,
                       None if report.folds is None else report.folds.proportions)
             for report in reports]
 
 
-def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS,
-                     threads=1):
-    """Run all requested methods on `reps` fresh datasets; deterministic in
+def run_replications(scenario_name, reps, seed, config=None, threads=1):
+    """Run all three methods on `reps` fresh datasets; deterministic in
     (scenario, reps, seed) regardless of the worker count."""
     scenario = get_scenario(scenario_name)
     config = config or AdaSplitConfig()
-    methods = tuple(canonical_method(m) for m in methods)
-    jobs = [(scenario, rep, seed, config, methods) for rep in range(reps)]
+    jobs = [(scenario, rep, seed, config) for rep in range(reps)]
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
@@ -226,7 +224,11 @@ def run_replications(scenario_name, reps, seed, config=None, methods=ALL_METHODS
     return [res for chunk in chunks for res in chunk]
 
 
-def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_000):
+# Rows of the fresh covariate sample each CATE fit is scored on.
+_CATE_HOLDOUT = 10_000
+
+
+def cate_quality_experiment(scenario_name, reps, seed, config=None):
     """Out-of-sample CATE quality of the pooled estimator versus the
     fold-restricted residual regression, on adaptive-split folds.
 
@@ -234,8 +236,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
     coefficients, refit the plain residual regression on the same final
     nuisance fold, and score both by R^2 against the true CATE on a fresh
     holdout sample of covariates. A scenario whose CATE is constant has no
-    CATE variance to explain, so R^2 is undefined there, as it is on fewer
-    than two holdout rows: ValidationError.
+    CATE variance to explain, so R^2 is undefined there: ValidationError.
     """
     scenario = get_scenario(scenario_name)
     if not any(scenario.tau_coef[1:]):
@@ -243,8 +244,6 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
             f"scenario {scenario.name!r} has a constant CATE, for which the "
             "R^2 of a CATE fit is undefined"
         )
-    if holdout < 2:
-        raise ValidationError(f"holdout must be >= 2 rows for an R^2, got {holdout}")
     config = config or AdaSplitConfig()
     rows = []
     for rep in range(reps):
@@ -255,13 +254,12 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None, holdout=10_0
         # (fit on all covariates and outcomes, which uses no assignments)
         # but regresses residuals over the nuisance fold alone.
         nuis_idx = np.asarray(report.folds.nuisance, dtype=int)
-        mu = fit_mu(dataset.x, dataset.y, ridge=config.ridge_lambda)
-        rl = fit_rlearner_weighted(
-            dataset.x[nuis_idx], dataset.y[nuis_idx], dataset.z[nuis_idx],
-            mu.predict(dataset.x[nuis_idx]), ridge=config.ridge_lambda,
-        )
+        x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
+        mu = fit_wls(dataset.x, dataset.y, ridge=config.ridge_lambda)
+        rl = fit_wls(x_i, scaled_residual(y_i, dataset.z[nuis_idx], mu.predict(x_i)),
+                     ridge=config.ridge_lambda)
         gen = rng.stream(rep_seed, rng.DATA_GENERATION, 1)
-        x_new = draw_covariates(scenario, holdout, gen)
+        x_new = draw_covariates(scenario, _CATE_HOLDOUT, gen)
         tau_true = scenario.tau(x_new)
         denom = float(np.sum((tau_true - tau_true.mean()) ** 2))
         r2 = [1.0 - float(np.sum((tau_true - model.predict(x_new)) ** 2)) / denom

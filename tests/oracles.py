@@ -347,9 +347,10 @@ def closed_testing_bruteforce(pvals, q):
 # ``knn_lists`` (over all units when kappa >= n). The engine keeps running
 # sums instead, so its reports must match these exactly in every decision
 # and to 1e-9 in the fitted numbers (``test_engine.assert_matches_reference``).
-# The pooled fit is ``bar_learner_reference``; the weighted fit, the outcome
-# model and the testing stage are the package's public functions, which the
-# caller passes in as ``pkg``, so nothing here imports the package.
+# The pooled fit is ``bar_learner_reference`` and the weighted fit is solved
+# here; the outcome model (``fit_wls``) and the testing stage are the
+# package's public functions, which the caller passes in as ``pkg``, so
+# nothing here imports the package.
 
 
 def reference_convergence_metric(pkg, tau_new, tau_old, x_j):
@@ -369,7 +370,11 @@ def _reference_refit(pkg, x, y, mask, p_all, zlog, mu_vals, floor, ridge):
     z_i = zlog.take(nuis_idx)
     p_i = p_all[nuis_idx]
     r_i = pkg.nuisance.scaled_residual(y[nuis_idx], z_i, mu_vals[nuis_idx])
-    tau_w = pkg.linmodel.fit_wls(x[nuis_idx], r_i, w=1.0 / p_i, ridge=ridge)
+    # The inverse-vote weighted ridge solve, X'WX + ridge I by Cholesky.
+    xd = np.hstack([np.ones((nuis_idx.size, 1)), x[nuis_idx]])
+    w = 1.0 / p_i
+    gram = xd.T @ (xd * w[:, None]) + ridge * np.eye(xd.shape[1])
+    tau_w = pkg.linmodel.LinearModel(cho_solve(cho_factor(gram), xd.T @ (r_i * w)))
     resid = y[nuis_idx] - mu_vals[nuis_idx] - z_i * tau_w.predict(x[nuis_idx])
     nu2 = max(float(np.sum(resid**2 / p_i)) / x.shape[0], floor)
     e_hat = pkg.nuisance.posterior_e(y, mu_vals, tau_w.predict(x), nu2)
@@ -397,7 +402,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     ridge = config.ridge_lambda
     floor = nuisance.noise_floor(y)
 
-    mu = nuisance.fit_mu(x, y, ridge=ridge)
+    mu = pkg.linmodel.fit_wls(x, y, ridge=ridge)
     mu_vals = mu.predict(x)
 
     mask = pkg.engine.split_init(dataset, partition, config.p_init, ridge=ridge)

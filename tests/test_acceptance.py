@@ -20,11 +20,12 @@ from adasplit import (
     engine,
     exact_pvalue,
     expected_beta_distance,
+    fit_wls,
     mc_pvalue,
     one_minus_c2_series,
     run,
 )
-from adasplit.nuisance import certainty, fit_mu, posterior_e, scaled_residual
+from adasplit.nuisance import certainty, posterior_e, scaled_residual
 from adasplit.simlab import (
     cate_quality_experiment,
     consistency_experiment,
@@ -144,7 +145,7 @@ def test_criterion_5_monte_carlo_vs_enumeration():
         else:
             # The residual statistic against AIPW with a random CATE, which
             # cancels at e = 1/2.
-            mu = fit_mu(x, y, ridge=1e-8)
+            mu = fit_wls(x, y, ridge=1e-8)
             mu_vals = mu.predict(x)
             tau_vals = LinearModel(gen.normal(size=3)).predict(x)
             oracle = enumerate_pvalue(

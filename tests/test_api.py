@@ -1,6 +1,7 @@
 """The public API of the package."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ def test_removed_names_are_not_exported():
                  "marginalized_residual", "gaussian_approx_pvalue",
                  "optimal_soft_inclusion", "TestStatisticSpec",
                  "NuisanceModel", "STAT_DM", "STAT_AIPW", "fisher_combine",
-                 "predict"):
+                 "predict", "fit_mu", "fit_rlearner_weighted"):
         assert name not in adasplit.__all__
         assert not hasattr(adasplit, name)
     # The statistic is one formula with one argument, the outcome model.
@@ -30,6 +31,16 @@ def test_removed_names_are_not_exported():
     assert not hasattr(adasplit.nuisance, "NuisanceModel")
     assert not hasattr(adasplit.multtest, "fisher_combine")
     assert not hasattr(adasplit.linmodel, "predict")
+    # fit_wls is the one least-squares entry point.
+    assert not hasattr(adasplit.nuisance, "fit_mu")
+    assert not hasattr(adasplit.nuisance, "fit_rlearner_weighted")
+    assert not hasattr(adasplit.LinearModel, "n_features")
+    # Parameters no caller outside the tests set are gone.
+    for fn, name in ((adasplit.fit_wls, "w"),
+                     (adasplit.simlab.run_replications, "methods"),
+                     (adasplit.simlab.cate_quality_experiment, "holdout"),
+                     (adasplit.exact_pvalue, "subgroup_id")):
+        assert name not in inspect.signature(fn).parameters
     # Names only tests read are gone; a p-value is (value, subgroup, flag).
     assert not hasattr(adasplit.Dataset, "equals")
     assert not hasattr(adasplit.SubgroupPartition, "k")

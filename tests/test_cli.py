@@ -242,6 +242,23 @@ class TestAnalyze:
         assert "p_init=0.6 leaves 40 of the 100 units of subgroup 0" in err
         assert "rho=0.5 sets (50)" in err
 
+    @pytest.mark.parametrize("size,rho,code,message", [
+        (1, 0.5, 2, "subgroup 5 has 1 unit"),
+        (3, 0.9, 3, "rho=0.9 keeps all 3 units of subgroup 5"),
+    ], ids=["one-unit", "floor-equals-size"])
+    def test_subgroup_that_cannot_be_split(self, tmp_path, capsys, size, rho, code,
+                                           message):
+        ds, part, _ = generate("default", 7)
+        labels = part.labels()
+        labels[:size] = 5
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(path, ds, subgroup_labels=labels)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rho": rho}))
+        assert run_cli("analyze", "--data", path, "--config", config) == code
+        err = capsys.readouterr().err
+        assert message in err and "p_init" not in err
+
     @pytest.mark.parametrize("column", ["y", "z"])
     def test_subgroups_by_outcome_or_assignment_exit_2(self, trial_csv, capsys, column):
         assert run_cli("analyze", "--data", trial_csv, "--method", "rt",

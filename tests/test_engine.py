@@ -99,6 +99,20 @@ class TestSplitInit:
         report = run(ds, part, AdaSplitConfig(seed=1, p_init=0.5, mc_draws=50))
         assert report.iterations == 0 and report.folds.proportions == (0.5,) * 5
 
+    @pytest.mark.parametrize("size,rho,error,pattern", [
+        # No p_init seeds fewer than one unit, so a one-unit subgroup is bad
+        # input; a floor equal to the size is rho's to lower.
+        (1, 0.5, ValidationError, r"^subgroup 3 has 1 unit; adasplit needs at least 2 "),
+        (3, 0.9, ConfigError, r"^rho=0\.9 keeps all 3 units of subgroup 3 to test, "
+                              r"leaving none to seed; lower rho$"),
+    ], ids=["one-unit", "floor-equals-size"])
+    def test_subgroup_that_cannot_be_split(self, size, rho, error, pattern):
+        ds, part = small_problem(6, n=120)
+        labels = part.labels()
+        labels[:size] = 3
+        with pytest.raises(error, match=pattern):
+            run(ds, SubgroupPartition.from_labels(labels), small_config(rho=rho))
+
     def test_seed_count_is_the_cut_rank(self):
         # 7 / 100 reaches 0.07 although 0.07 * 100 rounds above 7, so a
         # 100-unit subgroup seeds 7 units, not ceil(0.07 * 100) = 8.

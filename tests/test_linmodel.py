@@ -25,29 +25,10 @@ def test_matches_qr_oracle():
     gen = np.random.default_rng(1)
     x = gen.normal(size=(20, 3))
     y = gen.normal(size=20)
-    w = gen.uniform(0.5, 2.0, size=20)
     for ridge in (0.0, 1e-3):
-        ours = fit_wls(x, y, w, ridge=ridge).coef
-        ref = wls_solve(x, y, w, ridge=ridge)
+        ours = fit_wls(x, y, ridge=ridge).coef
+        ref = wls_solve(x, y, ridge=ridge)
         assert np.allclose(ours, ref, atol=1e-10)
-
-
-def test_weight_scale_invariance():
-    gen = np.random.default_rng(2)
-    x = gen.normal(size=(15, 2))
-    y = gen.normal(size=15)
-    w = gen.uniform(0.1, 1.0, size=15)
-    a = fit_wls(x, y, w).coef
-    b = fit_wls(x, y, 7.0 * w).coef
-    assert np.allclose(a, b, atol=1e-10)
-
-
-def test_weight_validation():
-    x = np.ones((3, 1))
-    with pytest.raises(ValidationError, match="nonnegative"):
-        fit_wls(x, [1.0, 2.0, 3.0], [-1.0, 1.0, 1.0])
-    with pytest.raises(ValidationError, match="positive weight"):
-        fit_wls(x, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
 
 
 def test_singular_design_message():
@@ -88,13 +69,12 @@ def test_local_optimality_probe():
     gen = np.random.default_rng(5)
     x = gen.normal(size=(25, 3))
     y = gen.normal(size=25)
-    w = gen.uniform(0.2, 1.5, size=25)
     ridge = 1e-4
-    model = fit_wls(x, y, w, ridge=ridge)
+    model = fit_wls(x, y, ridge=ridge)
 
     def objective(beta):
         xd = np.hstack([np.ones((25, 1)), x])
-        return np.sum(w * (y - xd @ beta) ** 2) + ridge * np.sum(beta**2)
+        return np.sum((y - xd @ beta) ** 2) + ridge * np.sum(beta**2)
 
     base = objective(model.coef)
     for c in range(4):

@@ -12,8 +12,6 @@ from adasplit import (
     ValidationError,
     certainty,
     expected_beta_distance,
-    fit_mu,
-    fit_rlearner_weighted,
     fit_wls,
     one_minus_c2_series,
     posterior_e,
@@ -24,12 +22,12 @@ from adasplit.nuisance import NeighborIndex
 from adasplit.simlab import (draw_covariates, generate, get_scenario,
                              scenario_with_size)
 from adasplit import rng
-from oracles import knn_lists, knn_rows, minimize_bar_loss
+from oracles import knn_lists, knn_rows, minimize_bar_loss, wls_solve
 
 
 class TestOutcomeModel:
     def test_constant(self):
-        mu = fit_mu(np.random.default_rng(0).normal(size=(8, 2)), np.full(8, 3.0))
+        mu = fit_wls(np.random.default_rng(0).normal(size=(8, 2)), np.full(8, 3.0))
         assert np.allclose(mu.predict(np.zeros((2, 2))), 3.0, atol=1e-10)
 
     def test_noiseless_linear_recovery(self):
@@ -37,7 +35,7 @@ class TestOutcomeModel:
         x = gen.normal(size=(15, 3))
         gamma = np.array([0.5, 1.0, -2.0, 0.25])
         y = gamma[0] + x @ gamma[1:]
-        mu = fit_mu(x, y)
+        mu = fit_wls(x, y)
         assert np.allclose(mu.coef, gamma, atol=1e-9)
 
     def test_out_of_sample_residual_variance(self):
@@ -48,7 +46,7 @@ class TestOutcomeModel:
         for rep in range(5):
             seed = rng.child_seed(3, 1, rep)
             ds, _, truth = generate("default", seed)
-            mu = fit_mu(ds.x, ds.y, ridge=1e-8)
+            mu = fit_wls(ds.x, ds.y, ridge=1e-8)
             gen = rng.stream(seed, 5)
             x_new = draw_covariates(scenario, 20000, gen)
             z_new = (gen.random(20000) < 0.5).astype(float)
@@ -76,25 +74,21 @@ class TestResidualRegressions:
         z = (gen.random(30) < 0.5).astype(float)
         mu_vals = np.zeros(30)
         y = (z - 0.5) * tau  # mu0 chosen so mu(x) = 0, no noise
-        model = fit_rlearner_weighted(x, y, z, mu_vals)
+        model = fit_wls(x, scaled_residual(y, z, mu_vals))
         assert np.allclose(model.coef, beta, atol=1e-9)
 
     def test_matches_wls(self):
+        # Under the Bernoulli(1/2) design the R-learner's weights (z - e)^2
+        # are the constant 1/4, so its weighted fit is plain least squares
+        # on the scaled residuals.
         gen = np.random.default_rng(4)
         x = gen.normal(size=(30, 3))
         y = gen.normal(size=30)
         z = (gen.random(30) < 0.5).astype(float)
         mu_vals = gen.normal(size=30)
         r = scaled_residual(y, z, mu_vals)
-        # the fit is plain least squares on the scaled residuals, bit for bit
-        assert np.array_equal(
-            fit_rlearner_weighted(x, y, z, mu_vals, ridge=1e-9).coef,
-            fit_wls(x, r, ridge=1e-9).coef,
-        )
-
-    def test_fold_too_small(self):
-        with pytest.raises(ValidationError, match="fold too small"):
-            fit_rlearner_weighted(np.ones((2, 2)), [1.0, 2.0], [0.0, 1.0], np.zeros(2))
+        rlearner = wls_solve(x, r, w=(z - 0.5) ** 2, ridge=1e-9 / 4.0)
+        assert np.allclose(fit_wls(x, r, ridge=1e-9).coef, rlearner, atol=1e-10)
 
 
 def clipped(vote, kappa):
@@ -366,7 +360,7 @@ class TestBarLearner:
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, mask, mu_vals, _ = self._instance(1)
         bar = self._pooled(x, y, z, mask, mu_vals, z, ridge=1e-9)
-        full = fit_rlearner_weighted(x, y, z, mu_vals, ridge=1e-9)
+        full = fit_wls(x, scaled_residual(y, z, mu_vals), ridge=1e-9)
         assert np.allclose(bar, full.coef, atol=1e-10)
 
     def test_matches_coordinate_descent(self):

@@ -12,9 +12,9 @@ from adasplit import (
     PValue,
     ValidationError,
     exact_pvalue,
+    fit_wls,
     mc_pvalue,
 )
-from adasplit.nuisance import fit_mu
 from adasplit import randtest, rng
 from oracles import (
     aipw_statistic, dm_statistic, enumerate_pvalue, fair_coins_reference, integer_pvalue,
@@ -30,7 +30,7 @@ STAT_DM, STAT_AIPW = "difference-in-means", "aipw"
 
 def outcome_model(x, y):
     """A fitted outcome model, the statistic's ``mu``."""
-    return fit_mu(x, y, ridge=1e-8)
+    return fit_wls(x, y, ridge=1e-8)
 
 
 def observed(mu, y, z, x=None):
