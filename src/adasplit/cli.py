@@ -42,10 +42,10 @@ def _build_parser():
         description="Adaptive sample splitting for subgroup randomization tests.",
     )
     parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker process cap for replication loops only (default: "
-             "ADASPLIT_THREADS or 1); workers gain only with OPENBLAS_NUM_THREADS=1, "
-             "since OpenBLAS's default pool oversubscribes the cores",
+        "--threads", type=int, default=1,
+        help="worker process cap for replication loops only (default 1); "
+             "workers gain only with OPENBLAS_NUM_THREADS=1, since OpenBLAS's "
+             "default pool oversubscribes the cores",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -88,20 +88,6 @@ def _load_config(path, seed=None):
     return config
 
 
-def _resolve_threads(value):
-    name, env = "--threads", os.environ.get("ADASPLIT_THREADS")
-    if value is None:
-        if not env:
-            return 1
-        try:
-            name, value = "ADASPLIT_THREADS", int(env)
-        except ValueError:
-            raise ConfigError(f"ADASPLIT_THREADS: bad value {env!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _parse_column(name, d):
     if name is None:
         raise ValidationError("--quantile-cuts requires --on")
@@ -120,7 +106,7 @@ def _parse_column(name, d):
 def _cmd_analyze(args):
     config = _load_config(args.config, seed=args.seed)
     method = canonical_method(args.method)
-    if args.trace and method != "adasplit":
+    if args.trace is not None and method != "adasplit":
         raise ValidationError("--trace is only available for the adasplit method")
     if args.on is not None and args.quantile_cuts is None:
         raise ValidationError("--on requires --quantile-cuts")
@@ -153,18 +139,18 @@ def _cmd_analyze(args):
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    if args.trace:
+    if args.trace is not None:
         write_trace_csv(report, args.trace)
     return EXIT_OK
 
 
-def _cmd_simulate(args, threads):
+def _cmd_simulate(args):
     get_scenario(args.scenario)
     if args.reps < 1:
         raise ConfigError("reps >= 1 required")
     config = _load_config(args.config, seed=None)
     results = run_replications(args.scenario, args.reps, args.seed, config,
-                               threads=threads)
+                               threads=args.threads)
     summary = summarize_replications(args.scenario, results, config)
     out = Path(args.out)
     summary.write_raw_csv(out)
@@ -172,10 +158,10 @@ def _cmd_simulate(args, threads):
     return EXIT_OK
 
 
-def _cmd_reproduce(args, threads):
+def _cmd_reproduce(args):
     config = _load_config(args.config)
     summary = reproduce_table(args.table, args.reps, args.seed, config,
-                              threads=threads)
+                              threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary.write_csv(out / f"table{args.table}.csv")
@@ -189,12 +175,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "simulate":
-            return _cmd_simulate(args, threads)
-        return _cmd_reproduce(args, threads)
+            return _cmd_simulate(args)
+        return _cmd_reproduce(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

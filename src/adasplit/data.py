@@ -286,7 +286,9 @@ class AnalysisReport:
             if math.isinf(value):
                 return "inf" if value > 0 else "-inf"
             return value
-        if isinstance(value, (np.floating, np.integer)):
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
             return AnalysisReport._jsonable(float(value))
         if isinstance(value, dict):
             return {k: AnalysisReport._jsonable(v) for k, v in value.items()}

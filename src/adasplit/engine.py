@@ -18,23 +18,22 @@ counts, floors and the units blocked from moving), the design,
 weighted R-learner's Gram and right-hand side as running sums. The reverse
 neighbor lists (the units whose counts each unit enters) are the stable
 argsort of the neighbor lists, built by radix passes over 16-bit digits.
-Loop and prune moves go through one :meth:`_LoopState.move`: a loop step
-moves one unit, the prune pass one batch per subgroup. A move changes the
-counts only at the movers' reverse neighbors, so the sums take a single
-mover and the weight change of those neighbors in the fold, O(kappa d^2);
-the prune pass's batches are applied in one rebuild. The pooled fit's
-Gram is X'X, factored once per run, so a step is O(kappa d^2 + d^3) plus a
-few O(n d) passes: two predictions, the pooled right-hand side and the
-posterior. Running sums round differently from fresh ones, so reports
-agree with refitting from scratch (``tests/oracles.reference_run``)
-exactly in every decision (folds, iterations, p-values, the audited reads)
-and to 1e-9 in the CATE coefficients, ``nu2`` and ``l``. The solves
-return bare coefficient arrays, and the posterior, selection key and pooled
-right-hand side are computed in buffers the loop state owns, so at small n
-a step makes about 38 Python-level calls, whose overhead, not arithmetic,
-is most of its cost. On a 2-core Xeon a run takes about 0.1 ms per step at
-n = 500, and floor runs 0.15-0.2 ms at n = 3000 and 0.3-0.35 ms at
-n = 8000 (whole-run time over steps, median of 10, 3 and 1 seeds).
+Loop and prune moves go through one :meth:`_LoopState.move`, which keeps the
+sums current: a loop step moves one unit, the prune pass all its evictions
+at once. A move changes the counts only at the mover's reverse neighbors,
+so the sums take the mover and the weight change of those neighbors in the
+fold, O(kappa d^2); a batch is applied in the next refit's rebuild. The
+pooled fit's Gram is X'X, factored once per run, so a step is
+O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
+right-hand side and the posterior. Running sums round differently from
+fresh ones, so reports agree with refitting from scratch
+(``tests/oracles.reference_run``) exactly in every decision (folds,
+iterations, p-values, the audited reads) and to 1e-9 in the CATE
+coefficients, ``nu2`` and ``l``. The solves return bare arrays, and the
+posterior, selection key and pooled right-hand side are computed in
+buffers the loop state owns, so at small n a step makes about 40
+Python-level calls, whose overhead, not arithmetic, is most of its cost.
+Per-step timings are in the ROADMAP's Baseline.
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -83,22 +82,32 @@ def inference_floor(size, rho):
     return _cut_rank(rho, size)
 
 
-def split_init(dataset, partition, p_init, ridge=0.0):
+def split_init(dataset, partition, config):
     """Deterministic initial split: from each subgroup, the smallest count m
-    with m / size >= p_init (the rule of quantile cuts) of units with the
-    largest diversity scores seed the nuisance fold (score ties break toward
-    the lower unit index). Returns the boolean nuisance mask.
+    with m / size >= ``config.p_init`` (the rule of quantile cuts) of units
+    with the largest diversity scores seed the nuisance fold (score ties
+    break toward the lower unit index). Returns the boolean nuisance mask.
 
-    The seed fold must hold at least d + 1 units, the smallest fold the
-    residual regression can fit, and must leave every subgroup at least one
-    unit to test; either failure is a configuration error.
+    Raises every seed-split error, in this order: a one-unit subgroup (bad
+    input) or one whose inference floor is its size (``rho``'s); a subgroup
+    ``p_init`` seeds whole; a seed fold under d + 1 units, the smallest fold
+    the residual regression can fit; a subgroup left below its floor.
     """
-    if not 0.0 < p_init < 1.0:
-        raise ValidationError("p_init must lie in (0, 1)")
-    scores = diversity_scores(dataset.x, ridge=ridge)
-    mask = np.zeros(dataset.n, dtype=bool)
+    p_init, rho = config.p_init, config.rho
+    floors = []
+    for k, g in enumerate(partition.groups):   # the seed takes one unit or more
+        if g.size < 2:
+            raise ValidationError(f"subgroup {k} has 1 unit; adasplit needs at least 2 "
+                                  "per subgroup, one to seed and one to test")
+        floors.append(inference_floor(g.size, rho))
+        if floors[k] == g.size:
+            raise ConfigError(f"rho={rho} keeps all {g.size} units of subgroup "
+                              f"{k} to test, leaving none to seed; lower rho")
+    scores = diversity_scores(dataset.x, ridge=config.ridge_lambda)
+    mask, left = np.zeros(dataset.n, dtype=bool), []
     for k, g in enumerate(partition.groups):
         m = _cut_rank(p_init, g.size)
+        left.append(g.size - m)
         if m >= g.size:
             raise ConfigError(
                 f"p_init={p_init} seeds all {g.size} units of subgroup {k} into "
@@ -112,6 +121,11 @@ def split_init(dataset, partition, p_init, ridge=0.0):
             f"than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
             "raise p_init or use a larger sample"
         )
+    for k, g in enumerate(partition.groups):
+        if left[k] < floors[k]:
+            raise ConfigError(f"p_init={p_init} leaves {left[k]} of the {g.size} units of "
+                              f"subgroup {k} to test, below the floor rho={rho} sets "
+                              f"({floors[k]})")
     return mask
 
 
@@ -131,10 +145,10 @@ def convergence_metric(new, old):
 
     Zero means the update changed nothing; values near or above one mean the
     fit is still moving. Constant previous predictions give 0 when the new
-    ones agree to 1e-12 and +inf otherwise.
+    ones agree to 1e-12 and +inf otherwise, and so do fewer than two units.
     """
     if old.size < 2:
-        raise ValidationError("need at least two inference units")
+        return float("inf")
     dev = old - np.add.reduce(old) / old.size   # old.mean(), bit for bit
     diff = new - old
     denom = float(dev @ dev)
@@ -146,19 +160,19 @@ def convergence_metric(new, old):
 class _LoopState:
     """What the selection loop keeps across steps (see the module doc).
 
-    ``mask`` is the nuisance fold, changed only through :meth:`move`, which
-    also keeps each subgroup's held-out count ``j_sizes`` (of ``s_sizes``
-    units) and ``blocked``: the fold, plus every unit of a subgroup at its
-    ``floor`` (:func:`inference_floor`). The loop picks only unblocked units
-    and :meth:`prune` stops each subgroup at its floor.
+    ``mask`` is the nuisance fold (its complement the held-out set),
+    changed only through :meth:`move`, which also keeps each subgroup's
+    held-out count ``j_sizes`` (of ``s_sizes`` units), ``blocked`` (the fold,
+    plus every unit of a subgroup at its ``floor``) and the sums below. The
+    loop picks only unblocked units; :meth:`prune` stops at the floors.
 
     The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
-    probability ``w``. The pooled fit needs no sums: its Gram is X'X,
-    factored once in ``pooled_factor``. A unit's assignment ``z`` and scaled
-    residual ``r`` are read once, when it enters the sums; ``z``, ``r`` and
-    ``w`` are zero off them. The posterior, selection key and pooled fit's
-    terms are computed in buffers.
+    probability ``w``; ``g_w`` None marks them stale. The pooled fit's Gram
+    is X'X, factored once in ``pooled_factor``. A unit's assignment ``z``
+    and scaled residual ``r`` are read once, when it enters the sums; ``z``,
+    ``r`` and ``w`` are zero off them. The posterior, selection key and
+    pooled fit's terms are computed in buffers.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
@@ -189,7 +203,6 @@ class _LoopState:
         # the seed fold depends on covariates only.
         self.rev, self.counts = None, np.ones(n, dtype=np.intp)
         self.set_kappa(1)
-        self.moves, self.last = 0, None
 
     def set_kappa(self, kappa):
         """Take votes out of ``kappa``; ``weight[c]`` is the inverse of the
@@ -227,42 +240,49 @@ class _LoopState:
         np.cumsum(np.bincount(flat, minlength=n), out=self.rev_ptr[1:])
         self.counts = np.count_nonzero(self.mask[lists], axis=1)
 
-    def move(self, j, k=None):
-        """Put unit j in the fold or, given its subgroup ``k``, the nonempty
-        array j of held-out units of subgroup k, blocking the whole subgroup
-        once it reaches its floor. The sums take one unit at the next refit
-        and rebuild over a batch."""
+    def move(self, j):
+        """Put unit j, or the array j of two or more held-out units, in the
+        fold, blocking every subgroup that reaches its floor. Current sums
+        take a single unit at once (:meth:`add`); a batch, or a move that
+        changes every count (``knn_k >= n``), leaves them to the next
+        refit's rebuild."""
         self.mask[j] = self.blocked[j] = True
-        if k is None:
-            k, size, self.last = self.labels[j], 1, j
+        batch = isinstance(j, np.ndarray)
+        if batch:
+            self.j_sizes -= np.bincount(self.labels[j], minlength=self.j_sizes.size)
+            self.blocked |= (self.j_sizes == self.floor)[self.labels]
         else:
-            size, self.last = j.size, j[-1]
-        self.j_sizes[k] -= size
-        if self.j_sizes[k] == self.floor[k]:
-            self.blocked[self.groups[k]] = True
-        self.moves += size
+            k = self.labels[j]
+            self.j_sizes[k] -= 1
+            if self.j_sizes[k] == self.floor[k]:
+                self.blocked[self.groups[k]] = True
         if self.rev is None:
-            self.counts += size
-        elif size == 1:
-            u = self.last
-            self.counts[self.rev[self.rev_ptr[u]:self.rev_ptr[u + 1]]] += 1
-        else:
+            self.counts += np.size(j)
+            self.g_w = None
+        elif batch:
             # The batch's reverse-list segments, gathered in one index array.
             lo = self.rev_ptr[j]
             lens = self.rev_ptr[j + 1] - lo
             ends = np.cumsum(lens)
             pos = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
             self.counts += np.bincount(self.rev[pos], minlength=self.counts.size)
+            self.g_w = None
+        else:
+            self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
+            if self.g_w is not None:
+                self.add(j)
 
     def prune(self, tau_vals):
         """Evict negative-CATE units from each inference fold, most negative
-        first, down to the floor at most, one batch per subgroup."""
+        first, down to the floor at most, in one move."""
+        evict = []
         for k, g in enumerate(self.groups):
             j_units = g[~self.mask[g]]
             order = j_units[np.lexsort((j_units, tau_vals[j_units]))]
-            evict = order[tau_vals[order] < 0.0][:self.j_sizes[k] - self.floor[k]]
-            if evict.size:
-                self.move(evict, k)
+            evict.append(order[tau_vals[order] < 0.0][:self.j_sizes[k] - self.floor[k]])
+        evict = np.concatenate(evict)
+        if evict.size:
+            self.move(evict if evict.size > 1 else evict[0])
 
     def rebuild(self):
         """Form the sums afresh over the whole fold, reading the assignments
@@ -296,21 +316,16 @@ class _LoopState:
         self.b_w += xd_dw.T @ self.r[units]
 
     def refit(self):
-        """Bring the sums up to date with the moves since the last refit and
-        fit the weighted CATE model; returns its coefficients, the posterior
-        (the ``e_hat`` buffer) and its scale. One move is added in place; the
-        prune pass's batch, a new ``kappa`` and ``knn_k >= n`` (every count
-        moves) rebuild."""
-        if self.g_w is None or self.rev is None or self.moves > 1:
+        """Fit the weighted CATE model, rebuilding the sums first when a move
+        or a new ``kappa`` left them stale (``g_w`` None); returns its CATE
+        predictions, the posterior (the ``e_hat`` buffer) and its scale."""
+        if self.g_w is None:
             self.rebuild()
-        elif self.moves:
-            self.add(self.last)
-        self.moves = 0
         coef = _solve_spd(self.g_w + self.ridge_eye, self.b_w)
         tau_vals = self.xd @ coef
         resid = self.resid_y - self.z * tau_vals
         nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.nu2_floor)
-        return coef, posterior_e(self.y, self.mu_vals, tau_vals, nu2, out=self.e_hat), nu2
+        return tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2, out=self.e_hat), nu2
 
     def pooled(self, e_hat):
         """The pooled CATE fit's coefficients after a refit: observed scaled
@@ -338,29 +353,13 @@ def run(dataset, partition, config, collect_trace=True):
     zlog = _AssignmentLog(dataset.z)
 
     mu = fit_wls(x, y, ridge=config.ridge_lambda)
-    for k, g in enumerate(partition.groups):   # the seed takes one unit or more
-        if g.size < 2:
-            raise ValidationError(f"subgroup {k} has 1 unit; adasplit needs at least 2 "
-                                  "per subgroup, one to seed and one to test")
-        if inference_floor(g.size, config.rho) == g.size:
-            raise ConfigError(f"rho={config.rho} keeps all {g.size} units of subgroup "
-                              f"{k} to test, leaving none to seed; lower rho")
-    mask = split_init(dataset, partition, config.p_init, ridge=config.ridge_lambda)
+    mask = split_init(dataset, partition, config)
     state = _LoopState(dataset, partition, mu.predict(x), mask, zlog, config)
-    short = np.flatnonzero(state.j_sizes < state.floor)
-    if short.size:
-        k = short[0]
-        raise ConfigError(f"p_init={config.p_init} leaves {state.j_sizes[k]} of the "
-                          f"{state.s_sizes[k]} units of subgroup {k} to test, below the "
-                          f"floor rho={config.rho} sets ({state.floor[k]})")
 
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
-    coef, e_hat, _ = state.refit()
-    tau_prev_vals = state.xd @ coef
-
+    tau_prev_vals, e_hat, _ = state.refit()
     state.index(x, y, config.knn_k)
-    held = np.flatnonzero(~mask)
 
     l_hist = []
     trace = []
@@ -373,14 +372,11 @@ def run(dataset, partition, config, collect_trace=True):
             stop_reason = "floor"
             break
         state.move(j_star)
-        held = held[held != j_star]
 
         _, e_hat, _ = state.refit()
         tau_new_vals = state.xd @ state.pooled(e_hat)
-        if held.size >= 2:
-            l_t = convergence_metric(tau_new_vals[held], tau_prev_vals[held])
-        else:
-            l_t = float("inf")
+        held = (~state.mask).nonzero()[0]
+        l_t = convergence_metric(tau_new_vals[held], tau_prev_vals[held])
         l_hist.append(l_t)
         tau_prev_vals = tau_new_vals
         if collect_trace:

@@ -405,7 +405,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     mu = pkg.linmodel.fit_wls(x, y, ridge=ridge)
     mu_vals = mu.predict(x)
 
-    mask = pkg.engine.split_init(dataset, partition, config.p_init, ridge=ridge)
+    mask = pkg.engine.split_init(dataset, partition, config)
     groups = partition.groups
     s_sizes = np.array([g.size for g in groups])
     j_sizes = np.array([int((~mask[g]).sum()) for g in groups])

@@ -188,11 +188,11 @@ def test_criterion_6_closed_form_vs_optimizer():
         bar_ok &= bool(np.linalg.norm(closed - numeric) <= 1e-6)
 
         state.index(x, y, cfg.knn_k)
-        ours = state.refit()[0]
+        ours = state.refit()[0]   # the CATE predictions
         p = reference_selection_prob(knn_lists(x, y, cfg.knn_k)[1], mask)[mask]
         ref = wls_solve(x[mask], scaled_residual(y[mask], z[mask], mu_vals[mask]),
                         w=1.0 / p, ridge=cfg.ridge_lambda)
-        wls_ok &= bool(np.linalg.norm(ours - ref) <= 1e-10)
+        wls_ok &= bool(np.linalg.norm(ours - (ref[0] + x @ ref[1:])) <= 1e-10)
     report(6, "the selection loop's pooled closed form matches coordinate "
               "descent within 1e-6 and its vote-weighted residual regression "
               "matches the generic WLS oracle within 1e-10 (20 instances)",

@@ -354,6 +354,18 @@ class TestAnalyze:
         assert rows[0][:3] == ["t", "unit", "subgroup"]
         assert len(rows) > 1
 
+    @pytest.mark.parametrize("method,message", [
+        ("adasplit", "No such file or directory: ''"),
+        ("rt", "--trace is only available for the adasplit method"),
+    ])
+    def test_empty_trace_path_exit_2(self, trial_csv, tmp_path, capsys, method,
+                                     message):
+        # An empty path is a path that cannot be opened, not "no trace".
+        code = run_cli("analyze", "--data", trial_csv, "--method", method,
+                       "--out", tmp_path / "r.json", "--trace", "")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_rows_and_determinism(self, tmp_path):
@@ -432,10 +444,24 @@ class TestReproduce:
 
 
 class TestThreads:
-    def test_env_variable_bad_value_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ADASPLIT_THREADS", "lots")
-        assert run_cli("simulate", "--scenario", "default", "--reps", "1",
-                       "--out", tmp_path / "x.csv") == 3
+    def test_env_variable_is_not_read(self, trial_csv, tmp_path, monkeypatch):
+        # Only --threads sets the worker count: a malformed ADASPLIT_THREADS
+        # changes no output of analyze or simulate.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mc_draws": 100, "n0": 5}))
+        outputs = []
+        for env in (None, "lots"):
+            if env is not None:
+                monkeypatch.setenv("ADASPLIT_THREADS", env)
+            out = tmp_path / str(env)
+            out.mkdir()
+            assert run_cli("analyze", "--data", trial_csv, "--config", config,
+                           "--out", out / "r.json") == 0
+            assert run_cli("simulate", "--scenario", "default", "--reps", "1",
+                           "--config", config, "--out", out / "s.csv") == 0
+            outputs.append([(out / f).read_bytes()
+                            for f in ("r.json", "s.csv", "s_summary.csv")])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_flag_below_one_exit_3(self, tmp_path, capsys, value):
@@ -443,14 +469,6 @@ class TestThreads:
                        "--reps", "1", "--out", tmp_path / "x.csv") == 3
         assert f"--threads must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_env_variable_below_one_exit_3(self, tmp_path, capsys, monkeypatch,
-                                           value):
-        monkeypatch.setenv("ADASPLIT_THREADS", value)
-        assert run_cli("simulate", "--scenario", "default", "--reps", "1",
-                       "--out", tmp_path / "x.csv") == 3
-        assert f"ADASPLIT_THREADS must be >= 1, got {value}" in capsys.readouterr().err
 
     def test_threads_flag(self, tmp_path):
         out = tmp_path / "t.csv"

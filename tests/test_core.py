@@ -297,3 +297,13 @@ class TestReport:
         assert payload["diagnostics"]["l"] == [0.5, "inf", None]
         assert payload["config"]["mc_draws"] == 1000
         assert report.to_json() == report.to_json()
+
+    def test_numpy_scalars_keep_their_kind(self):
+        report = AnalysisReport(
+            pvalues=(0.1,), rejected=(), folds=None, iterations=0,
+            cate_coefficients=None, method="rt", config=AdaSplitConfig(),
+            diagnostics={"a": np.int64(3), "b": [np.float32(0.5), np.int32(-2)]},
+        )
+        diagnostics = json.loads(report.to_json())["diagnostics"]
+        assert diagnostics == {"a": 3, "b": [0.5, -2]}
+        assert [type(v) for v in (diagnostics["a"], *diagnostics["b"])] == [int, float, int]

@@ -50,7 +50,7 @@ def small_config(**kwargs):
 class TestSplitInit:
     def test_counts_per_subgroup(self):
         ds, part = generate("default", 3)[:2]
-        mask = split_init(ds, part, 0.05)
+        mask = split_init(ds, part, AdaSplitConfig())
         assert mask.dtype == bool and mask.shape == (ds.n,)
         for k in range(len(part.groups)):
             taken = np.intersect1d(np.flatnonzero(mask), part.groups[k])
@@ -58,7 +58,7 @@ class TestSplitInit:
 
     def test_picks_largest_diversity_scores(self):
         ds, part = small_problem(1)
-        mask = split_init(ds, part, 0.1, ridge=1e-9)
+        mask = split_init(ds, part, AdaSplitConfig(p_init=0.1, ridge_lambda=1e-9))
         scores = diversity_scores(ds.x, ridge=1e-9)
         for k in range(len(part.groups)):
             g = part.groups[k]
@@ -72,7 +72,7 @@ class TestSplitInit:
         ds, part = small_problem(2)
         pattern = r"p_init=0\.999 seeds all 40 units of subgroup 0"
         with pytest.raises(ConfigError, match=pattern):
-            split_init(ds, part, 0.999)
+            split_init(ds, part, AdaSplitConfig(p_init=0.999))
         with pytest.raises(ConfigError, match=pattern):
             run(ds, part, small_config(p_init=0.999))
 
@@ -82,10 +82,10 @@ class TestSplitInit:
         ds, part, _ = generate(scenario_with_size("default", 60), 0)
         pattern = r"p_init=0\.05 seeds a nuisance fold of 5 units.*n=60, d=5"
         with pytest.raises(ConfigError, match=pattern):
-            split_init(ds, part, 0.05)
+            split_init(ds, part, AdaSplitConfig())
         with pytest.raises(ConfigError, match=pattern):
             run(ds, part, AdaSplitConfig())
-        assert split_init(ds, part, 0.1).sum() == 10
+        assert split_init(ds, part, AdaSplitConfig(p_init=0.1)).sum() == 10
 
     def test_seed_split_below_the_floor(self):
         # Subgroups of 100: p_init = 0.6 seeds 60 units and leaves 40 to
@@ -93,6 +93,8 @@ class TestSplitInit:
         ds, part, _ = generate("default", 1)
         pattern = (r"^p_init=0\.6 leaves 40 of the 100 units of subgroup 0 to test, "
                    r"below the floor rho=0\.5 sets \(50\)$")
+        with pytest.raises(ConfigError, match=pattern):
+            split_init(ds, part, AdaSplitConfig(p_init=0.6))
         with pytest.raises(ConfigError, match=pattern):
             run(ds, part, AdaSplitConfig(seed=1, p_init=0.6))
         # Exactly at the floor is allowed: the loop has nothing to move.
@@ -113,23 +115,50 @@ class TestSplitInit:
         with pytest.raises(error, match=pattern):
             run(ds, SubgroupPartition.from_labels(labels), small_config(rho=rho))
 
+    @pytest.mark.parametrize("sizes,kwargs,error,pattern", [
+        # A direct call names a one-unit subgroup, not a p_init no value fixes,
+        # and a floor equal to the size names rho.
+        ((40, 40, 39, 1), {}, ValidationError,
+         r"^subgroup 3 has 1 unit; adasplit needs at least 2 "),
+        ((40, 40, 37, 3), dict(rho=0.9), ConfigError,
+         r"^rho=0\.9 keeps all 3 units of subgroup 3 to test, leaving none to seed"),
+        # With several faults the first is reported: the size checks run over
+        # every subgroup before any p_init check ...
+        ((40, 40, 39, 1), dict(p_init=0.999), ValidationError,
+         r"^subgroup 3 has 1 unit"),
+        ((40, 40, 37, 3), dict(p_init=0.999, rho=0.9), ConfigError,
+         r"^rho=0\.9 keeps all 3 units of subgroup 3 "),
+        # ... and a seed fold under d + 1 outranks a subgroup below its floor.
+        ((10,), dict(p_init=0.3, rho=0.8), ConfigError,
+         r"^p_init=0\.3 seeds a nuisance fold of 3 units"),
+    ], ids=["one-unit", "floor-equals-size", "one-unit-first", "floor-before-p-init",
+            "seed-size-before-floor"])
+    def test_direct_call_raises_what_run_raises(self, sizes, kwargs, error, pattern):
+        ds, _ = small_problem(6, n=sum(sizes))
+        part = SubgroupPartition.from_labels(np.repeat(np.arange(len(sizes)), sizes))
+        cfg = small_config(**kwargs)
+        with pytest.raises(error, match=pattern):
+            split_init(ds, part, cfg)
+        with pytest.raises(error, match=pattern):
+            run(ds, part, cfg)
+
     def test_seed_count_is_the_cut_rank(self):
         # 7 / 100 reaches 0.07 although 0.07 * 100 rounds above 7, so a
         # 100-unit subgroup seeds 7 units, not ceil(0.07 * 100) = 8.
         ds, part = small_problem(4, n=100, k=1)
-        assert split_init(ds, part, 0.07).sum() == 7
-        assert split_init(ds, part, 0.05).sum() == 5
+        assert split_init(ds, part, AdaSplitConfig(p_init=0.07)).sum() == 7
+        assert split_init(ds, part, AdaSplitConfig()).sum() == 5
 
     def test_covariates_too_large_to_square(self):
         # The scores' solver error alone: no overflow warning comes before it.
         ds, part, _ = generate("default", 1)
         with pytest.raises(ValidationError, match="covariates too large to square"):
-            split_init(Dataset(ds.x * 1e160, ds.y, ds.z), part, 0.05)
+            split_init(Dataset(ds.x * 1e160, ds.y, ds.z), part, AdaSplitConfig())
 
     def test_deterministic(self):
         ds, part = small_problem(3)
-        a = split_init(ds, part, 0.07)
-        b = split_init(ds, part, 0.07)
+        a = split_init(ds, part, AdaSplitConfig(p_init=0.07))
+        b = split_init(ds, part, AdaSplitConfig(p_init=0.07))
         assert np.array_equal(a, b)
 
 
@@ -188,8 +217,9 @@ class TestConvergenceMetric:
         assert convergence_metric(np.full(5, 2.5), old) == np.inf
 
     def test_needs_two_points(self):
-        with pytest.raises(ValidationError):
-            convergence_metric(np.ones(1), np.ones(1))
+        # A fold of one unit says nothing about convergence.
+        assert convergence_metric(np.ones(1), np.ones(1)) == np.inf
+        assert convergence_metric(np.ones(0), np.ones(0)) == np.inf
 
 
 class TestRun:
@@ -306,7 +336,7 @@ def duplicated_problem(seed=2, n=120, k=3):
 class TestLoopState:
     @pytest.mark.parametrize("kappa", [1, 10, 119, 120, 1000])
     def test_vote_counts_track_neighbor_index(self, kappa, monkeypatch):
-        # After every move, a loop step's unit and a prune batch alike, the
+        # After every move, a loop step's unit and the prune batch alike, the
         # incremental counts give exactly the mean of the mask over each
         # unit's oracle leave-one-out list, or over all units when
         # kappa >= n, and each subgroup's held-out count is exact and never
@@ -317,8 +347,8 @@ class TestLoopState:
         moved = []
         original = engine._LoopState.move
 
-        def checked_move(state, j, k=None):
-            original(state, j, k)
+        def checked_move(state, j):
+            original(state, j)
             moved.extend(np.atleast_1d(j))
             expected = state.mask.astype(float)[lists].mean(axis=1)
             assert np.array_equal(state.counts / state.kappa, expected)
@@ -531,9 +561,21 @@ class TestRunningSums:
         report = run(ds, part, AdaSplitConfig(seed=1), collect_trace=False)
         state = states[0]
         assert report.diagnostics["stop_reason"] == "converged"
-        pruned = state.mask.sum() - (split_init(ds, part, 0.05).sum()
+        pruned = state.mask.sum() - (split_init(ds, part, report.config).sum()
                                      + report.iterations)
         assert pruned > 1
+        assert_sums_fresh(state, ds)
+
+    def test_single_move_is_added_at_once(self):
+        # move, not the next refit, brings current sums up to date.
+        ds, part = small_problem(7)
+        cfg = small_config()
+        state = engine._LoopState(ds, part, fit_wls(ds.x, ds.y).predict(ds.x),
+                                  split_init(ds, part, cfg),
+                                  engine._AssignmentLog(ds.z), cfg)
+        state.index(ds.x, ds.y, cfg.knn_k)
+        state.refit()
+        state.move(int(np.flatnonzero(~state.blocked)[0]))
         assert_sums_fresh(state, ds)
 
 
