@@ -134,13 +134,14 @@ def _cmd_analyze(args):
         )
     report = run_method(method, dataset, partition, config,
                         collect_trace=args.trace is not None)
+    # The trace goes first, so a trace path that cannot be opened leaves no report.
+    if args.trace is not None:
+        write_trace_csv(report, args.trace)
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    if args.trace is not None:
-        write_trace_csv(report, args.trace)
     return EXIT_OK
 
 

@@ -18,22 +18,24 @@ counts, floors and the units blocked from moving), the design,
 weighted R-learner's Gram and right-hand side as running sums. The reverse
 neighbor lists (the units whose counts each unit enters) are the stable
 argsort of the neighbor lists, built by radix passes over 16-bit digits.
-Loop and prune moves go through one :meth:`_LoopState.move`, which keeps the
-sums current: a loop step moves one unit, the prune pass all its evictions
-at once. A move changes the counts only at the mover's reverse neighbors,
-so the sums take the mover and the weight change of those neighbors in the
-fold, O(kappa d^2); a batch is applied in the next refit's rebuild. The
-pooled fit's Gram is X'X, factored once per run, so a step is
-O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
-right-hand side and the posterior. Running sums round differently from
-fresh ones, so reports agree with refitting from scratch
-(``tests/oracles.reference_run``) exactly in every decision (folds,
-iterations, p-values, the audited reads) and to 1e-9 in the CATE
-coefficients, ``nu2`` and ``l``. The solves return bare arrays, and the
-posterior, selection key and pooled right-hand side are computed in
-buffers the loop state owns, so at small n a step makes about 40
-Python-level calls, whose overhead, not arithmetic, is most of its cost.
-Per-step timings are in the ROADMAP's Baseline.
+A unit's assignment is read where it joins the nuisance fold: the seed
+fold's when the state is built, every other unit's in
+:meth:`_LoopState.move`, the one way into the fold for loop and prune moves
+alike. ``move`` also keeps the sums current: a loop step moves one unit,
+the prune pass all its evictions at once. A move changes the counts only
+at the mover's reverse neighbors, so the sums take the mover and the
+weight change of those neighbors in the fold, O(kappa d^2); a batch is
+applied in the next refit's rebuild. The pooled fit's Gram is X'X,
+factored once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d)
+passes: two predictions, the pooled right-hand side and the posterior.
+Running sums round differently from fresh ones, so reports agree with
+refitting from scratch (``tests/oracles.reference_run``) exactly in every
+decision (folds, iterations, p-values, the audited reads) and to 1e-9 in
+the CATE coefficients, ``nu2`` and ``l``. The solves return bare arrays and
+each step forms its posterior, selection key and pooled right-hand side
+as fresh arrays, with no buffers kept between steps; at small n a step
+makes about 41 Python-level calls, whose overhead, not arithmetic, is most
+of its cost. Per-step timings are in the ROADMAP's Baseline.
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -63,14 +65,9 @@ class _AssignmentLog:
         self._read = np.zeros(z.shape[0], dtype=bool)
 
     def take(self, idx):
-        idx = np.asarray(idx, dtype=int)
+        """The assignments of unit ``idx``, or of the index array ``idx``."""
         self._read[idx] = True
         return self._z[idx]
-
-    def take_one(self, j):
-        """:meth:`take` for the single unit ``j``, returning a scalar."""
-        self._read[j] = True
-        return self._z[j]
 
     def reads(self):
         return np.flatnonzero(self._read)
@@ -129,14 +126,13 @@ def split_init(dataset, partition, config):
     return mask
 
 
-def selection_criterion(tau_vals, e_hat_vals, out=None):
-    """Selection score ``sign(tau_hat) * certainty(e_hat)`` (sign(0) = 0),
-    written to ``out`` when given.
+def selection_criterion(tau_vals, e_hat_vals):
+    """Selection score ``sign(tau_hat) * certainty(e_hat)`` (sign(0) = 0).
 
     Minimizing it prefers negative estimated CATEs first, then low-certainty
     units among the positive ones.
     """
-    return np.multiply(np.sign(tau_vals), certainty(e_hat_vals, out=out), out=out)
+    return np.multiply(np.sign(tau_vals), certainty(e_hat_vals))
 
 
 def convergence_metric(new, old):
@@ -170,9 +166,11 @@ class _LoopState:
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
     probability ``w``; ``g_w`` None marks them stale. The pooled fit's Gram
     is X'X, factored once in ``pooled_factor``. A unit's assignment ``z``
-    and scaled residual ``r`` are read once, when it enters the sums; ``z``,
-    ``r`` and ``w`` are zero off them. The posterior, selection key and
-    pooled fit's terms are computed in buffers.
+    and scaled residual ``r`` are set once, where the unit joins the fold:
+    here for the seed fold, in :meth:`move` for every later unit, the only
+    two places ``zlog`` is read. ``z`` and ``r`` are zero off the fold, and
+    so is ``w``, which each rebuild and :meth:`add` set. Nothing else is
+    kept between steps: each refit returns a fresh posterior.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
@@ -197,8 +195,9 @@ class _LoopState:
         self.ridge_eye = config.ridge_lambda * np.eye(m)
         self.pooled_factor = _cho_factor(self.xd.T @ self.xd + self.ridge_eye)
         self.z, self.r, self.w = np.zeros(n), np.zeros(n), np.zeros(n)
-        self.e_hat, self.key, self.terms = np.empty(n), np.empty(n), np.empty(n)
-        self.units = np.empty(n, dtype=np.intp)
+        seed = np.flatnonzero(mask)
+        z = self.z[seed] = zlog.take(seed)
+        self.r[seed] = self.resid_y[seed] / (z - 0.5)
         # Until the index is built every unit has selection probability one:
         # the seed fold depends on covariates only.
         self.rev, self.counts = None, np.ones(n, dtype=np.intp)
@@ -242,10 +241,13 @@ class _LoopState:
 
     def move(self, j):
         """Put unit j, or the array j of two or more held-out units, in the
-        fold, blocking every subgroup that reaches its floor. Current sums
-        take a single unit at once (:meth:`add`); a batch, or a move that
-        changes every count (``knn_k >= n``), leaves them to the next
-        refit's rebuild."""
+        fold, blocking every subgroup that reaches its floor. The movers'
+        assignments are read first, before any count or sum changes.
+        Current sums take a single unit at once (:meth:`add`); a batch, or
+        a move that changes every count (``knn_k >= n``), leaves them to the
+        next refit's rebuild."""
+        z = self.z[j] = self.zlog.take(j)
+        self.r[j] = self.resid_y[j] / (z - 0.5)
         self.mask[j] = self.blocked[j] = True
         batch = isinstance(j, np.ndarray)
         if batch:
@@ -285,12 +287,10 @@ class _LoopState:
             self.move(evict if evict.size > 1 else evict[0])
 
     def rebuild(self):
-        """Form the sums afresh over the whole fold, reading the assignments
-        of the units entering them."""
+        """Form the sums afresh over the whole fold from each member's
+        current weight; every member's ``r`` is already set, so this reads
+        no assignment."""
         nuis = np.flatnonzero(self.mask)
-        units = nuis[self.w[nuis] == 0.0]
-        z = self.z[units] = self.zlog.take(units)
-        self.r[units] = self.resid_y[units] / (z - 0.5)
         w = self.w[nuis] = self.weight[self.counts[nuis]]
         xd_i = self.xd[nuis]
         self.g_w = xd_i.T @ (xd_i * w[:, None])
@@ -299,14 +299,11 @@ class _LoopState:
     def add(self, j):
         """Fold one move into the sums: unit j's own terms, and the weight
         change of the fold members among its reverse neighbors, the only
-        units whose counts the move changed."""
-        z = self.z[j] = self.zlog.take_one(j)
-        self.r[j] = self.resid_y[j] / (z - 0.5)
+        units whose counts the move changed. :meth:`move` has read j's
+        assignment already."""
         nb = self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]
         inside = nb[self.mask[nb]]
-        units = self.units[:inside.size + 1]
-        units[:-1] = inside
-        units[-1] = j
+        units = np.concatenate((inside, (j,)))
         w = self.weight[self.counts[units]]
         dw = w - self.w[units]
         self.w[units] = w
@@ -318,23 +315,21 @@ class _LoopState:
     def refit(self):
         """Fit the weighted CATE model, rebuilding the sums first when a move
         or a new ``kappa`` left them stale (``g_w`` None); returns its CATE
-        predictions, the posterior (the ``e_hat`` buffer) and its scale."""
+        predictions, a fresh posterior and its scale."""
         if self.g_w is None:
             self.rebuild()
         coef = _solve_spd(self.g_w + self.ridge_eye, self.b_w)
         tau_vals = self.xd @ coef
         resid = self.resid_y - self.z * tau_vals
         nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.nu2_floor)
-        return tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2, out=self.e_hat), nu2
+        return tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2), nu2
 
     def pooled(self, e_hat):
         """The pooled CATE fit's coefficients after a refit: observed scaled
         residuals on the fold, imputed ones ``2 (y - mu) (2 e_hat - 1)``
         elsewhere. Every unit enters once, so its Gram is X'X, factored when
         the state is built."""
-        terms = np.multiply(2.0, e_hat, out=self.terms)
-        terms -= 1.0
-        terms *= self.imputed_scale
+        terms = (2.0 * e_hat - 1.0) * self.imputed_scale
         np.putmask(terms, self.mask, self.r)
         return _cho_solve(self.pooled_factor, self.xd.T @ terms)
 
@@ -365,7 +360,7 @@ def run(dataset, partition, config, collect_trace=True):
     trace = []
     streak = 0   # trailing steps with l <= eps_l
     while True:
-        crit = selection_criterion(tau_prev_vals, e_hat, out=state.key)
+        crit = selection_criterion(tau_prev_vals, e_hat)
         np.putmask(crit, state.blocked, np.inf)
         j_star = int(crit.argmin())   # the first minimum: lowest index
         if state.blocked[j_star]:

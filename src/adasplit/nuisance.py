@@ -40,12 +40,10 @@ from .linmodel import _design, diversity_scores
 _SIGMOID_CLIP = 36.0
 
 
-def sigmoid(t, out=None):
-    """``1 / (1 + exp(-t))`` with ``t`` clipped to the saturation bound,
-    written to ``out`` when given (which may be ``t`` itself)."""
-    s = np.minimum(np.maximum(t, -_SIGMOID_CLIP, out=out), _SIGMOID_CLIP, out=out)
-    s = np.exp(np.negative(s, out=out), out=out)
-    return np.divide(1.0, np.add(1.0, s, out=out), out=out)
+def sigmoid(t):
+    """``1 / (1 + exp(-t))`` with ``t`` clipped to the saturation bound."""
+    s = np.minimum(np.maximum(t, -_SIGMOID_CLIP), _SIGMOID_CLIP)
+    return np.divide(1.0, np.add(1.0, np.exp(np.negative(s))))
 
 
 def scaled_residual(y, z, mu_vals):
@@ -222,23 +220,20 @@ def noise_floor(y):
     return max(1e-8 * var, 1e-12)
 
 
-def posterior_e(y, mu_vals, tau_vals, nu2, out=None):
+def posterior_e(y, mu_vals, tau_vals, nu2):
     """Posterior probability of treatment given covariates and outcome.
 
     Under the Gaussian outcome model with a half design this is exactly
-    ``sigmoid((y - mu(x)) tau(x) / nu^2)``. Output lies strictly in (0, 1);
-    it is written to ``out`` when given.
+    ``sigmoid((y - mu(x)) tau(x) / nu^2)``. Output lies strictly in (0, 1).
     """
     if not nu2 > 0.0:
         raise ValidationError("nu2 must be positive")
-    t = np.multiply(np.subtract(y, mu_vals, out=out), tau_vals, out=out)
-    return sigmoid(np.divide(t, nu2, out=out), out=out)
+    return sigmoid(np.divide(np.multiply(np.subtract(y, mu_vals), tau_vals), nu2))
 
 
-def certainty(e_val, out=None):
-    """How predictable an assignment is: 0 at e=1/2, 1 at e in {0, 1}.
-    Written to ``out`` when given."""
-    return np.abs(np.subtract(np.multiply(2.0, e_val, out=out), 1.0, out=out), out=out)
+def certainty(e_val):
+    """How predictable an assignment is: 0 at e=1/2, 1 at e in {0, 1}."""
+    return np.abs(np.subtract(np.multiply(2.0, e_val), 1.0))
 
 
 def expected_beta_distance(x, y, nuisance_mask, mu_vals, c_vals, ridge=0.0):

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import adasplit
 
 
@@ -46,6 +48,23 @@ def test_removed_names_are_not_exported():
     assert not hasattr(adasplit.SubgroupPartition, "k")
     fields = [f.name for f in dataclasses.fields(adasplit.PValue)]
     assert fields == ["value", "subgroup", "flag"]
+
+
+def test_selection_loop_functions_take_no_output_buffer():
+    # Each call returns a fresh result; none writes into an array it is given.
+    for fn in (adasplit.posterior_e, adasplit.certainty, adasplit.nuisance.sigmoid,
+               adasplit.engine.selection_criterion):
+        assert "out" not in inspect.signature(fn).parameters
+    # One take serves a single unit and an array of units alike.
+    log_methods = [name for name in vars(adasplit.engine._AssignmentLog)
+                   if not name.startswith("_")]
+    assert log_methods == ["take", "reads"]
+    # Lists go through the same ufuncs as arrays, to the same bits.
+    y, mu_vals, tau_vals = [0.3, -1.2, 2.5, 40.0], [0.1, 0.2, -0.4, 0.0], [1.5, -0.7, 0.9, 2.0]
+    e_list = adasplit.posterior_e(y, mu_vals, tau_vals, 0.8)
+    e_array = adasplit.posterior_e(np.array(y), np.array(mu_vals), np.array(tau_vals), 0.8)
+    assert e_list.tobytes() == e_array.tobytes()
+    assert adasplit.certainty(e_array.tolist()).tobytes() == adasplit.certainty(e_array).tobytes()
 
 
 def test_import_leaves_scipy_stats_unloaded():

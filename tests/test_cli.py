@@ -366,6 +366,22 @@ class TestAnalyze:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_unopenable_trace_leaves_no_report_file(self, trial_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run_cli("analyze", "--data", trial_csv, "--method", "adasplit",
+                       "--out", out, "--trace", tmp_path / "missing" / "t.csv")
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unopenable_trace_prints_no_report(self, trial_csv, tmp_path, capsys):
+        code = run_cli("analyze", "--data", trial_csv, "--method", "adasplit",
+                       "--trace", tmp_path / "missing" / "t.csv")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_rows_and_determinism(self, tmp_path):

@@ -386,6 +386,35 @@ class TestLoopState:
         want = np.argsort(lists, axis=None, kind="stable") // kappa
         assert np.array_equal(state.rev, want)
 
+    @pytest.mark.parametrize("scenario,seed,kwargs,batch", [
+        ("default", 1, {}, False),                # converges, prunes nothing
+        ("high_noise", 1, {}, True),              # converges, prunes 18 at once
+        ("default", 2, {"knn_k": 10**6}, True),   # no index; prunes 22 at once
+    ])
+    def test_assignments_are_read_as_units_join_the_fold(self, scenario, seed, kwargs,
+                                                         batch, monkeypatch):
+        # The seed fold's assignments are read when the state is built, and
+        # each moved unit's when it moves: the units read are always exactly
+        # the fold, never a held-out unit and never a fold member late.
+        moves = []
+
+        class Checked(engine._LoopState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                assert np.array_equal(self.zlog.reads(), np.flatnonzero(self.mask))
+
+            def move(self, j):
+                super().move(j)
+                moves.append(np.size(j))
+                assert np.array_equal(self.zlog.reads(), np.flatnonzero(self.mask))
+
+        monkeypatch.setattr(engine, "_LoopState", Checked)
+        ds, part, _ = generate(scenario, seed)
+        report = run(ds, part, AdaSplitConfig(seed=seed, **kwargs), collect_trace=False)
+        assert report.diagnostics["stop_reason"] == "converged"
+        assert moves[:report.iterations] == [1] * report.iterations
+        assert (len(moves) > report.iterations and moves[-1] > 1) == batch
+
     def test_knn_k_at_least_n_builds_no_index(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("NeighborIndex built with knn_k >= n")
@@ -584,7 +613,7 @@ class TestStepCost:
         # At n = 500 a step's cost is per-call overhead, not arithmetic, so
         # count the calls cProfile sees, per step, over 20 whole runs: the
         # index, the p-values and the report are spread over the steps.
-        # This is about 38 (108 when every solve built a model and the
+        # This is about 41 (108 when every solve built a model and the
         # posterior, key and right-hand side went through numpy's Python
         # wrappers); numpy < 1.25, whose array functions dispatch through
         # two more Python-level calls each, adds about 7.

@@ -103,8 +103,8 @@ def loop_vote(x, y, b, knn_k):
     mask = np.asarray(b, dtype=bool)
     ds = Dataset(x, y, np.zeros(mask.size))
     one = SubgroupPartition.from_labels(np.zeros(mask.size, dtype=int))
-    state = engine._LoopState(ds, one, np.zeros(mask.size), mask.copy(), None,
-                              AdaSplitConfig())
+    state = engine._LoopState(ds, one, np.zeros(mask.size), mask.copy(),
+                              engine._AssignmentLog(ds.z), AdaSplitConfig())
     state.index(ds.x, ds.y, knn_k)
     return clipped(state.counts / state.kappa, state.kappa)
 
