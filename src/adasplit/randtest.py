@@ -5,11 +5,12 @@ There is one statistic, the difference in means of ``y - mu(x)`` for a
 fitted outcome model ``mu`` (of ``y`` itself for ``rt``, which fits none;
 see :func:`_fold_statistic`). Under the Bernoulli(1/2) design, the only
 design the package supports, it equals the AIPW statistic whatever CATE
-model that would use. It is linear in the assignment vector, so a draw of
-the reference distribution is a single dot product, and a chunk of draws is
-one matrix-vector product (certified against a fixed-order sum where
-rounding could decide; see :func:`mc_pvalue`). Each assignment of a draw is
-one random bit (:func:`_fair_coins`). The Monte-Carlo p-value uses the
+model that would use. It is linear in the assignment vector, and each
+assignment of a draw is one random bit (:func:`_draw_bytes`), so a draw of
+the reference distribution is scored as a sum of table lookups, one per
+byte of its packed bits (:func:`_table_statistics`; certified against a
+fixed-order sum where rounding could decide, see :func:`mc_pvalue`). No
+draw is unpacked unless it is recounted. The Monte-Carlo p-value uses the
 add-one correction ``(1 + #{t : T_t >= T_obs}) / (M + 1)``, which is
 finite-sample valid for any number of draws because the observed and
 randomized assignments are exchangeable; ties, up to rounding
@@ -58,8 +59,10 @@ def _fold_statistic(mu, dataset, idx):
     return 4.0 * r / m, -2.0 * float(np.sum(r)) / m, dataset.z[idx]
 
 
-# Monte-Carlo draws are made and scored about this many doubles at a time
-# (512 KB), which bounds the working memory of a p-value whatever mc_draws is.
+# Monte-Carlo draws are scored about this many packed bytes at a time, each
+# with its table index and lookup (1 MB), and recounted about this many coins
+# at a time (512 KB of doubles), which bounds the working memory of a p-value
+# whatever mc_draws is.
 _DRAW_ELEMENTS = 1 << 16
 
 
@@ -77,10 +80,11 @@ def _row_sums(v):
     """Row sums of ``v`` (overwritten) in a fixed pairwise order.
 
     The order depends only on the row length, so a row's sum is the same
-    whatever rows are summed with it. A BLAS matrix-vector product gives no
-    such guarantee: its kernel, and with it the rounding, changes with the
-    number of rows and the CPU. :func:`mc_pvalue` therefore uses the product
-    only where it provably decides a draw the way this sum does.
+    whatever rows are summed with it. A table lookup sum gives no such
+    guarantee: its table entries are BLAS products, whose kernel, and with
+    it the rounding, changes with the CPU. :func:`mc_pvalue` therefore uses
+    the lookups only where they provably decide a draw the way this sum
+    does.
     """
     n = v.shape[1]
     while n > 1:
@@ -90,21 +94,67 @@ def _row_sums(v):
     return v[:, 0]
 
 
-def _fair_coins(gen, out):
-    """Fill ``out``, rows x m, with independent fair coins (0.0 or 1.0).
+def _draw_bytes(gen, rows, m):
+    """``rows`` draws of m independent fair coins, packed ceil(m / 8) bytes
+    to a row (uint8); :func:`_coins` unpacks them.
 
     Each row takes ceil(m / 64) whole 64-bit words from ``gen``, so a row's
     coins do not depend on how many rows one call draws. The words are read
-    as little-endian bytes and each byte least significant bit first, so
-    the coins do not depend on the platform either. The words come from
-    ``Generator.integers`` over the full 64-bit range, not from
-    ``bit_generator.random_raw``, whose words carry only 32 random bits
-    under ``MT19937``.
+    as little-endian bytes, so the coins do not depend on the platform
+    either. The words come from ``Generator.integers`` over the full 64-bit
+    range, not from ``bit_generator.random_raw``, whose words carry only 32
+    random bits under ``MT19937``.
     """
-    m = out.shape[1]
-    words = gen.integers(0, 2**64, size=(out.shape[0], -(-m // 64)), dtype=np.uint64)
-    out[...] = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             axis=1, count=m, bitorder="little")
+    words = gen.integers(0, 2**64, size=(rows, -(-m // 64)), dtype=np.uint64)
+    return words.astype("<u8", copy=False).view(np.uint8)[:, :-(-m // 8)]
+
+
+def _coins(packed, m):
+    """The first m coins (0 or 1, uint8) of each row of packed bytes: coin j
+    is bit j % 8 of byte j // 8, least significant first. With
+    :func:`_draw_bytes`, coin j of a draw is bit j % 64 of its word j // 64.
+    """
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little")
+
+
+# Column b holds the eight coins of the byte value b.
+_BYTE_COINS = np.ascontiguousarray(_coins(np.arange(256, dtype=np.uint8)[:, None], 8).T,
+                                   dtype=float)
+
+
+def _table_statistics(w, c, m_draws, gen):
+    """Draw ``m_draws`` assignment vectors from ``gen`` (:func:`_draw_bytes`)
+    and yield them chunk by chunk, as packed bytes with their statistics
+    ``w @ z + c``, each chunk about ``_DRAW_ELEMENTS`` bytes.
+
+    The statistics are read off a table of partial sums (the "four
+    Russians" lookup of Arlazarov et al.): for each of the P = ceil(m / 8)
+    byte positions p, ``table[256 p + b]`` is the sum of ``w[8 p + i]`` over
+    the set bits i of the byte value b, a BLAS product with zero weight past
+    m. A draw's statistic is the sum of the P entries its bytes index, plus
+    ``c``; nothing is unpacked.
+    """
+    m = w.size
+    n_bytes = -(-m // 8)
+    w_bytes = np.zeros(8 * n_bytes)
+    w_bytes[:m] = w
+    table = (w_bytes.reshape(n_bytes, 8) @ _BYTE_COINS).ravel()
+    offsets = np.arange(0, 256 * n_bytes, 256, dtype=np.intp)[:, None]
+    rows = min(m_draws, max(1, _DRAW_ELEMENTS // n_bytes))
+    # Byte positions by draws, so each lookup row reads one 256-entry block.
+    # One block holds the indices and the lookups: glibc's malloc hands two
+    # such blocks, freed together, back to the system, and faulting them in
+    # afresh on every call took as long as the scoring.
+    work = np.empty((2, n_bytes * rows))
+    index, lookups = work[0].view(np.intp), work[1]
+    for start in range(0, m_draws, rows):
+        packed = _draw_bytes(gen, min(rows, m_draws - start), m)
+        at = np.add(packed.T, offsets, out=index[:packed.size].reshape(n_bytes, -1))
+        # Every index is in range: mode="clip" only keeps np.take from
+        # buffering ``out``.
+        t = np.take(table, at, out=lookups[:at.size].reshape(at.shape), mode="clip").sum(axis=0)
+        t += c
+        yield packed, t
 
 
 def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
@@ -112,36 +162,39 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     for the statistic of :func:`_fold_statistic` with outcome model ``mu``.
 
     Draws ``m_draws`` i.i.d. assignment vectors from the Bernoulli(1/2)
-    design, each assignment one random bit (:func:`_fair_coins`),
+    design, each assignment one random bit (:func:`_draw_bytes`),
     recomputes the statistic on each, and applies the add-one correction.
-    The draws are made in chunks of rows of about ``_DRAW_ELEMENTS`` doubles
-    into one reused buffer, so memory does not grow with ``m_draws``, and
-    they consume the stream as one ``m_draws`` x m draw would, whatever the
-    chunk size. An empty fold yields p = 1 with a flag rather than an
-    error.
+    The draws are made and scored in chunks (:func:`_table_statistics`), so
+    memory does not grow with ``m_draws``, and they consume the stream as
+    one ``m_draws`` x m draw would, whatever the chunk size. An empty fold
+    yields p = 1 with a flag rather than an error.
 
     A draw counts when its statistic, summed by :func:`_row_sums` and plus
-    ``c``, reaches ``t_min`` (``_tie_floor``). Each chunk's statistics come
-    from one matrix-vector product instead, in whatever order the BLAS
-    kernel sums, and are recomputed by :func:`_row_sums` only where the
-    product cannot decide. With z in {0, 1} every product ``w_j z_j`` is
-    exact and the m terms are summed, so with ``u = eps / 2``, ``W = sum
-    |w|`` and T the exact statistic, the pairwise sum (at most ceil(log2 m)
-    roundings per term, then one for ``c``) and any other summation order
-    (at most m - 1, then one) satisfy
+    ``c``, reaches ``t_min`` (``_tie_floor``). Each draw is scored instead
+    as the sum of P = ceil(m / 8) table entries, each a sum of up to eight
+    terms, in whatever order the BLAS kernel and numpy add them, and is
+    recomputed by :func:`_row_sums` only where that sum cannot decide. With
+    z in {0, 1} every product ``w_j z_j`` is exact, and each term passes
+    through at most 7 roundings in its table entry and P - 1 in the row sum.
+    For m >= 9 that is P + 6 <= m - 1; for m <= 8 the one entry adds the
+    zero pads exactly, so at most m - 1 as well. With ``u = eps / 2``, ``W =
+    sum |w|`` and T the exact statistic, the pairwise sum (at most ceil(log2
+    m) roundings per term, then one for ``c``) and the table sum (at most
+    m - 1, then one) satisfy
 
         |t_pair - T| <= gamma_{L+1} (W + |c|),   L = ceil(log2 m),
-        |t_blas - T| <= gamma_m (W + |c|),       gamma_k = k u / (1 - k u),
+        |t_tab - T| <= gamma_m (W + |c|),        gamma_k = k u / (1 - k u),
 
-    so ``|t_blas - t_pair| <= gamma_{m+L+1} (W + |c|) <= (m + steps) eps
+    so ``|t_tab - t_pair| <= gamma_{m+L+1} (W + |c|) <= (m + steps) eps
     (W + |c|)`` with steps = L + 2. Forming ``t_min +- slack`` rounds by at
     most ``u (|t_min| + slack)``. ``slack = 4 (m + steps + 2) eps (W + |c| +
     |t_min|)`` is about four times their sum, which also covers the rounding
-    of ``W`` and of ``slack`` itself. Hence ``t_blas >= t_min + slack``
-    implies ``t_pair >= t_min`` and ``t_blas <= t_min - slack`` implies
+    of ``W`` and of ``slack`` itself. Hence ``t_tab >= t_min + slack``
+    implies ``t_pair >= t_min`` and ``t_tab <= t_min - slack`` implies
     ``t_pair < t_min``. The draws in between (ties and near-ties, which
     binary and grid outcomes produce) and any non-finite statistic are
-    summed again by :func:`_row_sums`. The count, and with it the p-value,
+    unpacked (:func:`_coins`) and summed again by :func:`_row_sums`, about
+    ``_DRAW_ELEMENTS`` coins at a time. The count, and with it the p-value,
     is the pairwise count whatever the BLAS kernel.
     """
     idx = np.asarray(subgroup, dtype=int)
@@ -162,19 +215,14 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     slack = 4 * (m + steps + 2) * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_min))
     # A non-finite bound certifies nothing: every draw is summed pairwise.
     hi, lo = (t_min + slack, t_min - slack) if np.isfinite(slack) else (np.nan, np.nan)
-    rows = max(1, _DRAW_ELEMENTS // m)
-    buf = np.empty((min(rows, m_draws), m))
+    batch = max(1, _DRAW_ELEMENTS // m)
     count = 0
-    for start in range(0, m_draws, rows):
-        draws = buf[:min(rows, m_draws - start)]
-        _fair_coins(rng, draws)
-        t = draws @ w
-        t += c
+    for packed, t in _table_statistics(w, c, m_draws, rng):
         above = t >= hi
         unsure = np.flatnonzero(~(above | (t <= lo)))
         count += int(np.count_nonzero(above))
-        if unsure.size:
-            t_pair = _row_sums(draws[unsure] * w) + c
+        for i in range(0, unsure.size, batch):
+            t_pair = _row_sums(_coins(packed[unsure[i:i + batch]], m) * w) + c
             count += int(np.count_nonzero(t_pair >= t_min))
     return PValue((1.0 + count) / (m_draws + 1.0), subgroup_id)
 

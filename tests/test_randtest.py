@@ -46,6 +46,18 @@ def constant_mu(mu):
     return LinearModel([mu, 0.0])
 
 
+def bytes_per_draw(m):
+    """The packed bytes of one draw on m units, the unit of the draw budget
+    ``randtest._DRAW_ELEMENTS``."""
+    return -(-m // 8)
+
+
+def draws(gen, rows, m):
+    """``rows`` fair-coin draws on m units from ``gen``, as the package
+    draws and unpacks them."""
+    return randtest._coins(randtest._draw_bytes(gen, rows, m), m)
+
+
 class TestStatistics:
     def test_dm_balanced_constant(self):
         assert observed(None, [3.0, 3.0, 3.0, 3.0], [1.0, 0.0, 1.0, 0.0]) == 0.0
@@ -168,7 +180,7 @@ class TestMonteCarloPValue:
         # over several. 1001 draws leave a partial last chunk of 3 rows.
         gen = np.random.default_rng(9)
         cases = []
-        for i, (m, kind) in enumerate(((7, "mixed"), (40, "rounded"), (130, "normal"))):
+        for i, (m, kind) in enumerate(((7, "mixed"), (40, "rounded"), (600, "normal"))):
             x = gen.normal(size=(m, 2))
             y = gen.normal(size=m)
             if kind == "rounded":
@@ -180,28 +192,30 @@ class TestMonteCarloPValue:
             for mu in (None, outcome_model(x, y)):
                 cases.append((mu, ds, mc_pvalue(mu, ds, np.arange(m), 1001,
                                                 rng.stream(9, len(cases)))))
-        assert randtest._DRAW_ELEMENTS // 130 < 1001 < randtest._DRAW_ELEMENTS // 7
+        assert (randtest._DRAW_ELEMENTS // bytes_per_draw(600) < 1001
+                < randtest._DRAW_ELEMENTS // bytes_per_draw(7))
         for j, (mu, ds, base) in enumerate(cases):
             m = ds.y.size
-            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
+            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * bytes_per_draw(m))
             assert mc_pvalue(mu, ds, np.arange(m), 1001, rng.stream(9, j)) == base
 
-    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130,
+                                   1428])
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_fair_coins_across_word_boundaries(self, monkeypatch, m, rows):
         # Each row takes whole 64-bit words, so the coins, and the p-value,
-        # are those of one draw of all 1001 rows whatever one chunk holds.
+        # are those of one draw of all 1001 rows whatever one chunk holds;
+        # a row's last byte and last word may be partial.
         gen = np.random.default_rng(12)
         y = gen.normal(size=m)
         z = (gen.random(m) < 0.5).astype(float)
         ds = Dataset(gen.normal(size=(m, 1)), y, z)
         if rows is not None:
-            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
-        chunk = max(1, randtest._DRAW_ELEMENTS // m)
-        coins = np.empty((1001, m))
+            monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * bytes_per_draw(m))
+        chunk = max(1, randtest._DRAW_ELEMENTS // bytes_per_draw(m))
         stream = rng.stream(12, m)
-        for start in range(0, 1001, chunk):
-            randtest._fair_coins(stream, coins[start:start + chunk])
+        coins = np.vstack([draws(stream, min(chunk, 1001 - start), m)
+                           for start in range(0, 1001, chunk)])
         assert np.array_equal(coins, fair_coins_reference(rng.stream(12, m), 1001, m))
         w, c, _ = randtest._fold_statistic(None, ds, np.arange(m))
         value, _ = mc_pvalue_reference(w, c, z, 1001, rng.stream(12, m))
@@ -214,8 +228,7 @@ class TestMonteCarloPValue:
         # The stream's first word is 0x9b7c56721dc8cd50: 0x50 gives 00001010.
         want = ("0000101010110011000100111011100001001110011010100011111011011001"
                 "110001")
-        coins = np.empty((1, 70))
-        randtest._fair_coins(rng.stream(0, rng.PVALUE_DRAWS, 0), coins)
+        coins = draws(rng.stream(0, rng.PVALUE_DRAWS, 0), 1, 70)
         oracle = fair_coins_reference(rng.stream(0, rng.PVALUE_DRAWS, 0), 1, 70)
         for row in (coins[0], oracle[0]):
             assert "".join(str(int(b)) for b in row) == want
@@ -230,8 +243,7 @@ class TestMonteCarloPValue:
         # word agrees with the first of the next, are within 4 standard
         # errors of 1/2 (MT19937's raw words carry 32 bits; a draw from them
         # would leave half of each word's columns at 0).
-        coins = np.empty((20000, 130))
-        randtest._fair_coins(make(), coins)
+        coins = draws(make(), 20000, 130)
         bound = 4.0 * np.sqrt(0.25 / coins.shape[0])
         assert np.all(np.abs(coins.mean(axis=0) - 0.5) <= bound)
         assert abs(np.mean(coins[:, 63] == coins[:, 64]) - 0.5) <= bound
@@ -249,29 +261,35 @@ class TestMonteCarloPValue:
             scores = gen.integers(-2, 3, size=m)
             z = (gen.random(m) < 0.5).astype(float)
             ds = Dataset(gen.normal(size=(m, 1)), scores * scale, z)
-            draws = fair_coins_reference(rng.stream(11, m), 200, m)
-            assert np.count_nonzero(draws @ scores == scores @ z) > 0
+            coins = fair_coins_reference(rng.stream(11, m), 200, m)
+            assert np.count_nonzero(coins @ scores == scores @ z) > 0
             if rows is not None:
-                monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * m)
+                monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * bytes_per_draw(m))
             got = mc_pvalue(None, ds, np.arange(m), 200, rng.stream(11, m)).value
-            assert got == integer_pvalue(scores, z, draws)
+            assert got == integer_pvalue(scores, z, coins)
 
     def test_draw_memory_is_bounded(self):
         # Drawn at once, 200000 x 50 draws are 80 MB, 160 MB with a stacked
-        # copy for the observed assignment.
-        gen = np.random.default_rng(10)
-        ds = Dataset(gen.normal(size=(50, 1)), gen.normal(size=50),
-                     (gen.random(50) < 0.5).astype(float))
-        tracemalloc.start()
-        try:
-            pv = mc_pvalue(None, ds, np.arange(50), 200000, rng.stream(10, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
-        # The add-one denominator is that of all 200000 draws.
-        hits = pv.value * 200001
-        assert 0.0 < pv.value <= 1.0 and hits == pytest.approx(round(hits), abs=1e-6)
+        # copy for the observed assignment. An outcome of 1e308 overflows
+        # its coefficient 4 y / m, so no statistic is finite and every draw
+        # is recounted; unpacked all at once, a chunk's draws are 4 MB.
+        for y0 in (None, 1e308):
+            gen = np.random.default_rng(10)
+            y = gen.normal(size=50)
+            if y0 is not None:
+                y[0] = y0
+            ds = Dataset(gen.normal(size=(50, 1)), y, (gen.random(50) < 0.5).astype(float))
+            tracemalloc.start()
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pv = mc_pvalue(None, ds, np.arange(50), 200000, rng.stream(10, 0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, y0
+            # The add-one denominator is that of all 200000 draws.
+            hits = pv.value * 200001
+            assert 0.0 < pv.value <= 1.0 and hits == pytest.approx(round(hits), abs=1e-6)
 
 
 class TestReferenceDrawLoop:
@@ -319,14 +337,29 @@ class TestReferenceDrawLoop:
         m_draws = int(gen.choice([1, 10, 999, 3000]))
         return mu, ds, fold, m_draws, TestReferenceDrawLoop.GENERATORS[i % 3]
 
+    @staticmethod
+    def assert_table_within_slack(w, c, t_obs, m_draws, gen):
+        """Every statistic read off the partial-sum table lies within
+        ``mc_pvalue``'s certified ``slack`` of its pairwise sum."""
+        m = w.size
+        steps = (m - 1).bit_length() + 2
+        t_min = randtest._tie_floor(t_obs, w, c, steps)
+        eps = np.finfo(float).eps
+        slack = 4 * (m + steps + 2) * eps * (np.sum(np.abs(w)) + abs(c) + abs(t_min))
+        assert np.isfinite(slack)
+        for packed, t_tab in randtest._table_statistics(w, c, m_draws, gen):
+            t_pair = randtest._row_sums(randtest._coins(packed, m) * w) + c
+            assert np.all(np.abs(t_tab - t_pair) <= slack)
+
     def test_sweep_matches_reference(self):
         gen = np.random.default_rng(30)
         for i in range(90):
             mu, ds, fold, m_draws, make = self.case(i, gen)
             w, c, _ = randtest._fold_statistic(mu, ds, fold)
-            value, _ = mc_pvalue_reference(w, c, ds.z[fold], m_draws, make(i))
+            value, t_obs = mc_pvalue_reference(w, c, ds.z[fold], m_draws, make(i))
             got = mc_pvalue(mu, ds, fold, m_draws, make(i), subgroup_id=i)
             assert got == PValue(value, i), (i, got, value)
+            self.assert_table_within_slack(w, c, t_obs, m_draws, make(i))
 
     @pytest.mark.parametrize("m", [1000, 3000])
     @pytest.mark.parametrize("bigs_treated", [True, False])
@@ -338,7 +371,8 @@ class TestReferenceDrawLoop:
         # index order loses the small terms against the large partial sums
         # and the pairwise sum, which adds them in groups, loses few. On
         # this fold an index-order sum counts about 50 of the 200 draws
-        # differently from the pairwise sum, and so does a BLAS product.
+        # differently from the pairwise sum; the table's sums stay within
+        # the certified slack of it.
         y = np.full(m, 0.25)
         y[:4], y[-4:] = 2.0**52, -2.0**52
         z = (np.arange(m) % 2).astype(float)
@@ -353,9 +387,10 @@ class TestReferenceDrawLoop:
         assert np.count_nonzero(in_order >= t_min) != round(value * 201) - 1
         got = mc_pvalue(None, ds, fold, 200, rng.stream(32, m))
         assert got == PValue(value, 0)
+        self.assert_table_within_slack(w, c, t_obs, 200, rng.stream(32, m))
 
     def test_binary_outcomes_reach_the_exact_recount(self, monkeypatch):
-        # Ties and near-ties fall between the product's certified bounds and
+        # Ties and near-ties fall between the table's certified bounds and
         # are summed again pairwise; continuous outcomes almost never do.
         rows = []
         row_sums = randtest._row_sums
@@ -521,7 +556,9 @@ class TestTies:
 
     @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
-    def test_mc_pvalue_counts_every_tie(self, kind, stat):
+    def test_mc_pvalue_counts_every_tie(self, monkeypatch, kind, stat):
+        # Also in chunks of 3 draws, where the recount budget is one draw:
+        # the undecided draws of a chunk are recounted in several batches.
         gen = np.random.default_rng(22)
         for i in range(20):
             m = int(gen.integers(20, 200))
@@ -529,6 +566,10 @@ class TestTies:
             z = (gen.random(m) < 0.5).astype(float)
             mu, ints = self.model_and_scores(stat, y, scores, kind)
             ds = Dataset(np.zeros((m, 1)), y, z)
-            got = mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value
-            draws = fair_coins_reference(np.random.default_rng(i), 500, m)
-            assert got == integer_pvalue(ints, z, draws)
+            coins = fair_coins_reference(np.random.default_rng(i), 500, m)
+            want = integer_pvalue(ints, z, coins)
+            assert mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value == want
+            with monkeypatch.context() as patch:
+                patch.setattr(randtest, "_DRAW_ELEMENTS", 3 * bytes_per_draw(m))
+                got = mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value
+            assert got == want
