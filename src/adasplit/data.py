@@ -170,10 +170,8 @@ class FoldSnapshot:
         """Snapshot of the split whose nuisance fold is the boolean ``mask``."""
         mask = np.asarray(mask, dtype=bool)
         return cls(
-            nuisance=tuple(int(i) for i in np.flatnonzero(mask)),
-            inference=tuple(
-                tuple(int(i) for i in g[~mask[g]]) for g in partition.groups
-            ),
+            nuisance=tuple(np.flatnonzero(mask).tolist()),
+            inference=tuple(tuple(g[~mask[g]].tolist()) for g in partition.groups),
             proportions=tuple(float(1.0 - mask[g].mean()) for g in partition.groups),
         )
 

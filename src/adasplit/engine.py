@@ -15,14 +15,24 @@ randomization p-value per subgroup, of the difference in means of
 A loop state built once per run holds the subgroup bookkeeping (held-out
 counts, floors and the units blocked from moving), the design,
 ``y - mu(x)``, each unit's neighbor vote as an integer count, and the
-weighted R-learner's Gram and right-hand side as running sums. The reverse
-neighbor lists (the units whose counts each unit enters) are the stable
-argsort of the neighbor lists, built by radix passes over 16-bit digits.
-A unit's assignment is read where it joins the nuisance fold: the seed
-fold's when the state is built, every other unit's in
-:meth:`_LoopState.move`, the one way into the fold for loop and prune moves
-alike. ``move`` also keeps the sums current: a loop step moves one unit,
-the prune pass all its evictions at once. A move changes the counts only
+weighted R-learner's Gram and right-hand side as running sums. A vote is
+read only once its unit is in the fold, so neighbor lists are taken on
+demand (:meth:`_LoopState.query`): a unit's list and count are made before
+it joins, together with the lists of the units the current criterion ranks
+next, at least as many as are already queried. The seed fold is queried
+when the index is built, a loop mover when it has no list yet, and the
+prune batch before it moves; the index work is in proportion to the rows
+queried, about a third of them in a converged run at n = 4000. The reverse
+neighbor lists (the queried units whose counts each unit enters) are the
+stable argsort of the queried lists, rebuilt after each query by radix
+passes over 16-bit digits. A list does not depend on when its row is
+queried, and the reverse lists keep ascending unit order, so every sum and
+report is the one a run querying every row at once makes. A unit's
+assignment is read where it joins the nuisance fold: the seed fold's when
+the state is built, every other unit's in :meth:`_LoopState.move`, the one
+way into the fold for loop and prune moves alike. ``move`` also keeps the
+sums current: a loop step moves one unit, the prune pass all its
+evictions at once. A move changes the counts only
 at the mover's reverse neighbors, so the sums take the mover and the
 weight change of those neighbors in the fold, O(kappa d^2); a batch is
 applied in the next refit's rebuild. The pooled fit's Gram is X'X,
@@ -55,6 +65,12 @@ from .linmodel import (_cho_factor, _cho_solve, _design, _solve_spd, diversity_s
                        fit_wls)
 from .nuisance import NeighborIndex, certainty, noise_floor, posterior_e
 from .randtest import test_folds
+
+# A neighbor-index query takes, besides the units about to join the nuisance
+# fold, the lowest-criterion units that could join next: at least as many as
+# are queried already, and at least this many. A run therefore makes
+# O(log n) queries, and a trial of up to this size one.
+_MIN_QUERY = 512
 
 
 class _AssignmentLog:
@@ -162,6 +178,10 @@ class _LoopState:
     plus every unit of a subgroup at its ``floor``) and the sums below. The
     loop picks only unblocked units; :meth:`prune` stops at the floors.
 
+    With an index (``nbr``), ``lists`` holds the leave-one-out lists of the
+    ``queried`` units and ``counts`` their fold members; every fold member
+    is queried, and no other unit's count is read.
+
     The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
     probability ``w``; ``g_w`` None marks them stale. The pooled fit's Gram
@@ -200,7 +220,7 @@ class _LoopState:
         self.r[seed] = self.resid_y[seed] / (z - 0.5)
         # Until the index is built every unit has selection probability one:
         # the seed fold depends on covariates only.
-        self.rev, self.counts = None, np.ones(n, dtype=np.intp)
+        self.nbr, self.counts = None, np.ones(n, dtype=np.intp)
         self.set_kappa(1)
 
     def set_kappa(self, kappa):
@@ -214,42 +234,76 @@ class _LoopState:
                                     1.0 / (2.0 * kappa), 1.0)
         self.g_w = None
 
-    def index(self, x, y, knn_k):
+    def index(self, x, y, knn_k, crit=None):
         """Count fold members among each unit's voters (count / kappa is its
         vote, bit for bit). With ``knn_k >= n`` every unit votes on every
         unit, so each count is |I| and no index is built; otherwise the
-        voters are the leave-one-out lists, and CSR ``rev`` lists the units
-        whose counts each unit enters."""
+        voters are the leave-one-out lists of a :class:`NeighborIndex`, and
+        the seed fold is queried (:meth:`query`) with the criterion
+        ``crit``."""
         n = self.mask.size
         if knn_k >= n:
             self.set_kappa(n)
             self.counts = np.full(n, np.count_nonzero(self.mask))
             return
-        index = NeighborIndex(x, y, knn_k)
-        self.set_kappa(index.kappa)
-        lists = index.loo_neighbors
-        # The stable argsort of the flat lists, by least-significant-digit
-        # radix passes over 16-bit digits: numpy radix-sorts 16-bit keys.
-        flat = lists.ravel()
+        self.nbr = NeighborIndex(x, y, knn_k)
+        self.set_kappa(self.nbr.kappa)
+        self.lists = np.empty((n, self.kappa), dtype=np.intp)
+        self.queried = np.zeros(n, dtype=bool)
+        self.query(np.flatnonzero(self.mask), crit)
+
+    def query(self, units, crit=None):
+        """Take the lists of the unqueried among ``units`` and, given the
+        selection criterion ``crit``, of the lowest-criterion unqueried,
+        unblocked units (``_MIN_QUERY``); count each new row's fold members
+        and rebuild CSR ``rev``, the queried units whose counts each unit
+        enters, in ascending unit order. Only queried units' counts are
+        kept; every fold member is queried before it joins."""
+        n = self.mask.size
+        new = units[~self.queried[units]]
+        self.queried[new] = True
+        if crit is not None:
+            free = np.flatnonzero(~(self.queried | self.blocked))
+            take = max(np.count_nonzero(self.queried), _MIN_QUERY)
+            if take < free.size:
+                free = free[np.argpartition(crit[free], take - 1)[:take]]
+            self.queried[free] = True
+            new = np.concatenate((new, free))
+        lists = self.lists[new] = self.nbr.lists(new)
+        self.counts[new] = np.count_nonzero(self.mask[lists], axis=1)
+        # The stable argsort of the queried rows' flat lists, by
+        # least-significant-digit radix passes over 16-bit digits: numpy
+        # radix-sorts 16-bit keys.
+        rows = np.flatnonzero(self.queried)
+        flat = self.lists[rows].ravel()
         perm = np.argsort(flat.astype(np.uint16), kind="stable")
         if n > 1 << 16:
             perm = perm[np.argsort((flat[perm] >> 16).astype(np.uint16), kind="stable")]
-        self.rev = perm // self.kappa
+        self.rev = rows[perm // self.kappa]
         self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=n), out=self.rev_ptr[1:])
-        self.counts = np.count_nonzero(self.mask[lists], axis=1)
 
-    def move(self, j):
+    def criterion(self, tau_vals, e_hat):
+        """The selection criterion, +inf at every blocked unit."""
+        crit = selection_criterion(tau_vals, e_hat)
+        np.putmask(crit, self.blocked, np.inf)
+        return crit
+
+    def move(self, j, crit=None):
         """Put unit j, or the array j of two or more held-out units, in the
-        fold, blocking every subgroup that reaches its floor. The movers'
-        assignments are read first, before any count or sum changes.
-        Current sums take a single unit at once (:meth:`add`); a batch, or
-        a move that changes every count (``knn_k >= n``), leaves them to the
-        next refit's rebuild."""
+        fold, blocking every subgroup that reaches its floor. Unqueried
+        movers are queried first, with the criterion ``crit`` that chose
+        them; then their assignments are read, before any count or sum
+        changes. Current sums take a single unit at once (:meth:`add`); a
+        batch, or a move that changes every count (``knn_k >= n``), leaves
+        them to the next refit's rebuild."""
+        batch = isinstance(j, np.ndarray)
+        if self.nbr is not None and not (self.queried[j].all() if batch
+                                         else self.queried[j]):
+            self.query(np.atleast_1d(j), crit)
         z = self.z[j] = self.zlog.take(j)
         self.r[j] = self.resid_y[j] / (z - 0.5)
         self.mask[j] = self.blocked[j] = True
-        batch = isinstance(j, np.ndarray)
         if batch:
             self.j_sizes -= np.bincount(self.labels[j], minlength=self.j_sizes.size)
             self.blocked |= (self.j_sizes == self.floor)[self.labels]
@@ -258,7 +312,7 @@ class _LoopState:
             self.j_sizes[k] -= 1
             if self.j_sizes[k] == self.floor[k]:
                 self.blocked[self.groups[k]] = True
-        if self.rev is None:
+        if self.nbr is None:
             self.counts += np.size(j)
             self.g_w = None
         elif batch:
@@ -354,19 +408,18 @@ def run(dataset, partition, config, collect_trace=True):
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
     tau_prev_vals, e_hat, _ = state.refit()
-    state.index(x, y, config.knn_k)
+    state.index(x, y, config.knn_k, state.criterion(tau_prev_vals, e_hat))
 
     l_hist = []
     trace = []
     streak = 0   # trailing steps with l <= eps_l
     while True:
-        crit = selection_criterion(tau_prev_vals, e_hat)
-        np.putmask(crit, state.blocked, np.inf)
+        crit = state.criterion(tau_prev_vals, e_hat)
         j_star = int(crit.argmin())   # the first minimum: lowest index
         if state.blocked[j_star]:
             stop_reason = "floor"
             break
-        state.move(j_star)
+        state.move(j_star, crit)
 
         _, e_hat, _ = state.refit()
         tau_new_vals = state.xd @ state.pooled(e_hat)
@@ -404,7 +457,7 @@ def finish(method, dataset, partition, config, zlog, mu, mask=None,
     the outcomes), and build the report. ``diagnostics`` gains
     ``z_reads_before_pvalues`` and ``pvalue_flags``."""
     diagnostics = dict(diagnostics or {})
-    diagnostics["z_reads_before_pvalues"] = [int(i) for i in zlog.reads()]
+    diagnostics["z_reads_before_pvalues"] = zlog.reads().tolist()
     groups = partition.groups
     folds = groups if mask is None else [g[~mask[g]] for g in groups]
     pvalues, rejected, diagnostics["pvalue_flags"] = test_folds(

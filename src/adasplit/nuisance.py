@@ -15,12 +15,14 @@ The estimation stack mirrors how the adaptive split consumes it:
   it is biased; the selection loop (``engine._LoopState``) weights each fold
   unit by the inverse of its estimated selection probability ``p(x, y)``, a
   leave-one-out k-nearest-neighbor vote on standardized (covariate, outcome)
-  coordinates. ``NeighborIndex`` holds the lists, the engine counts the
-  votes. A KD-tree proposes each unit's candidates, one fixed distance
-  formula re-ranks them exactly, and a rounding-error certificate shows no
-  other unit is nearer or tied; rows it cannot certify are scanned against
-  every unit. The build costs about O(n log n + n * kappa * d) rather than
-  O(n^2 d).
+  coordinates. ``NeighborIndex`` computes the lists of the rows asked for,
+  the engine counts the votes. A KD-tree proposes each unit's candidates,
+  one fixed distance formula re-ranks them exactly, and a rounding-error
+  certificate shows no other unit is nearer or tied; rows it cannot
+  certify are scanned against every unit. The tree costs about
+  O(n log n), and a row's list about O(log n + kappa d) rather than the
+  O(n d) of a full row scan. The selection loop asks only for the rows of
+  units about to join the fold, and of those likely to join next.
 * For units whose assignment is held out, the loop's pooled CATE fit
   imputes the residual by marginalizing z over the posterior assignment
   probability ``e(x, y) = sigmoid((y - mu(x)) tau(x) / nu^2)`` from
@@ -54,7 +56,7 @@ def scaled_residual(y, z, mu_vals):
 
 # Selection probability -------------------------------------------------------
 
-# The neighbor-index build works on as many rows at once as fit in about this
+# NeighborIndex.lists works on as many rows at once as fit in about this
 # many doubles (candidate distances, or full rows for the fallback scan),
 # which bounds its working memory whatever n is.
 _BLOCK_ELEMENTS = 1 << 16
@@ -65,26 +67,28 @@ _CERTIFICATE_SAFETY = 4.0
 
 
 class NeighborIndex:
-    """Precomputed leave-one-out k-nearest-neighbor lists over standardized
-    (x, y) space, for 1 <= kappa < n.
+    """Leave-one-out k-nearest-neighbor lists over standardized (x, y) space,
+    for 1 <= kappa < n, computed on demand for the rows asked for.
 
     Distances depend only on the covariates and outcomes, which never change
-    during the selection loop, so the lists are built once per run. Each
-    row's order is by (distance, index), so ties go to the lower index, with
-    the squared distance of units i and j given by one fixed formula,
+    during the selection loop, so one index serves a run. Each row's order
+    is by (distance, index), so ties go to the lower index, with the squared
+    distance of units i and j given by one fixed formula,
     ``D_ij = (sq_i + sq_j) - 2 * sum_k c_ik c_jk`` over the m = d + 1
     standardized coordinates, with ``sq_i = sum_k c_ik^2`` and both sums
-    taken one coordinate at a time, in order. ``loo_neighbors`` holds the
-    leading ``kappa`` entries of each row's order with the row's own unit
-    dropped.
+    taken one coordinate at a time, in order. :meth:`lists` returns, for
+    each row asked for, the leading ``kappa`` entries of its order with the
+    row's own unit dropped. Every step works row by row, so a row's list
+    does not depend on which other rows are asked for with it, or when.
 
-    The build never forms all n^2 distances. A KD-tree
-    (``scipy.spatial.cKDTree``) only proposes candidates: the ``kappa + 2``
-    units nearest to each row by its own arithmetic, one more than the list
-    keeps. The formula above re-ranks them by (distance, index), and a
-    certificate proves that no unit outside the candidates is nearer or
-    tied. Let t_i be the tree's distance to row i's last candidate and
-    ``S_i = sq_i + max_j sq_j``. With eps the machine epsilon:
+    The index never forms all n^2 distances. The build standardizes the
+    coordinates and builds a KD-tree (``scipy.spatial.cKDTree``), which only
+    proposes candidates: the ``kappa + 2`` units nearest to each row by its
+    own arithmetic, one more than the list keeps. The formula above
+    re-ranks them by (distance, index), and a certificate proves that no
+    unit outside the candidates is nearer or tied. Let t_i be the tree's
+    distance to row i's last candidate and ``S_i = sq_i + max_j sq_j``. With
+    eps the machine epsilon:
 
     * the formula's rounding moves D_ij by at most (2m + 3) eps S_i: the two
       sums carry m eps of their magnitudes, sq_i + sq_j and
@@ -110,12 +114,14 @@ class NeighborIndex:
     scanned against every unit in blocks of about ``_BLOCK_ELEMENTS``
     doubles, as a full row sort would order them.
 
-    Cost: about O(n (log n + kappa)) for the tree in low dimension and
-    O(n * kappa * m) for the re-ranking, plus O(n * m) per fallback row;
-    memory O(n * kappa + block). On ``default`` data with kappa = 10, on a
-    2-core Xeon, the build takes about 35 ms at n = 4000, 0.22 s at
-    n = 20000 and 2.0-2.4 s at n = 10^5, with no row sent to the scan;
-    scanning every row takes 5 s at n = 20000.
+    Cost: the build is about O(n log n) for the tree in low dimension, and
+    :meth:`lists` about O(log n + kappa) per row for the tree query and
+    O(kappa * m) for the re-ranking, plus O(n * m) per fallback row; memory
+    O(rows * kappa + block). On ``default`` data with kappa = 10, on a
+    2-core Xeon, the tree takes about 1 ms at n = 4000, 5 ms at n = 20000
+    and 40 ms at n = 10^5, and the lists of every row 16 ms, 0.10 s and
+    0.8 s, with no row sent to the scan; scanning every row takes 5 s at
+    n = 20000.
     """
 
     def __init__(self, x, y, kappa):
@@ -124,54 +130,60 @@ class NeighborIndex:
         n = x.shape[0]
         if not 1 <= kappa < n:
             raise ValidationError("kappa must lie in [1, n)")
-        self.kappa = kappa = int(kappa)
+        self.kappa = int(kappa)
         coords = np.hstack([x, y[:, None]])
         scale = coords.std(axis=0)
         scale[scale == 0.0] = 1.0
-        coords = coords / scale
+        self.coords = coords = coords / scale
         # Inner products are summed one coordinate at a time, in order, so
         # that an entry never depends on the block it falls in; a BLAS
         # product changes its summation order with the shape, which moves
         # entries by an ulp and reorders tied distances.
-        cols = np.ascontiguousarray(coords.T)
+        self.cols = cols = np.ascontiguousarray(coords.T)
         sq = cols[0] * cols[0]
         for c in cols[1:]:
             sq += c * c
+        self.sq, self.sq_max = sq, sq.max()
+        self.tree = cKDTree(coords, balanced_tree=False)
+
+    def lists(self, units):
+        """The leave-one-out lists of the rows ``units`` (an index array),
+        one row of ``kappa`` unit indices each, in the order given."""
+        units = np.asarray(units, dtype=np.intp)
+        cols, sq, kappa = self.cols, self.sq, self.kappa
+        n = sq.size
         m, width = cols.shape[0], kappa + 1
         k = min(width + 1, n)
         eps = np.finfo(float).eps
-        sq_max = sq.max()
-        tree = cKDTree(coords, balanced_tree=False)
-        levels = tree.size
-        order = np.empty((n, width), dtype=np.intp)
+        levels = self.tree.size
+        order = np.empty((units.size, width), dtype=np.intp)
         fallback = [np.empty(0, dtype=np.intp)]
         rows = max(1, _BLOCK_ELEMENTS // k)
-        for start in range(0, n, rows):
-            blk = slice(start, min(start + rows, n))
-            t, cand = tree.query(coords[blk], k=k)
-            d = _sq_dists(cols, sq, blk, cand)
+        for start in range(0, units.size, rows):
+            blk = slice(start, min(start + rows, units.size))
+            at = units[blk]
+            t, cand = self.tree.query(self.coords[at], k=k)
+            d = _sq_dists(cols, sq, at, cand)
             srt = np.lexsort((cand, d), axis=1)
             order[blk] = np.take_along_axis(cand, srt[:, :width], axis=1)
             if k < n:                   # else every unit is a candidate
                 cut = d[np.arange(len(d)), srt[:, kappa]]
                 t2 = t[:, -1] ** 2
                 delta = _CERTIFICATE_SAFETY * eps * (
-                    (2 * m + 3) * (sq[blk] + sq_max) + (m + 4 + 2 * levels) * t2
+                    (2 * m + 3) * (sq[at] + self.sq_max) + (m + 4 + 2 * levels) * t2
                 )
                 fallback.append(start + np.flatnonzero(~(cut < t2 - delta)))
         fallback = np.concatenate(fallback)
         rows = max(1, _BLOCK_ELEMENTS // n)
         for start in range(0, fallback.size, rows):
             blk = fallback[start:start + rows]
-            order[blk] = _nearest(_sq_dists(cols, sq, blk, slice(None)), width)
+            order[blk] = _nearest(_sq_dists(cols, sq, units[blk], slice(None)), width)
         # Drop each row's own unit if it is among its kappa + 1 nearest;
         # otherwise the first kappa already exclude it.
-        own = order == np.arange(n)[:, None]
+        own = order == units[:, None]
         pos = np.where(own.any(axis=1), own.argmax(axis=1), kappa)
         col = np.arange(kappa)
-        self.loo_neighbors = np.where(
-            col < pos[:, None], order[:, :kappa], order[:, 1:]
-        )
+        return np.where(col < pos[:, None], order[:, :kappa], order[:, 1:])
 
 
 def _sq_dists(cols, sq, rows, units):

@@ -40,9 +40,12 @@ class PValue:
             raise ValidationError("p-value must lie in (0, 1]")
 
 
-def _fold_statistic(mu, dataset, idx):
-    """The statistic on the fold ``idx`` as coefficients (w, c) with
-    ``T(z) = w @ z + c``, and the fold's observed assignment.
+@np.errstate(over="ignore", invalid="ignore")
+def _fold_statistic(mu, dataset, idx, subgroup_id=0):
+    """The statistic on the fold ``idx`` of subgroup ``subgroup_id`` as
+    coefficients (w, c) with ``T(z) = w @ z + c``, the fold's observed
+    assignment and the observed statistic, summed by :func:`_row_sums` as
+    :func:`mc_pvalue` sums each draw's.
 
     T is the difference in means of the residual ``r = y - mu(x)``
     (``r = y`` when ``mu`` is None), ``2/m (sum_treated r - sum_control r)``,
@@ -51,12 +54,22 @@ def _fold_statistic(mu, dataset, idx):
     - (1-z)/(1-e) (y - mu_0) + tau`` with e = 1/2 and arm models ``mu_z(x) =
     mu(x) + (z - e) tau(x)`` is T whatever the CATE tau is, so a fitted CATE
     acts on the test only through the folds (and ``adasplit``'s pruning).
+
+    Raises ValidationError unless ``sum |w| + |c| + |T_obs|`` is finite:
+    outcomes near the largest double overflow w, and a non-finite statistic
+    would count no draw as reaching the observed one.
     """
     m = idx.size
     r = dataset.y[idx]
     if mu is not None:
         r = r - mu.predict(dataset.x[idx])
-    return 4.0 * r / m, -2.0 * float(np.sum(r)) / m, dataset.z[idx]
+    w, c, z_obs = 4.0 * r / m, -2.0 * float(np.sum(r)) / m, dataset.z[idx]
+    t_obs = float(_row_sums(z_obs[None, :] * w)[0]) + c
+    if not np.isfinite(float(np.sum(np.abs(w))) + abs(c) + abs(t_obs)):
+        raise ValidationError(
+            f"subgroup {subgroup_id}: outcomes too large for the test statistic "
+            f"(|y| reaches {np.max(np.abs(dataset.y[idx])):.3g}); rescale them")
+    return w, c, z_obs, t_obs
 
 
 # Monte-Carlo draws are scored about this many packed bytes at a time, each
@@ -191,9 +204,10 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     |t_min|)`` is about four times their sum, which also covers the rounding
     of ``W`` and of ``slack`` itself. Hence ``t_tab >= t_min + slack``
     implies ``t_pair >= t_min`` and ``t_tab <= t_min - slack`` implies
-    ``t_pair < t_min``. The draws in between (ties and near-ties, which
-    binary and grid outcomes produce) and any non-finite statistic are
-    unpacked (:func:`_coins`) and summed again by :func:`_row_sums`, about
+    ``t_pair < t_min``; :func:`_fold_statistic` has refused every fold on
+    which these bounds are not finite. The draws in between (ties and
+    near-ties, which binary and grid outcomes produce) are unpacked
+    (:func:`_coins`) and summed again by :func:`_row_sums`, about
     ``_DRAW_ELEMENTS`` coins at a time. The count, and with it the p-value,
     is the pairwise count whatever the BLAS kernel.
     """
@@ -202,19 +216,17 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
         raise ValidationError("m_draws must be >= 1")
     if idx.size == 0:
         return PValue(1.0, subgroup_id, flag="empty-inference-fold")
-    w, c, z_obs = _fold_statistic(mu, dataset, idx)
-    m = idx.size
     # The observed statistic is summed exactly as each draw's is, so a draw
     # replicating the observed assignment ties exactly (ties carry real
     # probability mass on small folds).
-    t_obs = float(_row_sums(z_obs[None, :] * w)[0]) + c
+    w, c, _, t_obs = _fold_statistic(mu, dataset, idx, subgroup_id)
+    m = idx.size
     # The pairwise sum takes ceil(log2 m) rounds, then c is added.
     steps = (m - 1).bit_length() + 2
     t_min = _tie_floor(t_obs, w, c, steps)
     eps = np.finfo(float).eps
     slack = 4 * (m + steps + 2) * eps * (float(np.sum(np.abs(w))) + abs(c) + abs(t_min))
-    # A non-finite bound certifies nothing: every draw is summed pairwise.
-    hi, lo = (t_min + slack, t_min - slack) if np.isfinite(slack) else (np.nan, np.nan)
+    hi, lo = t_min + slack, t_min - slack
     batch = max(1, _DRAW_ELEMENTS // m)
     count = 0
     for packed, t in _table_statistics(w, c, m_draws, rng):
@@ -264,7 +276,7 @@ def exact_pvalue(mu, dataset, subgroup):
         return PValue(1.0, 0, flag="empty-inference-fold")
     if m > 20:
         raise ValidationError("subgroup too large for exact enumeration")
-    w, c, z_obs = _fold_statistic(mu, dataset, idx)
+    w, c, z_obs, _ = _fold_statistic(mu, dataset, idx)
     codes = np.arange(1 << m, dtype=np.int64)
     t_ref = np.full(codes.size, c)
     for j in range(m):

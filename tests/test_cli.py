@@ -125,6 +125,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert (message in err) == fails and "internal error" not in err
 
+    def test_outcome_overflowing_the_statistic_exit_2(self, tmp_path, capsys):
+        # rt squares nothing, so an outcome of 1e308 reaches the p-values,
+        # where its coefficient 4 y / m overflows; the run must fail naming
+        # the subgroup, not report the smallest possible p-value.
+        ds, part, _ = generate("default", 1)
+        y = ds.y.copy()
+        y[0] = 1e308
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(path, Dataset(ds.x, y, ds.z), subgroup_labels=part.labels())
+        out = tmp_path / "r.json"
+        assert run_cli("analyze", "--data", path, "--method", "rt", "--out", out) == 2
+        err = capsys.readouterr().err
+        k = part.labels()[0]
+        assert f"subgroup {k}: outcomes too large for the test statistic" in err
+        assert "rescale them" in err and "internal error" not in err
+        assert not out.exists()
+
     def test_more_than_twenty_subgroups(self, tmp_path):
         # 21 quantile slices of about 24 units each: past K = 20.
         ds, _, _ = generate("default", 8)

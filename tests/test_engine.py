@@ -334,45 +334,60 @@ def duplicated_problem(seed=2, n=120, k=3):
 
 
 class TestLoopState:
-    @pytest.mark.parametrize("kappa", [1, 10, 119, 120, 1000])
-    def test_vote_counts_track_neighbor_index(self, kappa, monkeypatch):
-        # After every move, a loop step's unit and the prune batch alike, the
-        # incremental counts give exactly the mean of the mask over each
-        # unit's oracle leave-one-out list, or over all units when
-        # kappa >= n, and each subgroup's held-out count is exact and never
-        # below its floor.
-        ds, part = duplicated_problem()
+    @pytest.mark.parametrize("n,kappa", [
+        *(pytest.param(120, kappa, id=str(kappa)) for kappa in (1, 10, 119, 120, 1000)),
+        pytest.param(1500, 10, id="n1500-10"),
+    ])
+    def test_vote_counts_track_neighbor_index(self, n, kappa, monkeypatch):
+        # After every move, a loop step's unit and the prune batch alike,
+        # every fold member has been queried, and the incremental counts give
+        # exactly the mean of the mask over each queried unit's oracle
+        # leave-one-out list, or over all units when kappa >= n; each
+        # subgroup's held-out count is exact and never below its floor. At
+        # n = 1500 the minimum query leaves rows unqueried.
+        ds, part = duplicated_problem(n=n)
         neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
         lists = neighbors if loo_neighbors is None else loo_neighbors
-        moved = []
+        moved, states = [], []
         original = engine._LoopState.move
 
-        def checked_move(state, j):
-            original(state, j)
+        def checked_move(state, j, crit=None):
+            original(state, j, crit)
             moved.extend(np.atleast_1d(j))
-            expected = state.mask.astype(float)[lists].mean(axis=1)
-            assert np.array_equal(state.counts / state.kappa, expected)
+            states.append(state)
+            rows = np.arange(n) if state.nbr is None else np.flatnonzero(state.queried)
+            assert np.all(np.isin(np.flatnonzero(state.mask), rows))
+            expected = state.mask.astype(float)[lists[rows]].mean(axis=1)
+            assert np.array_equal(state.counts[rows] / state.kappa, expected)
             held = [np.count_nonzero(~state.mask[g]) for g in part.groups]
             assert np.array_equal(state.j_sizes, held)
             assert np.all(state.j_sizes >= state.floor)
 
         monkeypatch.setattr(engine._LoopState, "move", checked_move)
-        # At rho = 0.7 the prune pass stops at the floor of 28 in most runs.
+        # At rho = 0.7 the prune pass stops at the floor in most runs.
         cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5, rho=0.7)
         report = run(ds, part, cfg)
         # Both kinds of move happened: more units moved than loop steps.
         assert 0 < report.iterations < len(moved)
+        if n > engine._MIN_QUERY:
+            assert not states[-1].queried.all()
 
     @pytest.mark.parametrize("n", [500, 70000])
     def test_reverse_lists_are_the_stable_argsort(self, n, monkeypatch):
-        # Synthetic lists stand in for the index; above 2^16 units the
-        # reverse lists take a second radix pass over the high bits.
+        # Synthetic lists stand in for the index. After every query the
+        # reverse lists are the stable argsort of the queried rows' lists,
+        # in ascending row order, whatever order the rows were queried in;
+        # above 2^16 units they take a second radix pass over the high bits.
         kappa = 7
-        lists = np.random.default_rng(n).integers(0, n, size=(n, kappa))
+        gen = np.random.default_rng(n)
+        lists = gen.integers(0, n, size=(n, kappa))
 
         class Lists:
             def __init__(self, x, y, knn_k):
-                self.kappa, self.loo_neighbors = knn_k, lists
+                self.kappa = knn_k
+
+            def lists(self, units):
+                return lists[units]
 
         monkeypatch.setattr(engine, "NeighborIndex", Lists)
         x = np.arange(n, dtype=float)[:, None]
@@ -383,8 +398,17 @@ class TestLoopState:
         state = engine._LoopState(ds, part, np.zeros(n), mask,
                                   engine._AssignmentLog(ds.z), AdaSplitConfig())
         state.index(ds.x, ds.y, kappa)
-        want = np.argsort(lists, axis=None, kind="stable") // kappa
-        assert np.array_equal(state.rev, want)
+        order = gen.permutation(np.arange(10, n))
+        for batch in (None, order[:n // 10], order[n // 10:n // 2], order):
+            if batch is not None:
+                state.query(batch)
+            rows = np.flatnonzero(state.queried)
+            want = rows[np.argsort(lists[rows], axis=None, kind="stable") // kappa]
+            assert np.array_equal(state.rev, want)
+            ptr = np.concatenate(([0], np.cumsum(np.bincount(lists[rows].ravel(),
+                                                             minlength=n))))
+            assert np.array_equal(state.rev_ptr, ptr)
+        assert state.queried.all()
 
     @pytest.mark.parametrize("scenario,seed,kwargs,batch", [
         ("default", 1, {}, False),                # converges, prunes nothing
@@ -403,8 +427,8 @@ class TestLoopState:
                 super().__init__(*args)
                 assert np.array_equal(self.zlog.reads(), np.flatnonzero(self.mask))
 
-            def move(self, j):
-                super().move(j)
+            def move(self, j, crit=None):
+                super().move(j, crit)
                 moves.append(np.size(j))
                 assert np.array_equal(self.zlog.reads(), np.flatnonzero(self.mask))
 
@@ -414,6 +438,39 @@ class TestLoopState:
         assert report.diagnostics["stop_reason"] == "converged"
         assert moves[:report.iterations] == [1] * report.iterations
         assert (len(moves) > report.iterations and moves[-1] > 1) == batch
+
+    @pytest.mark.parametrize("scenario,n,seed,kwargs", [
+        *(pytest.param("default", 2000, seed, {}, id=f"default-2000-s{seed}")
+          for seed in range(3)),
+        pytest.param("default", 4000, 0, {}, id="default-4000-s0"),
+        pytest.param("default", 1500, 3, {"eps_l": 1e-12}, id="floor-run"),
+        pytest.param("default", 2000, 0, {"knn_k": 1}, id="kappa-1"),
+        pytest.param("grid", 2000, 0, {}, id="grid-binary"),
+    ])
+    def test_lists_on_demand_match_every_row_at_once(self, scenario, n, seed, kwargs,
+                                                     monkeypatch):
+        # Rows are queried as the loop reaches them; a run that queries
+        # every row up front gives the same report, byte for byte.
+        ds, part = (grid_problem(n, seed) if scenario == "grid" else
+                    generate(scenario_with_size(scenario, n), seed)[:2])
+        cfg = AdaSplitConfig(seed=seed, **kwargs)
+        states = recorded_states(monkeypatch)
+        lazy = run(ds, part, cfg).to_json()
+        queried = np.count_nonzero(states[-1].queried)
+
+        class Eager(engine._LoopState):
+            def query(self, units, crit=None):
+                super().query(np.arange(self.mask.size), crit)
+
+        monkeypatch.setattr(engine, "_LoopState", Eager)   # a Recorded too
+        assert run(ds, part, cfg).to_json() == lazy
+        assert states[-1].queried.all()
+        if n == 4000:
+            # A converged run moves only part of the units into the fold,
+            # and queries under half of all rows: its seed fold with the
+            # first minimum query, then the prune batch.
+            assert json.loads(lazy)["diagnostics"]["converged"]
+            assert queried < n / 2
 
     def test_knn_k_at_least_n_builds_no_index(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -493,6 +550,16 @@ def assert_matches_reference(got, want):
     for a, b in zip(gd["trace"], wd["trace"]):
         assert [a[k] for k in EXACT_TRACE] == [b[k] for k in EXACT_TRACE]
         assert abs(a["criterion"] - b["criterion"]) <= TOL
+
+
+def grid_problem(n, seed):
+    """Three integer covariates in 0..3 and a binary outcome: the rows tie
+    in distance everywhere, so most lists take the index's full scan."""
+    gen = np.random.default_rng(seed)
+    x = gen.integers(0, 4, size=(n, 3)).astype(float)
+    z = (gen.random(n) < 0.5).astype(float)
+    y = (gen.random(n) < 0.3 + 0.2 * z * (x[:, 0] > 1)).astype(float)
+    return Dataset(x, y, z), SubgroupPartition.from_labels((x[:, 1] > 1).astype(int))
 
 
 def floor_problem(n=1500, seed=3):

@@ -106,6 +106,8 @@ def loop_vote(x, y, b, knn_k):
     state = engine._LoopState(ds, one, np.zeros(mask.size), mask.copy(),
                               engine._AssignmentLog(ds.z), AdaSplitConfig())
     state.index(ds.x, ds.y, knn_k)
+    if state.nbr is not None:
+        state.query(np.arange(mask.size))
     return clipped(state.counts / state.kappa, state.kappa)
 
 
@@ -129,7 +131,7 @@ class TestSelectionProbability:
         y = gen.normal(size=20)
         b = (gen.random(20) < 0.5).astype(float)
         kappa = 5
-        loo_neighbors = NeighborIndex(x, y, kappa).loo_neighbors
+        loo_neighbors = NeighborIndex(x, y, kappa).lists(np.arange(20))
         vote_loo = loop_vote(x, y, b, kappa)
         coords = np.hstack([x, y[:, None]])
         coords = coords / coords.std(axis=0)
@@ -151,7 +153,7 @@ class TestSelectionProbability:
         x = np.arange(6.0)[:, None]
         y = np.zeros(6)
         b = np.array([1.0, 0, 0, 0, 0, 0])
-        assert np.array_equal(NeighborIndex(x, y, 2).loo_neighbors[0], [1, 2])
+        assert np.array_equal(NeighborIndex(x, y, 2).lists([0])[0], [1, 2])
         # Neither true neighbor is selected: a vote of 0, clipped to 1/(2 kappa).
         assert loop_vote(x, y, b, 2)[0] == 0.25
 
@@ -174,7 +176,22 @@ def knn_inputs(kind, n, seed=0):
 
 def assert_matches_oracle(x, y, kappa):
     index = NeighborIndex(x, y, kappa)
-    assert np.array_equal(index.loo_neighbors, knn_lists(x, y, kappa)[1])
+    assert np.array_equal(index.lists(np.arange(len(y))), knn_lists(x, y, kappa)[1])
+
+
+def assert_batches_match_oracle(x, y, kappa, seed):
+    """A random subset of about half the rows, asked for in three batches
+    of random sizes in random order, then every row in reverse order, one
+    index for all: each row's list is the full-sort oracle's."""
+    index = NeighborIndex(x, y, kappa)
+    n = len(y)
+    want = knn_lists(x, y, kappa)[1]
+    gen = np.random.default_rng(seed)
+    rows = gen.permutation(n)[:n // 2]
+    for batch in np.split(rows, np.sort(gen.choice(np.arange(1, rows.size), 2,
+                                                   replace=False))):
+        assert np.array_equal(index.lists(batch), want[batch])
+    assert np.array_equal(index.lists(np.arange(n)[::-1]), want[::-1])
 
 
 def fallback_counts(monkeypatch):
@@ -219,7 +236,7 @@ class TestNeighborIndex:
             assert n % rows and n // rows >= 3      # several blocks, last partial
         x, y = knn_inputs(kind, n, seed=n)
         for kappa in (1, 10, n - 1):
-            assert_matches_oracle(x, y, kappa)
+            assert_batches_match_oracle(x, y, kappa, seed=kappa)
 
     @pytest.mark.parametrize("budget", [97, 3 * 97 + 5])
     def test_blocks_of_one_and_few_rows(self, monkeypatch, budget):
@@ -263,7 +280,7 @@ class TestNeighborIndex:
         inputs.append((np.zeros((150, 2)), np.zeros(150)))   # all at the origin
         for x, y in inputs:
             for kappa in (1, 10):
-                assert_matches_oracle(x, y, kappa)
+                assert_batches_match_oracle(x, y, kappa, seed=kappa)
 
     @pytest.mark.parametrize("offset", [1e5, 1e6, 1e8])
     def test_large_offsets_keep_exact_lists(self, offset):
@@ -279,8 +296,7 @@ class TestNeighborIndex:
         ds, _, _ = generate(scenario_with_size("default", 20000), 3)
         rows = np.random.default_rng(23).choice(20000, size=50, replace=False)
         index = NeighborIndex(ds.x, ds.y, 10)
-        assert np.array_equal(index.loo_neighbors[rows],
-                              knn_rows(ds.x, ds.y, 10, rows))
+        assert np.array_equal(index.lists(rows), knn_rows(ds.x, ds.y, 10, rows))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_no_fallback_rows_on_continuous_data(self, monkeypatch, seed):
@@ -289,7 +305,7 @@ class TestNeighborIndex:
         # scan.
         ds, _, _ = generate(scenario_with_size("default", 4000), seed)
         counts = fallback_counts(monkeypatch)
-        NeighborIndex(ds.x, ds.y, AdaSplitConfig().knn_k)
+        NeighborIndex(ds.x, ds.y, AdaSplitConfig().knn_k).lists(np.arange(4000))
         assert counts == []
 
     def test_build_memory_is_linear_in_n(self):
@@ -298,7 +314,7 @@ class TestNeighborIndex:
         x, y = gen.normal(size=(8000, 5)), gen.normal(size=8000)
         tracemalloc.start()
         try:
-            NeighborIndex(x, y, 10)
+            NeighborIndex(x, y, 10).lists(np.arange(8000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

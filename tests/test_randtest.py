@@ -37,7 +37,7 @@ def observed(mu, y, z, x=None):
     """The pipeline's statistic on the observed assignment of the whole fold."""
     y = np.asarray(y, dtype=float)
     x = np.zeros((y.size, 1)) if x is None else x
-    w, c, z_obs = randtest._fold_statistic(mu, Dataset(x, y, z), np.arange(y.size))
+    w, c, z_obs, _ = randtest._fold_statistic(mu, Dataset(x, y, z), np.arange(y.size))
     return float(w @ z_obs) + c
 
 
@@ -156,7 +156,7 @@ class TestMonteCarloPValue:
         y = gen.normal(size=12)
         z = (gen.random(12) < 0.5).astype(float)
         ds = Dataset(x, y, z)
-        w, c, _ = randtest._fold_statistic(outcome_model(x, y), ds, np.arange(12))
+        w, c, _, _ = randtest._fold_statistic(outcome_model(x, y), ds, np.arange(12))
         draws = (rng.stream(6, 1).random((2000, 12)) < 0.5).astype(float)
         for scale in (1.0, 12.0, 1e-3):
             t_all = randtest._row_sums(np.vstack([draws, z[None]]) * (scale * w)) + scale * c
@@ -217,7 +217,7 @@ class TestMonteCarloPValue:
         coins = np.vstack([draws(stream, min(chunk, 1001 - start), m)
                            for start in range(0, 1001, chunk)])
         assert np.array_equal(coins, fair_coins_reference(rng.stream(12, m), 1001, m))
-        w, c, _ = randtest._fold_statistic(None, ds, np.arange(m))
+        w, c, _, _ = randtest._fold_statistic(None, ds, np.arange(m))
         value, _ = mc_pvalue_reference(w, c, z, 1001, rng.stream(12, m))
         got = mc_pvalue(None, ds, np.arange(m), 1001, rng.stream(12, m))
         assert got == PValue(value, 0)
@@ -270,26 +270,43 @@ class TestMonteCarloPValue:
 
     def test_draw_memory_is_bounded(self):
         # Drawn at once, 200000 x 50 draws are 80 MB, 160 MB with a stacked
-        # copy for the observed assignment. An outcome of 1e308 overflows
-        # its coefficient 4 y / m, so no statistic is finite and every draw
-        # is recounted; unpacked all at once, a chunk's draws are 4 MB.
-        for y0 in (None, 1e308):
+        # copy for the observed assignment. On the second fold only unit 0
+        # has a nonzero outcome, so every draw giving it its observed
+        # assignment ties the observed statistic and is recounted: half the
+        # draws. Recounted in batches of about _DRAW_ELEMENTS coins the
+        # p-value peaks at about 1.9 MB, unpacked a whole chunk at a time
+        # at 3.4 MB.
+        for tied in (False, True):
             gen = np.random.default_rng(10)
             y = gen.normal(size=50)
-            if y0 is not None:
-                y[0] = y0
+            if tied:
+                y = np.where(np.arange(50) == 0, 1.0, 0.0)
             ds = Dataset(gen.normal(size=(50, 1)), y, (gen.random(50) < 0.5).astype(float))
             tracemalloc.start()
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pv = mc_pvalue(None, ds, np.arange(50), 200000, rng.stream(10, 0))
+                pv = mc_pvalue(None, ds, np.arange(50), 200000, rng.stream(10, 0))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * 2**20, y0
+            assert peak < 2.5 * 2**20, tied
             # The add-one denominator is that of all 200000 draws.
             hits = pv.value * 200001
             assert 0.0 < pv.value <= 1.0 and hits == pytest.approx(round(hits), abs=1e-6)
+
+    def test_outcomes_too_large_for_the_statistic(self):
+        # An outcome of 1e308 overflows its coefficient 4 y / m. No statistic
+        # is then finite, no draw would reach the observed one, and p would
+        # be the smallest possible, 1/(M + 1): both p-values refuse the fold.
+        gen = np.random.default_rng(10)
+        y = gen.normal(size=50)
+        y[0] = 1e308
+        ds = Dataset(gen.normal(size=(50, 1)), y, (gen.random(50) < 0.5).astype(float))
+        message = (r"outcomes too large for the test statistic "
+                   r"\(\|y\| reaches 1e\+308\); rescale them")
+        with pytest.raises(ValidationError, match="subgroup 3: " + message):
+            mc_pvalue(None, ds, np.arange(50), 200, rng.stream(10, 0), subgroup_id=3)
+        with pytest.raises(ValidationError, match="subgroup 0: " + message):
+            exact_pvalue(None, ds, np.arange(20))
 
 
 class TestReferenceDrawLoop:
@@ -355,7 +372,7 @@ class TestReferenceDrawLoop:
         gen = np.random.default_rng(30)
         for i in range(90):
             mu, ds, fold, m_draws, make = self.case(i, gen)
-            w, c, _ = randtest._fold_statistic(mu, ds, fold)
+            w, c, _, _ = randtest._fold_statistic(mu, ds, fold)
             value, t_obs = mc_pvalue_reference(w, c, ds.z[fold], m_draws, make(i))
             got = mc_pvalue(mu, ds, fold, m_draws, make(i), subgroup_id=i)
             assert got == PValue(value, i), (i, got, value)
@@ -379,7 +396,7 @@ class TestReferenceDrawLoop:
         z[:4] = z[-4:] = float(bigs_treated)
         ds = Dataset(np.zeros((m, 1)), y, z)
         fold = np.arange(m)
-        w, c, _ = randtest._fold_statistic(None, ds, fold)
+        w, c, _, _ = randtest._fold_statistic(None, ds, fold)
         value, t_obs = mc_pvalue_reference(w, c, z, 200, rng.stream(32, m))
         t_min = randtest._tie_floor(t_obs, w, c, (m - 1).bit_length() + 2)
         in_order = np.cumsum(fair_coins_reference(rng.stream(32, m), 200, m) * w,
