@@ -17,35 +17,35 @@ counts, floors and the units blocked from moving), the design,
 ``y - mu(x)``, each unit's neighbor vote as an integer count, and the
 weighted R-learner's Gram and right-hand side as running sums. A vote is
 read only once its unit is in the fold, so neighbor lists are taken on
-demand (:meth:`_LoopState.query`): a unit's list and count are made before
-it joins, together with the lists of the units the current criterion ranks
-next, at least as many as are already queried. The seed fold is queried
-when the index is built, a loop mover when it has no list yet, and the
-prune batch before it moves; the index work is in proportion to the rows
-queried, about a third of them in a converged run at n = 4000. The reverse
-neighbor lists (the queried units whose counts each unit enters) are the
-stable argsort of the queried lists, rebuilt after each query by radix
-passes over 16-bit digits. A list does not depend on when its row is
-queried, and the reverse lists keep ascending unit order, so every sum and
-report is the one a run querying every row at once makes. A unit's
-assignment is read where it joins the nuisance fold: the seed fold's when
-the state is built, every other unit's in :meth:`_LoopState.move`, the one
-way into the fold for loop and prune moves alike. ``move`` also keeps the
-sums current: a loop step moves one unit, the prune pass all its
-evictions at once. A move changes the counts only
-at the mover's reverse neighbors, so the sums take the mover and the
-weight change of those neighbors in the fold, O(kappa d^2); a batch is
-applied in the next refit's rebuild. The pooled fit's Gram is X'X,
-factored once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d)
-passes: two predictions, the pooled right-hand side and the posterior.
-Running sums round differently from fresh ones, so reports agree with
-refitting from scratch (``tests/oracles.reference_run``) exactly in every
-decision (folds, iterations, p-values, the audited reads) and to 1e-9 in
-the CATE coefficients, ``nu2`` and ``l``. The solves return bare arrays and
-each step forms its posterior, selection key and pooled right-hand side
-as fresh arrays, with no buffers kept between steps; at small n a step
-makes about 41 Python-level calls, whose overhead, not arithmetic, is most
-of its cost. Per-step timings are in the ROADMAP's Baseline.
+demand (:meth:`_LoopState.query`), and a unit's list and count are made
+before it joins. The seed fold alone is queried when the index is built; a
+loop mover with no list yet is queried together with the ``_MIN_QUERY``
+units the current criterion ranks next; the prune batch is queried before
+it moves. The reverse neighbor lists (the queried units whose counts each
+unit enters) are the stable argsort of the queried lists, rebuilt after
+each query by radix passes over 16-bit digits. A list does not depend on
+when its row is queried, the counts are exact integers and the reverse
+lists keep ascending unit order, so every sum and report is the one a run
+querying every row at once makes. A unit's assignment is read where it
+joins the nuisance fold: the seed fold's when the state is built, every
+other unit's in :meth:`_LoopState.move`, the one way into the fold for
+loop and prune moves alike. ``move`` also keeps the counts and sums
+current: a loop step moves one unit, the prune pass all its evictions at
+once. A single move changes the counts only at the mover's reverse
+neighbors, so it adds one to each and the sums take the mover and the
+weight change of those neighbors in the fold, O(kappa d^2); a batch
+recounts every queried row and is applied to the sums in the next refit's
+rebuild. The pooled fit's Gram is X'X, factored once per run, so a step is
+O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
+right-hand side and the posterior. Running sums round differently from
+fresh ones, so reports agree with refitting from scratch
+(``tests/oracles.reference_run``) exactly in every decision (folds,
+iterations, p-values, the audited reads) and to 1e-9 in the CATE
+coefficients, ``nu2`` and ``l``. The solves return bare arrays and each
+step forms its posterior, selection key and pooled right-hand side as
+fresh arrays, with no buffers kept between steps; at small n a step's
+Python-level call overhead, not its arithmetic, is most of its cost.
+Per-step timings are in the ROADMAP's Baseline.
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -66,10 +66,8 @@ from .linmodel import (_cho_factor, _cho_solve, _design, _solve_spd, diversity_s
 from .nuisance import NeighborIndex, certainty, noise_floor, posterior_e
 from .randtest import test_folds
 
-# A neighbor-index query takes, besides the units about to join the nuisance
-# fold, the lowest-criterion units that could join next: at least as many as
-# are queried already, and at least this many. A run therefore makes
-# O(log n) queries, and a trial of up to this size one.
+# A loop step whose mover has no neighbor list yet queries, besides the
+# mover, this many of the lowest-criterion units that could join next.
 _MIN_QUERY = 512
 
 
@@ -180,7 +178,9 @@ class _LoopState:
 
     With an index (``nbr``), ``lists`` holds the leave-one-out lists of the
     ``queried`` units and ``counts`` their fold members; every fold member
-    is queried, and no other unit's count is read.
+    is queried, and no other unit's count is read. The seed fold is queried
+    alone, a loop miss takes the mover plus one block of ``_MIN_QUERY``
+    units, and a batch move recounts every queried row.
 
     The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
@@ -234,13 +234,12 @@ class _LoopState:
                                     1.0 / (2.0 * kappa), 1.0)
         self.g_w = None
 
-    def index(self, x, y, knn_k, crit=None):
+    def index(self, x, y, knn_k):
         """Count fold members among each unit's voters (count / kappa is its
         vote, bit for bit). With ``knn_k >= n`` every unit votes on every
         unit, so each count is |I| and no index is built; otherwise the
         voters are the leave-one-out lists of a :class:`NeighborIndex`, and
-        the seed fold is queried (:meth:`query`) with the criterion
-        ``crit``."""
+        the seed fold alone is queried (:meth:`query`)."""
         n = self.mask.size
         if knn_k >= n:
             self.set_kappa(n)
@@ -250,23 +249,22 @@ class _LoopState:
         self.set_kappa(self.nbr.kappa)
         self.lists = np.empty((n, self.kappa), dtype=np.intp)
         self.queried = np.zeros(n, dtype=bool)
-        self.query(np.flatnonzero(self.mask), crit)
+        self.query(np.flatnonzero(self.mask))
 
     def query(self, units, crit=None):
         """Take the lists of the unqueried among ``units`` and, given the
-        selection criterion ``crit``, of the lowest-criterion unqueried,
-        unblocked units (``_MIN_QUERY``); count each new row's fold members
-        and rebuild CSR ``rev``, the queried units whose counts each unit
-        enters, in ascending unit order. Only queried units' counts are
-        kept; every fold member is queried before it joins."""
+        selection criterion ``crit`` (a loop miss), of the ``_MIN_QUERY``
+        lowest-criterion unqueried, unblocked units; count each new row's
+        fold members and rebuild CSR ``rev``, the queried units whose counts
+        each unit enters, in ascending unit order. Only queried units'
+        counts are kept; every fold member is queried before it joins."""
         n = self.mask.size
         new = units[~self.queried[units]]
         self.queried[new] = True
         if crit is not None:
             free = np.flatnonzero(~(self.queried | self.blocked))
-            take = max(np.count_nonzero(self.queried), _MIN_QUERY)
-            if take < free.size:
-                free = free[np.argpartition(crit[free], take - 1)[:take]]
+            if _MIN_QUERY < free.size:
+                free = free[np.argpartition(crit[free], _MIN_QUERY - 1)[:_MIN_QUERY]]
             self.queried[free] = True
             new = np.concatenate((new, free))
         lists = self.lists[new] = self.nbr.lists(new)
@@ -283,20 +281,16 @@ class _LoopState:
         self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=n), out=self.rev_ptr[1:])
 
-    def criterion(self, tau_vals, e_hat):
-        """The selection criterion, +inf at every blocked unit."""
-        crit = selection_criterion(tau_vals, e_hat)
-        np.putmask(crit, self.blocked, np.inf)
-        return crit
-
     def move(self, j, crit=None):
         """Put unit j, or the array j of two or more held-out units, in the
         fold, blocking every subgroup that reaches its floor. Unqueried
-        movers are queried first, with the criterion ``crit`` that chose
-        them; then their assignments are read, before any count or sum
-        changes. Current sums take a single unit at once (:meth:`add`); a
-        batch, or a move that changes every count (``knn_k >= n``), leaves
-        them to the next refit's rebuild."""
+        movers are queried first, a loop mover with the criterion ``crit``
+        that chose it; then their assignments are read, before any count or
+        sum changes. A single move adds one to the counts of its reverse
+        neighbors and takes it into current sums at once (:meth:`add`); a
+        batch recounts every queried row and, like a move that changes every
+        count (``knn_k >= n``), leaves the sums to the next refit's
+        rebuild."""
         batch = isinstance(j, np.ndarray)
         if self.nbr is not None and not (self.queried[j].all() if batch
                                          else self.queried[j]):
@@ -316,17 +310,14 @@ class _LoopState:
             self.counts += np.size(j)
             self.g_w = None
         elif batch:
-            # The batch's reverse-list segments, gathered in one index array.
-            lo = self.rev_ptr[j]
-            lens = self.rev_ptr[j + 1] - lo
-            ends = np.cumsum(lens)
-            pos = np.arange(ends[-1]) + np.repeat(lo - ends + lens, lens)
-            self.counts += np.bincount(self.rev[pos], minlength=self.counts.size)
+            rows = np.flatnonzero(self.queried)
+            self.counts[rows] = np.count_nonzero(self.mask[self.lists[rows]], axis=1)
             self.g_w = None
         else:
-            self.counts[self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]] += 1
+            nb = self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]
+            self.counts[nb] += 1
             if self.g_w is not None:
-                self.add(j)
+                self.add(j, nb)
 
     def prune(self, tau_vals):
         """Evict negative-CATE units from each inference fold, most negative
@@ -350,12 +341,11 @@ class _LoopState:
         self.g_w = xd_i.T @ (xd_i * w[:, None])
         self.b_w = xd_i.T @ (self.r[nuis] * w)
 
-    def add(self, j):
+    def add(self, j, nb):
         """Fold one move into the sums: unit j's own terms, and the weight
-        change of the fold members among its reverse neighbors, the only
-        units whose counts the move changed. :meth:`move` has read j's
+        change of the fold members among ``nb``, its reverse neighbors, the
+        only units whose counts the move changed. :meth:`move` has read j's
         assignment already."""
-        nb = self.rev[self.rev_ptr[j]:self.rev_ptr[j + 1]]
         inside = nb[self.mask[nb]]
         units = np.concatenate((inside, (j,)))
         w = self.weight[self.counts[units]]
@@ -408,13 +398,14 @@ def run(dataset, partition, config, collect_trace=True):
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
     tau_prev_vals, e_hat, _ = state.refit()
-    state.index(x, y, config.knn_k, state.criterion(tau_prev_vals, e_hat))
+    state.index(x, y, config.knn_k)
 
     l_hist = []
     trace = []
     streak = 0   # trailing steps with l <= eps_l
     while True:
-        crit = state.criterion(tau_prev_vals, e_hat)
+        crit = selection_criterion(tau_prev_vals, e_hat)
+        np.putmask(crit, state.blocked, np.inf)
         j_star = int(crit.argmin())   # the first minimum: lowest index
         if state.blocked[j_star]:
             stop_reason = "floor"

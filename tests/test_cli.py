@@ -26,7 +26,7 @@ def run_cli(*args):
 
 
 class TestAnalyze:
-    def test_adasplit_report(self, trial_csv, tmp_path):
+    def test_adasplit_report(self, trial_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"mc_draws": 200, "seed": 3, "n0": 10}))
@@ -41,6 +41,17 @@ class TestAnalyze:
         assert payload["config"]["mc_draws"] == 200
         assert payload["folds"] is not None
         assert len(payload["cate_coefficients"]) == 6
+        # --seed overrides the config's seed, and without --out the report
+        # goes to stdout, the same text the --out file holds.
+        config.write_text(json.dumps({"mc_draws": 200, "seed": 8, "n0": 10}))
+        seeded = tmp_path / "seeded.json"
+        assert run_cli("analyze", "--data", trial_csv, "--config", config,
+                       "--method", "adasplit", "--seed", 3, "--out", seeded) == 0
+        assert seeded.read_bytes() == out.read_bytes()
+        capsys.readouterr()
+        assert run_cli("analyze", "--data", trial_csv, "--config", config,
+                       "--method", "adasplit", "--seed", 3) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_rt_has_no_folds(self, trial_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -72,12 +83,21 @@ class TestAnalyze:
         assert "--quantile-cuts" in err and "'abc'" in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("cuts", ["", " , "])
-    def test_no_quantile_cut_exit_2(self, trial_csv, capsys, cuts):
-        # An unset shell variable must not analyze one subgroup.
+    @pytest.mark.parametrize("cuts,on,message", [
+        pytest.param("", ("--on", "x1"), "--quantile-cuts: no cut", id=""),
+        pytest.param(" , ", ("--on", "x1"), "--quantile-cuts: no cut", id=" , "),
+        pytest.param("0.5", (), "--quantile-cuts requires --on", id="no-on"),
+        pytest.param("0.5", ("--on", "foo"), "--on: cannot parse column 'foo'",
+                     id="on-foo"),
+        pytest.param("0.5", ("--on", "x9"), "--on: column 'x9' out of range for d=5",
+                     id="on-x9"),
+    ])
+    def test_no_quantile_cut_exit_2(self, trial_csv, capsys, cuts, on, message):
+        # An unset shell variable must not analyze one subgroup, and the
+        # cuts need a covariate of the trial to cut.
         assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
-                       "--quantile-cuts", cuts, "--on", "x1") == 2
-        assert "--quantile-cuts: no cut" in capsys.readouterr().err
+                       "--quantile-cuts", cuts, *on) == 2
+        assert message in capsys.readouterr().err
 
     def test_on_without_quantile_cuts_exit_2(self, trial_csv, tmp_path, capsys):
         # The CSV's labels must not stand in for the asked-for covariate.
@@ -222,7 +242,7 @@ class TestAnalyze:
 
     def test_bad_config_exit_3(self, trial_csv, tmp_path):
         config = tmp_path / "cfg.json"
-        for values in ({"rho": 2.0}, {"rho": "0.3", "n0": True}):
+        for values in ({"rho": 2.0}, {"rho": "0.3", "n0": True}, [{"rho": 0.3}]):
             config.write_text(json.dumps(values))
             assert run_cli("analyze", "--data", trial_csv, "--config", config) == 3
 
@@ -444,6 +464,8 @@ class TestReproduce:
     def test_reps_validation_exit_3(self, tmp_path):
         assert run_cli("reproduce", "--table", "4", "--reps", "0",
                        "--out", tmp_path) == 3
+        assert run_cli("simulate", "--scenario", "default", "--reps", "0",
+                       "--out", tmp_path / "x.csv") == 3
 
     def test_bad_table_exit_3(self, tmp_path):
         assert run_cli("reproduce", "--table", "9", "--reps", "10",

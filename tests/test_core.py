@@ -156,6 +156,8 @@ class TestPartition:
             SubgroupPartition(([0, 1], [3]))
         with pytest.raises(ValidationError, match="empty"):
             SubgroupPartition(([0, 1], []))
+        with pytest.raises(ValidationError, match="^at least one subgroup required$"):
+            SubgroupPartition(())
 
     @pytest.mark.parametrize("groups, message", [
         (([0, 0], [5]), "subgroups overlap"),

@@ -253,6 +253,13 @@ class TestRead:
         assert error_of(csv_file(tmp_path, text)) == (
             "header: field larger than field limit (131072)")
 
+    @pytest.mark.parametrize("header, message", [
+        ("x1,x3,y,z", "covariate columns must be named x1..xd with no gaps"),
+        ("x1,y,y,z", "duplicate column names"),
+    ], ids=["gap", "duplicate-y"])
+    def test_bad_header(self, tmp_path, header, message):
+        assert error_of(csv_file(tmp_path, header + "\n1,2,3,1\n")) == message
+
     @pytest.mark.parametrize("column", ["y", "z"])
     def test_subgroups_by_outcome_or_assignment_are_rejected(self, tmp_path, column):
         path = csv_file(tmp_path, "x1,x2,y,z\n0.5,1,1,1\n0.25,2,0,0\n")
@@ -385,6 +392,8 @@ class TestRead:
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")
         assert error_of(path) == "empty file: n >= 1 required"
+        # Without even a header the file is empty too.
+        assert error_of(csv_file(tmp_path, "", "zero.csv")) == "empty file: n >= 1 required"
 
 
 class TestWrite:

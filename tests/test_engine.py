@@ -279,6 +279,11 @@ class TestRun:
             rows = list(csv.reader(fh))
         assert rows[0][:5] == ["t", "unit", "subgroup", "criterion", "l"]
         assert len(rows) - 1 == report.iterations
+        # Only the adaptive split has a trace to write.
+        rt = adasplit.run_method("rt", ds, part, small_config())
+        with pytest.raises(ValidationError, match="^report carries no trace$"):
+            write_trace_csv(rt, tmp_path / "rt.csv")
+        assert not (tmp_path / "rt.csv").exists()
 
     def test_trace_csv_of_a_zero_step_run(self, tmp_path):
         # At rho = 0.95 the seed split leaves each subgroup of 40 at its
@@ -340,36 +345,56 @@ class TestLoopState:
     ])
     def test_vote_counts_track_neighbor_index(self, n, kappa, monkeypatch):
         # After every move, a loop step's unit and the prune batch alike,
-        # every fold member has been queried, and the incremental counts give
-        # exactly the mean of the mask over each queried unit's oracle
-        # leave-one-out list, or over all units when kappa >= n; each
-        # subgroup's held-out count is exact and never below its floor. At
-        # n = 1500 the minimum query leaves rows unqueried.
+        # every fold member has been queried, and every queried unit's count
+        # is exactly the number of fold members in its oracle leave-one-out
+        # list, or |I| when kappa >= n; each subgroup's held-out count is
+        # exact and never below its floor. The seed query takes exactly the
+        # seed fold, a loop miss the mover plus the _MIN_QUERY unqueried,
+        # unblocked units it can (at n = 1500 that leaves rows unqueried),
+        # and the prune batch only its own unqueried units.
         ds, part = duplicated_problem(n=n)
         neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
         lists = neighbors if loo_neighbors is None else loo_neighbors
-        moved, states = [], []
-        original = engine._LoopState.move
+        moved, states, misses = [], [], []
+        original_move, original_query = engine._LoopState.move, engine._LoopState.query
+
+        def checked_query(state, units, crit=None):
+            before = state.queried.copy()
+            free = np.count_nonzero(~(before | state.blocked))
+            original_query(state, units, crit)
+            new = np.flatnonzero(state.queried & ~before)
+            if not before.any():
+                assert crit is None
+                assert np.array_equal(new, np.flatnonzero(state.mask))
+            elif crit is None:
+                assert np.all(np.isin(new, units))
+            else:
+                assert units.size == 1 and units[0] in new
+                assert new.size == min(free - 1, engine._MIN_QUERY) + 1
+                misses.append(new.size)
 
         def checked_move(state, j, crit=None):
-            original(state, j, crit)
+            original_move(state, j, crit)
             moved.extend(np.atleast_1d(j))
             states.append(state)
             rows = np.arange(n) if state.nbr is None else np.flatnonzero(state.queried)
             assert np.all(np.isin(np.flatnonzero(state.mask), rows))
-            expected = state.mask.astype(float)[lists[rows]].mean(axis=1)
-            assert np.array_equal(state.counts[rows] / state.kappa, expected)
+            expected = np.count_nonzero(state.mask[lists[rows]], axis=1)
+            assert np.array_equal(state.counts[rows], expected)
             held = [np.count_nonzero(~state.mask[g]) for g in part.groups]
             assert np.array_equal(state.j_sizes, held)
             assert np.all(state.j_sizes >= state.floor)
 
+        monkeypatch.setattr(engine._LoopState, "query", checked_query)
         monkeypatch.setattr(engine._LoopState, "move", checked_move)
         # At rho = 0.7 the prune pass stops at the floor in most runs.
         cfg = small_config(n0=5, knn_k=kappa, eps_l=0.5, rho=0.7)
         report = run(ds, part, cfg)
         # Both kinds of move happened: more units moved than loop steps.
         assert 0 < report.iterations < len(moved)
+        assert bool(misses) == (kappa < n)
         if n > engine._MIN_QUERY:
+            assert engine._MIN_QUERY + 1 in misses
             assert not states[-1].queried.all()
 
     @pytest.mark.parametrize("n", [500, 70000])

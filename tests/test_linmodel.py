@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adasplit import ValidationError, diversity_scores, fit_wls, generate
+from adasplit import LinearModel, ValidationError, diversity_scores, fit_wls, generate
 from adasplit.linmodel import _solve_spd
 from oracles import wls_solve
 
@@ -36,6 +36,11 @@ def test_singular_design_message():
     with pytest.raises(ValidationError, match="singular design: collinear"):
         fit_wls(x, np.arange(5.0), ridge=0.0)
     fit_wls(x, np.arange(5.0), ridge=1e-6)  # stabilized solve goes through
+    for args, ridge, message in (((np.empty((0, 2)), np.empty(0)), 0.0, "n >= 1 required"),
+                                 ((x, np.arange(4.0)), 0.0, "x and y length mismatch"),
+                                 ((x, np.arange(5.0)), -1e-6, "ridge must be >= 0")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fit_wls(*args, ridge=ridge)
 
 
 def test_predict_cases():
@@ -150,6 +155,7 @@ def test_solve_spd_non_finite_errors(bad):
     b = np.array([1.0, bad, 0.0])
     # A non-finite right-hand side fails as a non-finite solution does.
     assert raised(_solve_spd, np.eye(3), b) == NON_FINITE_SOLUTION
+    assert raised(LinearModel, [1.0, bad]) == (ValidationError, "non-finite coefficient")
 
 
 def test_solve_spd_non_finite_solution_errors():

@@ -325,6 +325,8 @@ class TestPosterior:
     def test_values(self):
         assert posterior_e(0.0, 0.0, 0.0, 1.0) == pytest.approx(0.5)
         assert posterior_e(1.0, 0.0, 1.0, 1.0) == pytest.approx(0.7310585786, abs=1e-6)
+        with pytest.raises(ValidationError, match="^nu2 must be positive$"):
+            posterior_e(1.0, 0.0, 1.0, 0.0)
 
     def test_sign_flip_symmetry(self):
         gen = np.random.default_rng(13)

@@ -172,6 +172,10 @@ class TestMonteCarloPValue:
         ds = Dataset(gen.normal(size=(8, 1)), y, z)
         pv = mc_pvalue(None, ds, np.arange(8), 999, rng.stream(8, 0))
         assert 1.0 / 1000.0 <= pv.value <= 1.0
+        with pytest.raises(ValidationError, match=r"^p-value must lie in \(0, 1\]$"):
+            PValue(0.0, 0)
+        with pytest.raises(ValidationError, match="^m_draws must be >= 1$"):
+            mc_pvalue(None, ds, np.arange(8), 0, rng.stream(8, 0))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_chunks_of_one_and_few_rows(self, monkeypatch, rows):
