@@ -14,11 +14,11 @@ inference fold of subgroup ``g`` is ``g[~mask[g]]``.
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import numbers
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,9 +322,6 @@ class AnalysisReport:
 
 # CSV ingestion ---------------------------------------------------------------
 
-# Lines (records, from the first quote on) are read this many at a time,
-# which bounds the text held in memory.
-_CSV_BLOCK = 1024
 _LABEL_RANGE = np.iinfo(int)
 
 
@@ -339,12 +336,12 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     offending row and column; nothing is coerced silently. A row of blank
     cells is skipped but keeps its number.
 
-    Lines are read in blocks of ``_CSV_BLOCK``, so memory holds one block of
-    text whatever the file's length; from the first block holding a quote or
-    an over-long line on, records are read with ``csv.reader``. numpy's C
-    reader converts each block (see :func:`_parse_block`), with the float
-    parser ``float`` uses, so values are bit-identical. A block it refuses
-    goes cell by cell, which accepts it or raises the first bad cell's error.
+    There are two passes. One ``np.loadtxt`` call reads every record after
+    the header, quoted cells included, with the float parser ``float``
+    uses, so values are bit-identical (see :func:`_loadtxt`). A file it
+    refuses is read again, whole, with ``csv.reader``: each cell goes
+    through :func:`_cell` in row order, which accepts the file or raises the
+    first bad cell's error.
     """
     if subgroup_column in ("y", "z"):
         raise ValidationError(
@@ -353,8 +350,9 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
         )
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(records)
             except StopIteration:
                 raise ValidationError("empty file: n >= 1 required")
             except csv.Error as exc:
@@ -380,102 +378,74 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
             # as "1.0" has changed between releases).
             dtype = np.dtype(",".join(
                 "O" if i == col.get(subgroup_column) else "f8" for i in range(len(header))))
-
-            blocks = []
-            first = 1
-            limit = csv.field_size_limit()
-            while lines := list(itertools.islice(fh, _CSV_BLOCK)):
-                # Without quotes or over-long fields a line is one record.
-                if '"' in "".join(lines) or max(map(len, lines)) > limit:
-                    break
+            # A second handle, with universal newlines, hands numpy's reader
+            # every line end as one "\n"; the header is parsed again to skip it.
+            with open(path, encoding="utf-8-sig") as text:
+                next(csv.reader(text))
                 try:
-                    blocks.append(_loadtxt(lines, dtype, fields))
+                    columns = _loadtxt(text, dtype, fields)
                 except (ValueError, OverflowError):
-                    blocks.extend(_record_blocks(csv.reader(lines), first, dtype, fields))
-                first += len(lines)
-            # Every earlier block was quote-free, so a record starts here.
-            reader = csv.reader(itertools.chain(lines, fh))
-            blocks.extend(_record_blocks(reader, first, dtype, fields))
+                    columns = None
+            if columns is None:
+                columns = _parse_records(records, len(header), fields)
     except UnicodeDecodeError as exc:
         # The file is decoded in chunks, so this can surface at any row.
         raise ValidationError(
             f"not a UTF-8 file: byte 0x{exc.object[exc.start]:02x} cannot be decoded"
         ) from exc
-    columns = [np.concatenate(c) for c in zip(*blocks)]
-    if not columns or columns[0].size == 0:
+    if columns[0].size == 0:
         raise ValidationError("empty file: n >= 1 required")
     d = len(names)
     dataset = Dataset(np.column_stack(columns[:d]), columns[d], columns[d + 1])
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
 
 
-def _record_blocks(reader, first, dtype, fields):
-    """One array list per block of ``_CSV_BLOCK`` records from ``reader``,
-    the first of which is row ``first``."""
-    while True:
-        rows = []
-        try:
-            rows.extend(itertools.islice(reader, _CSV_BLOCK))
-        except csv.Error as exc:
-            # A bad cell before the reader's own error is reported first.
-            _parse_block(rows, first, dtype, fields)
-            raise ValidationError(f"row {first + len(rows)}: {exc}") from exc
-        if not rows:
-            return
-        yield _parse_block(rows, first, dtype, fields)
-        first += len(rows)
+def _loadtxt(fh, dtype, fields):
+    """Each field's column of the records left in ``fh``, as one
+    ``np.loadtxt`` call converts them, checked as :func:`_cell` checks a
+    cell; raises ``ValueError`` or ``OverflowError`` otherwise.
 
-
-def _parse_block(rows, first, dtype, fields):
-    """One array per field over the block's non-blank records; ``first`` is
-    the number of the block's first row.
-
-    When every such record has the header's width, they are joined back
-    into lines for numpy's reader. It refuses a cell holding a comma (the
-    column count changes) or a line break, an underscore, a non-ASCII digit,
-    U+001C..U+001F around a label and any bad cell; such a block is
-    converted cell by cell with :func:`_cell`, in row order, which raises
-    the first bad cell's error.
+    numpy's reader refuses a row of blank cells or a whitespace-only row,
+    an underscore or a non-ASCII digit in a number, U+001C..U+001F around a
+    label and any bad cell.
     """
-    kept = [row for row in rows if "".join(row).strip()]
-    if all(len(row) == len(dtype) for row in kept):
-        try:
-            return _loadtxt(list(map(",".join, kept)), dtype, fields)
-        except (ValueError, OverflowError):
-            pass
-    columns = [[] for _ in fields]
-    for r, row in enumerate(rows, start=first):
-        if not "".join(row).strip():
-            continue
-        if len(row) != len(dtype):
-            raise ValidationError(f"row {r}: expected {len(dtype)} cells, got {len(row)}")
-        for column, (idx, name, kind) in zip(columns, fields):
-            column.append(_cell(row, idx, r, name, kind))
-    return [np.array(c, dtype=kind) for c, (_, _, kind) in zip(columns, fields)]
-
-
-def _loadtxt(lines, dtype, fields):
-    """Each field's column of ``lines`` as one ``np.loadtxt`` call converts
-    it, checked as :func:`_cell` checks a cell (labels through ``int``);
-    raises ``ValueError`` or ``OverflowError`` otherwise."""
-    if not any(map(str.strip, lines)):  # np.loadtxt warns on a block with no data
-        raise ValueError("no data")
-    table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        # Only blank lines after the header: an empty file, reported as such.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"',
+                           ndmin=1)
     out = []
     for idx, name, kind in fields:
         column = table[dtype.names[idx]]
-        if kind is int:
-            values = np.fromiter(map(int, column), int, count=column.size)
-        elif column.dtype == object:  # a covariate that also labels the subgroups
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, usecols=idx)
+        if column.dtype == object:  # text: the labels, or a covariate that is both
+            values = np.fromiter(map(kind, column), kind, count=column.size)
         else:
-            values = column.copy()  # so no label text outlives the block
+            values = column.copy()  # so the table and its text go on return
         if kind is float and not np.isfinite(values).all():
             raise ValueError(f"non-finite {name}")
         if name == "z" and not ((values == 0.0) | (values == 1.0)).all():
             raise ValueError("assignment not 0 or 1")
         out.append(values)
     return out
+
+
+def _parse_records(records, width, fields):
+    """One array per field over the non-blank records, cell by cell with
+    :func:`_cell`; a bad cell, a record of the wrong width or the reader's
+    own error raises, the first in row order."""
+    columns = [[] for _ in fields]
+    r = 0
+    try:
+        for r, row in enumerate(records, start=1):
+            if not "".join(row).strip():
+                continue
+            if len(row) != width:
+                raise ValidationError(f"row {r}: expected {width} cells, got {len(row)}")
+            for column, (idx, name, kind) in zip(columns, fields):
+                column.append(_cell(row, idx, r, name, kind))
+    except csv.Error as exc:
+        raise ValidationError(f"row {r + 1}: {exc}") from exc
+    return [np.array(c, dtype=kind) for c, (_, _, kind) in zip(columns, fields)]
 
 
 def _cell(row, idx, r, name, kind):

@@ -22,25 +22,26 @@ before it joins. The seed fold alone is queried when the index is built; a
 loop mover with no list yet is queried together with the ``_MIN_QUERY``
 units the current criterion ranks next; the prune batch is queried before
 it moves. The reverse neighbor lists (the queried units whose counts each
-unit enters) are the stable argsort of the queried lists, rebuilt after
-each query by radix passes over 16-bit digits. A list does not depend on
+unit enters) are the stable argsort of the queried lists, by radix
+passes over 16-bit digits, rebuilt after a query where a single move
+first reads them; a batch move reads none. A list does not depend on
 when its row is queried, the counts are exact integers and the reverse
 lists keep ascending unit order, so every sum and report is the one a run
 querying every row at once makes. A unit's assignment is read where it
-joins the nuisance fold: the seed fold's when the state is built, every
-other unit's in :meth:`_LoopState.move`, the one way into the fold for
-loop and prune moves alike. ``move`` also keeps the counts and sums
-current: a loop step moves one unit, the prune pass all its evictions at
-once. A single move changes the counts only at the mover's reverse
-neighbors, so it adds one to each and the sums take the mover and the
-weight change of those neighbors in the fold, O(kappa d^2); a batch
-recounts every queried row and is applied to the sums in the next refit's
-rebuild. The pooled fit's Gram is X'X, factored once per run, so a step is
-O(kappa d^2 + d^3) plus a few O(n d) passes: two predictions, the pooled
-right-hand side and the posterior. Running sums round differently from
-fresh ones, so reports agree with refitting from scratch
-(``tests/oracles.reference_run``) exactly in every decision (folds,
-iterations, p-values, the audited reads) and to 1e-9 in the CATE
+joins the nuisance fold, by :meth:`_LoopState._join`: the seed fold's
+when the state is built, every other unit's in :meth:`_LoopState.move`,
+the one way into the fold for loop and prune moves alike. ``move`` also
+keeps the counts and sums current: a loop step moves one unit, the prune
+pass all its evictions at once. A single move changes the counts only at
+the mover's reverse neighbors, so it adds one to each and the sums take
+the mover and the weight change of those neighbors in the fold,
+O(kappa d^2); a batch recounts every queried row and is applied to the
+sums in the next refit's rebuild. The pooled fit's Gram is X'X, factored
+once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d) passes:
+two predictions, the pooled right-hand side and the posterior. Running
+sums round differently from fresh ones, so reports agree with refitting
+from scratch (``tests/oracles.reference_run``) exactly in every decision
+(folds, iterations, p-values, the audited reads) and to 1e-9 in the CATE
 coefficients, ``nu2`` and ``l``. The solves return bare arrays and each
 step forms its posterior, selection key and pooled right-hand side as
 fresh arrays, with no buffers kept between steps; at small n a step's
@@ -56,6 +57,7 @@ folds and builds the report.
 """
 
 import csv
+import functools
 
 import numpy as np
 
@@ -186,11 +188,11 @@ class _LoopState:
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
     probability ``w``; ``g_w`` None marks them stale. The pooled fit's Gram
     is X'X, factored once in ``pooled_factor``. A unit's assignment ``z``
-    and scaled residual ``r`` are set once, where the unit joins the fold:
-    here for the seed fold, in :meth:`move` for every later unit, the only
-    two places ``zlog`` is read. ``z`` and ``r`` are zero off the fold, and
-    so is ``w``, which each rebuild and :meth:`add` set. Nothing else is
-    kept between steps: each refit returns a fresh posterior.
+    and scaled residual ``r`` are set once, where the unit joins the fold,
+    by :meth:`_join`, the only reader of ``zlog``: here for the seed fold,
+    in :meth:`move` for every later unit. ``z`` and ``r`` are zero off the
+    fold, and so is ``w``, which each rebuild and :meth:`add` set. Nothing
+    else is kept between steps: each refit returns a fresh posterior.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
@@ -215,13 +217,17 @@ class _LoopState:
         self.ridge_eye = config.ridge_lambda * np.eye(m)
         self.pooled_factor = _cho_factor(self.xd.T @ self.xd + self.ridge_eye)
         self.z, self.r, self.w = np.zeros(n), np.zeros(n), np.zeros(n)
-        seed = np.flatnonzero(mask)
-        z = self.z[seed] = zlog.take(seed)
-        self.r[seed] = self.resid_y[seed] / (z - 0.5)
+        self._join(np.flatnonzero(mask))
         # Until the index is built every unit has selection probability one:
         # the seed fold depends on covariates only.
         self.nbr, self.counts = None, np.ones(n, dtype=np.intp)
         self.set_kappa(1)
+
+    def _join(self, j):
+        """Read the assignment of unit j, or of the array j of units, as it
+        joins the fold, and set its ``z`` and scaled residual ``r``."""
+        z = self.z[j] = self.zlog.take(j)
+        self.r[j] = self.resid_y[j] / (z - 0.5)
 
     def set_kappa(self, kappa):
         """Take votes out of ``kappa``; ``weight[c]`` is the inverse of the
@@ -255,10 +261,10 @@ class _LoopState:
         """Take the lists of the unqueried among ``units`` and, given the
         selection criterion ``crit`` (a loop miss), of the ``_MIN_QUERY``
         lowest-criterion unqueried, unblocked units; count each new row's
-        fold members and rebuild CSR ``rev``, the queried units whose counts
-        each unit enters, in ascending unit order. Only queried units'
-        counts are kept; every fold member is queried before it joins."""
-        n = self.mask.size
+        fold members. Only queried units' counts are kept; every fold member
+        is queried before it joins. The reverse lists :attr:`rev` and
+        :attr:`rev_ptr` go stale, to be rebuilt where a single move first
+        reads them: a batch move recounts instead and reads none."""
         new = units[~self.queried[units]]
         self.queried[new] = True
         if crit is not None:
@@ -269,17 +275,29 @@ class _LoopState:
             new = np.concatenate((new, free))
         lists = self.lists[new] = self.nbr.lists(new)
         self.counts[new] = np.count_nonzero(self.mask[lists], axis=1)
+        vars(self).pop("rev", None)
+        vars(self).pop("rev_ptr", None)
+
+    @functools.cached_property
+    def rev(self):
+        """CSR reverse lists: ``rev[rev_ptr[u]:rev_ptr[u + 1]]`` are the
+        queried units whose counts unit u enters, in ascending unit order."""
         # The stable argsort of the queried rows' flat lists, by
         # least-significant-digit radix passes over 16-bit digits: numpy
         # radix-sorts 16-bit keys.
         rows = np.flatnonzero(self.queried)
         flat = self.lists[rows].ravel()
         perm = np.argsort(flat.astype(np.uint16), kind="stable")
-        if n > 1 << 16:
+        if self.mask.size > 1 << 16:
             perm = perm[np.argsort((flat[perm] >> 16).astype(np.uint16), kind="stable")]
-        self.rev = rows[perm // self.kappa]
-        self.rev_ptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(flat, minlength=n), out=self.rev_ptr[1:])
+        return rows[perm // self.kappa]
+
+    @functools.cached_property
+    def rev_ptr(self):
+        n = self.mask.size
+        ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.lists[self.queried].ravel(), minlength=n), out=ptr[1:])
+        return ptr
 
     def move(self, j, crit=None):
         """Put unit j, or the array j of two or more held-out units, in the
@@ -295,8 +313,7 @@ class _LoopState:
         if self.nbr is not None and not (self.queried[j].all() if batch
                                          else self.queried[j]):
             self.query(np.atleast_1d(j), crit)
-        z = self.z[j] = self.zlog.take(j)
-        self.r[j] = self.resid_y[j] / (z - 0.5)
+        self._join(j)
         self.mask[j] = self.blocked[j] = True
         if batch:
             self.j_sizes -= np.bincount(self.labels[j], minlength=self.j_sizes.size)

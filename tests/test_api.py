@@ -1,5 +1,6 @@
 """The public API of the package."""
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -65,6 +66,36 @@ def test_selection_loop_functions_take_no_output_buffer():
     e_array = adasplit.posterior_e(np.array(y), np.array(mu_vals), np.array(tau_vals), 0.8)
     assert e_list.tobytes() == e_array.tobytes()
     assert adasplit.certainty(e_array.tolist()).tobytes() == adasplit.certainty(e_array).tobytes()
+
+
+def test_assignments_are_read_only_where_listed():
+    # Outside the assignment log, the package reads a dataset's z only in
+    # these functions; a new read around the log fails here.
+    src = os.path.dirname(adasplit.__file__)
+    reads = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "z"
+                    and isinstance(child.ctx, ast.Load)
+                    and not (isinstance(child.value, ast.Name) and child.value.id == "self")):
+                reads.append(".".join([module] + scope))
+            visit(child, module, scope)
+
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                visit(ast.parse(fh.read()), name[:-3], [])
+    assert sorted(reads) == [
+        "data.write_dataset_csv",
+        "engine.run",                          # _AssignmentLog(dataset.z)
+        "randtest._fold_statistic",
+        "simlab.cate_quality_experiment",      # its baseline, after the report
+        "simlab.run_method",                   # _AssignmentLog(dataset.z)
+    ]
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -142,7 +142,7 @@ class TestAgainstReference:
         (5, "\x1f7\x1c"), (5, "\u0663"), (5, "\u20033 ")])
     def test_unusual_spellings(self, tmp_path, column, cell):
         # Underscores, non-ASCII digits and separator padding: numpy's reader
-        # refuses some of these, and the block holding one goes cell by cell.
+        # refuses some of these, and a file holding one is read cell by cell.
         lines = generated_trial(5).split("\n")
         cells = lines[1500].split(",")
         cells[column] = cell
@@ -253,6 +253,14 @@ class TestRead:
         assert error_of(csv_file(tmp_path, text)) == (
             "header: field larger than field limit (131072)")
 
+    def test_oversized_finite_cell_is_read(self, tmp_path):
+        # numpy's reader has no field size limit: a cell longer than
+        # csv.reader's that parses to a finite number is read. One that
+        # overflows goes to the strict pass and fails as above.
+        text = "x1,y,z\n1,2,1\n1,0." + "0" * 200000 + "1,1\n"
+        ds, _ = read_dataset_csv(csv_file(tmp_path, text))
+        assert ds.y.tolist() == [2.0, 0.0]
+
     @pytest.mark.parametrize("header, message", [
         ("x1,x3,y,z", "covariate columns must be named x1..xd with no gaps"),
         ("x1,y,y,z", "duplicate column names"),
@@ -301,8 +309,8 @@ class TestRead:
         assert assert_matches_reference(path) == "row 8000, column subgroup: could not parse 'x'"
 
     def test_first_bad_cell_in_a_later_block(self, tmp_path):
-        # Blocks 1 and 2 go through the strict path and are accepted; the
-        # row number of the bad cell in block 3 still counts every line.
+        # The strict pass accepts rows 3 and 1500 and skips row 2049; the
+        # row number of the bad cell still counts every line.
         n = 4000
         text, _ = big_trial_text(n, edit={3: " , , , , , ", 1500: "1_0.5,2,3,4,1,5",
                                           2049: "", 2100: "0.1,0.2,0.3,4,0,x"})
@@ -340,18 +348,19 @@ class TestRead:
         labels = part.labels()
         write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
 
-        def strict_path(*args):
+        def per_cell(*args):
             raise AssertionError("a written trial reached the per-cell path")
 
-        monkeypatch.setattr(data, "_parse_block", strict_path)
+        monkeypatch.setattr(data, "_cell", per_cell)
         back, got = read_dataset_csv(tmp_path / "a.csv")
         assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
         assert back.z.tobytes() == ds.z.tobytes() and got.tolist() == labels.tolist()
 
-    @pytest.mark.parametrize("edit", ["quote", "whitespace"])
+    @pytest.mark.parametrize("edit", ["quote"])
     def test_quoted_and_whitespace_rows_take_the_fast_path(self, tmp_path, monkeypatch, edit):
-        # A fully quoted trial, or one with whitespace-only rows, is still
-        # converted by numpy's reader, block by block, and never cell by cell.
+        # A fully quoted trial is converted by one np.loadtxt call over the
+        # whole file, and never cell by cell. (Whitespace-only rows take the
+        # strict pass; TestAgainstReference checks their values.)
         from adasplit.simlab import generate, scenario_with_size
 
         ds, part, _ = generate(scenario_with_size("default", 3000), 6)
@@ -359,11 +368,7 @@ class TestRead:
         with open(tmp_path / "a.csv", newline="") as fh:
             records = list(csv.reader(fh))
         with open(tmp_path / "b.csv", "w", newline="") as fh:
-            if edit == "quote":
-                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(records)
-            else:
-                fh.writelines(",".join(r) + ("\n \t \n" if i % 700 == 5 else "\n")
-                              for i, r in enumerate(records))
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(records)
         loaded = []
         loadtxt = np.loadtxt
 
@@ -373,21 +378,30 @@ class TestRead:
             return table
 
         def per_cell(*args):
-            raise AssertionError("a block went cell by cell")
+            raise AssertionError("a record went cell by cell")
 
         monkeypatch.setattr(np, "loadtxt", spy)
         monkeypatch.setattr(data, "_cell", per_cell)
         back, labels = read_dataset_csv(tmp_path / "b.csv")
-        assert len(loaded) == 3 and sum(loaded) == 3000  # one table per block
+        assert loaded == [3000]  # one table for the whole file
         assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
         assert back.z.tobytes() == ds.z.tobytes() and labels.tolist() == part.labels().tolist()
 
     def test_cell_holding_commas_and_a_line_break(self, tmp_path):
-        # Joined back, the record would read as two valid lines; numpy's
-        # reader refuses it, and the cell does not parse.
+        # Read without its quotes, the record would be two valid lines;
+        # numpy's reader keeps it one cell, which does not parse.
         path = csv_file(tmp_path, 'x1,y,z\n1,2,1\n3,"0,1\n5,6",1\n')
         assert error_of(path) == "row 2, column y: could not parse '0,1\\n5,6'"
         assert assert_matches_reference(path) == error_of(path)
+
+    @pytest.mark.parametrize("text", ["x1,y,z\n", "x1,y,z", "x1,y,z\n\n\r\n\n"],
+                             ids=["header", "header-no-newline", "blank-lines"])
+    def test_no_data_is_empty_without_warning(self, tmp_path, text):
+        # np.loadtxt warns on input with no data; the reader reports it
+        # as an empty file instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert error_of(csv_file(tmp_path, text)) == "empty file: n >= 1 required"
 
     def test_only_blank_rows_is_empty(self, tmp_path):
         path = csv_file(tmp_path, "x1,y,z\n\n , ,\n")

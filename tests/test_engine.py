@@ -492,8 +492,9 @@ class TestLoopState:
         assert states[-1].queried.all()
         if n == 4000:
             # A converged run moves only part of the units into the fold,
-            # and queries under half of all rows: its seed fold with the
-            # first minimum query, then the prune batch.
+            # and queries under half of all rows: its seed fold alone, the
+            # mover and _MIN_QUERY more at the first loop miss, then the
+            # prune batch (1041 rows in all for seed 0).
             assert json.loads(lazy)["diagnostics"]["converged"]
             assert queried < n / 2
 
