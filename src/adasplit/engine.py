@@ -38,15 +38,25 @@ the mover and the weight change of those neighbors in the fold,
 O(kappa d^2); a batch recounts every queried row and is applied to the
 sums in the next refit's rebuild. The pooled fit's Gram is X'X, factored
 once per run, so a step is O(kappa d^2 + d^3) plus a few O(n d) passes:
-two predictions, the pooled right-hand side and the posterior. Running
-sums round differently from fresh ones, so reports agree with refitting
-from scratch (``tests/oracles.reference_run``) exactly in every decision
-(folds, iterations, p-values, the audited reads) and to 1e-9 in the CATE
-coefficients, ``nu2`` and ``l``. The solves return bare arrays and each
-step forms its posterior, selection key and pooled right-hand side as
-fresh arrays, with no buffers kept between steps; at small n a step's
-Python-level call overhead, not its arithmetic, is most of its cost.
-Per-step timings are in the ROADMAP's Baseline.
+two predictions and the pooled right-hand side, products with the design,
+which is kept column-major (at n = 4000 and d = 4 its products took
+5.0 and 4.1 us against 10.5 and 11.3 us on a row-major copy, one thread
+of a 2-core Xeon), and one posterior pass. That pass forms
+``2 e_hat - 1`` once per refit on one array
+(:func:`nuisance._signed_certainty`), and both the pooled right-hand side
+and the next selection key read it. The fold's scaled residuals ``r`` and
+the held-out units' imputed scale ``2 (y - mu)`` are each zero where the
+other applies, so the right-hand side's terms are one multiply-add, and
+the key takes +inf on blocked units by adding a penalty array: no step
+walks a boolean mask to fill. Running sums and the column-major products
+round differently from fresh row-major ones, so reports agree with
+refitting from scratch (``tests/oracles.reference_run``) exactly in every
+decision (folds, iterations, p-values, the audited reads) and to 1e-9 in
+the CATE coefficients, ``nu2`` and ``l``. The solves return bare arrays
+and each step forms its posterior, selection key and pooled right-hand
+side as fresh arrays, with no buffers kept between steps; at small n a
+step's Python-level call overhead, not its arithmetic, is most of its
+cost. Per-step timings are in the ROADMAP's Baseline.
 
 Validity rests on a single structural property: no assignment outside the
 nuisance fold is ever read before the p-value stage. Every method (``rt``,
@@ -65,7 +75,7 @@ from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
 from .linmodel import (_cho_factor, _cho_solve, _design, _solve_spd, diversity_scores,
                        fit_wls)
-from .nuisance import NeighborIndex, certainty, noise_floor, posterior_e
+from .nuisance import NeighborIndex, _signed_certainty, certainty, noise_floor
 from .randtest import test_folds
 
 # A loop step whose mover has no neighbor list yet queries, besides the
@@ -151,6 +161,14 @@ def selection_criterion(tau_vals, e_hat_vals):
     return np.multiply(np.sign(tau_vals), certainty(e_hat_vals))
 
 
+def _selection_key(tau_vals, two_e):
+    """The loop's :func:`selection_criterion`, bit for bit, from
+    ``two_e = 2 e_hat - 1``: ``sign(tau) |2 e_hat - 1|`` on one fresh array."""
+    key = np.sign(tau_vals)
+    key *= np.abs(two_e)
+    return key
+
+
 def convergence_metric(new, old):
     """One minus the coefficient of determination of the new CATE predictions
     ``new`` against the previous ones ``old`` on the inference units.
@@ -174,9 +192,10 @@ class _LoopState:
 
     ``mask`` is the nuisance fold (its complement the held-out set),
     changed only through :meth:`move`, which also keeps each subgroup's
-    held-out count ``j_sizes`` (of ``s_sizes`` units), ``blocked`` (the fold,
-    plus every unit of a subgroup at its ``floor``) and the sums below. The
-    loop picks only unblocked units; :meth:`prune` stops at the floors.
+    held-out count ``j_sizes`` (of ``s_sizes`` units), ``penalty`` (+inf on
+    the blocked units: the fold, plus every unit of a subgroup at its
+    ``floor``; 0 elsewhere, added to the selection key) and the sums below.
+    The loop picks only unblocked units; :meth:`prune` stops at the floors.
 
     With an index (``nbr``), ``lists`` holds the leave-one-out lists of the
     ``queried`` units and ``counts`` their fold members; every fold member
@@ -186,13 +205,16 @@ class _LoopState:
 
     The weighted R-learner lives in running sums over the fold: ``g_w`` and
     ``b_w`` weight each unit's ``x x'`` and ``x r`` by its inverse selection
-    probability ``w``; ``g_w`` None marks them stale. The pooled fit's Gram
-    is X'X, factored once in ``pooled_factor``. A unit's assignment ``z``
-    and scaled residual ``r`` are set once, where the unit joins the fold,
-    by :meth:`_join`, the only reader of ``zlog``: here for the seed fold,
-    in :meth:`move` for every later unit. ``z`` and ``r`` are zero off the
-    fold, and so is ``w``, which each rebuild and :meth:`add` set. Nothing
-    else is kept between steps: each refit returns a fresh posterior.
+    probability ``w``; ``g_w`` None marks them stale. The design ``xd`` is
+    column-major, and the pooled fit's Gram X'X is factored once in
+    ``pooled_factor``. A unit's assignment ``z`` and scaled residual ``r``
+    are set once, where the unit joins the fold, by :meth:`_join`, the only
+    reader of ``zlog``: here for the seed fold, in :meth:`move` for every
+    later unit. ``_join`` also zeroes the unit's ``imputed_scale``
+    ``2 (y - mu)``, so ``imputed_scale`` is zero on the fold, where ``r``
+    applies, and ``z``, ``r`` and ``w`` are zero off it; each rebuild and
+    :meth:`add` set ``w``. Nothing else is kept between steps: each refit
+    returns a fresh ``2 e_hat - 1``.
 
     The posterior's scale parameter uses the assignment-anchored residual
     ``y - mu(x) - z tau(x)`` rather than the centered one: the extra
@@ -202,14 +224,15 @@ class _LoopState:
     """
 
     def __init__(self, dataset, partition, mu_vals, mask, zlog, config):
-        self.y, self.mu_vals, self.mask, self.zlog = dataset.y, mu_vals, mask, zlog
+        self.mask, self.zlog = mask, zlog
         self.groups, self.labels = partition.groups, partition.labels()
         self.s_sizes = np.array([g.size for g in self.groups])
         self.j_sizes = np.array([int((~mask[g]).sum()) for g in self.groups])
         self.floor = np.array([inference_floor(s, config.rho) for s in self.s_sizes])
         # Blocked: all but the held-out units of subgroups that can still donate one.
-        self.blocked = mask | (self.j_sizes <= self.floor)[self.labels]
-        self.xd = _design(dataset.x)
+        self.penalty = np.where(mask | (self.j_sizes <= self.floor)[self.labels],
+                                np.inf, 0.0)
+        self.xd = np.asfortranarray(_design(dataset.x))
         self.resid_y = dataset.y - mu_vals
         self.nu2_floor = noise_floor(dataset.y)
         self.imputed_scale = 2.0 * self.resid_y
@@ -225,9 +248,11 @@ class _LoopState:
 
     def _join(self, j):
         """Read the assignment of unit j, or of the array j of units, as it
-        joins the fold, and set its ``z`` and scaled residual ``r``."""
+        joins the fold, set its ``z`` and scaled residual ``r``, and zero
+        its imputed scale."""
         z = self.z[j] = self.zlog.take(j)
         self.r[j] = self.resid_y[j] / (z - 0.5)
+        self.imputed_scale[j] = 0.0
 
     def set_kappa(self, kappa):
         """Take votes out of ``kappa``; ``weight[c]`` is the inverse of the
@@ -268,7 +293,7 @@ class _LoopState:
         new = units[~self.queried[units]]
         self.queried[new] = True
         if crit is not None:
-            free = np.flatnonzero(~(self.queried | self.blocked))
+            free = np.flatnonzero(~self.queried & (self.penalty == 0.0))
             if _MIN_QUERY < free.size:
                 free = free[np.argpartition(crit[free], _MIN_QUERY - 1)[:_MIN_QUERY]]
             self.queried[free] = True
@@ -314,15 +339,16 @@ class _LoopState:
                                          else self.queried[j]):
             self.query(np.atleast_1d(j), crit)
         self._join(j)
-        self.mask[j] = self.blocked[j] = True
+        self.mask[j] = True
+        self.penalty[j] = np.inf
         if batch:
             self.j_sizes -= np.bincount(self.labels[j], minlength=self.j_sizes.size)
-            self.blocked |= (self.j_sizes == self.floor)[self.labels]
+            self.penalty[(self.j_sizes == self.floor)[self.labels]] = np.inf
         else:
             k = self.labels[j]
             self.j_sizes[k] -= 1
             if self.j_sizes[k] == self.floor[k]:
-                self.blocked[self.groups[k]] = True
+                self.penalty[self.groups[k]] = np.inf
         if self.nbr is None:
             self.counts += np.size(j)
             self.g_w = None
@@ -376,22 +402,25 @@ class _LoopState:
     def refit(self):
         """Fit the weighted CATE model, rebuilding the sums first when a move
         or a new ``kappa`` left them stale (``g_w`` None); returns its CATE
-        predictions, a fresh posterior and its scale."""
+        predictions, ``2 e_hat - 1`` for its posterior ``e_hat`` as a fresh
+        array, and the posterior's scale."""
         if self.g_w is None:
             self.rebuild()
         coef = _solve_spd(self.g_w + self.ridge_eye, self.b_w)
         tau_vals = self.xd @ coef
         resid = self.resid_y - self.z * tau_vals
         nu2 = max(float((resid * resid) @ self.w) / self.mask.size, self.nu2_floor)
-        return tau_vals, posterior_e(self.y, self.mu_vals, tau_vals, nu2), nu2
+        return tau_vals, _signed_certainty(self.resid_y, tau_vals, nu2), nu2
 
-    def pooled(self, e_hat):
-        """The pooled CATE fit's coefficients after a refit: observed scaled
-        residuals on the fold, imputed ones ``2 (y - mu) (2 e_hat - 1)``
-        elsewhere. Every unit enters once, so its Gram is X'X, factored when
-        the state is built."""
-        terms = (2.0 * e_hat - 1.0) * self.imputed_scale
-        np.putmask(terms, self.mask, self.r)
+    def pooled(self, two_e):
+        """The pooled CATE fit's coefficients after a refit, from
+        ``two_e = 2 e_hat - 1``: observed scaled residuals on the fold,
+        imputed ones ``2 (y - mu) (2 e_hat - 1)`` elsewhere, summed as
+        ``two_e * imputed_scale + r`` since each of the two is zero where the
+        other applies. Every unit enters once, so its Gram is X'X, factored
+        when the state is built."""
+        terms = two_e * self.imputed_scale
+        terms += self.r
         return _cho_solve(self.pooled_factor, self.xd.T @ terms)
 
 
@@ -414,23 +443,23 @@ def run(dataset, partition, config, collect_trace=True):
 
     # Seed refit: the seed fold depends on covariates only, so every unit
     # has selection probability one.
-    tau_prev_vals, e_hat, _ = state.refit()
+    tau_prev_vals, two_e, _ = state.refit()
     state.index(x, y, config.knn_k)
 
     l_hist = []
     trace = []
     streak = 0   # trailing steps with l <= eps_l
     while True:
-        crit = selection_criterion(tau_prev_vals, e_hat)
-        np.putmask(crit, state.blocked, np.inf)
+        crit = _selection_key(tau_prev_vals, two_e)
+        crit += state.penalty   # +inf on the blocked units
         j_star = int(crit.argmin())   # the first minimum: lowest index
-        if state.blocked[j_star]:
+        if crit[j_star] == np.inf:
             stop_reason = "floor"
             break
         state.move(j_star, crit)
 
-        _, e_hat, _ = state.refit()
-        tau_new_vals = state.xd @ state.pooled(e_hat)
+        _, two_e, _ = state.refit()
+        tau_new_vals = state.xd @ state.pooled(two_e)
         held = (~state.mask).nonzero()[0]
         l_t = convergence_metric(tau_new_vals[held], tau_prev_vals[held])
         l_hist.append(l_t)
@@ -447,13 +476,13 @@ def run(dataset, partition, config, collect_trace=True):
             break
 
     state.prune(tau_prev_vals)
-    _, e_hat, nu2 = state.refit()
+    _, two_e, nu2 = state.refit()
     diagnostics = {"l": l_hist, "converged": stop_reason == "converged",
                    "stop_reason": stop_reason, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
     return finish("adasplit", dataset, partition, config, zlog, mu, mask=mask,
-                  iterations=len(l_hist), coef=state.pooled(e_hat), diagnostics=diagnostics)
+                  iterations=len(l_hist), coef=state.pooled(two_e), diagnostics=diagnostics)
 
 
 def finish(method, dataset, partition, config, zlog, mu, mask=None,

@@ -43,9 +43,9 @@ _SIGMOID_CLIP = 36.0
 
 
 def sigmoid(t):
-    """``1 / (1 + exp(-t))`` with ``t`` clipped to the saturation bound."""
-    s = np.minimum(np.maximum(t, -_SIGMOID_CLIP), _SIGMOID_CLIP)
-    return np.divide(1.0, np.add(1.0, np.exp(np.negative(s))))
+    """``1 / (1 + exp(-t))`` with ``t`` clipped to the saturation bound: the
+    posterior at unit residual, scale and CATE, bit for bit."""
+    return posterior_e(t, 0.0, 1.0, 1.0)
 
 
 def scaled_residual(y, z, mu_vals):
@@ -238,9 +238,37 @@ def posterior_e(y, mu_vals, tau_vals, nu2):
     Under the Gaussian outcome model with a half design this is exactly
     ``sigmoid((y - mu(x)) tau(x) / nu^2)``. Output lies strictly in (0, 1).
     """
+    return np.divide(1.0, _posterior_denominator(np.subtract(y, mu_vals), tau_vals, nu2))
+
+
+def _posterior_denominator(resid, tau_vals, nu2):
+    """The denominator ``D = 1 + exp(-t)`` of :func:`posterior_e`,
+    ``e = 1 / D``, at the logit ``t = resid tau / nu^2`` clipped to the
+    saturation bound, from the residuals ``resid = y - mu(x)``, formed in
+    place on one fresh array (0-d for scalars). It holds -t first, which is
+    ``resid tau / (-nu^2)`` exactly, as division is sign-symmetric; the
+    bound is symmetric too, so clipping -t negates the clipped t."""
     if not nu2 > 0.0:
         raise ValidationError("nu2 must be positive")
-    return sigmoid(np.divide(np.multiply(np.subtract(y, mu_vals), tau_vals), nu2))
+    d = np.multiply(resid, tau_vals, out=np.empty(np.broadcast(resid, tau_vals).shape))
+    d /= -nu2
+    np.maximum(d, -_SIGMOID_CLIP, out=d)
+    np.minimum(d, _SIGMOID_CLIP, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    return d
+
+
+def _signed_certainty(resid, tau_vals, nu2):
+    """``2 e - 1`` for ``e = posterior_e(y, mu, tau, nu2)`` with
+    ``resid = y - mu(x)``, in one pass over the posterior's denominator D:
+    ``2 / D - 1`` is ``2 (1 / D) - 1`` bit for bit, since doubling commutes
+    with rounding (1 / D is a normal number). Its magnitude is
+    :func:`certainty`."""
+    two_e = _posterior_denominator(resid, tau_vals, nu2)
+    np.divide(2.0, two_e, out=two_e)
+    two_e -= 1.0
+    return two_e
 
 
 def certainty(e_val):

@@ -415,8 +415,14 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     )
     tau_prev_vals = tau_prev.predict(x)
 
-    neighbors, loo_neighbors = knn_lists(x, y, min(config.knn_k, n))
-    lists = neighbors if loo_neighbors is None else loo_neighbors
+    if config.knn_k < n:
+        # knn_lists' leave-one-out lists, taken in blocks of 256 rows so that
+        # memory stays O(256 n) rather than O(n^2).
+        lists = np.empty((n, config.knn_k), dtype=np.intp)
+        for rows in np.array_split(np.arange(n), -(-n // 256)):
+            lists[rows] = knn_rows(x, y, config.knn_k, rows)
+    else:
+        lists = knn_lists(x, y, n)[0]
     labels = partition.labels()
 
     l_hist = []

@@ -183,7 +183,7 @@ def test_criterion_6_closed_form_vs_optimizer():
         one = SubgroupPartition.from_labels(np.zeros(n, dtype=int))
         state = engine._LoopState(ds, one, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
-        closed = state.pooled(e_hat)
+        closed = state.pooled(2.0 * e_hat - 1.0)
         numeric = minimize_bar_loss(x, y, z, mask, mu_vals, e_hat, lam=1.0)
         bar_ok &= bool(np.linalg.norm(closed - numeric) <= 1e-6)
 

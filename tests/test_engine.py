@@ -19,12 +19,13 @@ from adasplit import (
     ValidationError,
     diversity_scores,
     fit_wls,
+    posterior_e,
     run,
     split_init,
     write_trace_csv,
 )
 import adasplit
-from adasplit import engine
+from adasplit import engine, nuisance
 from adasplit.engine import convergence_metric, selection_criterion
 from adasplit.simlab import generate, scenario_with_size
 from oracles import knn_lists, reference_run
@@ -348,10 +349,11 @@ class TestLoopState:
         # every fold member has been queried, and every queried unit's count
         # is exactly the number of fold members in its oracle leave-one-out
         # list, or |I| when kappa >= n; each subgroup's held-out count is
-        # exact and never below its floor. The seed query takes exactly the
-        # seed fold, a loop miss the mover plus the _MIN_QUERY unqueried,
-        # unblocked units it can (at n = 1500 that leaves rows unqueried),
-        # and the prune batch only its own unqueried units.
+        # exact and never below its floor, and the blocked units are exactly
+        # the fold and the subgroups at their floors. The seed query takes
+        # exactly the seed fold, a loop miss the mover plus the _MIN_QUERY
+        # unqueried, unblocked units it can (at n = 1500 that leaves rows
+        # unqueried), and the prune batch only its own unqueried units.
         ds, part = duplicated_problem(n=n)
         neighbors, loo_neighbors = knn_lists(ds.x, ds.y, min(kappa, ds.n))
         lists = neighbors if loo_neighbors is None else loo_neighbors
@@ -360,7 +362,7 @@ class TestLoopState:
 
         def checked_query(state, units, crit=None):
             before = state.queried.copy()
-            free = np.count_nonzero(~(before | state.blocked))
+            free = np.count_nonzero(~before & (state.penalty == 0.0))
             original_query(state, units, crit)
             new = np.flatnonzero(state.queried & ~before)
             if not before.any():
@@ -384,6 +386,10 @@ class TestLoopState:
             held = [np.count_nonzero(~state.mask[g]) for g in part.groups]
             assert np.array_equal(state.j_sizes, held)
             assert np.all(state.j_sizes >= state.floor)
+            # The key's penalty is +inf exactly on the fold and on every
+            # subgroup at its floor, and 0 elsewhere.
+            blocked = state.mask | (state.j_sizes <= state.floor)[part.labels()]
+            assert np.array_equal(state.penalty, np.where(blocked, np.inf, 0.0))
 
         monkeypatch.setattr(engine._LoopState, "query", checked_query)
         monkeypatch.setattr(engine._LoopState, "move", checked_move)
@@ -520,6 +526,100 @@ class TestLoopState:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("case", ["floor-run", "prune-batch"])
+    def test_pooled_terms_need_no_mask(self, case, monkeypatch):
+        # imputed_scale is exactly 0 on the fold and 2 (y - mu) off it, and
+        # r exactly 0 off the fold, so the pooled right-hand side, formed
+        # as two_e * imputed_scale + r, equals the masked form
+        # X' np.where(mask, r, two_e 2 (y - mu)) bit for bit: at every
+        # pooled fit of a floor run, and at the final one after a prune
+        # batch of 18 units.
+        rhs, pooled_masks = [], []
+        solve = engine._cho_solve
+
+        def recorded_solve(factor, b):
+            rhs.append(b)
+            return solve(factor, b)
+
+        monkeypatch.setattr(engine, "_cho_solve", recorded_solve)
+
+        class Checked(engine._LoopState):
+            def pooled(self, two_e):
+                coef = super().pooled(two_e)
+                mask, scale = self.mask, 2.0 * self.resid_y
+                assert np.all(self.imputed_scale[mask] == 0.0)
+                assert self.imputed_scale[~mask].tobytes() == scale[~mask].tobytes()
+                assert np.all(self.r[~mask] == 0.0)
+                terms = np.where(mask, self.r, two_e * scale)
+                assert rhs.pop().tobytes() == (self.xd.T @ terms).tobytes()
+                pooled_masks.append(mask.copy())
+                return coef
+
+        monkeypatch.setattr(engine, "_LoopState", Checked)
+        if case == "floor-run":
+            ds, part = floor_problem()
+            cfg = AdaSplitConfig(seed=1, eps_l=1e-12)
+        else:
+            ds, part, _ = generate("high_noise", 1)
+            cfg = AdaSplitConfig(seed=1)
+        report = run(ds, part, cfg, collect_trace=False)
+        assert len(pooled_masks) == report.iterations + 1
+        moved_by_prune = pooled_masks[-1].sum() - pooled_masks[-2].sum()
+        if case == "floor-run":
+            assert report.diagnostics["stop_reason"] == "floor"
+            assert report.iterations > 600
+        else:
+            assert report.diagnostics["stop_reason"] == "converged"
+            assert moved_by_prune == 18
+
+    def test_one_pass_posterior_is_bit_for_bit(self, monkeypatch):
+        # The loop forms 2 e_hat - 1 in one pass over the posterior's
+        # denominator and its key from that, so reference_run, which calls
+        # posterior_e and selection_criterion, stays an exact oracle of
+        # every pick. On crafted residuals and CATEs: |t| at and beyond the
+        # clip bound 36 on both sides, t = 0 from a zero residual and from
+        # tau = +0 and -0, and nu2 at the smallest noise floor, 1e-12.
+        resid = np.array([1.0, -1.0, 36.0, 2.0, -3.0, 0.0, 0.0, 4.0, -4.0, 1e-7, 3e-7, 0.5])
+        tau = np.array([36.0, 40.0, 1.0, -50.0, 20.0, 2.0, -2.0, 0.0, -0.0, 1e-6, -2e-6, 0.3])
+        t = resid * tau   # the logit at nu2 = 1
+        assert np.count_nonzero(np.abs(t) >= 36.0) == 5 and np.count_nonzero(t == 0.0) == 4
+        for nu2 in (1.0, 1e-12):
+            e = posterior_e(resid, 0.0, tau, nu2)
+            two_e = nuisance._signed_certainty(resid, tau, nu2)
+            assert two_e.tobytes() == (2.0 * e - 1.0).tobytes()
+            key = engine._selection_key(tau, two_e)
+            assert key.tobytes() == selection_criterion(tau, e).tobytes()
+
+        # And in the loop itself, at every refit and every pick of a run.
+        last_e = []
+
+        class Checked(engine._LoopState):
+            def __init__(self, dataset, partition, mu_vals, *args):
+                super().__init__(dataset, partition, mu_vals, *args)
+                self.y_mu = dataset.y, mu_vals
+
+            def refit(self):
+                tau_vals, two_e, nu2 = super().refit()
+                e = posterior_e(*self.y_mu, tau_vals, nu2)
+                assert two_e.tobytes() == (2.0 * e - 1.0).tobytes()
+                last_e.append(e)
+                return tau_vals, two_e, nu2
+
+        key = engine._selection_key
+
+        def checked_key(tau_vals, two_e):
+            got = key(tau_vals, two_e)
+            assert got.tobytes() == selection_criterion(tau_vals, last_e[-1]).tobytes()
+            keys.append(got)
+            return got
+
+        monkeypatch.setattr(engine, "_LoopState", Checked)
+        monkeypatch.setattr(engine, "_selection_key", checked_key)
+        for ds, part in (generate("default", 1)[:2], grid_problem(600, 1)):
+            keys = []
+            report = run(ds, part, AdaSplitConfig(seed=1), collect_trace=False)
+            assert len(keys) == report.iterations + (report.diagnostics["stop_reason"] == "floor")
+
 
 def sweep_cases():
     cases = []
@@ -627,6 +727,14 @@ class TestReferenceLoop:
     def test_reports_match_reference(self, scenario, n, kappa):
         assert_matches_reference(*sweep_outcomes(scenario, n, kappa))
 
+    def test_converged_n4000_matches_reference(self):
+        # The size of the benchmark's analyze trials, where the loop's
+        # column-major products and one-pass posterior pay off most.
+        got, want = sweep_outcomes("default", 4000, 10)
+        assert json.loads(got)["diagnostics"]["converged"]
+        assert decisions(got) == decisions(want)
+        assert_matches_reference(got, want)
+
     def test_floor_run_matches_reference(self):
         # eps_l = 1e-12 never converges: 675 running-sum updates.
         ds, part = floor_problem()
@@ -697,7 +805,7 @@ class TestRunningSums:
                                   engine._AssignmentLog(ds.z), cfg)
         state.index(ds.x, ds.y, cfg.knn_k)
         state.refit()
-        state.move(int(np.flatnonzero(~state.blocked)[0]))
+        state.move(int(np.flatnonzero(state.penalty == 0.0)[0]))
         assert_sums_fresh(state, ds)
 
 
@@ -706,7 +814,7 @@ class TestStepCost:
         # At n = 500 a step's cost is per-call overhead, not arithmetic, so
         # count the calls cProfile sees, per step, over 20 whole runs: the
         # index, the p-values and the report are spread over the steps.
-        # This is about 41 (108 when every solve built a model and the
+        # This is about 40 (108 when every solve built a model and the
         # posterior, key and right-hand side went through numpy's Python
         # wrappers); numpy < 1.25, whose array functions dispatch through
         # two more Python-level calls each, adds about 7.

@@ -373,7 +373,7 @@ class TestBarLearner:
         one = SubgroupPartition.from_labels(np.zeros(ds.n, dtype=int))
         state = engine._LoopState(ds, one, mu_vals, mask, engine._AssignmentLog(ds.z), cfg)
         state.refit()
-        return state.pooled(e_hat)
+        return state.pooled(2.0 * e_hat - 1.0)
 
     def test_degenerate_imputation_equals_full_rlearner(self):
         x, y, z, mask, mu_vals, _ = self._instance(1)
