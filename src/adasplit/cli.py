@@ -13,6 +13,7 @@ with ``ADASPLIT_DEBUG=1`` in the environment its traceback follows.
 """
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -36,7 +37,10 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of :func:`main` can share it."""
     parser = argparse.ArgumentParser(
         prog="adasplit",
         description="Adaptive sample splitting for subgroup randomization tests.",
@@ -173,8 +177,7 @@ def _cmd_reproduce(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -14,12 +14,14 @@ inference fold of subgroup ``g`` is ``g[~mask[g]]``.
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -140,21 +142,29 @@ def partition_by_quantiles(dataset, column, cuts):
         raise ValidationError(f"column index {column} out of range for d={dataset.d}")
     v = dataset.x[:, column]
     n = v.size
-    order_stats = np.sort(v)
-    bounds = [order_stats[_cut_rank(c, n) - 1] for c in cuts]
-    edges = np.concatenate(([-np.inf], bounds, [np.inf]))
-    groups = []
-    for k in range(len(cuts) + 1):
-        g = np.flatnonzero((v > edges[k]) & (v <= edges[k + 1]))
-        if g.size == 0:
-            raise ValidationError(f"quantile cut produces empty subgroup {k + 1}")
-        groups.append(g)
-    return SubgroupPartition(tuple(groups))
+    bounds = np.sort(v)[[_cut_rank(c, n) - 1 for c in cuts]]
+    # Each unit's label counts the cut values below it; a small integer type
+    # lets the stable argsort below sort by radix.
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(cuts)))
+    for b in bounds:
+        labels += v > b
+    sizes = np.bincount(labels, minlength=len(cuts) + 1)
+    if not sizes.all():
+        k = int(np.flatnonzero(sizes == 0)[0])
+        raise ValidationError(f"quantile cut produces empty subgroup {k + 1}")
+    order = np.argsort(labels, kind="stable")
+    return SubgroupPartition(tuple(np.split(order, np.cumsum(sizes[:-1]))))
 
 
 def _cut_rank(c, n):
-    """The smallest k with ``k / n >= c``, for 0 < c < 1."""
-    return int(np.searchsorted(np.arange(1, n + 1) / n, c)) + 1
+    """The smallest k with ``k / n >= c``, for 0 < c < 1: ``ceil(c * n)``
+    or a neighbour of it, since the product and the quotient both round."""
+    k = min(max(math.ceil(c * n), 1), n)
+    while k > 1 and (k - 1) / n >= c:
+        k -= 1
+    while k / n < c:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -278,6 +288,8 @@ class AnalysisReport:
     @staticmethod
     def _jsonable(value):
         """Strict-JSON-safe copy: NaN becomes null, infinities become strings."""
+        if type(value) in (list, tuple) and set(map(type, value)) <= _INTS_AND_STRINGS:
+            return list(value)
         if isinstance(value, float):
             if math.isnan(value):
                 return None
@@ -317,7 +329,59 @@ class AnalysisReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)``."""
+        return _json_indent2(self.to_json_dict())
+
+
+_INTS_AND_STRINGS = frozenset((int, str))
+_FLAT_JSON = frozenset((str, int, float, bool, type(None)))
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_indent2(value, indent=""):
+    """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, with
+    ``indent`` before each line after the first.
+
+    json writes an indented layout with its pure-Python encoder. Here a list
+    of plain strings, numbers, booleans and Nones goes through json's C
+    encoder in one call, with the layout's line break and indent as its item
+    separator. Any other type, a subclass or a non-str key is left to
+    ``json.dumps`` itself.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_CONSTANTS[value]
+    inner = indent + "  "
+    if (kind is list or kind is tuple) and value:
+        if set(map(type, value)) <= _FLAT_JSON:
+            return f"[\n{inner}{_flat_encoder(inner)(value)[1:-1]}\n{indent}]"
+        body = (",\n" + inner).join([_json_indent2(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        body = (",\n" + inner).join([
+            f"{encode_basestring_ascii(k)}: {_json_indent2(value[k], inner)}"
+            for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    # Empty containers, and whatever the cases above do not spell exactly.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+@functools.cache
+def _flat_encoder(inner):
+    """json's C encoder, writing a flat list's items one to a line at ``inner``."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
 
 
 # CSV ingestion ---------------------------------------------------------------
@@ -336,12 +400,14 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     offending row and column; nothing is coerced silently. A row of blank
     cells is skipped but keeps its number.
 
-    There are two passes. One ``np.loadtxt`` call reads every record after
-    the header, quoted cells included, with the float parser ``float``
-    uses, so values are bit-identical (see :func:`_loadtxt`). A file it
-    refuses is read again, whole, with ``csv.reader``: each cell goes
-    through :func:`_cell` in row order, which accepts the file or raises the
-    first bad cell's error.
+    One ``np.loadtxt`` call reads every record after the header, quoted
+    cells included, with the float parser ``float`` uses, so values are
+    bit-identical (see :func:`_loadtxt`). numpy refuses a row of blank
+    cells, so a file it refuses that has such rows is read once more
+    without them (see :func:`_loadtxt_without_blank_rows`). A file refused
+    still is read again, whole, with ``csv.reader``: each cell goes through
+    :func:`_cell` in row order, which accepts the file or raises the first
+    bad cell's error.
     """
     if subgroup_column in ("y", "z"):
         raise ValidationError(
@@ -385,7 +451,7 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
                 try:
                     columns = _loadtxt(text, dtype, fields)
                 except (ValueError, OverflowError):
-                    columns = None
+                    columns = _loadtxt_without_blank_rows(path, dtype, fields)
             if columns is None:
                 columns = _parse_records(records, len(header), fields)
     except UnicodeDecodeError as exc:
@@ -400,8 +466,9 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
 
 
-def _loadtxt(fh, dtype, fields):
-    """Each field's column of the records left in ``fh``, as one
+def _loadtxt(lines, dtype, fields):
+    """Each field's column of the records in ``lines`` (an open file or a
+    list of its lines), as one
     ``np.loadtxt`` call converts them, checked as :func:`_cell` checks a
     cell; raises ``ValueError`` or ``OverflowError`` otherwise.
 
@@ -412,7 +479,7 @@ def _loadtxt(fh, dtype, fields):
     with warnings.catch_warnings():
         # Only blank lines after the header: an empty file, reported as such.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"',
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
                            ndmin=1)
     out = []
     for idx, name, kind in fields:
@@ -427,6 +494,23 @@ def _loadtxt(fh, dtype, fields):
             raise ValueError("assignment not 0 or 1")
         out.append(values)
     return out
+
+
+def _loadtxt_without_blank_rows(path, dtype, fields):
+    """:func:`_loadtxt` on the records of ``path`` with its rows of blank
+    cells left out, as the record pass skips them; None if the file has no
+    such row, holds a quote (a quoted record may span lines, and ``""`` is
+    a blank cell too) or is refused still."""
+    try:
+        with open(path, encoding="utf-8-sig") as text:
+            next(csv.reader(text))
+            lines = text.readlines()
+        kept = [line for line in lines if line == "\n" or line.replace(",", "").strip()]
+        if len(kept) == len(lines) or any('"' in line for line in kept):
+            return None
+        return _loadtxt(kept, dtype, fields)
+    except (ValueError, OverflowError):
+        return None
 
 
 def _parse_records(records, width, fields):

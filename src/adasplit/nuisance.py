@@ -42,12 +42,6 @@ from .linmodel import _design, diversity_scores
 _SIGMOID_CLIP = 36.0
 
 
-def sigmoid(t):
-    """``1 / (1 + exp(-t))`` with ``t`` clipped to the saturation bound: the
-    posterior at unit residual, scale and CATE, bit for bit."""
-    return posterior_e(t, 0.0, 1.0, 1.0)
-
-
 def scaled_residual(y, z, mu_vals):
     """Residual ``(y - mu(x)) / (z - 1/2)``; the regression target whose
     conditional mean is the CATE. The denominator is -1/2 or 1/2."""

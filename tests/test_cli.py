@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adasplit import Dataset, read_dataset_csv, write_dataset_csv
+from adasplit import AdaSplitConfig, Dataset, read_dataset_csv, write_dataset_csv
 from adasplit import cli
 from adasplit.cli import main
 from adasplit.simlab import generate, scenario_with_size
@@ -52,6 +52,17 @@ class TestAnalyze:
         assert run_cli("analyze", "--data", trial_csv, "--config", config,
                        "--method", "adasplit", "--seed", 3) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_parser_is_shared_and_keeps_no_state(self, trial_csv, tmp_path):
+        # One parser serves every call; a --seed given in one call is gone
+        # from the next, which takes the config default.
+        assert cli._build_parser() is cli._build_parser()
+        seeded, plain = tmp_path / "seeded.json", tmp_path / "plain.json"
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt",
+                       "--seed", 9, "--out", seeded) == 0
+        assert run_cli("analyze", "--data", trial_csv, "--method", "rt", "--out", plain) == 0
+        assert json.loads(seeded.read_text())["config"]["seed"] == 9
+        assert json.loads(plain.read_text())["config"]["seed"] == AdaSplitConfig().seed == 0
 
     def test_rt_has_no_folds(self, trial_csv, tmp_path):
         out = tmp_path / "report.json"

@@ -16,7 +16,9 @@ from adasplit import (
     ValidationError,
     partition_by_quantiles,
 )
-from adasplit.data import _cut_rank
+from adasplit.data import _cut_rank, _json_indent2
+from adasplit.engine import run
+from adasplit.simlab import generate
 
 
 class TestValidateDataset:
@@ -143,6 +145,30 @@ class TestPartition:
             for c in fractions:
                 want = int(ks[ratios >= c][0])
                 assert _cut_rank(c, n) == want, (c, n)
+
+    def test_groups_match_the_interval_masks_on_ties(self):
+        # K = 14 subgroups of n = 20 000 units on a covariate with heavy
+        # ties at the cut values: each group is the units in (b_{k-1}, b_k],
+        # one mask per cut interval, with b_k the cut's order statistic.
+        gen = np.random.default_rng(21)
+        n = 20000
+        cuts = tuple(i / 14 for i in range(1, 14))
+        for x in (gen.integers(0, 40, n) / 4.0, gen.normal(size=n)):
+            ds = Dataset(np.column_stack([gen.normal(size=n), x]), np.zeros(n), np.zeros(n))
+            part = partition_by_quantiles(ds, 1, cuts)
+            order_stats = np.sort(x)
+            bounds = [order_stats[_cut_rank(c, n) - 1] for c in cuts]
+            edges = [-np.inf, *bounds, np.inf]
+            assert np.isin(x, bounds).sum() > 0
+            want = [np.flatnonzero((x > lo) & (x <= hi)) for lo, hi in zip(edges, edges[1:])]
+            assert len(part.groups) == 14
+            for got, g in zip(part.groups, want):
+                assert got.tobytes() == g.astype(got.dtype).tobytes()
+        # Two cuts on one order statistic leave the group between them
+        # empty; the first such group is the one named.
+        ds = Dataset(np.repeat([1.0, 2.0, 3.0], 10)[:, None], np.zeros(30), np.zeros(30))
+        with pytest.raises(ValidationError, match="^quantile cut produces empty subgroup 2$"):
+            partition_by_quantiles(ds, 0, (0.1, 0.2, 0.5, 0.6))
 
     def test_labels_roundtrip(self):
         part = SubgroupPartition.from_labels([2, 0, 2, 1, 0])
@@ -309,3 +335,74 @@ class TestReport:
         diagnostics = json.loads(report.to_json())["diagnostics"]
         assert diagnostics == {"a": 3, "b": [0.5, -2]}
         assert [type(v) for v in (diagnostics["a"], *diagnostics["b"])] == [int, float, int]
+
+
+def json_dumps_text(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def random_json(gen, depth=0):
+    """A random value of the kinds a report may hold, nested up to four deep."""
+    scalars = [
+        lambda: int(gen.integers(-10**6, 10**6)), lambda: -(2**80) - 7, lambda: 10**30,
+        lambda: float(gen.normal()), lambda: -0.0, lambda: 1e16, lambda: 5e-324,
+        lambda: float("nan"), lambda: float("inf"), lambda: float("-inf"),
+        lambda: bool(gen.integers(2)), lambda: None,
+        lambda: str(gen.choice(["", "a, b", '"q"', "x\ny\t\x00\x1f", "caf\u00e9 \u2028 \U0001f600",
+                                 "[1, 2]", "\\", "k: v"])),
+    ]
+    roll = gen.integers(10)
+    if depth >= 4 or roll < 4:
+        return scalars[gen.integers(len(scalars))]()
+    size = int(gen.integers(0, 5))
+    if roll < 6:   # a flat list of scalars, the writer's one-call case
+        return [scalars[gen.integers(len(scalars))]() for _ in range(size)]
+    if roll < 8:
+        items = [random_json(gen, depth + 1) for _ in range(size)]
+        return tuple(items) if gen.integers(2) else items
+    keys = ["a", "b, c", "Z", "\u00e9", "", "k\"", "10", "9"]
+    return {str(gen.choice(keys)): random_json(gen, depth + 1) for _ in range(size)}
+
+
+class TestReportText:
+    """``to_json`` writes what ``json.dumps(..., sort_keys=True, indent=2)``
+    writes, byte for byte."""
+
+    def test_zero_step_run(self):
+        ds, part, _ = generate("default", 1)
+        report = run(ds, part, AdaSplitConfig(seed=1, p_init=0.5, mc_draws=50))
+        assert report.iterations == 0 and report.diagnostics["l"] == []
+        assert report.diagnostics["trace"] == []
+        assert report.to_json() == json_dumps_text(report.to_json_dict())
+
+    def test_infinite_l_and_pvalue_flags(self):
+        report = AnalysisReport(
+            pvalues=(1.0, 0.25), rejected=(1,),
+            folds=FoldSnapshot(nuisance=(0, 3), inference=((), (1, 2)), proportions=(0.0, 1.0)),
+            iterations=2, cate_coefficients=(0.5, -1.25),
+            diagnostics={"l": [float("inf"), 0.004, float("-inf"), float("nan")],
+                         "pvalue_flags": {"0": "empty-inference-fold"},
+                         "converged": False, "nu2": 1.5, "z_reads_before_pvalues": [0, 3]},
+            method="adasplit", config=AdaSplitConfig(),
+        )
+        text = report.to_json()
+        assert text == json_dumps_text(report.to_json_dict())
+        assert json.loads(text)["diagnostics"]["l"] == ["inf", 0.004, "-inf", None]
+
+    def test_generated_values(self):
+        gen = np.random.default_rng(36)
+        values = [random_json(gen) for _ in range(3000)]
+        values += [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], ([],)]
+        for value in values:
+            assert _json_indent2(value) == json_dumps_text(value), value
+
+    def test_other_types_are_left_to_json_dumps(self):
+        # Subclasses, numpy scalars and non-str keys go to json.dumps.
+        class Text(str):
+            pass
+
+        values = [{1: "a", 2: [1.5]}, {True: None}, [Text("a, b"), 1], {"k": Text("v")},
+                  [np.float64(0.1), 2], {"x": [np.float64(-0.0)]}, [[1, {"b": 2, "a": [3]}]],
+                  {"k": {1: [1, 2], 2: {}}}, [[{1: [2.5, {"a": None}]}]]]
+        for value in values:
+            assert _json_indent2(value) == json_dumps_text(value), value

@@ -69,13 +69,17 @@ TABLES = ("table1", "table2", "table3", "table4", "summary_null")
 TABLE_CONFIG = AdaSplitConfig(mc_draws=100, n0=5)
 
 
-def report_payload(case):
+def case_report(case, collect_trace=False):
     method, scenario, n, seed = CASES[case]
     if n is not None:
         scenario = scenario_with_size(scenario, n)
     dataset, partition, _ = generate(scenario, seed)
-    report = run_method(method, dataset, partition, AdaSplitConfig(seed=seed))
-    return json.loads(report.to_json())
+    return run_method(method, dataset, partition, AdaSplitConfig(seed=seed),
+                      collect_trace=collect_trace)
+
+
+def report_payload(case):
+    return json.loads(case_report(case).to_json())
 
 
 def table_payload(name):
@@ -143,6 +147,15 @@ def dump(payload):
 def test_golden_report(case):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
     assert moved(report_payload(case), want) == []
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_text_is_json_dumps(case, traced):
+    # The report's own writer gives json.dumps's bytes.
+    report = case_report(case, collect_trace=traced)
+    assert ("trace" in report.diagnostics) == (traced and report.method == "adasplit")
+    assert report.to_json() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("name", TABLES)
