@@ -142,7 +142,8 @@ def partition_by_quantiles(dataset, column, cuts):
         raise ValidationError(f"column index {column} out of range for d={dataset.d}")
     v = dataset.x[:, column]
     n = v.size
-    bounds = np.sort(v)[[_cut_rank(c, n) - 1 for c in cuts]]
+    # The order statistic at each cut's rank, _cut_rank(c, n), for all cuts.
+    bounds = np.sort(v)[np.searchsorted(np.arange(1, n + 1) / n, cuts)]
     # Each unit's label counts the cut values below it; a small integer type
     # lets the stable argsort below sort by radix.
     labels = np.zeros(n, dtype=np.min_scalar_type(len(cuts)))
@@ -157,14 +158,8 @@ def partition_by_quantiles(dataset, column, cuts):
 
 
 def _cut_rank(c, n):
-    """The smallest k with ``k / n >= c``, for 0 < c < 1: ``ceil(c * n)``
-    or a neighbour of it, since the product and the quotient both round."""
-    k = min(max(math.ceil(c * n), 1), n)
-    while k > 1 and (k - 1) / n >= c:
-        k -= 1
-    while k / n < c:
-        k += 1
-    return k
+    """The smallest k with ``k / n >= c``, for 0 < c < 1."""
+    return int(np.searchsorted(np.arange(1, n + 1) / n, c)) + 1
 
 
 @dataclass(frozen=True)
@@ -335,34 +330,21 @@ class AnalysisReport:
 
 _INTS_AND_STRINGS = frozenset((int, str))
 _FLAT_JSON = frozenset((str, int, float, bool, type(None)))
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_indent2(value, indent=""):
     """``json.dumps(value, sort_keys=True, indent=2)`` byte for byte, with
     ``indent`` before each line after the first.
 
-    json writes an indented layout with its pure-Python encoder. Here a list
-    of plain strings, numbers, booleans and Nones goes through json's C
-    encoder in one call, with the layout's line break and indent as its item
-    separator. Any other type, a subclass or a non-str key is left to
-    ``json.dumps`` itself.
+    json writes an indented layout with its pure-Python encoder. Here a
+    plain string, number, boolean or None, or a list of them, goes through
+    json's C encoder in one call, with the layout's line break and indent as
+    a list's item separator. Any other type, a subclass or a non-str key is
+    left to ``json.dumps`` itself.
     """
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return _JSON_CONSTANTS[value]
+    if kind in _FLAT_JSON:
+        return _flat_encoder(indent)(value)
     inner = indent + "  "
     if (kind is list or kind is tuple) and value:
         if set(map(type, value)) <= _FLAT_JSON:
@@ -400,14 +382,12 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     offending row and column; nothing is coerced silently. A row of blank
     cells is skipped but keeps its number.
 
-    One ``np.loadtxt`` call reads every record after the header, quoted
-    cells included, with the float parser ``float`` uses, so values are
-    bit-identical (see :func:`_loadtxt`). numpy refuses a row of blank
-    cells, so a file it refuses that has such rows is read once more
-    without them (see :func:`_loadtxt_without_blank_rows`). A file refused
-    still is read again, whole, with ``csv.reader``: each cell goes through
-    :func:`_cell` in row order, which accepts the file or raises the first
-    bad cell's error.
+    There are two passes. One ``np.loadtxt`` call reads every record after
+    the header, quoted cells included, with the float parser ``float``
+    uses, so values are bit-identical (see :func:`_loadtxt`). A file it
+    refuses is read again, whole, with ``csv.reader``: each cell goes
+    through :func:`_cell` in row order, which accepts the file or raises the
+    first bad cell's error.
     """
     if subgroup_column in ("y", "z"):
         raise ValidationError(
@@ -451,7 +431,7 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
                 try:
                     columns = _loadtxt(text, dtype, fields)
                 except (ValueError, OverflowError):
-                    columns = _loadtxt_without_blank_rows(path, dtype, fields)
+                    columns = None
             if columns is None:
                 columns = _parse_records(records, len(header), fields)
     except UnicodeDecodeError as exc:
@@ -466,9 +446,8 @@ def read_dataset_csv(path, subgroup_column="subgroup"):
     return dataset, (columns[d + 2] if len(fields) > d + 2 else None)
 
 
-def _loadtxt(lines, dtype, fields):
-    """Each field's column of the records in ``lines`` (an open file or a
-    list of its lines), as one
+def _loadtxt(fh, dtype, fields):
+    """Each field's column of the records left in ``fh``, as one
     ``np.loadtxt`` call converts them, checked as :func:`_cell` checks a
     cell; raises ``ValueError`` or ``OverflowError`` otherwise.
 
@@ -479,7 +458,7 @@ def _loadtxt(lines, dtype, fields):
     with warnings.catch_warnings():
         # Only blank lines after the header: an empty file, reported as such.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"',
+        table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"',
                            ndmin=1)
     out = []
     for idx, name, kind in fields:
@@ -494,23 +473,6 @@ def _loadtxt(lines, dtype, fields):
             raise ValueError("assignment not 0 or 1")
         out.append(values)
     return out
-
-
-def _loadtxt_without_blank_rows(path, dtype, fields):
-    """:func:`_loadtxt` on the records of ``path`` with its rows of blank
-    cells left out, as the record pass skips them; None if the file has no
-    such row, holds a quote (a quoted record may span lines, and ``""`` is
-    a blank cell too) or is refused still."""
-    try:
-        with open(path, encoding="utf-8-sig") as text:
-            next(csv.reader(text))
-            lines = text.readlines()
-        kept = [line for line in lines if line == "\n" or line.replace(",", "").strip()]
-        if len(kept) == len(lines) or any('"' in line for line in kept):
-            return None
-        return _loadtxt(kept, dtype, fields)
-    except (ValueError, OverflowError):
-        return None
 
 
 def _parse_records(records, width, fields):

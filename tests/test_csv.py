@@ -356,41 +356,11 @@ class TestRead:
         assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
         assert back.z.tobytes() == ds.z.tobytes() and got.tolist() == labels.tolist()
 
-    @pytest.mark.parametrize("rows", [{2999: ",,,,,,,,"}, {1: " , ,\t", 2000: "\t", 3001: ",,,,,,,,"}],
-                             ids=["trailing", "scattered"])
-    def test_blank_cell_rows_skip_the_record_pass(self, tmp_path, monkeypatch, rows):
-        # numpy refuses rows of blank cells; the file is read again by numpy
-        # without them, never record by record.
-        text, _ = big_trial_text(3000)
-        lines = text.split("\n")
-        for r, row in sorted(rows.items(), reverse=True):
-            lines.insert(r, row)
-        path = csv_file(tmp_path, "\n".join(lines))
-        want = outcome(read_csv_reference, path)
-        assert isinstance(want, tuple) and len(want[1]) == 3000 * 8
-
-        def per_record(*args):
-            raise AssertionError("the file was read record by record")
-
-        monkeypatch.setattr(data, "_parse_records", per_record)
-        assert outcome(read_dataset_csv, path) == want
-
-    def test_blank_cell_row_and_a_bad_cell(self, tmp_path):
-        # The retry without the blank rows refuses the file too, and the
-        # record pass names the bad cell's row, blank rows counted.
-        text, _ = big_trial_text(3000, edit={2500: "0.1,0.2,0.3,oops,1,2"})
-        lines = text.split("\n")
-        lines.insert(40, ",,,,,")
-        path = csv_file(tmp_path, "\n".join(lines))
-        assert error_of(path) == "row 2501, column y: could not parse 'oops'"
-        assert assert_matches_reference(path) == error_of(path)
-
     @pytest.mark.parametrize("edit", ["quote"])
     def test_quoted_and_whitespace_rows_take_the_fast_path(self, tmp_path, monkeypatch, edit):
         # A fully quoted trial is converted by one np.loadtxt call over the
-        # whole file, and never cell by cell. (A quoted file with
-        # whitespace-only rows takes the record pass; TestAgainstReference
-        # checks their values.)
+        # whole file, and never cell by cell. (Whitespace-only rows take the
+        # strict pass; TestAgainstReference checks their values.)
         from adasplit.simlab import generate, scenario_with_size
 
         ds, part, _ = generate(scenario_with_size("default", 3000), 6)
@@ -422,11 +392,6 @@ class TestRead:
         # numpy's reader keeps it one cell, which does not parse.
         path = csv_file(tmp_path, 'x1,y,z\n1,2,1\n3,"0,1\n5,6",1\n')
         assert error_of(path) == "row 2, column y: could not parse '0,1\\n5,6'"
-        assert assert_matches_reference(path) == error_of(path)
-        # A line of a quoted cell may look like a row of blank cells, so a
-        # quoted file is not read again without its blank rows.
-        path = csv_file(tmp_path, 'x1,y,z\n1,"2\n,,\n",1\n,,\n3,4,0\n', "blank.csv")
-        assert error_of(path) == "row 1, column y: could not parse '2\\n,,'"
         assert assert_matches_reference(path) == error_of(path)
 
     @pytest.mark.parametrize("text", ["x1,y,z\n", "x1,y,z", "x1,y,z\n\n\r\n\n"],
