@@ -12,7 +12,7 @@ from .data import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .engine import run, split_init, write_trace_csv
+from .engine import run, run_method, split_init, write_trace_csv
 from .errors import AdaSplitError, ConfigError, ValidationError
 from .linmodel import LinearModel, diversity_scores, fit_wls
 from .multtest import closed_testing
@@ -24,7 +24,7 @@ from .nuisance import (
     scaled_residual,
 )
 from .randtest import PValue, exact_pvalue, mc_pvalue
-from .simlab import generate, reproduce_table, run_method
+from .simlab import generate, reproduce_table
 
 __version__ = "0.1.0"
 
@@ -32,13 +32,13 @@ __all__ = [
     "AdaSplitConfig", "AnalysisReport", "Dataset", "FoldSnapshot",
     "SubgroupPartition", "partition_by_quantiles", "read_dataset_csv",
     "write_dataset_csv",
-    "run", "split_init", "write_trace_csv",
+    "run", "run_method", "split_init", "write_trace_csv",
     "AdaSplitError", "ConfigError", "ValidationError",
     "LinearModel", "diversity_scores", "fit_wls",
     "closed_testing",
     "certainty", "expected_beta_distance", "one_minus_c2_series",
     "posterior_e", "scaled_residual",
     "PValue", "exact_pvalue", "mc_pvalue",
-    "generate", "reproduce_table", "run_method",
+    "generate", "reproduce_table",
     "__version__",
 ]

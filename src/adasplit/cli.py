@@ -20,16 +20,9 @@ import traceback
 from pathlib import Path
 
 from .data import AdaSplitConfig, SubgroupPartition, partition_by_quantiles, read_dataset_csv
-from .engine import write_trace_csv
+from .engine import canonical_method, run_method, write_trace_csv
 from .errors import ConfigError, ValidationError
-from .simlab import (
-    canonical_method,
-    get_scenario,
-    reproduce_table,
-    run_method,
-    run_replications,
-    summarize_replications,
-)
+from .simlab import get_scenario, reproduce_table, run_replications, summarize_replications
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

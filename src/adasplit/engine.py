@@ -58,10 +58,14 @@ side as fresh arrays, with no buffers kept between steps; at small n a
 step's Python-level call overhead, not its arithmetic, is most of its
 cost. Per-step timings are in the ROADMAP's Baseline.
 
-Validity rests on a single structural property: no assignment outside the
-nuisance fold is ever read before the p-value stage. Every method (``rt``,
-``random_split`` and this engine) therefore routes its assignment reads
-through an :class:`_AssignmentLog` and ends with :func:`finish`, which
+The three procedures of :data:`ALL_METHODS` live here and share one path
+(:func:`run_method`): ``rt`` tests the whole subgroups, ``random_split``
+fits its nuisances on a seeded random fold, and ``adasplit`` is
+:func:`run`. Validity rests on a single structural property: no
+assignment outside the nuisance fold is ever read before the p-value stage.
+Every method therefore routes its assignment reads through an
+:class:`_AssignmentLog` and calls :func:`finish` once, with its nuisance
+mask, outcome model and CATE model (none of them for ``rt``); ``finish``
 records the units read before inference for auditing, tests the inference
 folds and builds the report.
 """
@@ -71,16 +75,28 @@ import functools
 
 import numpy as np
 
+from . import rng
 from .data import AnalysisReport, FoldSnapshot, _cut_rank
 from .errors import ConfigError, ValidationError
-from .linmodel import (_cho_factor, _cho_solve, _design, _solve_spd, diversity_scores,
-                       fit_wls)
-from .nuisance import NeighborIndex, _signed_certainty, certainty, noise_floor
+from .linmodel import (LinearModel, _cho_factor, _cho_solve, _design, _solve_spd,
+                       diversity_scores, fit_wls)
+from .nuisance import NeighborIndex, _signed_certainty, noise_floor, scaled_residual
 from .randtest import test_folds
 
 # A loop step whose mover has no neighbor list yet queries, besides the
 # mover, this many of the lowest-criterion units that could join next.
 _MIN_QUERY = 512
+
+ALL_METHODS = ("rt", "random_split", "adasplit")
+
+
+def canonical_method(name):
+    """Check a method name; only the three exact names are accepted."""
+    if name not in ALL_METHODS:
+        raise ValidationError(
+            f"unknown method {name!r}; choose one of {', '.join(ALL_METHODS)}"
+        )
+    return name
 
 
 class _AssignmentLog:
@@ -152,18 +168,11 @@ def split_init(dataset, partition, config):
     return mask
 
 
-def selection_criterion(tau_vals, e_hat_vals):
-    """Selection score ``sign(tau_hat) * certainty(e_hat)`` (sign(0) = 0).
-
-    Minimizing it prefers negative estimated CATEs first, then low-certainty
-    units among the positive ones.
-    """
-    return np.multiply(np.sign(tau_vals), certainty(e_hat_vals))
-
-
 def _selection_key(tau_vals, two_e):
-    """The loop's :func:`selection_criterion`, bit for bit, from
-    ``two_e = 2 e_hat - 1``: ``sign(tau) |2 e_hat - 1|`` on one fresh array."""
+    """The selection score ``sign(tau_hat) |2 e_hat - 1|`` (sign(0) = 0) from
+    ``two_e = 2 e_hat - 1``, on one fresh array. Minimizing it prefers
+    negative estimated CATEs first, then low-certainty units among the
+    positive ones."""
     key = np.sign(tau_vals)
     key *= np.abs(two_e)
     return key
@@ -482,17 +491,59 @@ def run(dataset, partition, config, collect_trace=True):
     if collect_trace:
         diagnostics["trace"] = trace
     return finish("adasplit", dataset, partition, config, zlog, mu, mask=mask,
-                  iterations=len(l_hist), coef=state.pooled(two_e), diagnostics=diagnostics)
+                  iterations=len(l_hist), tau=LinearModel(state.pooled(two_e)),
+                  diagnostics=diagnostics)
+
+
+def run_method(method, dataset, partition, config, collect_trace=False):
+    """Run one of the three procedures and return its report.
+
+    The methods differ only in how they choose the inference folds and fit
+    the nuisances; each reads assignments through one :class:`_AssignmentLog`
+    and calls :func:`finish` once. ``rt`` tests each full subgroup with the
+    difference in means of ``y`` and reads none; ``random_split`` keeps a
+    seeded random part of each subgroup for inference, at the floor the
+    adaptive loop stops at (:func:`inference_floor`), fits the outcome model
+    and the CATE on the rest, and tests with the difference in means of
+    ``y - mu(x)`` (the AIPW statistic at e = 1/2; the CATE fit gives the
+    report's coefficients); ``adasplit`` is :func:`run`.
+    """
+    method = canonical_method(method)
+    if dataset.n != partition.n:
+        raise ValidationError("dataset and partition sizes differ")
+    if method == "adasplit":
+        return run(dataset, partition, config, collect_trace=collect_trace)
+    zlog = _AssignmentLog(dataset.z)
+    if method == "rt":
+        return finish(method, dataset, partition, config, zlog, None)
+    mask = np.zeros(dataset.n, dtype=bool)
+    for k, g in enumerate(partition.groups):
+        gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
+        m_k = g.size - inference_floor(g.size, config.rho)
+        mask[gen.permutation(g)[:m_k]] = True
+    nuis_idx = np.flatnonzero(mask)
+    if nuis_idx.size < dataset.d + 1:
+        raise ConfigError(
+            f"rho={config.rho} leaves a nuisance fold of {nuis_idx.size} units, "
+            f"fewer than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
+            "lower rho or use a larger sample"
+        )
+    x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
+    mu = fit_wls(x_i, y_i, ridge=config.ridge_lambda)
+    tau = fit_wls(x_i, scaled_residual(y_i, zlog.take(nuis_idx), mu.predict(x_i)),
+                  ridge=config.ridge_lambda)
+    return finish(method, dataset, partition, config, zlog, mu, mask=mask, tau=tau)
 
 
 def finish(method, dataset, partition, config, zlog, mu, mask=None,
-           iterations=0, coef=None, diagnostics=None):
+           iterations=0, tau=None, diagnostics=None):
     """The stage every method ends with: record the assignments ``zlog``
     has handed out, test each subgroup's inference fold (the units off the
     nuisance ``mask``, or the whole subgroup when there is no mask) with
     :func:`test_folds` on the residuals of the outcome model ``mu`` (None:
-    the outcomes), and build the report. ``diagnostics`` gains
-    ``z_reads_before_pvalues`` and ``pvalue_flags``."""
+    the outcomes), and build the report, whose CATE coefficients are those
+    of the method's CATE model ``tau`` (None: no CATE fit).
+    ``diagnostics`` gains ``z_reads_before_pvalues`` and ``pvalue_flags``."""
     diagnostics = dict(diagnostics or {})
     diagnostics["z_reads_before_pvalues"] = zlog.reads().tolist()
     groups = partition.groups
@@ -504,7 +555,7 @@ def finish(method, dataset, partition, config, zlog, mu, mask=None,
         rejected=rejected,
         folds=None if mask is None else FoldSnapshot.from_mask(partition, mask),
         iterations=iterations,
-        cate_coefficients=None if coef is None else tuple(float(c) for c in coef),
+        cate_coefficients=None if tau is None else tuple(float(c) for c in tau.coef),
         diagnostics=diagnostics,
         method=method,
         config=config,

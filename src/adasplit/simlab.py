@@ -9,12 +9,14 @@ illustrative example with Y = Z * X + noise. A :class:`Scenario` carries
 its own true surfaces ``mu0(x)`` and ``tau(x)``, and :func:`generate`
 returns it with each sample.
 
-The harness runs the three competing procedures on shared per-replication
-datasets (the plain subgroup randomization test ``rt``, the random-split
-residual test ``random_split``, and the adaptive split ``adasplit``) and
-aggregates rejection rates, family-wise error, power, and CATE estimation
-quality into summary tables. Every replication derives its own seed from the
-master seed, so runs are reproducible and trivially parallelizable.
+The harness runs the three competing procedures, which live in
+:mod:`adasplit.engine` (:func:`engine.run_method`: the plain subgroup
+randomization test ``rt``, the random-split residual test
+``random_split``, and the adaptive split ``adasplit``), on shared
+per-replication datasets and aggregates rejection rates, family-wise error,
+power, and CATE estimation quality into summary tables. Every replication
+derives its own seed from the master seed, so runs are reproducible and
+trivially parallelizable.
 """
 
 import concurrent.futures
@@ -26,24 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, rng
+from . import rng
 from .data import AdaSplitConfig, Dataset, SubgroupPartition, partition_by_quantiles
+from .engine import ALL_METHODS, run_method
 from .errors import ConfigError, ValidationError
 from .linmodel import LinearModel, fit_wls
 from .nuisance import scaled_residual
-
-METHOD_RT = "rt"
-METHOD_RANDOM_SPLIT = "random_split"
-METHOD_ADASPLIT = "adasplit"
-ALL_METHODS = (METHOD_RT, METHOD_RANDOM_SPLIT, METHOD_ADASPLIT)
-
-def canonical_method(name):
-    """Check a method name; only the three exact names are accepted."""
-    if name not in ALL_METHODS:
-        raise ValidationError(
-            f"unknown method {name!r}; choose one of {', '.join(ALL_METHODS)}"
-        )
-    return name
 
 
 @dataclass(frozen=True)
@@ -134,49 +124,6 @@ def generate(scenario_name, seed):
     return dataset, partition, scenario
 
 
-def run_method(method, dataset, partition, config, collect_trace=False):
-    """Run one of the three procedures and return its report.
-
-    The methods differ only in how they choose the inference folds and fit
-    the nuisances; all three read assignments through one
-    ``engine._AssignmentLog`` and end with :func:`engine.finish`, so every
-    report lists the assignments read before the p-values. ``rt`` tests each
-    full subgroup with the difference in means of ``y`` and reads none;
-    ``random_split`` keeps a seeded random part of each subgroup for
-    inference, at the floor the adaptive engine stops at
-    (:func:`engine.inference_floor`), fits the outcome model and the CATE on
-    the rest, and tests with the difference in means of ``y - mu(x)`` (the
-    AIPW statistic at e = 1/2; the CATE fit gives the report's
-    coefficients); ``adasplit`` delegates to the adaptive engine.
-    """
-    method = canonical_method(method)
-    if dataset.n != partition.n:
-        raise ValidationError("dataset and partition sizes differ")
-    if method == METHOD_ADASPLIT:
-        return engine.run(dataset, partition, config, collect_trace=collect_trace)
-    zlog = engine._AssignmentLog(dataset.z)
-    if method == METHOD_RT:
-        return engine.finish(method, dataset, partition, config, zlog, None)
-    mask = np.zeros(dataset.n, dtype=bool)
-    for k, g in enumerate(partition.groups):
-        gen = rng.stream(config.seed, rng.RANDOM_SPLIT, k)
-        m_k = g.size - engine.inference_floor(g.size, config.rho)
-        mask[gen.permutation(g)[:m_k]] = True
-    nuis_idx = np.flatnonzero(mask)
-    if nuis_idx.size < dataset.d + 1:
-        raise ConfigError(
-            f"rho={config.rho} leaves a nuisance fold of {nuis_idx.size} units, "
-            f"fewer than d + 1 = {dataset.d + 1} (n={dataset.n}, d={dataset.d}); "
-            "lower rho or use a larger sample"
-        )
-    x_i, y_i = dataset.x[nuis_idx], dataset.y[nuis_idx]
-    mu = fit_wls(x_i, y_i, ridge=config.ridge_lambda)
-    tau = fit_wls(x_i, scaled_residual(y_i, zlog.take(nuis_idx), mu.predict(x_i)),
-                  ridge=config.ridge_lambda)
-    return engine.finish(method, dataset, partition, config, zlog, mu,
-                         mask=mask, coef=tau.coef)
-
-
 # Replication harness ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -248,7 +195,7 @@ def cate_quality_experiment(scenario_name, reps, seed, config=None):
     rows = []
     for rep in range(reps):
         rep_seed = rng.child_seed(seed, rng.REPLICATION, rep)
-        dataset, (report,) = _replicate(scenario, rep_seed, config, (METHOD_ADASPLIT,))
+        dataset, (report,) = _replicate(scenario, rep_seed, config, ("adasplit",))
         bar = LinearModel(np.asarray(report.cate_coefficients))
         # The fold-restricted baseline shares the engine's outcome model
         # (fit on all covariates and outcomes, which uses no assignments)
@@ -285,7 +232,7 @@ def consistency_experiment(sizes, reps, seed, config=None):
         errors = []
         for rep in range(reps):
             rep_seed = rng.child_seed(seed, rng.REPLICATION, n, rep)
-            _, (report,) = _replicate(scenario, rep_seed, config, (METHOD_ADASPLIT,))
+            _, (report,) = _replicate(scenario, rep_seed, config, ("adasplit",))
             beta_hat = np.asarray(report.cate_coefficients, dtype=float)
             errors.append(float(np.linalg.norm(beta_hat - beta) / np.linalg.norm(beta)))
         out[int(n)] = errors

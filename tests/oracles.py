@@ -388,6 +388,11 @@ def reference_selection_prob(lists, mask):
     return np.clip(b[lists].mean(axis=1), 1.0 / (2.0 * lists.shape[1]), 1.0)
 
 
+def reference_selection_key(tau_vals, e_hat):
+    """The selection score ``sign(tau_hat) |2 e_hat - 1|`` (sign(0) = 0)."""
+    return np.sign(tau_vals) * np.abs(2.0 * e_hat - 1.0)
+
+
 def reference_run(pkg, dataset, partition, config, collect_trace=True):
     """The engine's ``run`` with a full refit at every step; ``pkg`` is
     the package."""
@@ -434,7 +439,7 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
         cand = np.flatnonzero(~mask & eligible[labels])
         if cand.size == 0:
             break
-        crit = pkg.engine.selection_criterion(tau_prev_vals[cand], e_hat[cand])
+        crit = reference_selection_key(tau_prev_vals[cand], e_hat[cand])
         pick = np.lexsort((cand, crit))[0]
         j_star = int(cand[pick])
         k_star = int(labels[j_star])
@@ -489,7 +494,8 @@ def reference_run(pkg, dataset, partition, config, collect_trace=True):
     diagnostics = {"l": l_hist, "converged": converged, "nu2": nu2}
     if collect_trace:
         diagnostics["trace"] = trace
+    # The adaptive split is the last of the package's methods.
     return pkg.engine.finish(
-        pkg.simlab.METHOD_ADASPLIT, dataset, partition, config, zlog, mu,
-        mask=mask, iterations=t, coef=tau_final.coef, diagnostics=diagnostics,
+        pkg.engine.ALL_METHODS[-1], dataset, partition, config, zlog, mu,
+        mask=mask, iterations=t, tau=tau_final, diagnostics=diagnostics,
     )

@@ -47,13 +47,17 @@ def test_removed_names_are_not_exported():
     # Names only tests read are gone; a p-value is (value, subgroup, flag).
     assert not hasattr(adasplit.Dataset, "equals")
     assert not hasattr(adasplit.SubgroupPartition, "k")
+    assert not hasattr(adasplit.engine, "selection_criterion")
     fields = [f.name for f in dataclasses.fields(adasplit.PValue)]
     assert fields == ["value", "subgroup", "flag"]
+    # ALL_METHODS alone spells the method names; simlab keeps no method path.
+    for name in ("METHOD_RT", "METHOD_RANDOM_SPLIT", "METHOD_ADASPLIT", "canonical_method"):
+        assert not hasattr(adasplit.simlab, name)
 
 
 def test_selection_loop_functions_take_no_output_buffer():
     # Each call returns a fresh result; none writes into an array it is given.
-    for fn in (adasplit.posterior_e, adasplit.certainty, adasplit.engine.selection_criterion):
+    for fn in (adasplit.posterior_e, adasplit.certainty):
         assert "out" not in inspect.signature(fn).parameters
     # One take serves a single unit and an array of units alike.
     log_methods = [name for name in vars(adasplit.engine._AssignmentLog)
@@ -91,10 +95,19 @@ def test_assignments_are_read_only_where_listed():
     assert sorted(reads) == [
         "data.write_dataset_csv",
         "engine.run",                          # _AssignmentLog(dataset.z)
+        "engine.run_method",                   # _AssignmentLog(dataset.z)
         "randtest._fold_statistic",
         "simlab.cate_quality_experiment",      # its baseline, after the report
-        "simlab.run_method",                   # _AssignmentLog(dataset.z)
     ]
+
+
+def test_method_path_has_one_home():
+    # The three methods live in engine; simlab and the package re-export the
+    # one function, and simlab's ALL_METHODS is engine's tuple.
+    assert adasplit.run_method is adasplit.engine.run_method
+    assert adasplit.simlab.run_method is adasplit.engine.run_method
+    assert adasplit.simlab.ALL_METHODS == ("rt", "random_split", "adasplit")
+    assert adasplit.simlab.ALL_METHODS is adasplit.engine.ALL_METHODS
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -26,9 +26,9 @@ from adasplit import (
 )
 import adasplit
 from adasplit import engine, nuisance
-from adasplit.engine import convergence_metric, selection_criterion
+from adasplit.engine import convergence_metric
 from adasplit.simlab import generate, scenario_with_size
-from oracles import knn_lists, reference_run
+from oracles import knn_lists, reference_run, reference_selection_key
 
 
 def small_problem(seed=0, n=120, k=3):
@@ -178,13 +178,14 @@ class TestInferenceFloor:
 
 
 class TestSelectionCriterion:
+    # The key takes 2 e_hat - 1, not e_hat.
     def test_values(self):
-        assert selection_criterion(-1.0, 0.95) == pytest.approx(-0.9)
-        assert selection_criterion(0.0, 0.99) == 0.0
-        assert selection_criterion(2.0, 0.5) == 0.0
+        assert engine._selection_key(-1.0, 2 * 0.95 - 1) == pytest.approx(-0.9)
+        assert engine._selection_key(0.0, 2 * 0.99 - 1) == 0.0
+        assert engine._selection_key(2.0, 2 * 0.5 - 1) == 0.0
 
     def test_vectorized(self):
-        crit = selection_criterion([-1.0, 1.0], [0.9, 0.6])
+        crit = engine._selection_key([-1.0, 1.0], [2 * 0.9 - 1, 2 * 0.6 - 1])
         assert np.allclose(crit, [-0.8, 0.2])
 
 
@@ -575,8 +576,9 @@ class TestLoopState:
     def test_one_pass_posterior_is_bit_for_bit(self, monkeypatch):
         # The loop forms 2 e_hat - 1 in one pass over the posterior's
         # denominator and its key from that, so reference_run, which calls
-        # posterior_e and selection_criterion, stays an exact oracle of
-        # every pick. On crafted residuals and CATEs: |t| at and beyond the
+        # posterior_e and forms sign(tau) |2 e_hat - 1| itself
+        # (reference_selection_key), stays an exact oracle of every pick.
+        # On crafted residuals and CATEs: |t| at and beyond the
         # clip bound 36 on both sides, t = 0 from a zero residual and from
         # tau = +0 and -0, and nu2 at the smallest noise floor, 1e-12.
         resid = np.array([1.0, -1.0, 36.0, 2.0, -3.0, 0.0, 0.0, 4.0, -4.0, 1e-7, 3e-7, 0.5])
@@ -588,7 +590,7 @@ class TestLoopState:
             two_e = nuisance._signed_certainty(resid, tau, nu2)
             assert two_e.tobytes() == (2.0 * e - 1.0).tobytes()
             key = engine._selection_key(tau, two_e)
-            assert key.tobytes() == selection_criterion(tau, e).tobytes()
+            assert key.tobytes() == reference_selection_key(tau, e).tobytes()
 
         # And in the loop itself, at every refit and every pick of a run.
         last_e = []
@@ -609,7 +611,7 @@ class TestLoopState:
 
         def checked_key(tau_vals, two_e):
             got = key(tau_vals, two_e)
-            assert got.tobytes() == selection_criterion(tau_vals, last_e[-1]).tobytes()
+            assert got.tobytes() == reference_selection_key(tau_vals, last_e[-1]).tobytes()
             keys.append(got)
             return got
 

@@ -37,10 +37,10 @@ from pathlib import Path
 import pytest
 
 from adasplit.data import AdaSplitConfig
+from adasplit.engine import run_method
 from adasplit.simlab import (
     generate,
     reproduce_table,
-    run_method,
     run_replications,
     scenario_with_size,
     summarize_replications,

@@ -9,15 +9,15 @@ import textwrap
 import numpy as np
 import pytest
 
-from adasplit import ConfigError, Dataset, SubgroupPartition, ValidationError
+from adasplit import (ConfigError, Dataset, SubgroupPartition, ValidationError, fit_wls,
+                      scaled_residual)
+from adasplit.engine import canonical_method, run_method
 from adasplit.simlab import (
-    canonical_method,
     cate_quality_experiment,
     draw_covariates,
     generate,
     get_scenario,
     reproduce_table,
-    run_method,
     run_replications,
     scenario_with_size,
     summarize_replications,
@@ -114,6 +114,21 @@ class TestRunMethod:
         assert np.allclose(report.folds.proportions, 0.5)
         for k, g in enumerate(part.groups):
             assert set(report.folds.inference[k]) <= set(g)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_random_split_cate_is_the_nuisance_fold_fit(self, seed):
+        # The report's coefficients are the residual regression on its own
+        # nuisance fold, bit for bit: fit mu on the fold, then regress the
+        # scaled residuals on it.
+        ds, part, _ = generate("default", seed)
+        cfg = AdaSplitConfig(seed=seed, mc_draws=100)
+        report = run_method("random_split", ds, part, cfg)
+        nuis = np.asarray(report.folds.nuisance)
+        x_i, y_i = ds.x[nuis], ds.y[nuis]
+        mu = fit_wls(x_i, y_i, ridge=cfg.ridge_lambda)
+        tau = fit_wls(x_i, scaled_residual(y_i, ds.z[nuis], mu.predict(x_i)),
+                      ridge=cfg.ridge_lambda)
+        assert report.cate_coefficients == tuple(float(c) for c in tau.coef)
 
     def test_random_split_rho_is_the_inference_floor(self):
         # Uneven subgroups: at rho = 0.3 the inference counts are the
