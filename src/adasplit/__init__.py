@@ -23,7 +23,7 @@ from .nuisance import (
     posterior_e,
     scaled_residual,
 )
-from .randtest import PValue, exact_pvalue, mc_pvalue
+from .randtest import exact_pvalue, mc_pvalue
 from .simlab import generate, reproduce_table
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "closed_testing",
     "certainty", "expected_beta_distance", "one_minus_c2_series",
     "posterior_e", "scaled_residual",
-    "PValue", "exact_pvalue", "mc_pvalue",
+    "exact_pvalue", "mc_pvalue",
     "generate", "reproduce_table",
     "__version__",
 ]

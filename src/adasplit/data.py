@@ -142,8 +142,8 @@ def partition_by_quantiles(dataset, column, cuts):
         raise ValidationError(f"column index {column} out of range for d={dataset.d}")
     v = dataset.x[:, column]
     n = v.size
-    # The order statistic at each cut's rank, _cut_rank(c, n), for all cuts.
-    bounds = np.sort(v)[np.searchsorted(np.arange(1, n + 1) / n, cuts)]
+    # The order statistic at each cut's rank.
+    bounds = np.sort(v)[_cut_rank(cuts, n) - 1]
     # Each unit's label counts the cut values below it; a small integer type
     # lets the stable argsort below sort by radix.
     labels = np.zeros(n, dtype=np.min_scalar_type(len(cuts)))
@@ -158,8 +158,9 @@ def partition_by_quantiles(dataset, column, cuts):
 
 
 def _cut_rank(c, n):
-    """The smallest k with ``k / n >= c``, for 0 < c < 1."""
-    return int(np.searchsorted(np.arange(1, n + 1) / n, c)) + 1
+    """The smallest k with ``k / n >= c``, for 0 < c < 1, or an array of
+    them for a sequence of cuts ``c``."""
+    return np.searchsorted(np.arange(1, n + 1) / n, c) + 1
 
 
 @dataclass(frozen=True)

@@ -20,24 +20,11 @@ randomized assignments are exchangeable; ties, up to rounding
 from its own stream, on the calling thread.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng
 from .errors import ValidationError
 from .multtest import closed_testing
-
-
-@dataclass(frozen=True)
-class PValue:
-    value: float
-    subgroup: int
-    flag: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.value <= 1.0:
-            raise ValidationError("p-value must lie in (0, 1]")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -170,17 +157,18 @@ def _table_statistics(w, c, m_draws, gen):
         yield packed, t
 
 
-def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
+def mc_pvalue(mu, dataset, subgroup, m_draws, gen, subgroup_id=0):
     """Monte-Carlo randomization p-value on one subgroup's inference fold,
     for the statistic of :func:`_fold_statistic` with outcome model ``mu``.
 
     Draws ``m_draws`` i.i.d. assignment vectors from the Bernoulli(1/2)
-    design, each assignment one random bit (:func:`_draw_bytes`),
-    recomputes the statistic on each, and applies the add-one correction.
-    The draws are made and scored in chunks (:func:`_table_statistics`), so
-    memory does not grow with ``m_draws``, and they consume the stream as
-    one ``m_draws`` x m draw would, whatever the chunk size. An empty fold
-    yields p = 1 with a flag rather than an error.
+    design with the generator ``gen``, each assignment one random bit
+    (:func:`_draw_bytes`), recomputes the statistic on each, and applies the
+    add-one correction. The draws are made and scored in chunks
+    (:func:`_table_statistics`), so memory does not grow with ``m_draws``,
+    and they consume the stream as one ``m_draws`` x m draw would, whatever
+    the chunk size. Returns the p-value as a float, ``(1 + count) / (m_draws
+    + 1)``; an empty fold yields 1.0 rather than an error.
 
     A draw counts when its statistic, summed by :func:`_row_sums` and plus
     ``c``, reaches ``t_min`` (``_tie_floor``). Each draw is scored instead
@@ -215,7 +203,7 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     if m_draws < 1:
         raise ValidationError("m_draws must be >= 1")
     if idx.size == 0:
-        return PValue(1.0, subgroup_id, flag="empty-inference-fold")
+        return 1.0
     # The observed statistic is summed exactly as each draw's is, so a draw
     # replicating the observed assignment ties exactly (ties carry real
     # probability mass on small folds).
@@ -229,14 +217,14 @@ def mc_pvalue(mu, dataset, subgroup, m_draws, rng, subgroup_id=0):
     hi, lo = t_min + slack, t_min - slack
     batch = max(1, _DRAW_ELEMENTS // m)
     count = 0
-    for packed, t in _table_statistics(w, c, m_draws, rng):
+    for packed, t in _table_statistics(w, c, m_draws, gen):
         above = t >= hi
         unsure = np.flatnonzero(~(above | (t <= lo)))
         count += int(np.count_nonzero(above))
         for i in range(0, unsure.size, batch):
             t_pair = _row_sums(_coins(packed[unsure[i:i + batch]], m) * w) + c
             count += int(np.count_nonzero(t_pair >= t_min))
-    return PValue((1.0 + count) / (m_draws + 1.0), subgroup_id)
+    return (1.0 + count) / (m_draws + 1.0)
 
 
 def test_folds(mu, dataset, folds, config):
@@ -248,13 +236,13 @@ def test_folds(mu, dataset, folds, config):
     order, so a failing fold raises the error of the first failing
     subgroup. Then runs closed testing with Fisher's combination at level
     ``config.q``. Returns the p-values, the rejected subgroups and the
-    flags of degenerate folds, keyed by the subgroup index as a string.
+    flag ``"empty-inference-fold"`` of each empty fold, keyed by the
+    subgroup index as a string.
     """
-    pvalues = [mc_pvalue(mu, dataset, fold, config.mc_draws,
-                         rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
-               for k, fold in enumerate(folds)]
-    values = tuple(pv.value for pv in pvalues)
-    flags = {str(pv.subgroup): pv.flag for pv in pvalues if pv.flag}
+    values = tuple(mc_pvalue(mu, dataset, fold, config.mc_draws,
+                             rng.stream(config.seed, rng.PVALUE_DRAWS, k), k)
+                   for k, fold in enumerate(folds))
+    flags = {str(k): "empty-inference-fold" for k, fold in enumerate(folds) if len(fold) == 0}
     return values, closed_testing(values, config.q), flags
 
 
@@ -264,16 +252,17 @@ def exact_pvalue(mu, dataset, subgroup):
 
     The p-value is the proportion of assignments whose statistic is at least
     the observed one, each assignment having probability 2^-m under the
-    Bernoulli(1/2) design. No add-one correction (the reference
-    distribution is complete). A statistic is ``c`` plus m terms added in
-    sequence, so two equal in exact arithmetic differ by at most ``2 gamma_m
-    (sum |w| + |c|)``, ``gamma_m = m u / (1 - m u)``, ``u = eps / 2``; for
-    m <= 20 that is below the margin ``_tie_floor`` sets with steps = m + 1.
+    Bernoulli(1/2) design, as a float; an empty fold yields 1.0. No add-one
+    correction (the reference distribution is complete). A statistic is
+    ``c`` plus m terms added in sequence, so two equal in exact arithmetic
+    differ by at most ``2 gamma_m (sum |w| + |c|)``, ``gamma_m = m u / (1 -
+    m u)``, ``u = eps / 2``; for m <= 20 that is below the margin
+    ``_tie_floor`` sets with steps = m + 1.
     """
     idx = np.asarray(subgroup, dtype=int)
     m = idx.size
     if m == 0:
-        return PValue(1.0, 0, flag="empty-inference-fold")
+        return 1.0
     if m > 20:
         raise ValidationError("subgroup too large for exact enumeration")
     w, c, z_obs, _ = _fold_statistic(mu, dataset, idx)
@@ -286,4 +275,4 @@ def exact_pvalue(mu, dataset, subgroup):
     obs_code = int(sum(1 << j for j in range(m) if z_obs[j] == 1.0))
     t_obs = float(t_ref[obs_code])
     hits = int(np.count_nonzero(t_ref >= _tie_floor(t_obs, w, c, m + 1)))
-    return PValue(hits / float(1 << m), 0)
+    return hits / float(1 << m)

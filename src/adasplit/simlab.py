@@ -162,10 +162,12 @@ def run_replications(scenario_name, reps, seed, config=None, threads=1):
     scenario = get_scenario(scenario_name)
     config = config or AdaSplitConfig()
     jobs = [(scenario, rep, seed, config) for rep in range(reps)]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool starts all its workers at once: never more than the jobs.
+    workers = min(threads, reps)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_rep_worker, jobs,
-                                   chunksize=max(1, reps // (4 * threads))))
+                                   chunksize=max(1, reps // (4 * workers))))
     else:
         chunks = [_rep_worker(job) for job in jobs]
     return [res for chunk in chunks for res in chunk]

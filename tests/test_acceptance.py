@@ -150,9 +150,9 @@ def test_criterion_5_monte_carlo_vs_enumeration():
             tau_vals = LinearModel(gen.normal(size=3)).predict(x)
             oracle = enumerate_pvalue(
                 lambda zz: aipw_statistic(y, zz, mu_vals, tau_vals), z)
-        exact = exact_pvalue(mu, ds, np.arange(m)).value
+        exact = exact_pvalue(mu, ds, np.arange(m))
         exact_bitwise &= exact == oracle
-        mc = mc_pvalue(mu, ds, np.arange(m), m_draws, rng.stream(42, 50, i)).value
+        mc = mc_pvalue(mu, ds, np.arange(m), m_draws, rng.stream(42, 50, i))
         tol = 3.0 * np.sqrt(oracle * (1.0 - oracle) / m_draws)
         agree &= abs(mc - oracle) <= tol
     report(5, "Monte-Carlo p-values within 3 binomial SEs of exhaustive "

@@ -1,7 +1,6 @@
 """The public API of the package."""
 
 import ast
-import dataclasses
 import inspect
 import os
 import subprocess
@@ -25,7 +24,7 @@ def test_removed_names_are_not_exported():
                  "marginalized_residual", "gaussian_approx_pvalue",
                  "optimal_soft_inclusion", "TestStatisticSpec",
                  "NuisanceModel", "STAT_DM", "STAT_AIPW", "fisher_combine",
-                 "predict", "fit_mu", "fit_rlearner_weighted"):
+                 "predict", "fit_mu", "fit_rlearner_weighted", "PValue"):
         assert name not in adasplit.__all__
         assert not hasattr(adasplit, name)
     # The statistic is one formula with one argument, the outcome model.
@@ -44,12 +43,11 @@ def test_removed_names_are_not_exported():
                      (adasplit.simlab.cate_quality_experiment, "holdout"),
                      (adasplit.exact_pvalue, "subgroup_id")):
         assert name not in inspect.signature(fn).parameters
-    # Names only tests read are gone; a p-value is (value, subgroup, flag).
+    # Names only tests read are gone; a p-value is a plain float.
     assert not hasattr(adasplit.Dataset, "equals")
     assert not hasattr(adasplit.SubgroupPartition, "k")
     assert not hasattr(adasplit.engine, "selection_criterion")
-    fields = [f.name for f in dataclasses.fields(adasplit.PValue)]
-    assert fields == ["value", "subgroup", "flag"]
+    assert not hasattr(adasplit.randtest, "PValue")
     # ALL_METHODS alone spells the method names; simlab keeps no method path.
     for name in ("METHOD_RT", "METHOD_RANDOM_SPLIT", "METHOD_ADASPLIT", "canonical_method"):
         assert not hasattr(adasplit.simlab, name)

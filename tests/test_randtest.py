@@ -9,7 +9,6 @@ from adasplit import (
     AdaSplitConfig,
     Dataset,
     LinearModel,
-    PValue,
     ValidationError,
     exact_pvalue,
     fit_wls,
@@ -69,10 +68,10 @@ class TestStatistics:
         assert observed(None, [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]) == pytest.approx(4.0 / 3.0)
 
     def test_dm_empty(self):
-        # an empty fold has no statistic: p = 1 with a flag, never an error
+        # an empty fold has no statistic: p = 1, never an error
         ds = Dataset([[0.0]], [1.0], [1.0])
         pv = exact_pvalue(None, ds, np.array([], dtype=int))
-        assert pv == PValue(1.0, 0, "empty-inference-fold")
+        assert type(pv) is float and pv == 1.0
 
     def test_aipw_zero_augmentation(self):
         # y equal to the arm-specific outcome model mu + (z - e) tau: AIPW
@@ -111,17 +110,18 @@ class TestMonteCarloPValue:
         pv = mc_pvalue(None, ds, np.arange(12), 200, rng.stream(0, 1))
         # replay the identical stream: only an all-ones draw can tie
         draws = fair_coins_reference(rng.stream(0, 1), 200, 12).all(axis=1).sum()
-        assert pv.value == pytest.approx((1.0 + draws) / 201.0)
+        assert pv == pytest.approx((1.0 + draws) / 201.0)
 
     def test_constant_statistic_gives_one(self):
         ds = Dataset(np.ones((6, 1)), np.zeros(6), np.array([1.0, 0, 1, 0, 1, 0]))
         pv = mc_pvalue(None, ds, np.arange(6), 99, rng.stream(0, 2))
-        assert pv.value == 1.0
+        assert pv == 1.0
 
     def test_empty_fold_flag(self):
+        # p = 1; test_folds flags the fold (TestPooledStage).
         ds = Dataset(np.ones((3, 1)), np.ones(3), np.ones(3))
         pv = mc_pvalue(None, ds, np.array([], dtype=int), 10, rng.stream(0, 3))
-        assert pv.value == 1.0 and pv.flag == "empty-inference-fold"
+        assert type(pv) is float and pv == 1.0
 
     def test_matches_exact_on_small_folds(self):
         gen = np.random.default_rng(2)
@@ -130,8 +130,8 @@ class TestMonteCarloPValue:
             y = gen.normal(size=m)
             z = (gen.random(m) < 0.5).astype(float)
             ds = Dataset(gen.normal(size=(m, 2)), y, z)
-            exact = exact_pvalue(None, ds, np.arange(m)).value
-            mc = mc_pvalue(None, ds, np.arange(m), 100000, rng.stream(4, i)).value
+            exact = exact_pvalue(None, ds, np.arange(m))
+            mc = mc_pvalue(None, ds, np.arange(m), 100000, rng.stream(4, i))
             tol = 3.0 * np.sqrt(exact * (1 - exact) / 100000) + 2e-5
             assert abs(mc - exact) <= tol
 
@@ -143,9 +143,9 @@ class TestMonteCarloPValue:
         z = (gen.random(10) < 0.5).astype(float)
         x = gen.normal(size=(10, 1))
         p1 = mc_pvalue(None, Dataset(x, y, z),
-                       np.arange(10), 500, rng.stream(5, 0)).value
+                       np.arange(10), 500, rng.stream(5, 0))
         p2 = mc_pvalue(None, Dataset(x, 3.0 * y, z),
-                       np.arange(10), 500, rng.stream(5, 0)).value
+                       np.arange(10), 500, rng.stream(5, 0))
         assert p1 == p2
 
     def test_aipw_scale_invariance(self):
@@ -171,9 +171,7 @@ class TestMonteCarloPValue:
         z = (gen.random(8) < 0.5).astype(float)
         ds = Dataset(gen.normal(size=(8, 1)), y, z)
         pv = mc_pvalue(None, ds, np.arange(8), 999, rng.stream(8, 0))
-        assert 1.0 / 1000.0 <= pv.value <= 1.0
-        with pytest.raises(ValidationError, match=r"^p-value must lie in \(0, 1\]$"):
-            PValue(0.0, 0)
+        assert type(pv) is float and 1.0 / 1000.0 <= pv <= 1.0
         with pytest.raises(ValidationError, match="^m_draws must be >= 1$"):
             mc_pvalue(None, ds, np.arange(8), 0, rng.stream(8, 0))
 
@@ -224,7 +222,7 @@ class TestMonteCarloPValue:
         w, c, _, _ = randtest._fold_statistic(None, ds, np.arange(m))
         value, _ = mc_pvalue_reference(w, c, z, 1001, rng.stream(12, m))
         got = mc_pvalue(None, ds, np.arange(m), 1001, rng.stream(12, m))
-        assert got == PValue(value, 0)
+        assert got == value
 
     def test_fair_coins_first_row_is_pinned(self):
         # Unit j is bit j % 64 of word j // 64, least significant first, on
@@ -269,7 +267,7 @@ class TestMonteCarloPValue:
             assert np.count_nonzero(coins @ scores == scores @ z) > 0
             if rows is not None:
                 monkeypatch.setattr(randtest, "_DRAW_ELEMENTS", rows * bytes_per_draw(m))
-            got = mc_pvalue(None, ds, np.arange(m), 200, rng.stream(11, m)).value
+            got = mc_pvalue(None, ds, np.arange(m), 200, rng.stream(11, m))
             assert got == integer_pvalue(scores, z, coins)
 
     def test_draw_memory_is_bounded(self):
@@ -294,8 +292,8 @@ class TestMonteCarloPValue:
                 tracemalloc.stop()
             assert peak < 2.5 * 2**20, tied
             # The add-one denominator is that of all 200000 draws.
-            hits = pv.value * 200001
-            assert 0.0 < pv.value <= 1.0 and hits == pytest.approx(round(hits), abs=1e-6)
+            hits = pv * 200001
+            assert 0.0 < pv <= 1.0 and hits == pytest.approx(round(hits), abs=1e-6)
 
     def test_outcomes_too_large_for_the_statistic(self):
         # An outcome of 1e308 overflows its coefficient 4 y / m. No statistic
@@ -314,7 +312,7 @@ class TestMonteCarloPValue:
 
 
 class TestReferenceDrawLoop:
-    """``mc_pvalue`` returns the very ``PValue`` of
+    """``mc_pvalue`` returns the very p-value of
     ``oracles.mc_pvalue_reference``, the draw loop with fixed-order pairwise
     row sums, on every statistic, outcome kind and generator."""
 
@@ -379,7 +377,7 @@ class TestReferenceDrawLoop:
             w, c, _, _ = randtest._fold_statistic(mu, ds, fold)
             value, t_obs = mc_pvalue_reference(w, c, ds.z[fold], m_draws, make(i))
             got = mc_pvalue(mu, ds, fold, m_draws, make(i), subgroup_id=i)
-            assert got == PValue(value, i), (i, got, value)
+            assert got == value, (i, got, value)
             self.assert_table_within_slack(w, c, t_obs, m_draws, make(i))
 
     @pytest.mark.parametrize("m", [1000, 3000])
@@ -407,7 +405,7 @@ class TestReferenceDrawLoop:
                              axis=1)[:, -1] + c
         assert np.count_nonzero(in_order >= t_min) != round(value * 201) - 1
         got = mc_pvalue(None, ds, fold, 200, rng.stream(32, m))
-        assert got == PValue(value, 0)
+        assert got == value
         self.assert_table_within_slack(w, c, t_obs, 200, rng.stream(32, m))
 
     def test_binary_outcomes_reach_the_exact_recount(self, monkeypatch):
@@ -458,14 +456,15 @@ class TestPooledStage:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 14])
     @pytest.mark.parametrize("stat", [STAT_DM, STAT_AIPW])
-    def test_worker_count_does_not_change_the_output(self, k, stat):
+    def test_each_value_is_its_folds_mc_pvalue(self, k, stat):
         x, y, z, folds = self.trial(k, k)
         mu = None if stat == STAT_DM else outcome_model(x, y)
         ds = Dataset(x, y, z)
         values, _, flags = self.run(mu, ds, folds)
         assert values == tuple(
-            mc_pvalue(mu, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j)).value
+            mc_pvalue(mu, ds, fold, 300, rng.stream(5, rng.PVALUE_DRAWS, j))
             for j, fold in enumerate(folds))
+        assert all(type(v) is float for v in values)
         assert flags == {}
 
     def test_empty_fold_keeps_its_flag(self):
@@ -496,11 +495,11 @@ class TestExactPValue:
     def test_single_unit(self):
         ds = Dataset([[0.0]], [1.0], [1.0])
         pv = exact_pvalue(None, ds, np.array([0]))
-        assert pv.value == 0.5
+        assert type(pv) is float and pv == 0.5
 
     def test_constant_outcomes(self):
         ds = Dataset(np.ones((4, 1)), np.zeros(4), np.ones(4))
-        assert exact_pvalue(None, ds, np.arange(4)).value == 1.0
+        assert exact_pvalue(None, ds, np.arange(4)) == 1.0
 
     def test_too_large(self):
         ds = Dataset(np.ones((21, 1)), np.zeros(21), np.ones(21))
@@ -519,12 +518,12 @@ class TestExactPValue:
             ds = Dataset(x, y, z)
             if i % 2 == 0:
                 oracle = enumerate_pvalue(lambda zz: dm_statistic(y, zz), z)
-                assert exact_pvalue(None, ds, np.arange(m)).value == oracle
+                assert exact_pvalue(None, ds, np.arange(m)) == oracle
                 continue
             mu = outcome_model(x, y)
             mu_vals = mu.predict(x)
             tau_vals = LinearModel(np.random.default_rng(i).normal(size=3)).predict(x)
-            got = exact_pvalue(mu, ds, np.arange(m)).value
+            got = exact_pvalue(mu, ds, np.arange(m))
             for scale in (1.0, 10.0, 1000.0):
                 oracle = enumerate_pvalue(
                     lambda zz: aipw_statistic(y, zz, mu_vals, scale * tau_vals), z)
@@ -572,7 +571,7 @@ class TestTies:
             z = (gen.random(m) < 0.5).astype(float)
             mu, ints = self.model_and_scores(stat, y, scores, kind)
             ds = Dataset(np.zeros((m, 1)), y, z)
-            got = exact_pvalue(mu, ds, np.arange(m)).value
+            got = exact_pvalue(mu, ds, np.arange(m))
             assert got == integer_pvalue(ints, z)
 
     @pytest.mark.parametrize("kind", ["binary", "grid", "replicated"])
@@ -589,8 +588,8 @@ class TestTies:
             ds = Dataset(np.zeros((m, 1)), y, z)
             coins = fair_coins_reference(np.random.default_rng(i), 500, m)
             want = integer_pvalue(ints, z, coins)
-            assert mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value == want
+            assert mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)) == want
             with monkeypatch.context() as patch:
                 patch.setattr(randtest, "_DRAW_ELEMENTS", 3 * bytes_per_draw(m))
-                got = mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i)).value
+                got = mc_pvalue(mu, ds, np.arange(m), 500, np.random.default_rng(i))
             assert got == want

@@ -23,7 +23,7 @@ from adasplit.simlab import (
     summarize_replications,
 )
 from adasplit.data import AdaSplitConfig
-from adasplit import rng
+from adasplit import rng, simlab
 from oracles import datasets_equal
 
 
@@ -199,6 +199,33 @@ class TestHarness:
         threaded = run_replications("default", 4, 7, AdaSplitConfig(mc_draws=100, n0=5),
                                     threads=2)
         assert serial == threaded
+
+    def test_pool_has_no_more_workers_than_replications(self, monkeypatch):
+        # The pool forks all its workers at the first submit, so it is sized
+        # by the replications as well as by threads. A fake executor records
+        # the size and maps in this process: no worker is started.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simlab.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = AdaSplitConfig(mc_draws=100, n0=5)
+        for threads, reps, size in ((500, 2, [2]), (500, 1, []), (3, 5, [3]), (1, 4, [])):
+            sizes.clear()
+            got = run_replications("default", reps, 7, cfg, threads=threads)
+            assert sizes == size, (threads, reps)
+            assert got == run_replications("default", reps, 7, cfg), (threads, reps)
 
     def test_process_workers_after_the_pvalue_pool_is_up(self):
         # A run in the parent first draws p-values and fills BLAS buffers
