@@ -97,10 +97,16 @@ class SubgroupPartition:
         for g in groups:
             if g.size == 0:
                 raise ValidationError("empty subgroup")
-        merged = np.sort(np.concatenate(groups))
-        if (merged[1:] == merged[:-1]).any():
-            raise ValidationError("subgroups overlap")
-        if not np.array_equal(merged, np.arange(merged.size)):
+        merged = np.concatenate(groups)
+        n = merged.size
+        if 0 <= merged.min() and merged.max() < n:
+            # n indices in [0, n) cover every unit exactly unless one repeats.
+            if np.bincount(merged).max() > 1:
+                raise ValidationError("subgroups overlap")
+        else:
+            merged.sort()
+            if (merged[1:] == merged[:-1]).any():
+                raise ValidationError("subgroups overlap")
             raise ValidationError("subgroups do not cover all units exactly")
         for g in groups:
             g.setflags(write=False)
@@ -511,23 +517,65 @@ def _cell(row, idx, r, name, kind):
     return value
 
 
+# Rows per write: each block's cells are Python objects only while it is written.
+_WRITE_BLOCK = 1024
+
+
 def write_dataset_csv(path, dataset, subgroup_labels=None):
     """Inverse of :func:`read_dataset_csv`, used by the benchmark and tests.
 
+    The header is ``x1,...,xd,y,z``, plus ``subgroup`` with labels.
     Covariates and outcomes are written as the ``repr`` of each float, which
-    reads back bit for bit; assignments and labels as integers.
+    reads back bit for bit; assignments and labels as integers. Fields are
+    joined by ``,`` and every line ends in ``\\r\\n``, as ``csv.writer``
+    writes them: no field written here needs quoting. Rows go out in blocks
+    of 1024, each joined into one string and written in one call, so only
+    one block's cells are held as Python objects at a time.
+
+    A label must be an integer value in the 64-bit range: an ``int``, a
+    ``bool`` or numpy integer, or an integral float such as ``2.0``. Any
+    other label (``0.5``, NaN, a string, ``2**70``) raises
+    :class:`ValidationError` naming its row, counted from 1 after the
+    header, before the file is opened.
     """
     header = [f"x{i + 1}" for i in range(dataset.d)] + ["y", "z"]
-    columns = [map(repr, c) for c in dataset.x.T.tolist()]
-    columns.append(map(repr, dataset.y.tolist()))
-    columns.append(map(str, map(int, dataset.z.tolist())))
     if subgroup_labels is not None:
         if len(subgroup_labels) != dataset.n:
             raise ValidationError(
                 f"{len(subgroup_labels)} subgroup labels for {dataset.n} rows")
         header.append("subgroup")
-        columns.append(map(str, map(int, subgroup_labels)))
+        subgroup_labels = _int_labels(subgroup_labels)
+    x, y, z = dataset.x, dataset.y, dataset.z
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        for s in range(0, dataset.n, _WRITE_BLOCK):
+            e = s + _WRITE_BLOCK
+            columns = [map(repr, c) for c in x[s:e].T.tolist()]
+            columns.append(map(repr, y[s:e].tolist()))
+            columns.append(map(str, z[s:e].astype(int).tolist()))
+            if subgroup_labels is not None:
+                columns.append(map(str, subgroup_labels[s:e].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _int_labels(labels):
+    """``labels`` as an int64 array; raises :class:`ValidationError` at the
+    first label that is not an integer value in the 64-bit range."""
+    try:
+        array = np.asarray(labels)
+    except ValueError:  # ragged nesting, refused label by label below
+        array = None
+    if array is not None and array.ndim == 1 and array.dtype.kind in "bi":
+        return array.astype(np.int64, copy=False)
+    return np.array([_int_label(r, v) for r, v in enumerate(labels, start=1)],
+                    dtype=np.int64)
+
+
+def _int_label(r, v):
+    if isinstance(v, (numbers.Integral, np.bool_)) or (
+            isinstance(v, numbers.Real) and float(v).is_integer()):
+        i = int(v)
+        if _LABEL_RANGE.min <= i <= _LABEL_RANGE.max:
+            return i
+    raise ValidationError(
+        f"row {r}: subgroup label {v!r} is not an integer in the 64-bit range")

@@ -195,6 +195,11 @@ class TestPartition:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SubgroupPartition(groups)
 
+    def test_unsorted_groups_that_cover_exactly(self):
+        part = SubgroupPartition(([4, 0, 2], [5, 1], [3]))
+        assert [g.tolist() for g in part.groups] == [[0, 2, 4], [1, 5], [3]]
+        assert part.labels().tolist() == [0, 1, 0, 2, 0, 1]
+
 
 class TestFoldState:
     """Fold snapshots built from a boolean nuisance mask."""

@@ -2,6 +2,8 @@
 reports first, and the bytes the writer produces."""
 
 import csv
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -445,4 +447,69 @@ class TestWrite:
         ds = self.dataset()
         with pytest.raises(ValidationError, match=f"^{count} subgroup labels for 6 rows$"):
             write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=list(range(count)))
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2051])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_bytes_match_the_row_writer_across_blocks(self, tmp_path, n, d, with_labels):
+        # The writer emits rows in blocks of 1024: these counts end one row
+        # short of, on and one past the first boundary, and three past the second.
+        gen = np.random.default_rng(n + d)
+        ds = Dataset(gen.normal(size=(n, d)), gen.normal(size=n), gen.integers(0, 2, n))
+        labels = gen.integers(-5, 5, n) if with_labels else None
+        write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
+        write_csv_reference(tmp_path / "b.csv", ds.x, ds.y, ds.z, labels)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_one_write_holds_one_block(self, tmp_path):
+        gen = np.random.default_rng(50)
+        n = 50_000
+        ds = Dataset(gen.normal(size=(n, 1)), gen.normal(size=n), gen.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            write_dataset_csv(tmp_path / "a.csv", ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every cell held as a Python object at once peaked near 5 MB here.
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("labels", [
+        [True, False, True, True, False, False],
+        np.array([1, 0, 1, 1, 0, 0], dtype=bool),
+        [0, 1.0, 2.0, -3, 4, 5],
+        np.array([0, 1, 2, 3, 4, 2**63 - 1], dtype=np.uint64),
+        [np.int32(7), np.int64(-2**63), 0, 1, 1, 1],
+    ])
+    def test_integer_values_write_as_integers(self, tmp_path, labels):
+        ds = TestWrite.dataset()
+        write_dataset_csv(tmp_path / "a.csv", ds, subgroup_labels=labels)
+        _, got = read_dataset_csv(tmp_path / "a.csv")
+        assert got.tolist() == [int(v) for v in labels]
+
+    @pytest.mark.parametrize("bad, text", [
+        (0.5, "0.5"),
+        (float("nan"), "nan"),
+        ("a", "'a'"),
+        ("3", "'3'"),
+        (2**70, "1180591620717411303424"),
+        (-2**63 - 1, "-9223372036854775809"),
+        (float("inf"), "inf"),
+        (None, "None"),
+        ([2], "[2]"),
+    ])
+    def test_refused_label(self, tmp_path, bad, text):
+        labels = [0, 1, 2, 3, bad, 0]
+        with pytest.raises(ValidationError, match=(
+                f"^row 5: subgroup label {re.escape(text)} "
+                "is not an integer in the 64-bit range$")):
+            write_dataset_csv(tmp_path / "a.csv", TestWrite.dataset(), subgroup_labels=labels)
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_refused_label_in_an_array(self, tmp_path):
+        labels = np.array([0, 1, 2, 3, 4, 2.5])
+        with pytest.raises(ValidationError, match=(
+                r"^row 6: subgroup label (np\.float64\()?2\.5\)? is not")):
+            write_dataset_csv(tmp_path / "a.csv", TestWrite.dataset(), subgroup_labels=labels)
         assert not (tmp_path / "a.csv").exists()
